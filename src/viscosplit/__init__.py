@@ -2,8 +2,8 @@
 common-fixed-point problems in R^d, with per-iteration inequality audits."""
 
 from .hilbert import (AffineSet, Ball, Box, ConvexSet, DimensionMismatch,
-                      HalfSpace, WholeSpace, as_vector, hilbert_identity_check,
-                      inner, norm, project)
+                      HalfSpace, NonFiniteError, WholeSpace, as_vector,
+                      hilbert_identity_check, inner, norm, project)
 from .monotone import (L1Subdifferential, LinearMonotone, MaxMonotone,
                        NormalCone, SingleOp, ZeroOperator, affine_op,
                        check_forward_nonexpansive,

@@ -45,7 +45,7 @@ from .setvalued import (KIND_DEMICONTRACTIVE, KIND_QUASI_NONEXPANSIVE,
                         KIND_STRICTLY_PSEUDOCONTRACTIVE, SelectionRule,
                         check_demicontractive, check_quasi_nonexpansive,
                         check_strictly_pseudocontractive)
-from .solvers import ScheduleValidationError, run as run_solver
+from .solvers import ALGORITHMS, run as run_solver
 
 CSV_HEADER = ("n,psi_norm,dist_to_solution,delta_residual_T1,"
               "pi_residual_T2,phi_residual_T3,fb_residual,fejer_ok,"
@@ -63,7 +63,8 @@ _SEQ_KINDS = {
 _PLAIN_CELL_KEYS = {"id", "algorithm", "instance", "psi0", "tol",
                     "max_iter", "sow_use_phi", "record_stride"}
 
-_ALGORITHMS = ("main", "sow", "fc", "forward_backward")
+_EXPECTED = {float: "a finite number", bool: "true or false",
+             int: "an integer"}
 
 
 class ConfigError(ValueError):
@@ -89,12 +90,31 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _read(value, kind: type, what: str):
+    """``value`` as a finite float, a bool or an int, by ``kind``.
+
+    JSON true/false are booleans only, never numbers.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        ok = number and isinstance(value, int)
+    else:
+        ok = number and abs(value) <= sys.float_info.max
+    if not ok:
+        raise ConfigError(f"{what} must be {_EXPECTED[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def _build_schedule(problem, overrides: dict):
     kwargs = {}
     if "mu_bar" in overrides:
-        kwargs["mu_bar"] = float(overrides.pop("mu_bar"))
+        kwargs["mu_bar"] = _read(overrides.pop("mu_bar"), float,
+                                 "schedule.mu_bar")
     if "strict_paper" in overrides:
-        kwargs["strict_paper"] = bool(overrides.pop("strict_paper"))
+        kwargs["strict_paper"] = _read(overrides.pop("strict_paper"), bool,
+                                       "schedule.strict_paper")
     schedule = default_schedule_for(problem, **kwargs)
     interval = overrides.pop("interval", None)
     seq_updates = {}
@@ -107,16 +127,20 @@ def _build_schedule(problem, overrides: dict):
                 f"schedule.{key} must be an object with kind in "
                 f"{sorted(_SEQ_KINDS)}")
         seq_updates[key] = _SEQ_KINDS[spec["kind"]](
-            float(spec.get("scale", 1.0)))
+            _read(spec.get("scale", 1.0), float, f"schedule.{key}.scale"))
     if seq_updates or interval is not None:
         if interval is not None:
             if (not isinstance(interval, (list, tuple)) or len(interval) != 2):
                 raise ConfigError("schedule.interval must be [a, b]")
-            seq_updates["interval"] = (float(interval[0]), float(interval[1]))
+            seq_updates["interval"] = tuple(
+                _read(v, float, "schedule.interval entries") for v in interval)
         elif "lam" in seq_updates and seq_updates["lam"].kind == "constant":
             c = seq_updates["lam"].scale
             seq_updates["interval"] = (c, c)
-        schedule = dataclasses.replace(schedule, **seq_updates)
+        try:
+            schedule = dataclasses.replace(schedule, **seq_updates)
+        except ValueError as exc:
+            raise ConfigError(f"invalid schedule: {exc}") from None
     return schedule
 
 
@@ -136,9 +160,9 @@ def _build_cell(raw: dict, default_seed) -> Cell:
         raise ConfigError(
             f"cell id {cell_id!r} must match [A-Za-z0-9._-]+")
     algorithm = raw["algorithm"]
-    if algorithm not in _ALGORITHMS:
+    if algorithm not in ALGORITHMS:
         raise ConfigError(
-            f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}")
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
     inst_kwargs = {k.split(".", 1)[1]: v for k, v in raw.items()
                    if k.startswith("instance.")}
@@ -174,24 +198,26 @@ def _build_cell(raw: dict, default_seed) -> Cell:
 
     psi0 = raw.get("psi0")
     if psi0 is not None:
-        psi0 = np.asarray(psi0, dtype=float).reshape(-1)
+        values = psi0 if isinstance(psi0, list) else [psi0]
+        psi0 = np.array([_read(v, float, "psi0 entries") for v in values])
         if psi0.size != problem.dim:
             raise ConfigError(
                 f"psi0 has dimension {psi0.size}, instance needs {problem.dim}")
-    tol = float(raw.get("tol", 1e-8))
+    tol = _read(raw.get("tol", 1e-8), float, "tol")
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    max_iter = raw.get("max_iter", 100_000)
-    if not isinstance(max_iter, int) or max_iter < 0:
+    max_iter = _read(raw.get("max_iter", 100_000), int, "max_iter")
+    if max_iter < 0:
         raise ConfigError("max_iter must be a nonnegative integer")
     stride = raw.get("record_stride")
-    if stride is not None and (not isinstance(stride, int) or stride < 1):
+    if stride is not None and _read(stride, int, "record_stride") < 1:
         raise ConfigError("record_stride must be a positive integer or null")
 
     return Cell(id=cell_id, algorithm=algorithm, instance_id=raw["instance"],
                 problem=problem, schedule=schedule, psi0=psi0, tol=tol,
                 max_iter=max_iter,
-                sow_use_phi=bool(raw.get("sow_use_phi", False)),
+                sow_use_phi=_read(raw.get("sow_use_phi", False), bool,
+                                  "sow_use_phi"),
                 record_stride=stride, seed=default_seed)
 
 
@@ -209,8 +235,8 @@ def parse_config(text: str, seed_override=None) -> list[Cell]:
     if not isinstance(cells_raw, list) or not cells_raw:
         raise ConfigError("config needs a nonempty 'cells' list")
     seed = seed_override if seed_override is not None else data.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if seed is not None:
+        _read(seed, int, "seed")
     cells = [_build_cell(raw, seed) for raw in cells_raw]
     ids = [c.id for c in cells]
     if len(set(ids)) != len(ids):
@@ -246,25 +272,18 @@ def _write_summary(path: Path, cell: Cell, report) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    cells = parse_config(text, seed_override=args.seed)
+    cells = parse_config(Path(args.config).read_text(),
+                         seed_override=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     all_ok = True
     for cell in cells:
-        try:
-            report = run_solver(
-                cell.algorithm, cell.problem, cell.schedule, psi0=cell.psi0,
-                tol=cell.tol, max_iter=cell.max_iter,
-                sow_use_phi=cell.sow_use_phi,
-                record_stride=cell.record_stride)
-        except ScheduleValidationError as exc:
-            raise ConfigError(str(exc)) from None
+        # parse_config has validated every cell's schedule already.
+        report = run_solver(
+            cell.algorithm, cell.problem, cell.schedule, psi0=cell.psi0,
+            tol=cell.tol, max_iter=cell.max_iter, check_schedule=False,
+            sow_use_phi=cell.sow_use_phi, record_stride=cell.record_stride)
         _write_csv(out_dir / f"{cell.id}.csv", report)
         _write_summary(out_dir / f"{cell.id}.json", cell, report)
         clean = (report.terminated_by == "tolerance"
@@ -355,12 +374,7 @@ def _cmd_check(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    cells = parse_config(text)
+    cells = parse_config(Path(args.config).read_text())
     for cell in cells:
         print(f"cell {cell.id}: algorithm={cell.algorithm} "
               f"instance={cell.instance_id} dim={cell.problem.dim} "

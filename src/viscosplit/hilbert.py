@@ -19,18 +19,22 @@ class DimensionMismatch(ValueError):
     """Two vectors (or a vector and a set) live in different dimensions."""
 
 
+class NonFiniteError(ValueError):
+    """A vector has a non-finite coordinate."""
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float array.
 
     Scalars become length-1 vectors so the 1-D examples read naturally.
-    Raises ``ValueError`` on non-finite coordinates and
+    Raises :class:`NonFiniteError` on non-finite coordinates and
     ``DimensionMismatch`` when ``dim`` is given and does not match.
     """
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite coordinates")
+        raise NonFiniteError("vector has non-finite coordinates")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v

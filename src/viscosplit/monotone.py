@@ -15,23 +15,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import DEFAULT_TOL, ConvexSet, as_vector, inner, norm
-from .setvalued import AuditResult
+from .setvalued import AuditResult, sampled_audit
 
 
 @dataclass(frozen=True)
 class SingleOp:
-    """A single-valued operator with declared (not verified) moduli.
-
-    ``strongly_positive`` is carried for completeness; no solver condition
-    reads it because the strong monotonicity modulus subsumes its role for
-    the operators used here.
-    """
+    """A single-valued operator with declared (not verified) moduli."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     lipschitz: float | None = None
     strong_monotonicity: float | None = None
     inverse_strong_monotonicity: float | None = None
-    strongly_positive: float | None = None
     name: str = ""
 
     def __call__(self, x) -> np.ndarray:
@@ -167,19 +161,11 @@ def check_inverse_strongly_monotone(op: SingleOp, alpha: float,
     """Audit  <op x - op y, x - y> >= alpha * ||op x - op y||^2  on pairs."""
     if alpha <= 0:
         raise ValueError("inverse strong monotonicity modulus must be positive")
-    worst, witness, count = -np.inf, None, 0
-    violations = []
-    for x, y in pairs:
-        xv, yv = as_vector(x), as_vector(y)
-        gap = op(xv) - op(yv)
-        slack = alpha * norm(gap) ** 2 - inner(gap, xv - yv)
-        count += 1
-        if slack > worst:
-            worst, witness = slack, (xv, yv)
-        if slack > tol:
-            violations.append((xv, yv, slack))
-    return AuditResult("inverse_strongly_monotone", not violations, worst,
-                       witness, count, violations=violations)
+
+    def sides(x, y):
+        gap = op(x) - op(y)
+        return alpha * norm(gap) ** 2, inner(gap, x - y)
+    return sampled_audit("inverse_strongly_monotone", pairs, sides, tol)
 
 
 def check_forward_nonexpansive(op: SingleOp, alpha: float, theta: float,
@@ -195,20 +181,10 @@ def check_forward_nonexpansive(op: SingleOp, alpha: float, theta: float,
     if not 0.0 <= theta <= 2.0 * alpha:
         note = (f"theta={theta} outside [0, {2.0 * alpha}]; "
                 "nonexpansiveness is not guaranteed in this range")
-    worst, witness, count = -np.inf, None, 0
-    violations = []
-    for x, y in pairs:
-        xv, yv = as_vector(x), as_vector(y)
-        lhs = norm((xv - theta * op(xv)) - (yv - theta * op(yv)))
-        rhs = norm(xv - yv)
-        slack = lhs - rhs
-        count += 1
-        if slack > worst:
-            worst, witness = slack, (xv, yv)
-        if slack > tol:
-            violations.append((xv, yv, lhs, rhs))
-    return AuditResult("forward_nonexpansive", not violations, worst, witness,
-                       count, note=note, violations=violations)
+    return sampled_audit(
+        "forward_nonexpansive", pairs,
+        lambda x, y: (norm((x - theta * op(x)) - (y - theta * op(y))),
+                      norm(x - y)), tol, note)
 
 
 def wang_tau(eta: float, k: float, L: float) -> float:
@@ -234,36 +210,18 @@ def check_wang_contraction(op: SingleOp, eta: float, t: float,
     tau = wang_tau(eta, k, L)
     if not 0.0 < t < min(1.0, 1.0 / tau):
         raise ValueError(f"t={t} outside (0, {min(1.0, 1.0 / tau)})")
-    worst, witness, count = -np.inf, None, 0
-    violations = []
-    for x, y in pairs:
-        xv, yv = as_vector(x), as_vector(y)
-        lhs = norm((xv - t * eta * op(xv)) - (yv - t * eta * op(yv)))
-        rhs = (1.0 - t * tau) * norm(xv - yv)
-        slack = lhs - rhs
-        count += 1
-        if slack > worst:
-            worst, witness = slack, (xv, yv)
-        if slack > tol:
-            violations.append((xv, yv, lhs, rhs))
-    return AuditResult("averaged_contraction", not violations, worst, witness,
-                       count, violations=violations)
+    return sampled_audit(
+        "averaged_contraction", pairs,
+        lambda x, y: (norm((x - t * eta * op(x)) - (y - t * eta * op(y))),
+                      (1.0 - t * tau) * norm(x - y)), tol)
 
 
 def check_resolvent_firmly_nonexpansive(op: MaxMonotone, lam: float,
                                         pairs: Sequence,
                                         tol: float = DEFAULT_TOL) -> AuditResult:
     """Audit  ||Jx - Jy||^2 <= <Jx - Jy, x - y>  for J the lam-resolvent."""
-    worst, witness, count = -np.inf, None, 0
-    violations = []
-    for x, y in pairs:
-        xv, yv = as_vector(x), as_vector(y)
-        jx, jy = resolvent(op, lam, xv), resolvent(op, lam, yv)
-        slack = norm(jx - jy) ** 2 - inner(jx - jy, xv - yv)
-        count += 1
-        if slack > worst:
-            worst, witness = slack, (xv, yv)
-        if slack > tol:
-            violations.append((xv, yv, slack))
-    return AuditResult("resolvent_firmly_nonexpansive", not violations, worst,
-                       witness, count, violations=violations)
+
+    def sides(x, y):
+        gap = resolvent(op, lam, x) - resolvent(op, lam, y)
+        return norm(gap) ** 2, inner(gap, x - y)
+    return sampled_audit("resolvent_firmly_nonexpansive", pairs, sides, tol)

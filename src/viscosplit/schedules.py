@@ -132,22 +132,21 @@ class ViscosityParams:
 
     def violations(self) -> list[str]:
         """Names of the static constant conditions that fail; empty is good."""
-        out = []
-        if not self.k > 0:
-            out.append("k > 0")
-        if not self.L > 0:
-            out.append("L > 0")
-        if self.k > self.L:
-            out.append("k <= L (strong monotonicity cannot exceed Lipschitz)")
-        if not self.b > 0:
-            out.append("b > 0")
-        if not self.gamma > 0:
-            out.append("gamma > 0")
-        if self.L > 0 and not 0.0 < self.eta < 2.0 * self.k / self.L ** 2:
-            out.append("0 < eta < 2k/L^2")
-        if not 0.0 < self.gamma * self.b < self.tau:
-            out.append("0 < gamma*b < tau")
-        return out
+        return [name for name, holds in STATIC_CONDITIONS if not holds(self)]
+
+
+#: The static constant conditions, in report order, as (name, holds(params)).
+STATIC_CONDITIONS = (
+    ("k > 0", lambda p: p.k > 0),
+    ("L > 0", lambda p: p.L > 0),
+    ("k <= L (strong monotonicity cannot exceed Lipschitz)",
+     lambda p: not p.k > p.L),
+    ("b > 0", lambda p: p.b > 0),
+    ("gamma > 0", lambda p: p.gamma > 0),
+    ("0 < eta < 2k/L^2",
+     lambda p: not p.L > 0 or 0.0 < p.eta < 2.0 * p.k / p.L ** 2),
+    ("0 < gamma*b < tau", lambda p: 0.0 < p.gamma * p.b < p.tau),
+)
 
 
 @dataclass(frozen=True)
@@ -217,14 +216,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _band_in_unit(seq: ParamSeq, horizon: int) -> tuple[bool, bool, str]:
-    vals = seq.values(horizon)
-    scan_ok = bool(np.all((vals > 0.0) & (vals < 1.0)))
-    if seq.limit is not None:
-        return scan_ok and 0.0 <= seq.limit <= 1.0, False, ""
-    return scan_ok, True, "custom sequence scanned over the horizon only"
-
-
 def _lower_band(seq: ParamSeq, low: float, horizon: int) -> tuple[bool, bool]:
     """Whether s_n stays in (low, 1) for all n, exactly when the limit is known."""
     vals = seq.values(horizon)
@@ -247,22 +238,18 @@ def validate(schedule: Schedule, params: ViscosityParams,
     tau = params.tau
 
     # Static constant conditions, including the coupling 0 < gamma*b < tau.
-    for name in ("k > 0", "L > 0",
-                 "k <= L (strong monotonicity cannot exceed Lipschitz)",
-                 "b > 0", "gamma > 0", "0 < eta < 2k/L^2",
-                 "0 < gamma*b < tau"):
-        failed = name in params.violations()
-        detail = ""
-        if name == "0 < gamma*b < tau":
-            detail = f"gamma*b = {params.gamma * params.b:g}, tau = {tau:g}"
-        conds.append(ConditionResult(name, not failed, detail))
+    details = {"0 < gamma*b < tau":
+               f"gamma*b = {params.gamma * params.b:g}, tau = {tau:g}"}
+    for name, holds in STATIC_CONDITIONS:
+        conds.append(ConditionResult(name, bool(holds(params)),
+                                     details.get(name, "")))
 
     # All six sequences inside (0, 1).
     unit_ok, unit_emp, unit_note = True, False, ""
     for label, seq in (("alpha", schedule.alpha), ("theta", schedule.theta),
                        ("beta", schedule.beta), ("gamma", schedule.gamma),
                        ("mu", schedule.mu), ("lambda", schedule.lam)):
-        ok, emp, note = _band_in_unit(seq, horizon)
+        ok, emp = _lower_band(seq, 0.0, horizon)
         if not ok:
             unit_ok = False
             unit_note = f"{label}_n leaves (0, 1)"

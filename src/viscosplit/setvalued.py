@@ -222,10 +222,32 @@ class AuditResult:
     violations: list = field(default_factory=list)
 
 
-def _fixed_point_pairs(T: MultiMap, points: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
+def sampled_audit(name: str, cases: Sequence,
+                  sides: Callable[[np.ndarray, np.ndarray], tuple[float, float]],
+                  tol: float, note: str = "") -> AuditResult:
+    """Audit  lhs <= rhs  with ``(lhs, rhs) = sides(x, y)`` on each case.
+
+    Keeps the worst slack lhs - rhs with its witness (x, y), and records
+    every case whose slack exceeds ``tol`` as (x, y, lhs, rhs).
+    """
+    cases = list(cases)
+    worst, witness, violations = -np.inf, None, []
+    for x, y in cases:
+        xv, yv = as_vector(x), as_vector(y)
+        lhs, rhs = sides(xv, yv)
+        slack = lhs - rhs
+        if slack > worst:
+            worst, witness = slack, (xv, yv)
+        if slack > tol:
+            violations.append((xv, yv, lhs, rhs))
+    return AuditResult(name, not violations, worst, witness, len(cases),
+                       note, violations)
+
+
+def _fixed_point_pairs(T: MultiMap, points: Sequence) -> list[tuple]:
     if not T.fixed_points:
         raise ValueError("audit needs at least one known fixed point")
-    return [(as_vector(x), q) for x in points for q in T.fixed_points]
+    return [(x, q) for x in points for q in T.fixed_points]
 
 
 def check_demicontractive(T: MultiMap, beta: float, points: Sequence,
@@ -238,38 +260,21 @@ def check_demicontractive(T: MultiMap, beta: float, points: Sequence,
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("demicontractive constant must lie in [0, 1)")
-    worst, witness, count = -np.inf, None, 0
-    violations = []
-    for x, q in _fixed_point_pairs(T, points):
+
+    def sides(x, q):
         img = T(x)
-        lhs = hausdorff(img, Singleton(q)) ** 2
-        rhs = norm(x - q) ** 2 + beta * distance_to_set(x, img) ** 2
-        slack = lhs - rhs
-        count += 1
-        if slack > worst:
-            worst, witness = slack, (x, q)
-        if slack > tol:
-            violations.append((x, q, lhs, rhs))
-    return AuditResult("demicontractive", not violations, worst, witness,
-                       count, violations=violations)
+        return (hausdorff(img, Singleton(q)) ** 2,
+                norm(x - q) ** 2 + beta * distance_to_set(x, img) ** 2)
+    return sampled_audit("demicontractive", _fixed_point_pairs(T, points),
+                         sides, tol)
 
 
 def check_quasi_nonexpansive(T: MultiMap, points: Sequence,
                              tol: float = DEFAULT_TOL) -> AuditResult:
     """Audit  H(T x, T q) <= ||x - q||  on a sample, q a fixed point."""
-    worst, witness, count = -np.inf, None, 0
-    violations = []
-    for x, q in _fixed_point_pairs(T, points):
-        lhs = hausdorff(T(x), Singleton(q))
-        rhs = norm(x - q)
-        slack = lhs - rhs
-        count += 1
-        if slack > worst:
-            worst, witness = slack, (x, q)
-        if slack > tol:
-            violations.append((x, q, lhs, rhs))
-    return AuditResult("quasi_nonexpansive", not violations, worst, witness,
-                       count, violations=violations)
+    return sampled_audit(
+        "quasi_nonexpansive", _fixed_point_pairs(T, points),
+        lambda x, q: (hausdorff(T(x), Singleton(q)), norm(x - q)), tol)
 
 
 def check_strictly_pseudocontractive(T: MultiMap, k: float, pairs: Sequence,
@@ -286,22 +291,14 @@ def check_strictly_pseudocontractive(T: MultiMap, k: float, pairs: Sequence,
     if not 0.0 <= k <= 1.0:
         raise ValueError("pseudocontractive constant must lie in [0, 1]")
     note = "k = 1 is the non-strict boundary case" if k == 1.0 else ""
-    worst, witness, count = -np.inf, None, 0
-    violations = []
-    for x, y in pairs:
-        xv, yv = as_vector(x), as_vector(y)
-        img_x, img_y = T(xv), T(yv)
-        lhs = hausdorff(img_x, img_y) ** 2
-        disp = _min_displacement_gap(xv, yv, img_x, img_y)
-        rhs = norm(xv - yv) ** 2 + k * disp ** 2
-        slack = lhs - rhs
-        count += 1
-        if slack > worst:
-            worst, witness = slack, (xv, yv)
-        if slack > tol:
-            violations.append((xv, yv, lhs, rhs))
-    return AuditResult("strictly_pseudocontractive", not violations, worst,
-                       witness, count, note=note, violations=violations)
+
+    def sides(x, y):
+        img_x, img_y = T(x), T(y)
+        disp = _min_displacement_gap(x, y, img_x, img_y)
+        return (hausdorff(img_x, img_y) ** 2,
+                norm(x - y) ** 2 + k * disp ** 2)
+    return sampled_audit("strictly_pseudocontractive", pairs, sides, tol,
+                         note)
 
 
 def _enumerable(S: SetImage) -> tuple:

@@ -7,37 +7,40 @@ forward-backward step, then averages through the mappings, and finally
 applies a viscosity anchor step that combines a contraction phi and a
 strongly monotone operator.
 
-Four update rules share that skeleton:
+One step function serves all four update rules:
 
-  main               delta = J(psi - lam*Forward psi)
-                     pi    = theta*delta + (1-theta)*v,   v in T1 delta
-                     phi_p = beta*pi     + (1-beta)*u,    u in T2 pi
-                     xi    = gamma*phi_p + (1-gamma)*z,   z in T3 phi_p
-                     psi+  = P_K(alpha*g*phi(psi) + mu*xi
-                                 + (1-mu)*(psi - eta*alpha*Strong psi))
+  delta = J(psi - lam*Forward psi)
+  pi    = theta*delta + (1-theta)*v,   v in T1 delta
+  phi_p = beta*pi     + (1-beta)*u,    u in T2 pi
+  xi    = gamma*phi_p + (1-gamma)*z,   z in T3 phi_p
+  psi+  = P_K(alpha*g*phi(psi) + mu*xi + (1-mu)*(psi - eta*alpha*Strong psi))
+          with mu mixing, else
+  psi+  = P_K(alpha*g*phi(psi) + (I - eta*alpha*Strong) c)
+          for the carried stage point c.
 
-  sow                same first three lines, then
-                     psi+  = P_K(alpha*g*phi(psi) + (I - eta*alpha*Strong) pi)
-                     (anchoring at phi_p instead of pi is a config switch)
+An :class:`Anchor` spec per rule says how many averaging lines run, which
+stage point the anchor line carries and whether mu mixes it with psi:
 
-  fc                 all four averaging lines, then
-                     psi+  = P_K(alpha*g*phi(psi) + (I - eta*alpha*Strong) xi)
+  rule               stages  carried  mu mixes
+  main               3       xi       yes
+  sow                2       pi       no     (phi_p with ``use_phi``)
+  fc                 3       xi       no
+  forward_backward   0       -        -      psi+ = delta, no anchor line
 
-  forward_backward   psi+  = J(psi - lam*Forward psi)
-
-Stage points are stored on the state they produce, together with the
-previous iterate, so every recorded state carries its own monotonicity
-chain ||xi - q|| <= ||phi_p - q|| <= ||pi - q|| <= ||delta - q|| <=
-||psi_prev - q||, auditable against any certified common point q.
+Stage points past the last averaging line mirror it.  They are stored on
+the state they produce, together with the previous iterate, so every
+recorded state carries its own monotonicity chain ||xi - q|| <=
+||phi_p - q|| <= ||pi - q|| <= ||delta - q|| <= ||psi_prev - q||,
+auditable against any certified common point q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import ConvexSet, as_vector, inner, norm
+from .hilbert import ConvexSet, NonFiniteError, as_vector, inner, norm
 from .monotone import MaxMonotone, SingleOp, fixed_point_residual, forward_backward_step
 from .schedules import Schedule, ValidationReport, ViscosityParams, validate
 from .setvalued import (MultiMap, SelectionRule, Singleton, distance_to_set,
@@ -62,10 +65,6 @@ class ScheduleValidationError(ValueError):
         self.report = report
         names = ", ".join(c.name for c in report.failures())
         super().__init__(f"schedule rejected: {names}")
-
-
-class _Diverged(Exception):
-    """Internal: a step produced a non-finite point."""
 
 
 @dataclass(frozen=True)
@@ -206,70 +205,90 @@ class RunReport:
 # Steps
 # --------------------------------------------------------------------------
 
-def _selected_stage(t: MultiMap, rule: SelectionRule,
-                    x: np.ndarray) -> tuple[np.ndarray, float]:
-    img = t.image(x)
-    return select_from(img, rule, x), distance_to_set(x, img)
+class Anchor(NamedTuple):
+    """How one update rule turns its stage points into the next iterate.
+
+    ``stages`` averaging lines run (0 means the plain forward-backward
+    step, which has no anchor line); ``carry`` indexes the stage point
+    (delta, pi, phi_p, xi) the anchor line carries; ``mixes`` says whether
+    mu mixes it with psi.
+    """
+
+    stages: int
+    carry: int = 3
+    mixes: bool = False
 
 
-def _finish(problem: ProblemInstance, state: IterState, psi_new: np.ndarray,
-            delta, pi, phi_p, xi, residuals, alpha, mu, lam) -> IterState:
-    for arr in (psi_new, delta, pi, phi_p, xi):
-        if not np.all(np.isfinite(arr)):
-            raise _Diverged
-    fb = fixed_point_residual(problem.inclusion, problem.forward, lam, psi_new)
-    dist = (np.nan if problem.known_solution is None
-            else norm(psi_new - problem.known_solution))
-    return IterState(
-        n=state.n + 1, psi=psi_new, psi_prev=state.psi,
-        delta=delta, pi=pi, phi=phi_p, xi=xi,
-        residual_t1=residuals[0], residual_t2=residuals[1],
-        residual_t3=residuals[2], fb_residual=fb,
-        dist_to_solution=dist, alpha=alpha, mu=mu, lam=lam)
+MAIN = Anchor(stages=3, mixes=True)
+SOW = Anchor(stages=2, carry=1)
+SOW_PHI = Anchor(stages=2, carry=2)
+FC = Anchor(stages=3)
+FORWARD_BACKWARD = Anchor(stages=0)
 
 
-def _splitting_stages(problem: ProblemInstance, schedule: Schedule,
-                      state: IterState, with_gamma: bool):
-    """The forward-backward point and the averaged stage points.
+def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
+          anchor: Anchor) -> IterState:
+    """One step of the rule ``anchor`` describes.
 
     Uses sequence index n + 1 for the step leaving iterate n; sequences are
-    defined from index 1.  When ``with_gamma`` is false the third averaging
-    line is skipped and xi mirrors phi_p (its residual is still measured).
+    defined from index 1.  Every T_i residual is measured, at the stage
+    point it would average, also when that averaging line does not run.
+    Raises :class:`NonFiniteError` when a point turns non-finite.
     """
     i = state.n + 1
     lam = schedule.lam(i)
     psi = state.psi
-    rule = problem.selection
-    delta = forward_backward_step(problem.inclusion, problem.forward, lam, psi)
-    v, r1 = _selected_stage(problem.t1, rule, delta)
-    th = schedule.theta(i)
-    pi = th * delta + (1.0 - th) * v
-    u, r2 = _selected_stage(problem.t2, rule, pi)
-    be = schedule.beta(i)
-    phi_p = be * pi + (1.0 - be) * u
-    if with_gamma:
-        z, r3 = _selected_stage(problem.t3, rule, phi_p)
-        ga = schedule.gamma(i)
-        xi = ga * phi_p + (1.0 - ga) * z
+    x = forward_backward_step(problem.inclusion, problem.forward, lam, psi)
+    # Selected points stay alive until the averaging is done and each image
+    # is dropped after its pass: at dimension 1e5 other lifetimes made the
+    # allocator fault up to two thirds more pages per step.
+    points, residuals, selected = [x], [], []
+    weights = (schedule.theta, schedule.beta, schedule.gamma)
+    for k, (t, weight) in enumerate(zip(problem.maps, weights)):
+        img = t.image(x)
+        residuals.append(distance_to_set(x, img))
+        if k < anchor.stages:
+            selected.append(select_from(img, problem.selection, x))
+            w = weight(i)
+            x = w * x + (1.0 - w) * selected[-1]
+        points.append(x)
+        del img
+    del selected
+    delta, pi, phi_p, xi = points
+
+    if anchor.stages:
+        a = schedule.alpha(i)
+        m = schedule.mu(i) if anchor.mixes else np.nan
+        p = problem.params
+        c = points[anchor.carry]
+        if anchor.mixes:
+            target = (a * p.gamma * problem.contraction(psi) + m * c
+                      + (1.0 - m) * (psi - p.eta * a * problem.strong(psi)))
+        else:
+            target = (a * p.gamma * problem.contraction(psi)
+                      + c - p.eta * a * problem.strong(c))
+        psi_new = problem.feasible.project(target)
     else:
-        r3 = distance_to_set(phi_p, problem.t3.image(phi_p))
-        xi = phi_p
-    return i, lam, delta, pi, phi_p, xi, (r1, r2, r3)
+        a = m = np.nan
+        psi_new = delta
+
+    for arr in (psi_new, *points):
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError("a step produced a non-finite point")
+    fb = fixed_point_residual(problem.inclusion, problem.forward, lam, psi_new)
+    dist = (np.nan if problem.known_solution is None
+            else norm(psi_new - problem.known_solution))
+    return IterState(
+        n=i, psi=psi_new, psi_prev=psi, delta=delta, pi=pi, phi=phi_p, xi=xi,
+        residual_t1=residuals[0], residual_t2=residuals[1],
+        residual_t3=residuals[2], fb_residual=fb,
+        dist_to_solution=dist, alpha=a, mu=m, lam=lam)
 
 
 def step_main(problem: ProblemInstance, schedule: Schedule,
               state: IterState) -> IterState:
     """One step of the mu-mixed viscosity rule (the full anchor line)."""
-    i, lam, delta, pi, phi_p, xi, res = _splitting_stages(
-        problem, schedule, state, with_gamma=True)
-    a, m = schedule.alpha(i), schedule.mu(i)
-    p = problem.params
-    psi = state.psi
-    target = (a * p.gamma * problem.contraction(psi) + m * xi
-              + (1.0 - m) * (psi - p.eta * a * problem.strong(psi)))
-    psi_new = problem.feasible.project(target)
-    return _finish(problem, state, psi_new, delta, pi, phi_p, xi, res,
-                   alpha=a, mu=m, lam=lam)
+    return _step(problem, schedule, state, MAIN)
 
 
 def step_sow(problem: ProblemInstance, schedule: Schedule, state: IterState,
@@ -279,45 +298,19 @@ def step_sow(problem: ProblemInstance, schedule: Schedule, state: IterState,
     The printed rule carries pi into the anchor line even though phi_p is
     the last averaged point; ``use_phi`` switches the carry to phi_p.
     """
-    i, lam, delta, pi, phi_p, xi, res = _splitting_stages(
-        problem, schedule, state, with_gamma=False)
-    carried = phi_p if use_phi else pi
-    a = schedule.alpha(i)
-    p = problem.params
-    target = (a * p.gamma * problem.contraction(state.psi)
-              + carried - p.eta * a * problem.strong(carried))
-    psi_new = problem.feasible.project(target)
-    return _finish(problem, state, psi_new, delta, pi, phi_p, xi, res,
-                   alpha=a, mu=np.nan, lam=lam)
+    return _step(problem, schedule, state, SOW_PHI if use_phi else SOW)
 
 
 def step_fc(problem: ProblemInstance, schedule: Schedule,
             state: IterState) -> IterState:
     """One step of the three-stage variant anchored at xi (no mu mixing)."""
-    i, lam, delta, pi, phi_p, xi, res = _splitting_stages(
-        problem, schedule, state, with_gamma=True)
-    a = schedule.alpha(i)
-    p = problem.params
-    target = (a * p.gamma * problem.contraction(state.psi)
-              + xi - p.eta * a * problem.strong(xi))
-    psi_new = problem.feasible.project(target)
-    return _finish(problem, state, psi_new, delta, pi, phi_p, xi, res,
-                   alpha=a, mu=np.nan, lam=lam)
+    return _step(problem, schedule, state, FC)
 
 
 def step_forward_backward(problem: ProblemInstance, schedule: Schedule,
                           state: IterState) -> IterState:
     """One plain forward-backward step; stage points mirror the new iterate."""
-    i = state.n + 1
-    lam = schedule.lam(i)
-    psi_new = forward_backward_step(problem.inclusion, problem.forward,
-                                    lam, state.psi)
-    if not np.all(np.isfinite(psi_new)):
-        raise _Diverged
-    res = tuple(distance_to_set(psi_new, t.image(psi_new))
-                for t in problem.maps)
-    return _finish(problem, state, psi_new, psi_new, psi_new, psi_new,
-                   psi_new, res, alpha=np.nan, mu=np.nan, lam=lam)
+    return _step(problem, schedule, state, FORWARD_BACKWARD)
 
 
 def initial_state(problem: ProblemInstance, schedule: Schedule,
@@ -445,10 +438,6 @@ def vi_residual(problem: ProblemInstance, psi, probes=None,
 # Driver
 # --------------------------------------------------------------------------
 
-def _default_record(n: int) -> bool:
-    return n <= 10_000 or n % 100 == 0
-
-
 def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         psi0=None, tol: float = 1e-8, max_iter: int = 100_000,
         check_schedule: bool = True, sow_use_phi: bool = False,
@@ -458,9 +447,9 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     Terminates by "tolerance" when both the displacement and all four
     residuals fall below ``tol``, by "max_iter" otherwise, or by
     "divergence_guard" when an iterate leaves the norm ball of radius
-    1e12 or turns non-finite.  Every iteration (recorded or not) is
-    audited against each certified known common point: the stage chain
-    with absolute tolerance 1e-10 and the a priori boundedness radius
+    1e12 or a step meets a non-finite value.  Every iteration (recorded or
+    not) is audited against each certified known common point: the stage
+    chain with absolute tolerance 1e-10 and the a priori boundedness radius
     with 1e-8.  Recording keeps every state up to n = 10000 and then
     every hundredth, unless ``record_stride`` forces a fixed stride.
     """
@@ -496,17 +485,15 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         raise ValueError(
             "no declared common point certifies; first defect list: "
             + "; ".join(defects))
-    radii = None
 
     def should_record(n: int) -> bool:
         if record_stride is not None:
             return n % record_stride == 0
-        return _default_record(n)
+        return n <= 10_000 or n % 100 == 0
 
     state = initial_state(problem, schedule, psi0)
-    if radii is None:
-        radii = [boundedness_radius(problem, schedule.mu_bar, state.psi, q)
-                 for q in qs]
+    radii = [boundedness_radius(problem, schedule.mu_bar, state.psi, q)
+             for q in qs]
 
     fejer_violations = 0
     bound_violations = 0
@@ -534,7 +521,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             break
         try:
             new = audited(stepper(problem, schedule, state))
-        except _Diverged:
+        except NonFiniteError:
             terminated = "divergence_guard"
             break
         if should_record(new.n):

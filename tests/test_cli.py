@@ -162,3 +162,24 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "valid" in proc.stdout
+
+
+@pytest.mark.parametrize("extra", [
+    {"tol": "abc"},
+    {"schedule.mu_bar": "x"},
+    {"schedule.alpha": {"kind": "inverse", "scale": "q"}},
+    {"schedule.interval": ["a", 1]},
+    {"schedule.interval": [0.5, 0.1]},
+    {"psi0": [float("inf")]},
+    {"schedule.strict_paper": "false"},
+    {"sow_use_phi": "false"},
+    {"max_iter": True},
+], ids=lambda extra: json.dumps(extra))
+def test_mistyped_config_value_exits_two(tmp_path, capsys, extra):
+    # json.dumps writes inf as Infinity; the config file carries 1e400,
+    # which JSON parsing also turns into inf.
+    text = json.dumps({"cells": [box_cell(**extra)]})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text.replace("Infinity", "1e400"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

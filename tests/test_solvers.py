@@ -9,6 +9,7 @@ from viscosplit.problems import (make_box_instance, make_inclusion_instance,
                                  make_trivial_instance, default_schedule_for)
 from viscosplit.schedules import ParamSeq, Schedule
 from viscosplit.setvalued import BallImage, MultiMap, Singleton
+from viscosplit.solvers import ALGORITHMS
 from viscosplit.solvers import (ScheduleValidationError, audit_bounded,
                                 audit_fejer_chain, boundedness_radius,
                                 initial_state, run, step_fc,
@@ -158,6 +159,25 @@ class TestRun:
                      psi0=np.array([1.0]), max_iter=10_000)
         assert report.terminated_by == "divergence_guard"
         assert report.fejer_violations > 0
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("part", ["forward", "t2"])
+    def test_non_finite_value_mid_run_ends_in_divergence_guard(
+            self, algorithm, part):
+        # The forward operator, or T2's image, returns inf on 0 < |x| < 0.1:
+        # not at the common point 0 nor at the start 0.9, but on the way.
+        def turning(fn):
+            return lambda x: fn(np.inf * x if 0 < abs(x[0]) < 0.1 else x)
+
+        prob = make_box_instance(dim=1)
+        holder = getattr(prob, part)
+        field = "apply" if part == "forward" else "image"
+        prob = dataclasses.replace(prob, **{part: dataclasses.replace(
+            holder, **{field: turning(getattr(holder, field))})})
+        report = run(algorithm, prob, default_schedule_for(prob),
+                     max_iter=1000)
+        assert report.terminated_by == "divergence_guard"
+        assert report.iterations >= 1
 
     def test_record_stride_override(self):
         prob = make_trivial_instance()
