@@ -7,6 +7,7 @@ floating point; no inner QP solve is involved.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,18 @@ class NonFiniteError(ValueError):
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float array.
 
-    Scalars become length-1 vectors so the 1-D examples read naturally.
-    Raises :class:`NonFiniteError` on non-finite coordinates and
+    Scalars become length-1 vectors so the 1-D examples read naturally; a
+    1-D float64 array is returned as it is.  Raises
+    :class:`NonFiniteError` on non-finite coordinates and
     ``DimensionMismatch`` when ``dim`` is given and does not match.
     """
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
+        v = x
+    else:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+        if v.ndim != 1:
+            raise ValueError(f"expected a vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
         raise NonFiniteError("vector has non-finite coordinates")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
@@ -54,8 +59,10 @@ def inner(x, y) -> float:
 
 
 def norm(x) -> float:
-    """Norm induced by :func:`inner`."""
-    return float(np.linalg.norm(as_vector(x)))
+    """Norm induced by :func:`inner`; equal bit for bit to ``np.linalg.norm``,
+    which also takes the square root of ``v @ v`` for a real vector."""
+    v = as_vector(x)
+    return math.sqrt(float(v @ v))
 
 
 # --------------------------------------------------------------------------

@@ -77,6 +77,12 @@ class ParamSeq:
     def __call__(self, n: int) -> float:
         if n < 1:
             raise ValueError(f"sequences are indexed from 1, got n={n}")
+        if self.kind == "custom":
+            return float(self.fn(n))
+        return self._closed_form(n)
+
+    def _closed_form(self, n):
+        """s_n of a built-in family, for an index or an array of indices."""
         if self.kind == "constant":
             return self.scale
         if self.kind == "inverse":
@@ -85,24 +91,28 @@ class ParamSeq:
             return self.scale / (n + 1) ** 2
         if self.kind == "approaching_one":
             return 1.0 - self.scale / (n + 1)
-        if self.kind == "custom":
-            return float(self.fn(n))
         raise ValueError(f"unknown sequence kind {self.kind!r}")
 
     def values(self, horizon: int) -> np.ndarray:
-        return np.array([self(n) for n in range(1, horizon + 1)])
+        """s_1, ..., s_horizon.  The built-in families are one array
+        expression, equal bit for bit to calling the sequence per index."""
+        if self.kind == "custom":
+            return np.array([self(n) for n in range(1, horizon + 1)])
+        n = np.arange(1, horizon + 1, dtype=float)
+        return np.full(horizon, self._closed_form(n))
 
 
-def _liminf_of(seq: ParamSeq, f: Callable[[float], float],
-               horizon: int) -> tuple[float, bool]:
-    """liminf of f(s_n): exact through the limit when known, else sampled.
+def _liminf_of(seq: ParamSeq, vals: np.ndarray,
+               f: Callable[[float], float]) -> tuple[float, bool]:
+    """liminf of f(s_n): exact through the limit when known, else sampled
+    from the second half of the horizon values ``vals``.
 
     Returns (value, empirical).  For the built-in families f(limit) is the
     true liminf because f is continuous and the sequences are convergent.
     """
     if seq.limit is not None:
         return f(seq.limit), False
-    tail = seq.values(horizon)[horizon // 2:]
+    tail = vals[len(vals) // 2:]
     return float(min(f(v) for v in tail)), True
 
 
@@ -216,9 +226,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _lower_band(seq: ParamSeq, low: float, horizon: int) -> tuple[bool, bool]:
-    """Whether s_n stays in (low, 1) for all n, exactly when the limit is known."""
-    vals = seq.values(horizon)
+def _lower_band(seq: ParamSeq, vals: np.ndarray,
+                low: float) -> tuple[bool, bool]:
+    """Whether s_n stays in (low, 1) for all n, exactly when the limit is
+    known; ``vals`` are the sequence's horizon values."""
     scan_ok = bool(np.all((vals > low) & (vals < 1.0)))
     if seq.limit is not None:
         return scan_ok and low <= seq.limit <= 1.0, False
@@ -244,12 +255,16 @@ def validate(schedule: Schedule, params: ViscosityParams,
         conds.append(ConditionResult(name, bool(holds(params)),
                                      details.get(name, "")))
 
+    # Each sequence's values over the horizon, computed once.
+    seqs = {"alpha": schedule.alpha, "theta": schedule.theta,
+            "beta": schedule.beta, "gamma": schedule.gamma,
+            "mu": schedule.mu, "lambda": schedule.lam}
+    vals = {label: seq.values(horizon) for label, seq in seqs.items()}
+
     # All six sequences inside (0, 1).
     unit_ok, unit_emp, unit_note = True, False, ""
-    for label, seq in (("alpha", schedule.alpha), ("theta", schedule.theta),
-                       ("beta", schedule.beta), ("gamma", schedule.gamma),
-                       ("mu", schedule.mu), ("lambda", schedule.lam)):
-        ok, emp = _lower_band(seq, 0.0, horizon)
+    for label, seq in seqs.items():
+        ok, emp = _lower_band(seq, vals[label], 0.0)
         if not ok:
             unit_ok = False
             unit_note = f"{label}_n leaves (0, 1)"
@@ -263,8 +278,8 @@ def validate(schedule: Schedule, params: ViscosityParams,
         to_zero = alpha.limit == 0.0
         emp = False
     else:
-        vals = alpha.values(horizon)
-        to_zero = vals[-1] <= 0.05 and vals[-1] <= vals[0]
+        alpha_vals = vals["alpha"]
+        to_zero = alpha_vals[-1] <= 0.05 and alpha_vals[-1] <= alpha_vals[0]
         emp = True
     conds.append(ConditionResult("condition (i): alpha_n -> 0", to_zero,
                                  empirical=emp))
@@ -274,9 +289,9 @@ def validate(schedule: Schedule, params: ViscosityParams,
     else:
         # Compare consecutive partial-sum chunks; a divergent tail keeps
         # contributing at a comparable rate, a summable one decays.
-        half = alpha.values(horizon)
-        chunk_late = float(np.sum(half[horizon // 2:]))
-        chunk_early = float(np.sum(half[horizon // 4: horizon // 2]))
+        alpha_vals = vals["alpha"]
+        chunk_late = float(np.sum(alpha_vals[horizon // 2:]))
+        chunk_early = float(np.sum(alpha_vals[horizon // 4: horizon // 2]))
         diverges, emp = chunk_late >= 0.8 * chunk_early, True
     if schedule.strict_paper:
         conds.append(ConditionResult(
@@ -290,7 +305,7 @@ def validate(schedule: Schedule, params: ViscosityParams,
     a, b = schedule.interval
     window = min(1.0, 2.0 * schedule.alpha_ism)
     window_ok = 0.0 < a <= b < window
-    lam_vals = schedule.lam.values(horizon)
+    lam_vals = vals["lambda"]
     in_interval = bool(np.all((lam_vals >= a) & (lam_vals <= b)))
     if schedule.lam.limit is not None:
         in_interval = in_interval and a <= schedule.lam.limit <= b
@@ -303,9 +318,9 @@ def validate(schedule: Schedule, params: ViscosityParams,
     # Condition (ii): theta_n and beta_n stay strictly above the
     # demicontractivity constant with a positive liminf gap.
     for label, seq in (("theta", schedule.theta), ("beta", schedule.beta)):
-        band_ok, band_emp = _lower_band(seq, schedule.beta_demi, horizon)
+        band_ok, band_emp = _lower_band(seq, vals[label], schedule.beta_demi)
         gap, gap_emp = _liminf_of(
-            seq, lambda s: (1.0 - s) * (s - schedule.beta_demi), horizon)
+            seq, vals[label], lambda s: (1.0 - s) * (s - schedule.beta_demi))
         conds.append(ConditionResult(
             f"condition (ii): {label}_n in (beta_demi, 1) with "
             f"liminf (1 - {label}_n)({label}_n - beta_demi) > 0",
@@ -316,15 +331,14 @@ def validate(schedule: Schedule, params: ViscosityParams,
     # Condition (iii): the three averaging products keep a positive liminf.
     for label, seq in (("gamma", schedule.gamma), ("beta", schedule.beta),
                        ("theta", schedule.theta)):
-        prod, emp = _liminf_of(seq, lambda s: (1.0 - s) * s, horizon)
+        prod, emp = _liminf_of(seq, vals[label], lambda s: (1.0 - s) * s)
         conds.append(ConditionResult(
             f"condition (iii): liminf (1 - {label}_n) {label}_n > 0",
             prod > 0.0, f"liminf product = {prod:g}", value=prod,
             empirical=emp))
 
     # The mixing weights respect the cap that keeps the anchor contraction.
-    mu_vals = schedule.mu.values(horizon)
-    sup_mu = float(np.max(mu_vals))
+    sup_mu = float(np.max(vals["mu"]))
     if schedule.mu.limit is not None:
         sup_mu = max(sup_mu, schedule.mu.limit)
     margin = tau * (1.0 - schedule.mu_bar) - params.gamma * params.b

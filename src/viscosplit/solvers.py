@@ -32,10 +32,25 @@ the state they produce, together with the previous iterate, so every
 recorded state carries its own monotonicity chain ||xi - q|| <=
 ||phi_p - q|| <= ||pi - q|| <= ||delta - q|| <= ||psi_prev - q||,
 auditable against any certified common point q.
+
+Vectors are validated (float, 1-D, finite, right dimension) where they
+enter, and the loop then works on the plain arrays:
+
+- instance construction: the known solution, common points and start;
+- ``psi0``, in :func:`initial_state`;
+- the outputs of user callables: ``SingleOp.__call__`` checks each operator
+  value, and the image constructors (``Singleton``, ``FiniteSet``,
+  ``BallImage``) check each image a mapping returns;
+- the stage points, once per step: delta, pi and phi_p when their T_i
+  residuals are measured, xi and the new iterate at the end of the step.
+
+A non-finite value anywhere in a step raises :class:`NonFiniteError`,
+which :func:`run` turns into the ``divergence_guard`` termination.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -140,14 +155,17 @@ class ProblemInstance:
         return not self.common_point_defects(q, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterState:
     """One iterate with the stage points of the step that produced it.
 
     ``psi_prev`` is the iterate the step started from (equal to ``psi`` at
     n = 0, where the stage points are mirrors of the start).  Residuals are
-    d(stage, T_i(stage)); ``fb_residual`` is measured at ``psi`` itself.
-    ``alpha``/``mu`` are nan when the rule does not use them.
+    d(stage, T_i(stage)); ``fb_residual`` is measured at ``psi`` itself,
+    through the point ``fb_point`` = J(psi - lam*Forward psi), which the
+    next step takes as its delta when its lambda equals ``lam``.  A copy
+    made with ``dataclasses.replace`` drops it.  ``alpha``/``mu`` are nan
+    when the rule does not use them.
     """
 
     n: int
@@ -166,6 +184,8 @@ class IterState:
     mu: float
     lam: float
     fejer_ok: bool | None = None
+    fb_point: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
 
 @dataclass
@@ -238,7 +258,11 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
     i = state.n + 1
     lam = schedule.lam(i)
     psi = state.psi
-    x = forward_backward_step(problem.inclusion, problem.forward, lam, psi)
+    # The residual of ``state`` evaluated J(psi - lam*Forward psi) with its
+    # own lambda; with an unchanged lambda that point is this step's delta.
+    x = state.fb_point
+    if x is None or lam != state.lam:
+        x = forward_backward_step(problem.inclusion, problem.forward, lam, psi)
     # Selected points stay alive until the averaging is done and each image
     # is dropped after its pass: at dimension 1e5 other lifetimes made the
     # allocator fault up to two thirds more pages per step.
@@ -272,17 +296,22 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         a = m = np.nan
         psi_new = delta
 
-    for arr in (psi_new, *points):
-        if not np.all(np.isfinite(arr)):
+    # delta, pi and phi_p were checked when their residuals were measured;
+    # xi and the new iterate are checked here.
+    for arr in (xi, psi_new):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("a step produced a non-finite point")
-    fb = fixed_point_residual(problem.inclusion, problem.forward, lam, psi_new)
+    fb_point = forward_backward_step(problem.inclusion, problem.forward, lam,
+                                     psi_new)
     dist = (np.nan if problem.known_solution is None
             else norm(psi_new - problem.known_solution))
-    return IterState(
+    new = IterState(
         n=i, psi=psi_new, psi_prev=psi, delta=delta, pi=pi, phi=phi_p, xi=xi,
         residual_t1=residuals[0], residual_t2=residuals[1],
-        residual_t3=residuals[2], fb_residual=fb,
+        residual_t3=residuals[2], fb_residual=norm(psi_new - fb_point),
         dist_to_solution=dist, alpha=a, mu=m, lam=lam)
+    object.__setattr__(new, "fb_point", fb_point)
+    return new
 
 
 def step_main(problem: ProblemInstance, schedule: Schedule,
@@ -319,13 +348,16 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
     psi = problem.feasible.project(as_vector(psi0, problem.dim))
     res = tuple(distance_to_set(psi, t.image(psi)) for t in problem.maps)
     lam = schedule.lam(1)
-    fb = fixed_point_residual(problem.inclusion, problem.forward, lam, psi)
+    fb_point = forward_backward_step(problem.inclusion, problem.forward, lam,
+                                     psi)
     dist = (np.nan if problem.known_solution is None
             else norm(psi - problem.known_solution))
-    return IterState(n=0, psi=psi, psi_prev=psi, delta=psi, pi=psi, phi=psi,
-                     xi=psi, residual_t1=res[0], residual_t2=res[1],
-                     residual_t3=res[2], fb_residual=fb,
-                     dist_to_solution=dist, alpha=np.nan, mu=np.nan, lam=lam)
+    state = IterState(n=0, psi=psi, psi_prev=psi, delta=psi, pi=psi, phi=psi,
+                      xi=psi, residual_t1=res[0], residual_t2=res[1],
+                      residual_t3=res[2], fb_residual=norm(psi - fb_point),
+                      dist_to_solution=dist, alpha=np.nan, mu=np.nan, lam=lam)
+    object.__setattr__(state, "fb_point", fb_point)
+    return state
 
 
 # --------------------------------------------------------------------------
@@ -344,6 +376,32 @@ class FejerAudit:
         return all(link[3] for link in self.links)
 
 
+#: Chain link names; link k compares distance row k with row k + 1 of
+#: :func:`_distances` over (xi, phi_p, pi, delta, psi_prev).
+_LINKS = ("xi_le_phi", "phi_le_pi", "pi_le_delta", "delta_le_psi")
+
+
+def _distances(points, q_rows: np.ndarray) -> np.ndarray:
+    """||p - q|| for each point p and each row q of the (Q, d) ``q_rows``.
+
+    Returns a (len(points), Q) array.  The points are taken one at a time,
+    so one (Q, d) difference is alive at once, and a point passed more than
+    once (a mirrored stage) is measured once.  ``np.vecdot`` reduces each
+    row with the dot kernel of ``v @ v``, so every entry equals
+    ``norm(p - q)`` bit for bit.
+    """
+    out = np.empty((len(points), len(q_rows)))
+    first = {}
+    for k, p in enumerate(points):
+        j = first.setdefault(id(p), k)
+        if j < k:
+            out[k] = out[j]
+        else:
+            diff = q_rows - p
+            out[k] = np.sqrt(np.vecdot(diff, diff))
+    return out
+
+
 def audit_fejer_chain(state: IterState, q, tol: float = AUDIT_TOL) -> FejerAudit:
     """Audit the stage monotonicity chain of one state against a point q.
 
@@ -353,16 +411,10 @@ def audit_fejer_chain(state: IterState, q, tol: float = AUDIT_TOL) -> FejerAudit
     the iterate the step started from.
     """
     qv = as_vector(q)
-    d_psi = norm(state.psi_prev - qv)
-    d_delta = norm(state.delta - qv)
-    d_pi = norm(state.pi - qv)
-    d_phi = norm(state.phi - qv)
-    d_xi = norm(state.xi - qv)
-    raw = (("xi_le_phi", d_xi, d_phi),
-           ("phi_le_pi", d_phi, d_pi),
-           ("pi_le_delta", d_pi, d_delta),
-           ("delta_le_psi", d_delta, d_psi))
-    links = tuple((name, lhs, rhs, lhs <= rhs + tol) for name, lhs, rhs in raw)
+    d = _distances((state.xi, state.phi, state.pi, state.delta,
+                    state.psi_prev), qv[np.newaxis])[:, 0].tolist()
+    links = tuple((name, d[k], d[k + 1], d[k] <= d[k + 1] + tol)
+                  for k, name in enumerate(_LINKS))
     return FejerAudit(links, qv)
 
 
@@ -438,6 +490,12 @@ def vi_residual(problem: ProblemInstance, psi, probes=None,
 # Driver
 # --------------------------------------------------------------------------
 
+def _is_count(value, low: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``low``."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= low)
+
+
 def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         psi0=None, tol: float = 1e-8, max_iter: int = 100_000,
         check_schedule: bool = True, sow_use_phi: bool = False,
@@ -451,15 +509,21 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     not) is audited against each certified known common point: the stage
     chain with absolute tolerance 1e-10 and the a priori boundedness radius
     with 1e-8.  Recording keeps every state up to n = 10000 and then
-    every hundredth, unless ``record_stride`` forces a fixed stride.
+    every hundredth, unless ``record_stride`` forces a fixed stride.  The
+    report's ``vi_residual`` is nan without certified points, or when an
+    operator it evaluates is non-finite at the last iterate.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ALGORITHMS}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not _is_count(max_iter, 0):
+        raise ValueError(
+            f"max_iter must be a nonnegative integer, got {max_iter!r}")
+    if record_stride is not None and not _is_count(record_stride, 1):
+        raise ValueError(f"record_stride must be a positive integer or "
+                         f"None, got {record_stride!r}")
     if check_schedule:
         rep = validate(schedule, problem.params)
         if not rep.ok:
@@ -492,38 +556,44 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         return n <= 10_000 or n % 100 == 0
 
     state = initial_state(problem, schedule, psi0)
-    radii = [boundedness_radius(problem, schedule.mu_bar, state.psi, q)
-             for q in qs]
+    q_rows = np.array(qs).reshape(len(qs), problem.dim)
+    limits = np.array([boundedness_radius(problem, schedule.mu_bar,
+                                          state.psi, q) for q in qs]
+                      ) + CERTIFY_TOL
 
     fejer_violations = 0
     bound_violations = 0
 
-    def audited(st: IterState) -> IterState:
+    def audit(st: IterState) -> None:
+        """Audit the chain and the radius against all certified points at
+        once; sets ``fejer_ok`` on the (frozen) state in place of a copy."""
         nonlocal fejer_violations, bound_violations
         if not qs:
-            return st
-        all_ok = True
-        for q, radius in zip(qs, radii):
-            aud = audit_fejer_chain(st, q)
-            fejer_violations += sum(1 for link in aud.links if not link[3])
-            all_ok = all_ok and aud.ok
-            if norm(st.psi - q) > radius + CERTIFY_TOL:
-                bound_violations += 1
-        return replace(st, fejer_ok=all_ok)
+            return
+        d = _distances((st.xi, st.phi, st.pi, st.delta, st.psi_prev, st.psi),
+                       q_rows)
+        failed = ~(d[:4] <= d[1:5] + AUDIT_TOL)
+        fejer_violations += int(np.count_nonzero(failed))
+        bound_violations += int(np.count_nonzero(d[5] > limits))
+        object.__setattr__(st, "fejer_ok", not failed.any())
 
-    state = audited(state)
+    audit(state)
     recorded = [state]
     terminated = "max_iter"
+    steps = range(max_iter)
+    # The start is checked here and every later iterate after its step.
+    if max_iter and norm(state.psi) > DIVERGENCE_LIMIT:
+        terminated, steps = "divergence_guard", ()
 
-    for _ in range(max_iter):
-        if norm(state.psi) > DIVERGENCE_LIMIT:
-            terminated = "divergence_guard"
-            break
+    for _ in steps:
         try:
-            new = audited(stepper(problem, schedule, state))
+            new = stepper(problem, schedule, state)
         except NonFiniteError:
             terminated = "divergence_guard"
             break
+        # The step has taken the point; keep it out of the trajectory.
+        object.__setattr__(state, "fb_point", None)
+        audit(new)
         if should_record(new.n):
             recorded.append(new)
         displacement = norm(new.psi - state.psi)
@@ -539,8 +609,14 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
 
     if recorded[-1].n != state.n:
         recorded.append(state)
+    object.__setattr__(state, "fb_point", None)
 
-    final_vi = (vi_residual(problem, state.psi, probes=qs) if qs else np.nan)
+    final_vi = np.nan
+    if qs:
+        try:
+            final_vi = vi_residual(problem, state.psi, probes=qs)
+        except NonFiniteError:
+            pass  # an operator is non-finite at the last iterate
 
     return RunReport(
         algorithm=algorithm, instance=problem.name, trajectory=recorded,

@@ -38,6 +38,24 @@ class TestVectors:
         assert inner(vec(1, 2), vec(3, -1)) == 1.0
         assert norm(vec(3, 4)) == 5.0
 
+    def test_float_vector_passes_through_still_checked(self):
+        v = vec(1, 2)
+        assert as_vector(v) is v
+        for bad in (vec(1, np.inf), vec(np.nan, 0), vec(-np.inf)):
+            with pytest.raises(ValueError):
+                as_vector(bad)
+        with pytest.raises(DimensionMismatch):
+            as_vector(v, dim=3)
+        with pytest.raises(ValueError):
+            as_vector(np.ones((2, 2)))
+        assert as_vector(np.arange(3)).dtype == np.float64
+
+    @given(st.lists(st.floats(min_value=-1e100, max_value=1e100,
+                              width=64), min_size=1, max_size=40))
+    def test_norm_equals_numpy_bit_for_bit(self, coords):
+        v = np.array(coords)
+        assert norm(v) == float(np.linalg.norm(v))
+
 
 class TestProjections:
     def test_whole_space_is_identity(self):

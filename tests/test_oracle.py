@@ -1,4 +1,4 @@
-"""An independent oracle for the four update rules.
+"""Independent oracles for the four update rules and the per-iteration audits.
 
 The oracle applies the update lines of PAPER.md as written, using only the
 instance's own data: the forward operator, the feasible projection, the
@@ -6,15 +6,24 @@ map images, the contraction phi and the strong operator.  Every catalog
 image is a singleton, so the selection is its point, and every catalog
 inclusion is a normal cone (resolvent = projection onto its set) or zero
 (resolvent = identity).  It shares no code with the solver's step.
+
+The audit oracle recounts the stage-chain and boundedness audits of a run
+point by point, with ``np.linalg.norm``, and compares them with the counts
+and flags ``run()`` got from auditing all certified points at once.
 """
 import dataclasses
 
 import numpy as np
 import pytest
 
-from viscosplit.problems import catalog, default_schedule_for, load_instance
+from viscosplit.hilbert import WholeSpace
+from viscosplit.monotone import ZeroOperator, zero_op
+from viscosplit.problems import (catalog, default_schedule_for,
+                                 load_instance, make_inclusion_instance)
 from viscosplit.schedules import ParamSeq
-from viscosplit.solvers import run
+from viscosplit.setvalued import MultiMap, Singleton
+from viscosplit.solvers import (AUDIT_TOL, CERTIFY_TOL, audit_fejer_chain,
+                                boundedness_radius, run)
 
 STEPS = 50
 
@@ -72,3 +81,64 @@ def test_run_matches_the_oracle(instance_id, rule, steps):
                               state.xi), (psi, *stages)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert report.trajectory[-1].n == report.iterations
+
+
+def runaway():
+    """A 1-D instance whose maps double, so the chain and the bound break."""
+    doubling = MultiMap(lambda x: Singleton(2.0 * x), "demicontractive",
+                        0.5, fixed_points=(np.zeros(1),))
+    prob = make_inclusion_instance(
+        dim=1, feasible=WholeSpace(), maps=(doubling,) * 3, name="runaway")
+    return dataclasses.replace(prob, forward=zero_op(),
+                               inclusion=ZeroOperator(),
+                               known_common_points=(np.zeros(1),))
+
+
+def reference_audit(report):
+    """Per-state chain flags and the run's two violation counts, one
+    certified point at a time."""
+    problem = report.problem
+    qs = [q for q in problem.known_common_points
+          if problem.certify_common_point(q)]
+    psi0 = report.trajectory[0].psi
+    radii = [boundedness_radius(problem, report.schedule.mu_bar, psi0, q)
+             for q in qs]
+    flags, fejer, bound = [], 0, 0
+    for st in report.trajectory:
+        ok = True
+        for q, radius in zip(qs, radii):
+            d = [np.linalg.norm(p - q) for p in
+                 (st.xi, st.phi, st.pi, st.delta, st.psi_prev)]
+            links = [d[k] <= d[k + 1] + AUDIT_TOL for k in range(4)]
+            assert [link[1:] for link in audit_fejer_chain(st, q).links] \
+                == [(d[k], d[k + 1], links[k]) for k in range(4)]
+            fejer += links.count(False)
+            ok = ok and all(links)
+            bound += int(np.linalg.norm(st.psi - q) > radius + CERTIFY_TOL)
+        flags.append(ok if qs else None)
+    return flags, fejer, bound
+
+
+AUDITED_RUNS = ([(instance_id, rule) for instance_id in sorted(catalog())
+                 for rule in ("main", "sow", "sow_phi", "fc",
+                              "forward_backward")]
+                + [("runaway", "main")])
+
+
+@pytest.mark.parametrize("instance_id, rule", AUDITED_RUNS)
+def test_stacked_audit_matches_the_per_point_loop(instance_id, rule):
+    if instance_id == "runaway":
+        problem = runaway()
+    else:
+        problem = load_instance(instance_id)
+    # Below the recording switch at 10 000, so every audited state is kept.
+    report = run("sow" if rule == "sow_phi" else rule, problem,
+                 default_schedule_for(problem), max_iter=2_000,
+                 sow_use_phi=rule == "sow_phi")
+    assert len(report.trajectory) == report.iterations + 1
+    flags, fejer, bound = reference_audit(report)
+    assert [st.fejer_ok for st in report.trajectory] == flags
+    assert report.fejer_violations == fejer
+    assert report.bound_violations == bound
+    if instance_id == "runaway":
+        assert fejer > 0 and bound > 0

@@ -36,6 +36,16 @@ class TestParamSeq:
         vals = ParamSeq.inverse().values(3)
         assert np.allclose(vals, [0.5, 1 / 3, 0.25])
 
+    @pytest.mark.parametrize("seq", [
+        ParamSeq.constant(0.3), ParamSeq.inverse(0.7),
+        ParamSeq.inverse_square(1.3), ParamSeq.approaching_one(0.9),
+        ParamSeq.custom(lambda n: 0.4 + 0.1 / (n + 1))],
+        ids=lambda seq: seq.kind)
+    @pytest.mark.parametrize("horizon", [1, 500, 4097])
+    def test_values_equal_the_per_index_sequence(self, seq, horizon):
+        expected = [seq(n) for n in range(1, horizon + 1)]
+        assert np.array_equal(seq.values(horizon), expected)
+
 
 class TestViscosityParams:
     def test_tau(self):

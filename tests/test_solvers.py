@@ -10,11 +10,11 @@ from viscosplit.problems import (make_box_instance, make_inclusion_instance,
 from viscosplit.schedules import ParamSeq, Schedule
 from viscosplit.setvalued import BallImage, MultiMap, Singleton
 from viscosplit.solvers import ALGORITHMS
-from viscosplit.solvers import (ScheduleValidationError, audit_bounded,
-                                audit_fejer_chain, boundedness_radius,
-                                initial_state, run, step_fc,
-                                step_forward_backward, step_main, step_sow,
-                                vi_residual)
+from viscosplit.solvers import (IterState, ScheduleValidationError,
+                                audit_bounded, audit_fejer_chain,
+                                boundedness_radius, initial_state, run,
+                                step_fc, step_forward_backward, step_main,
+                                step_sow, vi_residual)
 
 
 def hand_setup():
@@ -134,6 +134,22 @@ class TestRun:
         with pytest.raises(ValueError):
             run("secant", prob, default_schedule_for(prob))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"record_stride": 0}, {"record_stride": -3}, {"record_stride": 2.0},
+        {"record_stride": True}, {"tol": float("nan")}, {"tol": 0.0},
+        {"max_iter": 2.5}, {"max_iter": -1}, {"max_iter": True}],
+        ids=repr)
+    def test_unusable_arguments_rejected_up_front(self, kwargs):
+        prob = make_trivial_instance()
+        with pytest.raises(ValueError):
+            run("main", prob, default_schedule_for(prob), **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        prob = make_trivial_instance()
+        report = run("main", prob, default_schedule_for(prob),
+                     max_iter=np.int64(4), record_stride=np.int32(2))
+        assert [s.n for s in report.trajectory] == [0, 2, 4]
+
     def test_bad_schedule_rejected_unless_disabled(self):
         prob = make_box_instance(dim=1)
         sched = default_schedule_for(prob)
@@ -160,18 +176,24 @@ class TestRun:
         assert report.terminated_by == "divergence_guard"
         assert report.fejer_violations > 0
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("part", ["forward", "t2"])
+    @pytest.mark.parametrize("algorithm, part, value", [
+        pytest.param(algorithm, part, value, id=f"{part}-{algorithm}{suffix}")
+        for part, algorithms in (("forward", ALGORITHMS), ("t1", ALGORITHMS),
+                                 ("t2", ALGORITHMS), ("t3", ALGORITHMS),
+                                 ("strong", ("main", "sow", "fc")))
+        for algorithm in algorithms
+        for value, suffix in ((np.inf, ""), (np.nan, "-nan"))])
     def test_non_finite_value_mid_run_ends_in_divergence_guard(
-            self, algorithm, part):
-        # The forward operator, or T2's image, returns inf on 0 < |x| < 0.1:
-        # not at the common point 0 nor at the start 0.9, but on the way.
+            self, algorithm, part, value):
+        # The operator, or the map's image, returns inf or nan on
+        # 0 < |x| < 0.1: not at the common point 0 nor at the start 0.9,
+        # but on the way.
         def turning(fn):
-            return lambda x: fn(np.inf * x if 0 < abs(x[0]) < 0.1 else x)
+            return lambda x: fn(value * x if 0 < abs(x[0]) < 0.1 else x)
 
         prob = make_box_instance(dim=1)
         holder = getattr(prob, part)
-        field = "apply" if part == "forward" else "image"
+        field = "apply" if part in ("forward", "strong") else "image"
         prob = dataclasses.replace(prob, **{part: dataclasses.replace(
             holder, **{field: turning(getattr(holder, field))})})
         report = run(algorithm, prob, default_schedule_for(prob),
@@ -248,6 +270,18 @@ class TestAudits:
         prob = make_box_instance(dim=1)
         prob = dataclasses.replace(prob, known_common_points=())
         assert np.isnan(vi_residual(prob, np.zeros(1)))
+
+    def test_chain_audit_distances_equal_norm_at_large_dimension(self):
+        rng = np.random.default_rng(3)
+        psi_prev, delta, pi, phi, xi, q = rng.standard_normal((6, 1000))
+        state = IterState(n=1, psi=xi, psi_prev=psi_prev, delta=delta, pi=pi,
+                          phi=phi, xi=xi, residual_t1=0.0, residual_t2=0.0,
+                          residual_t3=0.0, fb_residual=0.0,
+                          dist_to_solution=0.0, alpha=0.5, mu=0.5, lam=0.5)
+        links = audit_fejer_chain(state, q).links
+        dists = [np.linalg.norm(p - q) for p in (xi, phi, pi, delta, psi_prev)]
+        assert [(lhs, rhs) for _, lhs, rhs, _ in links] == list(
+            zip(dists[:-1], dists[1:]))
 
     def test_fejer_flag_set_on_states(self):
         prob = make_box_instance(dim=1)
