@@ -21,7 +21,32 @@ class DimensionMismatch(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A vector has a non-finite coordinate."""
+    """A vector has a non-finite coordinate.
+
+    ``stage`` names the value that failed (``"delta"``, ``"T2 image"``,
+    ``"strong operator"``, ...) when a solver step raised the error, and
+    is None otherwise.
+    """
+
+    def __init__(self, message: str = "vector has non-finite coordinates",
+                 stage: str | None = None):
+        super().__init__(message)
+        self.stage = stage
+
+
+def _is_vector(x) -> bool:
+    return type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64
+
+
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every coordinate of the 1-D float64 array ``v`` is finite.
+
+    Any inf or nan coordinate makes the sum of squares non-finite, so the
+    full coordinate scan runs only when that sum is not finite (a
+    non-finite coordinate, or finite ones whose squares overflow).
+    ``np.vdot`` forms the sum without an overflow warning.
+    """
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -32,14 +57,14 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     :class:`NonFiniteError` on non-finite coordinates and
     ``DimensionMismatch`` when ``dim`` is given and does not match.
     """
-    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
+    if _is_vector(x):
         v = x
     else:
         v = np.atleast_1d(np.asarray(x, dtype=float))
         if v.ndim != 1:
             raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise NonFiniteError("vector has non-finite coordinates")
+    if not all_finite(v):
+        raise NonFiniteError()
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v
@@ -60,9 +85,18 @@ def inner(x, y) -> float:
 
 def norm(x) -> float:
     """Norm induced by :func:`inner`; equal bit for bit to ``np.linalg.norm``,
-    which also takes the square root of ``v @ v`` for a real vector."""
+    which also takes the square root of ``v.dot(v)`` for a real vector.
+
+    A finite ``v.dot(v)`` of a 1-D float64 array shows every coordinate is
+    finite, so only other input, or a sum that is not finite, goes through
+    :func:`as_vector`.
+    """
+    if _is_vector(x):
+        s = float(x.dot(x))
+        if math.isfinite(s):
+            return math.sqrt(s)
     v = as_vector(x)
-    return math.sqrt(float(v @ v))
+    return math.sqrt(float(v.dot(v)))
 
 
 # --------------------------------------------------------------------------

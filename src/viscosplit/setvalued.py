@@ -64,7 +64,11 @@ SetImage = Singleton | FiniteSet | BallImage
 
 def distance_to_set(x, S: SetImage) -> float:
     """d(x, S) = min over s in S of ||x - s||."""
-    xv = as_vector(x)
+    return _distance(as_vector(x), S)
+
+
+def _distance(xv: np.ndarray, S: SetImage) -> float:
+    """:func:`distance_to_set` at a vector ``xv`` already checked."""
     if isinstance(S, Singleton):
         return norm(xv - S.point)
     if isinstance(S, FiniteSet):
@@ -133,7 +137,12 @@ class SelectionRule(Enum):
 
 
 def select_from(S: SetImage, rule: SelectionRule, x) -> np.ndarray:
-    xv = as_vector(x)
+    """One point of the image ``S`` under ``rule``, for the query ``x``."""
+    return _select(S, rule, as_vector(x))
+
+
+def _select(S: SetImage, rule: SelectionRule, xv: np.ndarray) -> np.ndarray:
+    """:func:`select_from` for a query ``xv`` already checked."""
     if isinstance(S, Singleton):
         return S.point
     if isinstance(S, FiniteSet):

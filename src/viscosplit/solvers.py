@@ -38,14 +38,22 @@ enter, and the loop then works on the plain arrays:
 
 - instance construction: the known solution, common points and start;
 - ``psi0``, in :func:`initial_state`;
-- the outputs of user callables: ``SingleOp.__call__`` checks each operator
-  value, and the image constructors (``Singleton``, ``FiniteSet``,
-  ``BallImage``) check each image a mapping returns;
-- the stage points, once per step: delta, pi and phi_p when their T_i
-  residuals are measured, xi and the new iterate at the end of the step.
+- in a step, once each, every value that enters it: the forward,
+  contraction and strong operator values (``op.apply`` at a checked
+  point; only the value is coerced and checked), each image a mapping
+  returns (checked by its constructor: ``Singleton``, ``FiniteSet``,
+  ``BallImage``), the point the resolvent returns (delta) and the point
+  the projection returns (the new iterate);
+- in a step, each stage point an averaging line makes (pi, phi_p, xi).
 
-A non-finite value anywhere in a step raises :class:`NonFiniteError`,
-which :func:`run` turns into the ``divergence_guard`` termination.
+The resolvent and the projection also check the point they are given, at
+their own public boundary; the identity resolvent and the whole-space
+projection return that point, which is then scanned a second time.  The
+residuals, selections and norms run on checked arrays without checking
+them again.  A non-finite value in a step raises :class:`NonFiniteError`
+naming it (``"forward operator"``, ``"delta"``, ``"T1 image"``, ``"pi"``,
+``"contraction"``, ``"psi"``, ...), which :func:`run` turns into the
+``divergence_guard`` termination and keeps as ``RunReport.diverged_at``.
 """
 from __future__ import annotations
 
@@ -55,11 +63,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import ConvexSet, NonFiniteError, as_vector, inner, norm
+from .hilbert import (ConvexSet, NonFiniteError, all_finite, as_vector,
+                      inner, norm)
 from .monotone import MaxMonotone, SingleOp, fixed_point_residual, forward_backward_step
 from .schedules import Schedule, ValidationReport, ViscosityParams, validate
-from .setvalued import (MultiMap, SelectionRule, Singleton, distance_to_set,
-                        hausdorff, select_from)
+from .setvalued import (MultiMap, SelectionRule, Singleton, _distance,
+                        _select, distance_to_set, hausdorff)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -190,6 +199,14 @@ class IterState:
 
 @dataclass
 class RunReport:
+    """The outcome of :func:`run`.
+
+    ``diverged_at`` names what ended a ``divergence_guard`` run: the stage
+    whose value turned non-finite (see :class:`NonFiniteError`), or
+    ``"norm limit"`` when an iterate left the ball of radius
+    :data:`DIVERGENCE_LIMIT`.  It is None for every other termination.
+    """
+
     algorithm: str
     instance: str
     trajectory: list
@@ -202,6 +219,7 @@ class RunReport:
     audit_points: int
     problem: ProblemInstance
     schedule: Schedule
+    diverged_at: str | None = None
 
     def summary_dict(self) -> dict:
         final_dist = self.trajectory[-1].dist_to_solution
@@ -246,6 +264,39 @@ FC = Anchor(stages=3)
 FORWARD_BACKWARD = Anchor(stages=0)
 
 
+#: Names of the images taken of the stage points, and of the points the
+#: averaging lines make.
+_IMAGES = ("T1 image", "T2 image", "T3 image")
+_AVERAGED = ("pi", "phi_p", "xi")
+
+
+def _named(stage: str) -> NonFiniteError:
+    return NonFiniteError(f"non-finite {stage}", stage)
+
+
+def _checked(stage: str, fn, *args) -> np.ndarray:
+    """The vector ``fn(*args)``, coerced and checked once.
+
+    A non-finite value, or one ``fn`` meets on the way (the resolvent and
+    the projection check the point they are given), raises
+    :class:`NonFiniteError` naming ``stage``.
+    """
+    try:
+        return as_vector(fn(*args))
+    except NonFiniteError:
+        raise _named(stage) from None
+
+
+def _fb_point(problem: ProblemInstance, lam: float,
+              x: np.ndarray) -> np.ndarray:
+    """J(x - lam*Forward x) at the checked point ``x``; like
+    :func:`~viscosplit.monotone.resolvent`, rejects lam <= 0."""
+    y = x - lam * _checked("forward operator", problem.forward.apply, x)
+    if lam <= 0:
+        raise ValueError(f"resolvent parameter must be positive, got {lam}")
+    return _checked("delta", problem.inclusion.resolvent, lam, y)
+
+
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
           anchor: Anchor) -> IterState:
     """One step of the rule ``anchor`` describes.
@@ -253,7 +304,7 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
     Uses sequence index n + 1 for the step leaving iterate n; sequences are
     defined from index 1.  Every T_i residual is measured, at the stage
     point it would average, also when that averaging line does not run.
-    Raises :class:`NonFiniteError` when a point turns non-finite.
+    Raises :class:`NonFiniteError` naming the value that turned non-finite.
     """
     i = state.n + 1
     lam = schedule.lam(i)
@@ -262,19 +313,24 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
     # own lambda; with an unchanged lambda that point is this step's delta.
     x = state.fb_point
     if x is None or lam != state.lam:
-        x = forward_backward_step(problem.inclusion, problem.forward, lam, psi)
+        x = _fb_point(problem, lam, psi)
     # Selected points stay alive until the averaging is done and each image
     # is dropped after its pass: at dimension 1e5 other lifetimes made the
     # allocator fault up to two thirds more pages per step.
     points, residuals, selected = [x], [], []
     weights = (schedule.theta, schedule.beta, schedule.gamma)
     for k, (t, weight) in enumerate(zip(problem.maps, weights)):
-        img = t.image(x)
-        residuals.append(distance_to_set(x, img))
+        try:
+            img = t.image(x)
+        except NonFiniteError:
+            raise _named(_IMAGES[k]) from None
+        residuals.append(_distance(x, img))
         if k < anchor.stages:
-            selected.append(select_from(img, problem.selection, x))
+            selected.append(_select(img, problem.selection, x))
             w = weight(i)
             x = w * x + (1.0 - w) * selected[-1]
+            if not all_finite(x):
+                raise _named(_AVERAGED[k])
         points.append(x)
         del img
     del selected
@@ -285,24 +341,22 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         m = schedule.mu(i) if anchor.mixes else np.nan
         p = problem.params
         c = points[anchor.carry]
+        phi_op, strong_op = problem.contraction.apply, problem.strong.apply
         if anchor.mixes:
-            target = (a * p.gamma * problem.contraction(psi) + m * c
-                      + (1.0 - m) * (psi - p.eta * a * problem.strong(psi)))
+            target = (a * p.gamma * _checked("contraction", phi_op, psi)
+                      + m * c + (1.0 - m) * (
+                          psi - p.eta * a
+                          * _checked("strong operator", strong_op, psi)))
         else:
-            target = (a * p.gamma * problem.contraction(psi)
-                      + c - p.eta * a * problem.strong(c))
-        psi_new = problem.feasible.project(target)
+            target = (a * p.gamma * _checked("contraction", phi_op, psi)
+                      + c - p.eta * a
+                      * _checked("strong operator", strong_op, c))
+        psi_new = _checked("psi", problem.feasible.project, target)
     else:
         a = m = np.nan
         psi_new = delta
 
-    # delta, pi and phi_p were checked when their residuals were measured;
-    # xi and the new iterate are checked here.
-    for arr in (xi, psi_new):
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("a step produced a non-finite point")
-    fb_point = forward_backward_step(problem.inclusion, problem.forward, lam,
-                                     psi_new)
+    fb_point = _fb_point(problem, lam, psi_new)
     dist = (np.nan if problem.known_solution is None
             else norm(psi_new - problem.known_solution))
     new = IterState(
@@ -381,15 +435,29 @@ class FejerAudit:
 _LINKS = ("xi_le_phi", "phi_le_pi", "pi_le_delta", "delta_le_psi")
 
 
+#: Largest difference, in bytes, that :func:`_distances` builds in one
+#: stacked pass: glibc's default mmap threshold.  Below it the array comes
+#: from the heap, and one pass over six 1-D points and three common points
+#: took ~4 us against ~21 us point by point.  Above it each audit would map
+#: and fault fresh pages: stacking at dimension 1e5 took 9 MB more peak
+#: memory and 1.4-1.8x the time per iteration.
+STACKED_AUDIT_BYTES = 128 * 1024
+
+
 def _distances(points, q_rows: np.ndarray) -> np.ndarray:
     """||p - q|| for each point p and each row q of the (Q, d) ``q_rows``.
 
-    Returns a (len(points), Q) array.  The points are taken one at a time,
-    so one (Q, d) difference is alive at once, and a point passed more than
-    once (a mirrored stage) is measured once.  ``np.vecdot`` reduces each
-    row with the dot kernel of ``v @ v``, so every entry equals
-    ``norm(p - q)`` bit for bit.
+    Returns a (len(points), Q) array.  When the (len(points), Q, d)
+    difference fits in :data:`STACKED_AUDIT_BYTES` it is built at once;
+    otherwise the points are taken one at a time, so one (Q, d) difference
+    is alive at once, and a point passed more than once (a mirrored stage)
+    is measured once.  ``np.vecdot`` reduces each row with the dot kernel
+    of ``v.dot(v)``, so every entry equals ``norm(p - q)`` bit for bit on
+    either path.
     """
+    if len(points) * q_rows.nbytes <= STACKED_AUDIT_BYTES:
+        diff = np.array(points)[:, np.newaxis] - q_rows
+        return np.sqrt(np.vecdot(diff, diff))
     out = np.empty((len(points), len(q_rows)))
     first = {}
     for k, p in enumerate(points):
@@ -473,16 +541,22 @@ def vi_residual(problem: ProblemInstance, psi, probes=None,
     probes = [as_vector(q, problem.dim) for q in probes]
     if not probes:
         return np.nan
-    p = problem.params
-    direction = p.eta * problem.strong(psiv) - p.gamma * problem.contraction(psiv)
-    worst = 0.0
     for q in probes:
         defects = problem.common_point_defects(q, certify_tol)
         if defects:
             raise ValueError(
                 f"probe {q} is not a certified common point: "
                 + "; ".join(defects))
-        worst = max(worst, inner(direction, psiv - q))
+    return _vi_worst(problem, psiv, probes)
+
+
+def _vi_worst(problem: ProblemInstance, psi: np.ndarray, qs) -> float:
+    """:func:`vi_residual` at a checked ``psi`` over certified points ``qs``."""
+    p = problem.params
+    direction = p.eta * problem.strong(psi) - p.gamma * problem.contraction(psi)
+    worst = 0.0
+    for q in qs:
+        worst = max(worst, inner(direction, psi - q))
     return worst
 
 
@@ -505,7 +579,8 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     Terminates by "tolerance" when both the displacement and all four
     residuals fall below ``tol``, by "max_iter" otherwise, or by
     "divergence_guard" when an iterate leaves the norm ball of radius
-    1e12 or a step meets a non-finite value.  Every iteration (recorded or
+    1e12 or a step meets a non-finite value; the report's ``diverged_at``
+    then says which.  Every iteration (recorded or
     not) is audited against each certified known common point: the stage
     chain with absolute tolerance 1e-10 and the a priori boundedness radius
     with 1e-8.  Recording keeps every state up to n = 10000 and then
@@ -579,17 +654,17 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
 
     audit(state)
     recorded = [state]
-    terminated = "max_iter"
+    terminated, diverged_at = "max_iter", None
     steps = range(max_iter)
     # The start is checked here and every later iterate after its step.
     if max_iter and norm(state.psi) > DIVERGENCE_LIMIT:
-        terminated, steps = "divergence_guard", ()
+        terminated, diverged_at, steps = "divergence_guard", "norm limit", ()
 
     for _ in steps:
         try:
             new = stepper(problem, schedule, state)
-        except NonFiniteError:
-            terminated = "divergence_guard"
+        except NonFiniteError as err:
+            terminated, diverged_at = "divergence_guard", err.stage
             break
         # The step has taken the point; keep it out of the trajectory.
         object.__setattr__(state, "fb_point", None)
@@ -599,7 +674,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         displacement = norm(new.psi - state.psi)
         state = new
         if norm(state.psi) > DIVERGENCE_LIMIT:
-            terminated = "divergence_guard"
+            terminated, diverged_at = "divergence_guard", "norm limit"
             break
         worst_residual = max(state.residual_t1, state.residual_t2,
                              state.residual_t3, state.fb_residual)
@@ -614,7 +689,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     final_vi = np.nan
     if qs:
         try:
-            final_vi = vi_residual(problem, state.psi, probes=qs)
+            final_vi = _vi_worst(problem, state.psi, q_rows)
         except NonFiniteError:
             pass  # an operator is non-finite at the last iterate
 
@@ -623,4 +698,4 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         iterations=state.n, terminated_by=terminated, final=state.psi,
         vi_residual=final_vi, fejer_violations=fejer_violations,
         bound_violations=bound_violations, audit_points=len(qs),
-        problem=problem, schedule=schedule)
+        problem=problem, schedule=schedule, diverged_at=diverged_at)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from viscosplit.hilbert import (AffineSet, Ball, Box, DimensionMismatch,
-                                HalfSpace, WholeSpace, as_vector,
+                                HalfSpace, NonFiniteError, WholeSpace,
+                                as_vector,
                                 hilbert_identity_check, inner, norm, project)
 
 
@@ -55,6 +58,36 @@ class TestVectors:
     def test_norm_equals_numpy_bit_for_bit(self, coords):
         v = np.array(coords)
         assert norm(v) == float(np.linalg.norm(v))
+
+    @given(st.lists(finite_coords, max_size=20),
+           st.floats(min_value=1e155, max_value=1e308),
+           st.booleans(), st.integers(min_value=0))
+    def test_overflowing_square_sum_is_still_finite(self, coords, big,
+                                                    negative, at):
+        # Squares past ~1.3e154 overflow v @ v although every coordinate
+        # is finite; as_vector accepts the vector without a warning and
+        # norm returns inf, as np.linalg.norm does.
+        coords.insert(at % (len(coords) + 1), -big if negative else big)
+        v = np.array(coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert as_vector(v) is v
+            assert np.array_equal(as_vector(coords), v)
+        with np.errstate(over="ignore"):
+            assert norm(v) == np.inf == np.linalg.norm(v)
+
+    @given(st.lists(st.floats(width=64, allow_nan=False,
+                              allow_infinity=False), max_size=20),
+           st.sampled_from([np.inf, -np.inf, np.nan]), st.integers(min_value=0))
+    def test_one_non_finite_coordinate_is_rejected(self, coords, bad, at):
+        coords.insert(at % (len(coords) + 1), bad)
+        v = np.array(coords)
+        # norm forms v.dot(v) first, which warns when finite squares overflow.
+        with np.errstate(over="ignore"):
+            for check in (as_vector, norm):
+                for arg in (v, coords):
+                    with pytest.raises(NonFiniteError):
+                        check(arg)
 
 
 class TestProjections:

@@ -9,7 +9,9 @@ inclusion is a normal cone (resolvent = projection onto its set) or zero
 
 The audit oracle recounts the stage-chain and boundedness audits of a run
 point by point, with ``np.linalg.norm``, and compares them with the counts
-and flags ``run()`` got from auditing all certified points at once.
+and flags ``run()`` got from auditing all certified points at once, on
+small instances (one stacked pass over all six points) and on a wide one
+(one point at a time).
 """
 import dataclasses
 
@@ -22,8 +24,8 @@ from viscosplit.problems import (catalog, default_schedule_for,
                                  load_instance, make_inclusion_instance)
 from viscosplit.schedules import ParamSeq
 from viscosplit.setvalued import MultiMap, Singleton
-from viscosplit.solvers import (AUDIT_TOL, CERTIFY_TOL, audit_fejer_chain,
-                                boundedness_radius, run)
+from viscosplit.solvers import (AUDIT_TOL, CERTIFY_TOL, STACKED_AUDIT_BYTES,
+                                audit_fejer_chain, boundedness_radius, run)
 
 STEPS = 50
 
@@ -122,15 +124,26 @@ def reference_audit(report):
 AUDITED_RUNS = ([(instance_id, rule) for instance_id in sorted(catalog())
                  for rule in ("main", "sow", "sow_phi", "fc",
                               "forward_backward")]
-                + [("runaway", "main")])
+                + [("runaway", "main")]
+                + [("wide_box", rule) for rule in ("main", "sow",
+                                                   "forward_backward")])
+
+#: A dimension at which the audit's six-point (and the chain audit's
+#: five-point) difference exceeds STACKED_AUDIT_BYTES, so both take the
+#: point-by-point branch; every catalog instance takes the stacked one.
+WIDE_DIM = 4_000
 
 
 @pytest.mark.parametrize("instance_id, rule", AUDITED_RUNS)
 def test_stacked_audit_matches_the_per_point_loop(instance_id, rule):
     if instance_id == "runaway":
         problem = runaway()
+    elif instance_id == "wide_box":
+        problem = load_instance("inclusion_box", dim=WIDE_DIM)
     else:
         problem = load_instance(instance_id)
+    stacked = 6 * 8 * problem.dim * len(problem.known_common_points)
+    assert (stacked > STACKED_AUDIT_BYTES) == (instance_id == "wide_box")
     # Below the recording switch at 10 000, so every audited state is kept.
     report = run("sow" if rule == "sow_phi" else rule, problem,
                  default_schedule_for(problem), max_iter=2_000,

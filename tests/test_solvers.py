@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from viscosplit.hilbert import Box, WholeSpace, norm
-from viscosplit.monotone import ZeroOperator, zero_op
+from viscosplit.monotone import MaxMonotone, SingleOp, ZeroOperator, zero_op
 from viscosplit.problems import (make_box_instance, make_inclusion_instance,
                                  make_trivial_instance, default_schedule_for)
 from viscosplit.schedules import ParamSeq, Schedule
@@ -121,6 +121,7 @@ class TestRun:
         assert report.fejer_violations == 0
         assert report.bound_violations == 0
         assert report.audit_points == 1
+        assert report.diverged_at is None
 
     def test_zero_max_iter_returns_start(self):
         prob = make_box_instance(dim=1)
@@ -175,31 +176,65 @@ class TestRun:
                      psi0=np.array([1.0]), max_iter=10_000)
         assert report.terminated_by == "divergence_guard"
         assert report.fejer_violations > 0
+        assert report.diverged_at == "norm limit"
 
     @pytest.mark.parametrize("algorithm, part, value", [
         pytest.param(algorithm, part, value, id=f"{part}-{algorithm}{suffix}")
         for part, algorithms in (("forward", ALGORITHMS), ("t1", ALGORITHMS),
                                  ("t2", ALGORITHMS), ("t3", ALGORITHMS),
-                                 ("strong", ("main", "sow", "fc")))
+                                 ("strong", ("main", "sow", "fc")),
+                                 ("contraction", ("main", "sow", "fc")),
+                                 ("inclusion", ALGORITHMS))
         for algorithm in algorithms
         for value, suffix in ((np.inf, ""), (np.nan, "-nan"))])
     def test_non_finite_value_mid_run_ends_in_divergence_guard(
             self, algorithm, part, value):
-        # The operator, or the map's image, returns inf or nan on
-        # 0 < |x| < 0.1: not at the common point 0 nor at the start 0.9,
-        # but on the way.
+        # The operator, the map's image or the resolvent returns inf or nan
+        # on 0 < |x| < 0.1 (a resolvent value below 0.01): not at the
+        # common point 0 nor at the start 0.9, but on the way.
         def turning(fn):
             return lambda x: fn(value * x if 0 < abs(x[0]) < 0.1 else x)
 
         prob = make_box_instance(dim=1)
-        holder = getattr(prob, part)
-        field = "apply" if part in ("forward", "strong") else "image"
-        prob = dataclasses.replace(prob, **{part: dataclasses.replace(
-            holder, **{field: turning(getattr(holder, field))})})
+        if part == "contraction":
+            # The box instance's contraction is identically zero, so the
+            # injected operator returns the value itself.
+            prob = dataclasses.replace(prob, contraction=SingleOp(
+                lambda x: value * x if 0 < abs(x[0]) < 0.1 else np.zeros_like(x)))
+        elif part == "inclusion":
+            box = prob.inclusion
+
+            class Turning(MaxMonotone):
+                def resolvent(self, lam, x):
+                    out = box.resolvent(lam, x)
+                    return value * out if 0 < abs(out[0]) < 0.01 else out
+            prob = dataclasses.replace(prob, inclusion=Turning())
+        else:
+            holder = getattr(prob, part)
+            field = "apply" if part in ("forward", "strong") else "image"
+            prob = dataclasses.replace(prob, **{part: dataclasses.replace(
+                holder, **{field: turning(getattr(holder, field))})})
         report = run(algorithm, prob, default_schedule_for(prob),
                      max_iter=1000)
         assert report.terminated_by == "divergence_guard"
         assert report.iterations >= 1
+        assert report.diverged_at == {
+            "forward": "forward operator", "t1": "T1 image",
+            "t2": "T2 image", "t3": "T3 image", "strong": "strong operator",
+            "contraction": "contraction", "inclusion": "delta"}[part]
+
+    @pytest.mark.parametrize("weight, stage", [
+        ("theta", "pi"), ("beta", "phi_p"), ("gamma", "xi"), ("alpha", "psi")])
+    def test_overflowing_line_names_its_stage(self, weight, stage):
+        # An unvalidated weight of 1e308 overflows its line at |psi| = 10.
+        prob = make_trivial_instance()
+        sched = dataclasses.replace(default_schedule_for(prob),
+                                    **{weight: ParamSeq.constant(1e308)})
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run("main", prob, sched, psi0=np.array([10.0]),
+                         check_schedule=False, max_iter=5)
+        assert report.terminated_by == "divergence_guard"
+        assert report.diverged_at == stage
 
     def test_record_stride_override(self):
         prob = make_trivial_instance()
