@@ -40,9 +40,9 @@ from .monotone import (check_inverse_strongly_monotone,
                        check_resolvent_firmly_nonexpansive,
                        check_wang_contraction)
 from .problems import catalog, default_schedule_for, load_instance
-from .schedules import InfeasibleScheduleError, ParamSeq, validate
-from .setvalued import (KIND_DEMICONTRACTIVE, KIND_QUASI_NONEXPANSIVE,
-                        KIND_STRICTLY_PSEUDOCONTRACTIVE, SelectionRule,
+from .schedules import (SEQUENCE_FAMILIES, InfeasibleScheduleError,
+                        ParamSeq, validate)
+from .setvalued import (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE,
                         check_demicontractive, check_quasi_nonexpansive,
                         check_strictly_pseudocontractive)
 from .solvers import ALGORITHMS, run as run_solver
@@ -52,13 +52,6 @@ CSV_HEADER = ("n,psi_norm,dist_to_solution,delta_residual_T1,"
               "step_size_alpha")
 
 _CELL_ID = re.compile(r"^[A-Za-z0-9._-]+$")
-
-_SEQ_KINDS = {
-    "constant": ParamSeq.constant,
-    "inverse": ParamSeq.inverse,
-    "inverse_square": ParamSeq.inverse_square,
-    "approaching_one": ParamSeq.approaching_one,
-}
 
 _PLAIN_CELL_KEYS = {"id", "algorithm", "instance", "psi0", "tol",
                     "max_iter", "sow_use_phi", "record_stride"}
@@ -121,12 +114,12 @@ def _build_schedule(problem, overrides: dict):
     for key, spec in overrides.items():
         if key not in ("alpha", "theta", "beta", "gamma", "mu", "lam"):
             raise ConfigError(f"unknown schedule key {key!r}")
-        if (not isinstance(spec, dict) or "kind" not in spec
-                or spec["kind"] not in _SEQ_KINDS):
+        if (not isinstance(spec, dict)
+                or spec.get("kind") not in SEQUENCE_FAMILIES):
             raise ConfigError(
                 f"schedule.{key} must be an object with kind in "
-                f"{sorted(_SEQ_KINDS)}")
-        seq_updates[key] = _SEQ_KINDS[spec["kind"]](
+                f"{sorted(SEQUENCE_FAMILIES)}")
+        seq_updates[key] = getattr(ParamSeq, spec["kind"])(
             _read(spec.get("scale", 1.0), float, f"schedule.{key}.scale"))
     if seq_updates or interval is not None:
         if interval is not None:
@@ -166,14 +159,6 @@ def _build_cell(raw: dict, default_seed) -> Cell:
 
     inst_kwargs = {k.split(".", 1)[1]: v for k, v in raw.items()
                    if k.startswith("instance.")}
-    if "selection" in inst_kwargs:
-        sel = inst_kwargs["selection"]
-        try:
-            inst_kwargs["selection"] = SelectionRule(sel)
-        except ValueError:
-            raise ConfigError(
-                f"unknown selection rule {sel!r}; expected one of "
-                f"{[r.value for r in SelectionRule]}") from None
     try:
         problem = load_instance(raw["instance"], **inst_kwargs)
     except KeyError as exc:

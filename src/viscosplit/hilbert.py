@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Absolute tolerance used by all inequality audits unless overridden.
+#: Absolute tolerance used by all inequality audits unless overridden, and
+#: by :meth:`ConvexSet.contains`.
 DEFAULT_TOL = 1e-10
 
 
@@ -109,9 +110,10 @@ class ConvexSet:
     def project(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x lies within :data:`DEFAULT_TOL` of the set."""
         xv = as_vector(x)
-        return norm(xv - self.project(xv)) <= tol
+        return norm(xv - self.project(xv)) <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)

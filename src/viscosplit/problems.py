@@ -93,15 +93,19 @@ def make_inclusion_instance(dim: int = 1, feasible: ConvexSet | None = None,
 
     The forward operator is x -> x - anchor (inverse strongly monotone with
     modulus 1), the inclusion part is the normal cone of ``feasible``, so
-    the splitting solutions are exactly {P(anchor)}.  The mappings default
-    to three copies of the scaling map; when P(anchor) is also their common
-    fixed point it becomes a certified audit point of the instance.
+    the splitting solutions are exactly {P(anchor)}.  ``maps``, when given,
+    must be three mappings; they default to three copies of the scaling
+    map.  When P(anchor) is also their common fixed point it becomes a
+    certified audit point of the instance.
     """
     if feasible is None:
         feasible = Box(-np.ones(dim), np.ones(dim))
     anchor = (np.zeros(dim) if anchor is None else as_vector(anchor, dim))
     if maps is None:
         maps = tuple(scaling_map(scale, dim, beta) for _ in range(3))
+    elif not (isinstance(maps, (tuple, list)) and len(maps) == 3
+              and all(isinstance(t, MultiMap) for t in maps)):
+        raise ValueError(f"maps must be three mappings, got {maps!r}")
     contraction, b = _contraction(dim, phi_coef, phi_offset)
     params = ViscosityParams(gamma=gamma, eta=eta, k=1.0, L=1.0, b=b)
     solution = feasible.project(anchor)
@@ -203,12 +207,9 @@ def demicontractivity_bound(instance: ProblemInstance) -> float:
 def default_schedule_for(instance: ProblemInstance,
                          **overrides) -> Schedule:
     """The default admissible schedule matched to an instance's constants."""
-    ism = instance.forward.inverse_strong_monotonicity
-    if ism is None or ism <= 0:
-        ism = 1.0
     return default_schedule(instance.params,
                             beta_demi=demicontractivity_bound(instance),
-                            alpha_ism=ism, **overrides)
+                            alpha_ism=instance.alpha_ism, **overrides)
 
 
 def grid_points(lo: float, hi: float, count: int, dim: int) -> np.ndarray:

@@ -14,7 +14,8 @@ affected conditions are flagged as empirical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,12 @@ class InfeasibleScheduleError(ValueError):
 # --------------------------------------------------------------------------
 # Sequence families
 # --------------------------------------------------------------------------
+
+#: Names of the built-in families; each is also the name of the
+#: :class:`ParamSeq` constructor that builds it.
+SEQUENCE_FAMILIES = ("constant", "inverse", "inverse_square",
+                     "approaching_one")
+
 
 @dataclass(frozen=True)
 class ParamSeq:
@@ -127,7 +134,9 @@ class ViscosityParams:
 
     ``gamma`` scales the contraction phi (Lipschitz constant ``b``); ``eta``
     scales the strongly monotone operator with modulus ``k`` and Lipschitz
-    constant ``L``.  ``tau`` is the induced contraction margin.
+    constant ``L``.  ``tau`` is the induced contraction margin.  Each
+    constant must be a real number (not a bool); its range is a named
+    condition, see :data:`STATIC_CONDITIONS`.
     """
 
     gamma: float
@@ -136,9 +145,21 @@ class ViscosityParams:
     L: float
     b: float
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(
+                    f"{f.name} must be a real number, got {value!r}")
+
     @property
     def tau(self) -> float:
         return wang_tau(self.eta, self.k, self.L)
+
+    def margin(self, mu_bar: float) -> float:
+        """The anchor step's contraction margin tau*(1 - mu_bar) - gamma*b,
+        positive for an admissible mixing cap ``mu_bar``."""
+        return self.tau * (1.0 - mu_bar) - self.gamma * self.b
 
     def violations(self) -> list[str]:
         """Names of the static constant conditions that fail; empty is good."""
@@ -157,6 +178,12 @@ STATIC_CONDITIONS = (
      lambda p: not p.L > 0 or 0.0 < p.eta < 2.0 * p.k / p.L ** 2),
     ("0 < gamma*b < tau", lambda p: 0.0 < p.gamma * p.b < p.tau),
 )
+
+
+def step_window(alpha_ism: float) -> float:
+    """The upper end of the splitting-step window (0, min(1, 2*alpha_ism))
+    for a forward operator with ism modulus ``alpha_ism``."""
+    return min(1.0, 2.0 * alpha_ism)
 
 
 @dataclass(frozen=True)
@@ -236,15 +263,19 @@ def _lower_band(seq: ParamSeq, vals: np.ndarray,
     return scan_ok, True
 
 
-def validate(schedule: Schedule, params: ViscosityParams,
-             horizon: int = 500) -> ValidationReport:
+#: Number of leading sequence values :func:`validate` scans.
+VALIDATION_HORIZON = 500
+
+
+def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
     """Evaluate every named admissibility condition for a schedule.
 
     Nothing is raised; the report lists each condition with its verdict.
-    Conditions whose verdict needed sampling (custom sequences with no
-    declared limit) are marked empirical.
+    Conditions whose verdict needed sampling over the first
+    :data:`VALIDATION_HORIZON` values (custom sequences with no declared
+    limit) are marked empirical.
     """
-    horizon = max(int(horizon), 10)
+    horizon = VALIDATION_HORIZON
     conds: list[ConditionResult] = []
     tau = params.tau
 
@@ -303,7 +334,7 @@ def validate(schedule: Schedule, params: ViscosityParams,
 
     # Condition (ii): the splitting steps stay in [a, b] inside the window.
     a, b = schedule.interval
-    window = min(1.0, 2.0 * schedule.alpha_ism)
+    window = step_window(schedule.alpha_ism)
     window_ok = 0.0 < a <= b < window
     lam_vals = vals["lambda"]
     in_interval = bool(np.all((lam_vals >= a) & (lam_vals <= b)))
@@ -341,7 +372,7 @@ def validate(schedule: Schedule, params: ViscosityParams,
     sup_mu = float(np.max(vals["mu"]))
     if schedule.mu.limit is not None:
         sup_mu = max(sup_mu, schedule.mu.limit)
-    margin = tau * (1.0 - schedule.mu_bar) - params.gamma * params.b
+    margin = params.margin(schedule.mu_bar)
     conds.append(ConditionResult(
         "mu_n <= mu_bar with tau*(1 - mu_bar) > gamma*b",
         sup_mu <= schedule.mu_bar and margin > 0.0,
@@ -378,16 +409,15 @@ def default_schedule(params: ViscosityParams, beta_demi: float,
         raise InfeasibleScheduleError("alpha_ism must be positive")
 
     tau = params.tau
-    slack = tau - params.gamma * params.b
     if mu_bar is None:
-        mu_bar = 0.8 * slack / tau
-    if not 0.0 < mu_bar < 1.0 or tau * (1.0 - mu_bar) - params.gamma * params.b <= 0:
+        mu_bar = 0.8 * params.margin(0.0) / tau
+    if not 0.0 < mu_bar < 1.0 or params.margin(mu_bar) <= 0:
         raise InfeasibleScheduleError(
             f"mu_bar = {mu_bar:g} leaves no contraction margin "
             f"(tau = {tau:g}, gamma*b = {params.gamma * params.b:g})")
 
     mid = (1.0 + beta_demi) / 2.0
-    lam_value = min(1.0, 2.0 * alpha_ism) / 2.0
+    lam_value = step_window(alpha_ism) / 2.0
     alpha = (ParamSeq.inverse_square() if strict_paper else ParamSeq.inverse())
     return Schedule(
         alpha=alpha,

@@ -102,18 +102,7 @@ def hausdorff(A: SetImage, B: SetImage) -> float:
         return max(d + ball_a.radius - ball_b.radius,
                    d + ball_b.radius - ball_a.radius, 0.0)
 
-    def pts(S):
-        if isinstance(S, Singleton):
-            return (S.point,)
-        if isinstance(S, FiniteSet):
-            return S.points
-        return None
-
-    pa, pb = pts(A), pts(B)
-    if pa is None or pb is None:
-        raise UnsupportedPairing(
-            f"no closed-form Hausdorff distance for "
-            f"{type(A).__name__} vs {type(B).__name__}")
+    pa, pb = _enumerable(A), _enumerable(B)
     sup_a = max(min(norm(a - b) for b in pb) for a in pa)
     sup_b = max(min(norm(b - a) for a in pa) for b in pb)
     return max(sup_a, sup_b)
@@ -311,12 +300,15 @@ def check_strictly_pseudocontractive(T: MultiMap, k: float, pairs: Sequence,
 
 
 def _enumerable(S: SetImage) -> tuple:
+    """The points of a singleton or finite image; any other image raises
+    :class:`UnsupportedPairing`, since no closed form pairs it here."""
     if isinstance(S, Singleton):
         return (S.point,)
     if isinstance(S, FiniteSet):
         return S.points
     raise UnsupportedPairing(
-        "displacement audit needs enumerable images, got a ball")
+        f"no closed form here for a {type(S).__name__}: "
+        "the pairing needs enumerable images")
 
 
 def _min_displacement_gap(x, y, img_x, img_y) -> float:

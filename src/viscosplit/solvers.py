@@ -33,11 +33,18 @@ recorded state carries its own monotonicity chain ||xi - q|| <=
 ||phi_p - q|| <= ||pi - q|| <= ||delta - q|| <= ||psi_prev - q||,
 auditable against any certified common point q.
 
-Vectors are validated (float, 1-D, finite, right dimension) where they
-enter, and the loop then works on the plain arrays:
+Values are validated where they enter, and the loop then works on the
+plain arrays.  Vectors must be float, 1-D, finite and of the right
+dimension:
 
-- instance construction: the known solution, common points and start;
-- ``psi0``, in :func:`initial_state`;
+- instance construction: ``dim`` (an integer >= 1), ``selection``
+  (coerced to a :class:`SelectionRule`), the constants of
+  :class:`ViscosityParams` (real numbers, not bools), the known solution,
+  common points and start;
+- ``psi0``, in :func:`initial_state`, which builds the start state on the
+  step's own kernels and through the same state builder as a step: the
+  projected start is checked once like a new iterate, and its images,
+  residuals and forward-backward point are formed as in a step;
 - in a step, once each, every value that enters it: the forward,
   contraction and strong operator values (``op.apply`` at a checked
   point; only the value is coerced and checked), each image a mapping
@@ -65,8 +72,9 @@ import numpy as np
 
 from .hilbert import (ConvexSet, NonFiniteError, all_finite, as_vector,
                       inner, norm)
-from .monotone import MaxMonotone, SingleOp, fixed_point_residual, forward_backward_step
-from .schedules import Schedule, ValidationReport, ViscosityParams, validate
+from .monotone import MaxMonotone, SingleOp, fixed_point_residual
+from .schedules import (Schedule, ValidationReport, ViscosityParams,
+                        step_window, validate)
 from .setvalued import (MultiMap, SelectionRule, Singleton, _distance,
                         _select, distance_to_set, hausdorff)
 
@@ -95,6 +103,8 @@ class ScheduleValidationError(ValueError):
 class ProblemInstance:
     """Everything the iteration needs, with declared (auditable) constants.
 
+    ``dim`` must be an integer >= 1, and ``selection`` a
+    :class:`SelectionRule` or its value (``"metric"``, ...).
     ``known_common_points`` lists candidate members of the full solution
     set; the solver certifies them before using them in audits.  With
     ``strict_fixed_points`` the certification additionally demands
@@ -120,6 +130,10 @@ class ProblemInstance:
     default_start: np.ndarray | None = None
 
     def __post_init__(self):
+        if not _is_count(self.dim, 1):
+            raise ValueError(
+                f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "selection", SelectionRule(self.selection))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution",
                                as_vector(self.known_solution, self.dim))
@@ -134,47 +148,56 @@ class ProblemInstance:
     def maps(self) -> tuple[MultiMap, MultiMap, MultiMap]:
         return (self.t1, self.t2, self.t3)
 
-    def certification_lambda(self) -> float:
+    @property
+    def alpha_ism(self) -> float:
+        """The forward operator's declared ism modulus; 1 when it declares
+        none, or one that is not positive."""
         ism = self.forward.inverse_strong_monotonicity
-        if ism is None or ism <= 0:
-            ism = 1.0
-        return min(1.0, 2.0 * ism) / 2.0
+        return 1.0 if ism is None or ism <= 0 else ism
 
-    def common_point_defects(self, q, tol: float = CERTIFY_TOL) -> list[str]:
-        """Reasons q is not certifiable as a common solution; empty = good."""
+    def certification_lambda(self) -> float:
+        """The midpoint of the splitting-step window, as the default
+        schedule uses."""
+        return step_window(self.alpha_ism) / 2.0
+
+    def common_point_defects(self, q) -> list[str]:
+        """Reasons q is not certifiable, within :data:`CERTIFY_TOL`, as a
+        common solution; empty = good."""
         qv = as_vector(q, self.dim)
         lam = self.certification_lambda()
         defects = []
         res = fixed_point_residual(self.inclusion, self.forward, lam, qv)
-        if res > tol:
-            defects.append(f"forward-backward residual {res:g} > {tol:g}")
+        if res > CERTIFY_TOL:
+            defects.append(
+                f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
         for i, t in enumerate(self.maps, start=1):
             img = t(qv)
             d = distance_to_set(qv, img)
-            if d > tol:
-                defects.append(f"d(q, T{i} q) = {d:g} > {tol:g}")
+            if d > CERTIFY_TOL:
+                defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
             elif self.strict_fixed_points:
                 h = hausdorff(img, Singleton(qv))
-                if h > tol:
+                if h > CERTIFY_TOL:
                     defects.append(
                         f"T{i} q is not the singleton {{q}}: H = {h:g}")
         return defects
 
-    def certify_common_point(self, q, tol: float = CERTIFY_TOL) -> bool:
-        return not self.common_point_defects(q, tol)
+    def certify_common_point(self, q) -> bool:
+        return not self.common_point_defects(q)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IterState:
     """One iterate with the stage points of the step that produced it.
 
     ``psi_prev`` is the iterate the step started from (equal to ``psi`` at
     n = 0, where the stage points are mirrors of the start).  Residuals are
     d(stage, T_i(stage)); ``fb_residual`` is measured at ``psi`` itself,
-    through the point ``fb_point`` = J(psi - lam*Forward psi), which the
-    next step takes as its delta when its lambda equals ``lam``.  A copy
-    made with ``dataclasses.replace`` drops it.  ``alpha``/``mu`` are nan
-    when the rule does not use them.
+    through the point J(psi - lam*Forward psi), which ``fb_carry`` keeps
+    as (problem, point): the next step takes it as its delta when it steps
+    the same problem with a lambda equal to ``lam``.  A copy made with
+    ``dataclasses.replace`` drops it.  ``alpha``/``mu`` are nan when the
+    rule does not use them.
     """
 
     n: int
@@ -193,8 +216,8 @@ class IterState:
     mu: float
     lam: float
     fejer_ok: bool | None = None
-    fb_point: np.ndarray | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    fb_carry: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
 
 @dataclass
@@ -310,9 +333,12 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
     lam = schedule.lam(i)
     psi = state.psi
     # The residual of ``state`` evaluated J(psi - lam*Forward psi) with its
-    # own lambda; with an unchanged lambda that point is this step's delta.
-    x = state.fb_point
-    if x is None or lam != state.lam:
+    # own problem and lambda; with the same ones that point is this step's
+    # delta.
+    carry = state.fb_carry
+    if carry is not None and carry[0] is problem and lam == state.lam:
+        x = carry[1]
+    else:
         x = _fb_point(problem, lam, psi)
     # Selected points stay alive until the averaging is done and each image
     # is dropped after its pass: at dimension 1e5 other lifetimes made the
@@ -334,7 +360,6 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         points.append(x)
         del img
     del selected
-    delta, pi, phi_p, xi = points
 
     if anchor.stages:
         a = schedule.alpha(i)
@@ -354,18 +379,28 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         psi_new = _checked("psi", problem.feasible.project, target)
     else:
         a = m = np.nan
-        psi_new = delta
+        psi_new = points[0]
 
-    fb_point = _fb_point(problem, lam, psi_new)
+    return _build_state(problem, i, psi_new, psi, points, residuals, a, m, lam)
+
+
+def _build_state(problem: ProblemInstance, n: int, psi: np.ndarray,
+                 psi_prev: np.ndarray, points, residuals, alpha: float,
+                 mu: float, lam: float) -> IterState:
+    """The state at the checked iterate ``psi``, with the stage ``points``
+    (delta, pi, phi_p, xi) and their ``residuals`` that led to it.
+
+    Adds the forward-backward point of ``psi`` at ``lam``, carried for the
+    next step, with its residual, and the distance to the known solution.
+    """
+    fb_point = _fb_point(problem, lam, psi)
     dist = (np.nan if problem.known_solution is None
-            else norm(psi_new - problem.known_solution))
-    new = IterState(
-        n=i, psi=psi_new, psi_prev=psi, delta=delta, pi=pi, phi=phi_p, xi=xi,
-        residual_t1=residuals[0], residual_t2=residuals[1],
-        residual_t3=residuals[2], fb_residual=norm(psi_new - fb_point),
-        dist_to_solution=dist, alpha=a, mu=m, lam=lam)
-    object.__setattr__(new, "fb_point", fb_point)
-    return new
+            else norm(psi - problem.known_solution))
+    state = IterState(n, psi, psi_prev, *points, *residuals,
+                      fb_residual=norm(psi - fb_point), dist_to_solution=dist,
+                      alpha=alpha, mu=mu, lam=lam)
+    state.fb_carry = (problem, fb_point)
+    return state
 
 
 def step_main(problem: ProblemInstance, schedule: Schedule,
@@ -399,19 +434,11 @@ def step_forward_backward(problem: ProblemInstance, schedule: Schedule,
 def initial_state(problem: ProblemInstance, schedule: Schedule,
                   psi0) -> IterState:
     """State n = 0: the start projected onto the feasible set, mirrored."""
-    psi = problem.feasible.project(as_vector(psi0, problem.dim))
-    res = tuple(distance_to_set(psi, t.image(psi)) for t in problem.maps)
-    lam = schedule.lam(1)
-    fb_point = forward_backward_step(problem.inclusion, problem.forward, lam,
-                                     psi)
-    dist = (np.nan if problem.known_solution is None
-            else norm(psi - problem.known_solution))
-    state = IterState(n=0, psi=psi, psi_prev=psi, delta=psi, pi=psi, phi=psi,
-                      xi=psi, residual_t1=res[0], residual_t2=res[1],
-                      residual_t3=res[2], fb_residual=norm(psi - fb_point),
-                      dist_to_solution=dist, alpha=np.nan, mu=np.nan, lam=lam)
-    object.__setattr__(state, "fb_point", fb_point)
-    return state
+    psi = _checked("psi", problem.feasible.project,
+                   as_vector(psi0, problem.dim))
+    residuals = [_distance(psi, t.image(psi)) for t in problem.maps]
+    return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
+                        np.nan, schedule.lam(1))
 
 
 # --------------------------------------------------------------------------
@@ -470,18 +497,18 @@ def _distances(points, q_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def audit_fejer_chain(state: IterState, q, tol: float = AUDIT_TOL) -> FejerAudit:
+def audit_fejer_chain(state: IterState, q) -> FejerAudit:
     """Audit the stage monotonicity chain of one state against a point q.
 
     Checks ||xi - q|| <= ||phi_p - q|| <= ||pi - q|| <= ||delta - q|| <=
-    ||psi_prev - q|| with an absolute tolerance.  The last link is the
-    averaging-monotone inequality tying the forward-backward point back to
-    the iterate the step started from.
+    ||psi_prev - q|| with the absolute tolerance :data:`AUDIT_TOL`.  The
+    last link is the averaging-monotone inequality tying the
+    forward-backward point back to the iterate the step started from.
     """
     qv = as_vector(q)
     d = _distances((state.xi, state.phi, state.pi, state.delta,
                     state.psi_prev), qv[np.newaxis])[:, 0].tolist()
-    links = tuple((name, d[k], d[k + 1], d[k] <= d[k + 1] + tol)
+    links = tuple((name, d[k], d[k + 1], d[k] <= d[k + 1] + AUDIT_TOL)
                   for k, name in enumerate(_LINKS))
     return FejerAudit(links, qv)
 
@@ -503,7 +530,7 @@ def boundedness_radius(problem: ProblemInstance, mu_bar: float, psi0,
     """The a priori radius max(||psi0 - q||, ||g*phi(q) - eta*Strong q|| / m)
     with m = tau*(1 - mu_bar) - gamma*b, valid for every iterate."""
     p = problem.params
-    margin = p.tau * (1.0 - mu_bar) - p.gamma * p.b
+    margin = p.margin(mu_bar)
     if margin <= 0:
         raise ValueError("no contraction margin: tau*(1-mu_bar) <= gamma*b")
     qv = as_vector(q, problem.dim)
@@ -511,8 +538,9 @@ def boundedness_radius(problem: ProblemInstance, mu_bar: float, psi0,
     return max(norm(as_vector(psi0, problem.dim) - qv), drift / margin)
 
 
-def audit_bounded(report: RunReport, q, tol: float = CERTIFY_TOL) -> BoundAudit:
-    """Check every recorded iterate against the a priori boundedness radius."""
+def audit_bounded(report: RunReport, q) -> BoundAudit:
+    """Check every recorded iterate against the a priori boundedness radius,
+    with the absolute tolerance :data:`CERTIFY_TOL`."""
     qv = as_vector(q, report.problem.dim)
     psi0 = report.trajectory[0].psi
     bound = boundedness_radius(report.problem, report.schedule.mu_bar,
@@ -520,13 +548,12 @@ def audit_bounded(report: RunReport, q, tol: float = CERTIFY_TOL) -> BoundAudit:
     violations = []
     for st in report.trajectory:
         d = norm(st.psi - qv)
-        if d > bound + tol:
+        if d > bound + CERTIFY_TOL:
             violations.append((st.n, d))
     return BoundAudit(bound, len(report.trajectory), tuple(violations), qv)
 
 
-def vi_residual(problem: ProblemInstance, psi, probes=None,
-                certify_tol: float = CERTIFY_TOL) -> float:
+def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
     """Worst violation of the limiting variational inequality at psi.
 
     For each certified common point q the solution must satisfy
@@ -542,7 +569,7 @@ def vi_residual(problem: ProblemInstance, psi, probes=None,
     if not probes:
         return np.nan
     for q in probes:
-        defects = problem.common_point_defects(q, certify_tol)
+        defects = problem.common_point_defects(q)
         if defects:
             raise ValueError(
                 f"probe {q} is not a certified common point: "
@@ -641,7 +668,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
 
     def audit(st: IterState) -> None:
         """Audit the chain and the radius against all certified points at
-        once; sets ``fejer_ok`` on the (frozen) state in place of a copy."""
+        once, and set ``fejer_ok`` on the state."""
         nonlocal fejer_violations, bound_violations
         if not qs:
             return
@@ -650,7 +677,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         failed = ~(d[:4] <= d[1:5] + AUDIT_TOL)
         fejer_violations += int(np.count_nonzero(failed))
         bound_violations += int(np.count_nonzero(d[5] > limits))
-        object.__setattr__(st, "fejer_ok", not failed.any())
+        st.fejer_ok = not failed.any()
 
     audit(state)
     recorded = [state]
@@ -667,7 +694,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             terminated, diverged_at = "divergence_guard", err.stage
             break
         # The step has taken the point; keep it out of the trajectory.
-        object.__setattr__(state, "fb_point", None)
+        state.fb_carry = None
         audit(new)
         if should_record(new.n):
             recorded.append(new)
@@ -684,7 +711,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
 
     if recorded[-1].n != state.n:
         recorded.append(state)
-    object.__setattr__(state, "fb_point", None)
+    state.fb_carry = None
 
     final_vi = np.nan
     if qs:

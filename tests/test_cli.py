@@ -1,10 +1,16 @@
+import inspect
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viscosplit.cli import CSV_HEADER, main, parse_config
+from viscosplit.problems import catalog, make_inclusion_instance
+from viscosplit.solvers import ALGORITHMS
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -174,6 +180,12 @@ class TestConsoleScript:
     {"schedule.strict_paper": "false"},
     {"sow_use_phi": "false"},
     {"max_iter": True},
+    {"instance.gamma": "x"},
+    {"instance.gamma": None},
+    {"instance.eta": []},
+    {"instance.maps": []},
+    {"instance.dim": 0},
+    {"instance.selection": "bogus"},
 ], ids=lambda extra: json.dumps(extra))
 def test_mistyped_config_value_exits_two(tmp_path, capsys, extra):
     # json.dumps writes inf as Infinity; the config file carries 1e400,
@@ -183,3 +195,52 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, extra):
     cfg.write_text(text.replace("Infinity", "1e400"))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _builder_parameters() -> list[str]:
+    names = set(inspect.signature(make_inclusion_instance).parameters)
+    for builder in catalog().values():
+        names.update(inspect.signature(builder).parameters)
+    return sorted(names - {"overrides"})
+
+
+#: The documented keys a cell may carry besides id, algorithm, instance
+#: and max_iter.
+_DOCUMENTED_KEYS = (
+    ["psi0", "tol", "sow_use_phi", "record_stride"]
+    + [f"instance.{name}" for name in _builder_parameters()]
+    + [f"schedule.{key}" for key in ("mu_bar", "strict_paper", "interval",
+                                     "alpha", "theta", "beta", "gamma",
+                                     "mu", "lam")])
+
+# Small ints only, so that no instance.dim allocates a large array.
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats()
+            | st.text(max_size=4)
+            | st.sampled_from(["metric", "first_enumerated", "constant"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_SPECS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["constant", "inverse", "inverse_square",
+                              "approaching_one"]) | _JSON},
+    optional={"scale": _JSON})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(instance=st.sampled_from(sorted(catalog())),
+       algorithm=st.sampled_from(ALGORITHMS),
+       max_iter=st.integers(0, 30),
+       overrides=st.dictionaries(st.sampled_from(_DOCUMENTED_KEYS),
+                                 _JSON | _SPECS, min_size=1, max_size=2))
+def test_any_config_value_ends_in_a_documented_exit_code(
+        instance, algorithm, max_iter, overrides):
+    cell = {"id": "c", "algorithm": algorithm, "instance": instance,
+            "max_iter": max_iter, **overrides}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({"cells": [cell]}))
+        assert main(["validate", str(cfg)]) in (0, 1, 2, 3)
+        out = str(Path(tmp) / "out")
+        assert main(["run", str(cfg), "--out", out]) in (0, 1, 2, 3)

@@ -102,6 +102,10 @@ class TestInstanceGeometry:
         inst = make_box_instance(dim=1, selection=SelectionRule.FIRST_ENUMERATED)
         assert inst.selection is SelectionRule.FIRST_ENUMERATED
 
+    def test_selection_rule_by_name(self):
+        inst = make_box_instance(dim=1, selection="first_enumerated")
+        assert inst.selection is SelectionRule.FIRST_ENUMERATED
+
     def test_demicontractivity_bound(self):
         inst = make_box_instance(dim=1, beta=0.7)
         assert demicontractivity_bound(inst) == 0.7

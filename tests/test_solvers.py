@@ -111,6 +111,16 @@ class TestInitialState:
         assert s0.delta[0] == s0.pi[0] == s0.phi[0] == s0.xi[0] == 0.8
         assert s0.residual_t1 == pytest.approx(0.4)
 
+    def test_carried_point_is_reused_only_by_its_problem(self):
+        a = make_inclusion_instance(dim=1)
+        b = make_inclusion_instance(dim=1, anchor=[0.4])
+        sched = default_schedule_for(a)
+        x = np.array([0.8])
+        s1 = step_main(b, sched, initial_state(a, sched, x))
+        assert s1.delta[0] == pytest.approx(0.6)  # 0.8 - 0.5 * (0.8 - 0.4)
+        own = step_main(b, sched, initial_state(b, sched, x))
+        assert np.array_equal(s1.psi, own.psi)
+
 
 class TestRun:
     def test_box_converges_by_tolerance(self):
