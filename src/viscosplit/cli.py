@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -45,7 +46,7 @@ from .schedules import (SEQUENCE_FAMILIES, InfeasibleScheduleError,
 from .setvalued import (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE,
                         check_demicontractive, check_quasi_nonexpansive,
                         check_strictly_pseudocontractive)
-from .solvers import ALGORITHMS, run as run_solver
+from .solvers import ALGORITHMS, check_run_arguments, run as run_solver
 
 CSV_HEADER = ("n,psi_norm,dist_to_solution,delta_residual_T1,"
               "pi_residual_T2,phi_residual_T3,fb_residual,fejer_ok,"
@@ -189,14 +190,11 @@ def _build_cell(raw: dict, default_seed) -> Cell:
             raise ConfigError(
                 f"psi0 has dimension {psi0.size}, instance needs {problem.dim}")
     tol = _read(raw.get("tol", 1e-8), float, "tol")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    max_iter = _read(raw.get("max_iter", 100_000), int, "max_iter")
-    if max_iter < 0:
-        raise ConfigError("max_iter must be a nonnegative integer")
-    stride = raw.get("record_stride")
-    if stride is not None and _read(stride, int, "record_stride") < 1:
-        raise ConfigError("record_stride must be a positive integer or null")
+    max_iter, stride = raw.get("max_iter", 100_000), raw.get("record_stride")
+    try:
+        check_run_arguments(tol, max_iter, stride)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     return Cell(id=cell_id, algorithm=algorithm, instance_id=raw["instance"],
                 problem=problem, schedule=schedule, psi0=psi0, tol=tol,
@@ -287,13 +285,16 @@ def _cmd_run(args) -> int:
 # --------------------------------------------------------------------------
 
 def _sample_points(rng, dim: int, count: int, span: float = 5.0):
-    return [span * (2.0 * rng.random(dim) - 1.0) for _ in range(count)]
+    # One draw of count*dim numbers gives the same numbers, in the same
+    # order, as count draws of dim.
+    return list(span * (2.0 * rng.random((count, dim)) - 1.0))
 
 
-def _print_audit(result) -> bool:
+def _print_audit(name: str, result) -> bool:
+    """Print one audit's line under ``name``; return whether it passed."""
     tag = "ok" if result.passed else "FAIL"
     note = f" [{result.note}]" if result.note else ""
-    print(f"[{tag}] {result.name}: worst slack {result.worst_slack:g} "
+    print(f"[{tag}] {name}: worst slack {result.worst_slack:g} "
           f"over {result.checked} checks{note}")
     return result.passed
 
@@ -311,31 +312,26 @@ def _cmd_check(args) -> int:
     ok = True
 
     for i, t in enumerate(problem.maps, start=1):
-        label = t.name or f"T{i}"
         if t.kind == KIND_DEMICONTRACTIVE:
             res = check_demicontractive(t, t.constant, points)
         elif t.kind == KIND_STRICTLY_PSEUDOCONTRACTIVE:
             res = check_strictly_pseudocontractive(t, t.constant, pairs)
         else:
             res = check_quasi_nonexpansive(t, points)
-        res.name = f"T{i} ({label}) {res.name}"
-        ok = _print_audit(res) and ok
+        ok = _print_audit(f"T{i} ({t.name or f'T{i}'}) {res.name}", res) and ok
 
     ism = problem.forward.inverse_strong_monotonicity
     if ism:
         res = check_inverse_strongly_monotone(problem.forward, ism, pairs)
-        res.name = f"forward {res.name} (alpha={ism:g})"
-        ok = _print_audit(res) and ok
+        ok = _print_audit(f"forward {res.name} (alpha={ism:g})", res) and ok
 
     lam = problem.certification_lambda()
     res = check_resolvent_firmly_nonexpansive(problem.inclusion, lam, pairs)
-    res.name = f"inclusion {res.name} (lambda={lam:g})"
-    ok = _print_audit(res) and ok
+    ok = _print_audit(f"inclusion {res.name} (lambda={lam:g})", res) and ok
 
-    p = problem.params
-    res = check_wang_contraction(problem.strong, p.eta, t=0.5, pairs=pairs)
-    res.name = f"strong {res.name} (eta={p.eta:g})"
-    ok = _print_audit(res) and ok
+    eta = problem.params.eta
+    res = check_wang_contraction(problem.strong, eta, t=0.5, pairs=pairs)
+    ok = _print_audit(f"strong {res.name} (eta={eta:g})", res) and ok
 
     for q in problem.known_common_points:
         defects = problem.common_point_defects(q)
@@ -368,7 +364,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="viscosplit",
         description="Viscosity forward-backward splitting runs and audits.")

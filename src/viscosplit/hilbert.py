@@ -108,6 +108,8 @@ class ConvexSet:
     """Base for projectable closed convex sets."""
 
     def project(self, x) -> np.ndarray:
+        """The nearest point of the set to ``x``, which is coerced and
+        checked as by :func:`as_vector`."""
         raise NotImplementedError
 
     def contains(self, x) -> bool:
@@ -208,9 +210,11 @@ def project(K: ConvexSet, x) -> np.ndarray:
     """Nearest-point projection of ``x`` onto ``K``.
 
     The returned point p satisfies the variational characterization
-    <x - p, y - p> <= 0 for every y in K.
+    <x - p, y - p> <= 0 for every y in K.  ``K.project`` checks ``x``, so
+    p is checked here only when it is a new point.
     """
-    return K.project(x)
+    p = K.project(x)
+    return p if p is x else as_vector(p)
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def hilbert_identity_check(x, y, lam: float, tol: float = DEFAULT_TOL) -> Identi
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
     xv, yv = _pair(x, y)
 
-    rhs1 = norm(xv) ** 2 + 2.0 * inner(yv, xv + yv)
+    rhs1 = norm(xv) ** 2 + 2.0 * float(yv @ (xv + yv))
     lhs1_printed = norm(xv - yv) ** 2
     lhs1_corrected = norm(xv + yv) ** 2
 

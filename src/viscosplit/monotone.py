@@ -6,6 +6,13 @@ consume.  Maximal monotone operators come from a small catalog with exact
 resolvents: the zero operator, a normal cone of a projectable convex set,
 a weighted l1 subdifferential, and a nonnegative scalar multiple of the
 identity.  The resolvent with parameter lam > 0 is J(x) = (I + lam*A)^{-1} x.
+
+:func:`resolvent` is the public boundary: it checks lam and coerces and
+checks x, once.  A :meth:`MaxMonotone.resolvent` method takes a vector
+already checked and does not check it again.  The class audits check each
+sampled case once and then evaluate operators at the checked points:
+an operator value is checked once, and a resolvent value through the
+norm of the gap it enters.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, ConvexSet, as_vector, inner, norm
+from .hilbert import DEFAULT_TOL, ConvexSet, as_vector, norm
 from .setvalued import AuditResult, sampled_audit
 
 
@@ -29,7 +36,14 @@ class SingleOp:
     name: str = ""
 
     def __call__(self, x) -> np.ndarray:
-        return as_vector(self.apply(as_vector(x)))
+        return _value(self, as_vector(x))
+
+
+def _value(op: SingleOp, xv: np.ndarray) -> np.ndarray:
+    """``op`` at the checked point ``xv``.  The value is coerced and checked,
+    unless it is ``xv`` itself."""
+    v = op.apply(xv)
+    return v if v is xv else as_vector(v)
 
 
 def zero_op(name: str = "zero") -> SingleOp:
@@ -76,7 +90,8 @@ def affine_op(coef: float, offset=None, dim: int | None = None,
 class MaxMonotone:
     """Base for maximal monotone operators with exact resolvents."""
 
-    def resolvent(self, lam: float, x) -> np.ndarray:
+    def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
+        """J(x) for lam > 0 at a checked vector ``x``."""
         raise NotImplementedError
 
 
@@ -84,8 +99,8 @@ class MaxMonotone:
 class ZeroOperator(MaxMonotone):
     """A = 0; the resolvent is the identity for every lam."""
 
-    def resolvent(self, lam: float, x) -> np.ndarray:
-        return as_vector(x)
+    def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
+        return x
 
 
 @dataclass(frozen=True)
@@ -94,7 +109,7 @@ class NormalCone(MaxMonotone):
 
     set: ConvexSet
 
-    def resolvent(self, lam: float, x) -> np.ndarray:
+    def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
         return self.set.project(x)
 
 
@@ -110,9 +125,8 @@ class L1Subdifferential(MaxMonotone):
             raise ValueError("l1 weights must be nonnegative")
         object.__setattr__(self, "weight", w)
 
-    def resolvent(self, lam: float, x) -> np.ndarray:
-        xv = as_vector(x)
-        return np.sign(xv) * np.maximum(np.abs(xv) - lam * self.weight, 0.0)
+    def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
+        return np.sign(x) * np.maximum(np.abs(x) - lam * self.weight, 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,14 +140,19 @@ class LinearMonotone(MaxMonotone):
         if self.coef < 0:
             raise ValueError("coefficient must be nonnegative for monotonicity")
 
-    def resolvent(self, lam: float, x) -> np.ndarray:
-        return as_vector(x) / (1.0 + lam * self.coef)
+    def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
+        return x / (1.0 + lam * self.coef)
+
+
+def _check_lam(lam: float) -> None:
+    """Reject a resolvent parameter lam <= 0."""
+    if lam <= 0:
+        raise ValueError(f"resolvent parameter must be positive, got {lam}")
 
 
 def resolvent(op: MaxMonotone, lam: float, x) -> np.ndarray:
     """J(x) = (I + lam*op)^{-1} x, requiring lam > 0."""
-    if lam <= 0:
-        raise ValueError(f"resolvent parameter must be positive, got {lam}")
+    _check_lam(lam)
     return op.resolvent(lam, as_vector(x))
 
 
@@ -141,7 +160,7 @@ def forward_backward_step(inclusion: MaxMonotone, forward: SingleOp,
                           lam: float, x) -> np.ndarray:
     """One forward-backward application J(x - lam * forward(x))."""
     xv = as_vector(x)
-    return resolvent(inclusion, lam, xv - lam * forward(xv))
+    return resolvent(inclusion, lam, xv - lam * _value(forward, xv))
 
 
 def fixed_point_residual(inclusion: MaxMonotone, forward: SingleOp,
@@ -163,8 +182,8 @@ def check_inverse_strongly_monotone(op: SingleOp, alpha: float,
         raise ValueError("inverse strong monotonicity modulus must be positive")
 
     def sides(x, y):
-        gap = op(x) - op(y)
-        return alpha * norm(gap) ** 2, inner(gap, x - y)
+        gap = _value(op, x) - _value(op, y)
+        return alpha * norm(gap) ** 2, float(gap @ (x - y))
     return sampled_audit("inverse_strongly_monotone", pairs, sides, tol)
 
 
@@ -183,7 +202,8 @@ def check_forward_nonexpansive(op: SingleOp, alpha: float, theta: float,
                 "nonexpansiveness is not guaranteed in this range")
     return sampled_audit(
         "forward_nonexpansive", pairs,
-        lambda x, y: (norm((x - theta * op(x)) - (y - theta * op(y))),
+        lambda x, y: (norm((x - theta * _value(op, x))
+                           - (y - theta * _value(op, y))),
                       norm(x - y)), tol, note)
 
 
@@ -212,16 +232,23 @@ def check_wang_contraction(op: SingleOp, eta: float, t: float,
         raise ValueError(f"t={t} outside (0, {min(1.0, 1.0 / tau)})")
     return sampled_audit(
         "averaged_contraction", pairs,
-        lambda x, y: (norm((x - t * eta * op(x)) - (y - t * eta * op(y))),
+        lambda x, y: (norm((x - t * eta * _value(op, x))
+                           - (y - t * eta * _value(op, y))),
                       (1.0 - t * tau) * norm(x - y)), tol)
 
 
 def check_resolvent_firmly_nonexpansive(op: MaxMonotone, lam: float,
                                         pairs: Sequence,
                                         tol: float = DEFAULT_TOL) -> AuditResult:
-    """Audit  ||Jx - Jy||^2 <= <Jx - Jy, x - y>  for J the lam-resolvent."""
+    """Audit  ||Jx - Jy||^2 <= <Jx - Jy, x - y>  for J the lam-resolvent.
+
+    lam > 0 is enforced before any sampling.  A non-finite resolvent value
+    makes the gap non-finite, which :func:`~viscosplit.hilbert.norm`
+    rejects, so the values are not checked one by one.
+    """
+    _check_lam(lam)
 
     def sides(x, y):
-        gap = resolvent(op, lam, x) - resolvent(op, lam, y)
-        return norm(gap) ** 2, inner(gap, x - y)
+        gap = op.resolvent(lam, x) - op.resolvent(lam, y)
+        return norm(gap) ** 2, float(gap @ (x - y))
     return sampled_audit("resolvent_firmly_nonexpansive", pairs, sides, tol)

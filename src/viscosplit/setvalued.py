@@ -6,6 +6,12 @@ images use the Hausdorff metric.  The audit functions sample-check the
 defining inequality of a declared mapping class (demicontractive,
 quasi-nonexpansive, strictly pseudocontractive) and report the worst slack
 together with a witness pair, never just a bare boolean.
+
+An audit checks each sampled case once, in :func:`sampled_audit`, and
+then works on the checked arrays: it takes images with ``T.image`` and
+measures them with the private kernels behind :func:`distance_to_set`
+and :func:`hausdorff`, which check nothing again.  Each image is checked
+by its constructor.
 """
 from __future__ import annotations
 
@@ -54,7 +60,9 @@ class BallImage:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        # The radius is checked like a coordinate: NonFiniteError unless
+        # it is finite.
+        object.__setattr__(self, "radius", float(as_vector(self.radius, 1)[0]))
         if self.radius < 0:
             raise ValueError("image radius must be nonnegative")
 
@@ -78,34 +86,38 @@ def _distance(xv: np.ndarray, S: SetImage) -> float:
     raise TypeError(f"unknown image type {type(S).__name__}")
 
 
-def _as_ball(S: SetImage) -> BallImage | None:
-    if isinstance(S, BallImage):
-        return S
+def _farthest(S: SetImage, q: np.ndarray) -> float:
+    """H(S, {q}) for a checked point ``q``: the largest distance from q to
+    a point of S, so d + r for a ball whose center lies at distance d."""
     if isinstance(S, Singleton):
-        return BallImage(S.point, 0.0)
-    return None
+        return norm(S.point - q)
+    if isinstance(S, FiniteSet):
+        return max(norm(p - q) for p in S.points)
+    if isinstance(S, BallImage):
+        return norm(S.center - q) + S.radius
+    raise TypeError(f"unknown image type {type(S).__name__}")
 
 
 def hausdorff(A: SetImage, B: SetImage) -> float:
     """Hausdorff distance between two images.
 
-    Finite/finite pairs use the max-min formula directly (singletons count
-    as one-point finite sets).  Pairs involving a ball use the closed form
-    for two balls, max(d + r1 - r2, d + r2 - r1, 0) with d the distance of
-    the centers; a singleton pairs with a ball as a radius-0 ball.  A finite
-    set with more than one point against a ball has no closed form here and
-    raises :class:`UnsupportedPairing`.
+    Against a singleton {q} it is the farthest point of the other image
+    from q.  Two balls use the closed form max(d + r1 - r2, d + r2 - r1, 0)
+    with d the distance of the centers, and two finite sets the max-min
+    formula.  A finite set with more than one point against a ball has no
+    closed form here and raises :class:`UnsupportedPairing`.
     """
-    ball_a, ball_b = _as_ball(A), _as_ball(B)
-    if ball_a is not None and ball_b is not None:
-        d = norm(ball_a.center - ball_b.center)
-        return max(d + ball_a.radius - ball_b.radius,
-                   d + ball_b.radius - ball_a.radius, 0.0)
+    if isinstance(A, Singleton):
+        A, B = B, A
+    if isinstance(B, Singleton):
+        return _farthest(A, B.point)
+    if isinstance(A, BallImage) and isinstance(B, BallImage):
+        d = norm(A.center - B.center)
+        return max(d + A.radius - B.radius, d + B.radius - A.radius, 0.0)
 
     pa, pb = _enumerable(A), _enumerable(B)
-    sup_a = max(min(norm(a - b) for b in pb) for a in pa)
-    sup_b = max(min(norm(b - a) for a in pa) for b in pb)
-    return max(sup_a, sup_b)
+    return max(max(_distance(a, B) for a in pa),
+               max(_distance(b, A) for b in pb))
 
 
 # --------------------------------------------------------------------------
@@ -225,10 +237,15 @@ def sampled_audit(name: str, cases: Sequence,
                   tol: float, note: str = "") -> AuditResult:
     """Audit  lhs <= rhs  with ``(lhs, rhs) = sides(x, y)`` on each case.
 
-    Keeps the worst slack lhs - rhs with its witness (x, y), and records
-    every case whose slack exceeds ``tol`` as (x, y, lhs, rhs).
+    Each case is coerced and checked here, once, so ``sides`` gets checked
+    vectors and works on them without checking them again.  Keeps the
+    worst slack lhs - rhs with its witness (x, y), and records every case
+    whose slack exceeds ``tol`` as (x, y, lhs, rhs).  An empty sample
+    passes vacuously, with a note that says so.
     """
     cases = list(cases)
+    if not cases:
+        note = "; ".join(filter(None, (note, "empty sample")))
     worst, witness, violations = -np.inf, None, []
     for x, y in cases:
         xv, yv = as_vector(x), as_vector(y)
@@ -260,9 +277,9 @@ def check_demicontractive(T: MultiMap, beta: float, points: Sequence,
         raise ValueError("demicontractive constant must lie in [0, 1)")
 
     def sides(x, q):
-        img = T(x)
-        return (hausdorff(img, Singleton(q)) ** 2,
-                norm(x - q) ** 2 + beta * distance_to_set(x, img) ** 2)
+        img = T.image(x)
+        return (_farthest(img, q) ** 2,
+                norm(x - q) ** 2 + beta * _distance(x, img) ** 2)
     return sampled_audit("demicontractive", _fixed_point_pairs(T, points),
                          sides, tol)
 
@@ -272,7 +289,7 @@ def check_quasi_nonexpansive(T: MultiMap, points: Sequence,
     """Audit  H(T x, T q) <= ||x - q||  on a sample, q a fixed point."""
     return sampled_audit(
         "quasi_nonexpansive", _fixed_point_pairs(T, points),
-        lambda x, q: (hausdorff(T(x), Singleton(q)), norm(x - q)), tol)
+        lambda x, q: (_farthest(T.image(x), q), norm(x - q)), tol)
 
 
 def check_strictly_pseudocontractive(T: MultiMap, k: float, pairs: Sequence,
@@ -291,8 +308,9 @@ def check_strictly_pseudocontractive(T: MultiMap, k: float, pairs: Sequence,
     note = "k = 1 is the non-strict boundary case" if k == 1.0 else ""
 
     def sides(x, y):
-        img_x, img_y = T(x), T(y)
-        disp = _min_displacement_gap(x, y, img_x, img_y)
+        img_x, img_y = T.image(x), T.image(y)
+        disp = min(norm((x - u) - (y - w)) for u in _enumerable(img_x)
+                   for w in _enumerable(img_y))
         return (hausdorff(img_x, img_y) ** 2,
                 norm(x - y) ** 2 + k * disp ** 2)
     return sampled_audit("strictly_pseudocontractive", pairs, sides, tol,
@@ -309,8 +327,3 @@ def _enumerable(S: SetImage) -> tuple:
     raise UnsupportedPairing(
         f"no closed form here for a {type(S).__name__}: "
         "the pairing needs enumerable images")
-
-
-def _min_displacement_gap(x, y, img_x, img_y) -> float:
-    return min(norm((x - u) - (y - w))
-               for u in _enumerable(img_x) for w in _enumerable(img_y))

@@ -47,20 +47,27 @@ dimension:
   residuals and forward-backward point are formed as in a step;
 - in a step, once each, every value that enters it: the forward,
   contraction and strong operator values (``op.apply`` at a checked
-  point; only the value is coerced and checked), each image a mapping
-  returns (checked by its constructor: ``Singleton``, ``FiniteSet``,
+  point; only the value is coerced and checked, and a value that is the
+  point itself is not scanned again), each image a mapping returns
+  (checked by its constructor: ``Singleton``, ``FiniteSet``,
   ``BallImage``), the point the resolvent returns (delta) and the point
   the projection returns (the new iterate);
 - in a step, each stage point an averaging line makes (pi, phi_p, xi).
 
-The resolvent and the projection also check the point they are given, at
-their own public boundary; the identity resolvent and the whole-space
-projection return that point, which is then scanned a second time.  The
+A projection checks the point it is given at its own public boundary, so
+a point it returns unchanged (the whole space, or a point already inside
+a ball or half-space) is not scanned again.  The resolvent is handed
+psi - lam*Forward psi unchecked and its value is checked instead: the
+built-in resolvents take a checked vector and do not check it again, but
+a projection (the normal cone) checks the point at its own boundary and
+the others carry a non-finite coordinate into their value.  So the
+identity resolvent's value, that point itself, is scanned once.  The
 residuals, selections and norms run on checked arrays without checking
-them again.  A non-finite value in a step raises :class:`NonFiniteError`
-naming it (``"forward operator"``, ``"delta"``, ``"T1 image"``, ``"pi"``,
-``"contraction"``, ``"psi"``, ...), which :func:`run` turns into the
-``divergence_guard`` termination and keeps as ``RunReport.diverged_at``.
+them again.  A non-finite value in a step raises
+:class:`NonFiniteError` naming it (``"forward operator"``, ``"delta"``,
+``"T1 image"``, ``"pi"``, ``"contraction"``, ``"psi"``, ...), which
+:func:`run` turns into the ``divergence_guard`` termination and keeps as
+``RunReport.diverged_at``.
 """
 from __future__ import annotations
 
@@ -71,12 +78,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import (ConvexSet, NonFiniteError, all_finite, as_vector,
-                      inner, norm)
-from .monotone import MaxMonotone, SingleOp, fixed_point_residual
+                      inner, norm, project)
+from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
+                       fixed_point_residual)
 from .schedules import (Schedule, ValidationReport, ViscosityParams,
                         step_window, validate)
-from .setvalued import (MultiMap, SelectionRule, Singleton, _distance,
-                        _select, distance_to_set, hausdorff)
+from .setvalued import (MultiMap, SelectionRule, _distance, _farthest,
+                        _select)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -171,12 +179,12 @@ class ProblemInstance:
             defects.append(
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
         for i, t in enumerate(self.maps, start=1):
-            img = t(qv)
-            d = distance_to_set(qv, img)
+            img = t.image(qv)
+            d = _distance(qv, img)
             if d > CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
             elif self.strict_fixed_points:
-                h = hausdorff(img, Singleton(qv))
+                h = _farthest(img, qv)
                 if h > CERTIFY_TOL:
                     defects.append(
                         f"T{i} q is not the singleton {{q}}: H = {h:g}")
@@ -293,31 +301,24 @@ _IMAGES = ("T1 image", "T2 image", "T3 image")
 _AVERAGED = ("pi", "phi_p", "xi")
 
 
-def _named(stage: str) -> NonFiniteError:
-    return NonFiniteError(f"non-finite {stage}", stage)
-
-
-def _checked(stage: str, fn, *args) -> np.ndarray:
-    """The vector ``fn(*args)``, coerced and checked once.
-
-    A non-finite value, or one ``fn`` meets on the way (the resolvent and
-    the projection check the point they are given), raises
-    :class:`NonFiniteError` naming ``stage``.
-    """
+def _named(stage: str, fn, *args):
+    """``fn(*args)``, with a :class:`NonFiniteError` it raises naming
+    ``stage``."""
     try:
-        return as_vector(fn(*args))
+        return fn(*args)
     except NonFiniteError:
-        raise _named(stage) from None
+        raise NonFiniteError(f"non-finite {stage}", stage) from None
 
 
 def _fb_point(problem: ProblemInstance, lam: float,
               x: np.ndarray) -> np.ndarray:
     """J(x - lam*Forward x) at the checked point ``x``; like
-    :func:`~viscosplit.monotone.resolvent`, rejects lam <= 0."""
-    y = x - lam * _checked("forward operator", problem.forward.apply, x)
-    if lam <= 0:
-        raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    return _checked("delta", problem.inclusion.resolvent, lam, y)
+    :func:`~viscosplit.monotone.resolvent`, rejects lam <= 0.  The
+    resolvent's value is checked, as ``"delta"``."""
+    y = x - lam * _named("forward operator", _value, problem.forward, x)
+    _check_lam(lam)
+    return _named("delta",
+                  lambda: as_vector(problem.inclusion.resolvent(lam, y)))
 
 
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
@@ -346,17 +347,14 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
     points, residuals, selected = [x], [], []
     weights = (schedule.theta, schedule.beta, schedule.gamma)
     for k, (t, weight) in enumerate(zip(problem.maps, weights)):
-        try:
-            img = t.image(x)
-        except NonFiniteError:
-            raise _named(_IMAGES[k]) from None
+        img = _named(_IMAGES[k], t.image, x)
         residuals.append(_distance(x, img))
         if k < anchor.stages:
             selected.append(_select(img, problem.selection, x))
             w = weight(i)
             x = w * x + (1.0 - w) * selected[-1]
             if not all_finite(x):
-                raise _named(_AVERAGED[k])
+                raise NonFiniteError(f"non-finite {_AVERAGED[k]}", _AVERAGED[k])
         points.append(x)
         del img
     del selected
@@ -366,17 +364,16 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         m = schedule.mu(i) if anchor.mixes else np.nan
         p = problem.params
         c = points[anchor.carry]
-        phi_op, strong_op = problem.contraction.apply, problem.strong.apply
+        phi_op, strong_op = problem.contraction, problem.strong
         if anchor.mixes:
-            target = (a * p.gamma * _checked("contraction", phi_op, psi)
-                      + m * c + (1.0 - m) * (
-                          psi - p.eta * a
-                          * _checked("strong operator", strong_op, psi)))
+            target = (a * p.gamma * _named("contraction", _value, phi_op, psi)
+                      + m * c + (1.0 - m) * (psi - p.eta * a * _named(
+                          "strong operator", _value, strong_op, psi)))
         else:
-            target = (a * p.gamma * _checked("contraction", phi_op, psi)
+            target = (a * p.gamma * _named("contraction", _value, phi_op, psi)
                       + c - p.eta * a
-                      * _checked("strong operator", strong_op, c))
-        psi_new = _checked("psi", problem.feasible.project, target)
+                      * _named("strong operator", _value, strong_op, c))
+        psi_new = _named("psi", project, problem.feasible, target)
     else:
         a = m = np.nan
         psi_new = points[0]
@@ -434,8 +431,8 @@ def step_forward_backward(problem: ProblemInstance, schedule: Schedule,
 def initial_state(problem: ProblemInstance, schedule: Schedule,
                   psi0) -> IterState:
     """State n = 0: the start projected onto the feasible set, mirrored."""
-    psi = _checked("psi", problem.feasible.project,
-                   as_vector(psi0, problem.dim))
+    psi = _named("psi", project, problem.feasible,
+                 as_vector(psi0, problem.dim))
     residuals = [_distance(psi, t.image(psi)) for t in problem.maps]
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
                         np.nan, schedule.lam(1))
@@ -450,7 +447,6 @@ class FejerAudit:
     """The four chain links at one state, each as (name, lhs, rhs, ok)."""
 
     links: tuple
-    q: np.ndarray
 
     @property
     def ok(self) -> bool:
@@ -510,7 +506,7 @@ def audit_fejer_chain(state: IterState, q) -> FejerAudit:
                     state.psi_prev), qv[np.newaxis])[:, 0].tolist()
     links = tuple((name, d[k], d[k + 1], d[k] <= d[k + 1] + AUDIT_TOL)
                   for k, name in enumerate(_LINKS))
-    return FejerAudit(links, qv)
+    return FejerAudit(links)
 
 
 @dataclass(frozen=True)
@@ -518,7 +514,6 @@ class BoundAudit:
     bound: float
     checked: int
     violations: tuple
-    q: np.ndarray
 
     @property
     def ok(self) -> bool:
@@ -550,7 +545,7 @@ def audit_bounded(report: RunReport, q) -> BoundAudit:
         d = norm(st.psi - qv)
         if d > bound + CERTIFY_TOL:
             violations.append((st.n, d))
-    return BoundAudit(bound, len(report.trajectory), tuple(violations), qv)
+    return BoundAudit(bound, len(report.trajectory), tuple(violations))
 
 
 def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
@@ -597,6 +592,20 @@ def _is_count(value, low: int) -> bool:
             and not isinstance(value, bool) and value >= low)
 
 
+def check_run_arguments(tol: float, max_iter, record_stride) -> None:
+    """Raise ``ValueError`` unless ``tol`` > 0, ``max_iter`` is an integer
+    >= 0 and ``record_stride`` is an integer >= 1 or None, as :func:`run`
+    needs them."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not _is_count(max_iter, 0):
+        raise ValueError(
+            f"max_iter must be a nonnegative integer, got {max_iter!r}")
+    if record_stride is not None and not _is_count(record_stride, 1):
+        raise ValueError(f"record_stride must be a positive integer or "
+                         f"None, got {record_stride!r}")
+
+
 def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         psi0=None, tol: float = 1e-8, max_iter: int = 100_000,
         check_schedule: bool = True, sow_use_phi: bool = False,
@@ -618,14 +627,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ALGORITHMS}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if not _is_count(max_iter, 0):
-        raise ValueError(
-            f"max_iter must be a nonnegative integer, got {max_iter!r}")
-    if record_stride is not None and not _is_count(record_stride, 1):
-        raise ValueError(f"record_stride must be a positive integer or "
-                         f"None, got {record_stride!r}")
+    check_run_arguments(tol, max_iter, record_stride)
     if check_schedule:
         rep = validate(schedule, problem.params)
         if not rep.ok:

@@ -5,12 +5,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viscosplit.cli import CSV_HEADER, main, parse_config
+from viscosplit.cli import (CSV_HEADER, _parser, _sample_points, main,
+                            parse_config)
 from viscosplit.problems import catalog, make_inclusion_instance
-from viscosplit.solvers import ALGORITHMS
+from viscosplit.solvers import ALGORITHMS, check_run_arguments
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -119,6 +121,31 @@ class TestRunCommand:
         main(["run", cfg, "--out", str(out)])
         assert json.loads((out / "box-main.json").read_text())["seed"] == 7
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        # One parser serves every call; an option given to one call is not
+        # a default for the next.
+        assert _parser() is _parser()
+        cfg = write_config(tmp_path, {"seed": 7, "cells": [box_cell()]})
+        summary = tmp_path / "out" / "box-main.json"
+        main(["run", cfg, "--out", str(tmp_path / "out"), "--seed", "5"])
+        assert json.loads(summary.read_text())["seed"] == 5
+        main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert json.loads(summary.read_text())["seed"] == 7
+
+    @pytest.mark.parametrize("extra", [
+        {"tol": 0.0}, {"tol": -1e-3}, {"max_iter": -1}, {"max_iter": 2.5},
+        {"record_stride": 0}, {"record_stride": 1.0}], ids=json.dumps)
+    def test_run_arguments_are_checked_by_the_solver_rule(
+            self, tmp_path, capsys, extra):
+        # The CLI reports the error the solver's own rule raises.
+        args = {"tol": 1e-8, "max_iter": 100_000, "record_stride": None}
+        args.update(extra)
+        with pytest.raises(ValueError) as exc:
+            check_run_arguments(**args)
+        cfg = write_config(tmp_path, {"cells": [box_cell(**extra)]})
+        assert main(["validate", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+
 
 class TestCheckCommand:
     def test_check_box_instance_passes(self, capsys):
@@ -136,6 +163,20 @@ class TestCheckCommand:
     def test_check_unknown_instance_exits_two(self, capsys):
         assert main(["check", "mystery"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_sample_points_equal_one_draw_per_point(self, dim):
+        # One (count, dim) draw gives the numbers count draws of dim give,
+        # in the same order, and leaves the generator in the same state.
+        rng = np.random.default_rng(11)
+        drawn = _sample_points(rng, dim, 40)
+        ref = np.random.default_rng(11)
+        expected = [5.0 * (2.0 * ref.random(dim) - 1.0) for _ in range(40)]
+        assert len(drawn) == 40
+        for got, want in zip(drawn, expected):
+            assert got.shape == (dim,) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
 
     def test_check_is_seed_stable(self, capsys):
         main(["check", "inclusion_box", "--seed", "3"])

@@ -127,6 +127,18 @@ class TestOperatorAudits:
         res = check_wang_contraction(identity_op(), 1.0, 0.5, pairs)
         assert res.passed
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    @pytest.mark.parametrize("pairs", [[], [(vec(1.0), vec(0.0))]],
+                             ids=["empty", "one pair"])
+    def test_resolvent_audit_rejects_lam_before_sampling(self, lam, pairs):
+        with pytest.raises(ValueError):
+            check_resolvent_firmly_nonexpansive(ZeroOperator(), lam, pairs)
+
+    def test_empty_operator_audit_is_noted(self):
+        res = check_forward_nonexpansive(identity_op(), 1.0, 3.0, [])
+        assert res.passed and res.checked == 0
+        assert "outside" in res.note and "empty sample" in res.note
+
     def test_wang_preconditions_enforced(self):
         from viscosplit.monotone import SingleOp
         bare = SingleOp(lambda x: x)

@@ -79,6 +79,27 @@ class TestHausdorff:
         assert hausdorff(a, b) == hausdorff(b, a)
         assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 1e-9
 
+    @given(points_2d, st.lists(points_2d, min_size=1, max_size=4),
+           st.floats(min_value=0, max_value=3))
+    def test_distance_to_a_point_matches_an_oracle(self, q, pts, r):
+        # H(S, {q}) on either side, bit for bit: brute-force max-min
+        # enumeration with np.linalg.norm for singleton and finite images,
+        # and d + r for a ball whose center lies at distance d.
+        def max_min(A, B):
+            return max(max(min(np.linalg.norm(a - b) for b in B) for a in A),
+                       max(min(np.linalg.norm(b - a) for a in A) for b in B))
+
+        point = Singleton(q)
+        for image, members in ((Singleton(pts[0]), pts[:1]),
+                               (FiniteSet(tuple(pts)), pts)):
+            assert hausdorff(image, point) == max_min(members, [q])
+            assert hausdorff(point, image) == max_min([q], members)
+        ball = BallImage(pts[0], r)
+        d_plus_r = np.linalg.norm(pts[0] - q) + r
+        assert hausdorff(ball, point) == d_plus_r
+        assert hausdorff(point, ball) == d_plus_r
+        assert hausdorff(ball, BallImage(q, 0.0)) == d_plus_r
+
     @given(points_2d, points_2d,
            st.floats(min_value=0, max_value=3),
            st.floats(min_value=0, max_value=3))
@@ -174,6 +195,17 @@ class TestClassAudits:
         res = check_strictly_pseudocontractive(halving_map(), 1.0, pairs)
         assert res.passed
         assert "non-strict" in res.note
+
+    @pytest.mark.parametrize("audit", [
+        lambda: check_demicontractive(halving_map(), 0.5, []),
+        lambda: check_quasi_nonexpansive(halving_map(), []),
+        lambda: check_strictly_pseudocontractive(halving_map(), 1.0, [])],
+        ids=["demicontractive", "quasi_nonexpansive",
+             "strictly_pseudocontractive"])
+    def test_empty_sample_is_noted(self, audit):
+        res = audit()
+        assert res.passed and res.checked == 0
+        assert "empty sample" in res.note
 
     def test_strictly_pseudocontractive_constant_range(self):
         with pytest.raises(ValueError):
