@@ -17,7 +17,11 @@ A config is a JSON object {"seed": int?, "cells": [...]}, each cell
 
 Keys prefixed "instance." go to the instance builder; keys prefixed
 "schedule." adjust the default schedule (mu_bar, strict_paper, interval,
-or any of the six sequences as {"kind": ..., "scale": ...}).
+or any of the six sequences as {"kind": ..., "scale": ...}).  The optional
+"sow_use_phi" (true or false) applies to the "sow" algorithm only: true
+carries phi_p instead of pi into its anchor line, and true with any other
+algorithm is a config error.  The run arguments (algorithm, tol, max_iter,
+record_stride, sow_use_phi) are checked by the solver's own rule.
 
 Per cell the run writes <id>.csv with one row per recorded iteration and
 <id>.json with the run summary.  Output is byte-deterministic for a fixed
@@ -46,7 +50,8 @@ from .schedules import (SEQUENCE_FAMILIES, InfeasibleScheduleError,
 from .setvalued import (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE,
                         check_demicontractive, check_quasi_nonexpansive,
                         check_strictly_pseudocontractive)
-from .solvers import ALGORITHMS, check_run_arguments, run as run_solver
+from .solvers import (ScheduleValidationError, check_run_arguments,
+                      require_admissible, run as run_solver)
 
 CSV_HEADER = ("n,psi_norm,dist_to_solution,delta_residual_T1,"
               "pi_residual_T2,phi_residual_T3,fb_residual,fejer_ok,"
@@ -153,10 +158,13 @@ def _build_cell(raw: dict, default_seed) -> Cell:
     if not isinstance(cell_id, str) or not _CELL_ID.match(cell_id):
         raise ConfigError(
             f"cell id {cell_id!r} must match [A-Za-z0-9._-]+")
-    algorithm = raw["algorithm"]
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    algorithm, sow_use_phi = raw["algorithm"], raw.get("sow_use_phi", False)
+    tol = _read(raw.get("tol", 1e-8), float, "tol")
+    max_iter, stride = raw.get("max_iter", 100_000), raw.get("record_stride")
+    try:
+        check_run_arguments(tol, max_iter, stride, algorithm, sow_use_phi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     inst_kwargs = {k.split(".", 1)[1]: v for k, v in raw.items()
                    if k.startswith("instance.")}
@@ -175,12 +183,11 @@ def _build_cell(raw: dict, default_seed) -> Cell:
                        if k.startswith("schedule.")}
     try:
         schedule = _build_schedule(problem, sched_overrides)
+        require_admissible(schedule, problem.params)
     except InfeasibleScheduleError as exc:
         raise ConfigError(f"infeasible schedule: {exc}") from None
-    report = validate(schedule, problem.params)
-    if not report.ok:
-        names = "; ".join(c.name for c in report.failures())
-        raise ConfigError(f"schedule for cell {cell_id!r} rejected: {names}")
+    except ScheduleValidationError as exc:
+        raise ConfigError(f"cell {cell_id!r}: {exc}") from None
 
     psi0 = raw.get("psi0")
     if psi0 is not None:
@@ -189,18 +196,10 @@ def _build_cell(raw: dict, default_seed) -> Cell:
         if psi0.size != problem.dim:
             raise ConfigError(
                 f"psi0 has dimension {psi0.size}, instance needs {problem.dim}")
-    tol = _read(raw.get("tol", 1e-8), float, "tol")
-    max_iter, stride = raw.get("max_iter", 100_000), raw.get("record_stride")
-    try:
-        check_run_arguments(tol, max_iter, stride)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     return Cell(id=cell_id, algorithm=algorithm, instance_id=raw["instance"],
                 problem=problem, schedule=schedule, psi0=psi0, tol=tol,
-                max_iter=max_iter,
-                sow_use_phi=_read(raw.get("sow_use_phi", False), bool,
-                                  "sow_use_phi"),
+                max_iter=max_iter, sow_use_phi=sow_use_phi,
                 record_stride=stride, seed=default_seed)
 
 

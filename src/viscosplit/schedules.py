@@ -195,6 +195,9 @@ class Schedule:
     mu_n; ``beta_demi`` is the largest demicontractivity constant among the
     mappings, lower-bounding theta_n and beta_n.  ``strict_paper`` switches
     the anchor-weight sum condition from divergent to summable.
+    Construction raises :class:`InfeasibleScheduleError` unless
+    ``beta_demi`` lies in [0, 1) and ``alpha_ism`` > 0, and ``ValueError``
+    unless a <= b.
     """
 
     alpha: ParamSeq
@@ -214,9 +217,10 @@ class Schedule:
         if not a <= b:
             raise ValueError("interval must satisfy a <= b")
         if not 0.0 <= self.beta_demi < 1.0:
-            raise ValueError("beta_demi must lie in [0, 1)")
+            raise InfeasibleScheduleError(
+                f"beta_demi = {self.beta_demi} must lie in [0, 1)")
         if self.alpha_ism <= 0:
-            raise ValueError("alpha_ism must be positive")
+            raise InfeasibleScheduleError("alpha_ism must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -402,11 +406,6 @@ def default_schedule(params: ViscosityParams, beta_demi: float,
     if bad:
         raise InfeasibleScheduleError(
             "constants violate: " + "; ".join(bad))
-    if not 0.0 <= beta_demi < 1.0:
-        raise InfeasibleScheduleError(
-            f"beta_demi = {beta_demi} must lie in [0, 1)")
-    if alpha_ism <= 0:
-        raise InfeasibleScheduleError("alpha_ism must be positive")
 
     tau = params.tau
     if mu_bar is None:

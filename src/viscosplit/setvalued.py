@@ -237,18 +237,22 @@ def sampled_audit(name: str, cases: Sequence,
                   tol: float, note: str = "") -> AuditResult:
     """Audit  lhs <= rhs  with ``(lhs, rhs) = sides(x, y)`` on each case.
 
-    Each case is coerced and checked here, once, so ``sides`` gets checked
-    vectors and works on them without checking them again.  Keeps the
-    worst slack lhs - rhs with its witness (x, y), and records every case
-    whose slack exceeds ``tol`` as (x, y, lhs, rhs).  An empty sample
-    passes vacuously, with a note that says so.
+    Each distinct case array is coerced and checked here, once per audit
+    (a fixed point paired with every sample point is checked once), so
+    ``sides`` gets checked vectors and works on them without checking them
+    again.  Keeps the worst slack lhs - rhs with its witness (x, y), and
+    records every case whose slack exceeds ``tol`` as (x, y, lhs, rhs).
+    An empty sample passes vacuously, with a note that says so.
     """
-    cases = list(cases)
+    # The tuples keep every value alive, so its id names it for the audit.
+    cases = [tuple(case) for case in cases]
     if not cases:
         note = "; ".join(filter(None, (note, "empty sample")))
+    distinct = {id(v): v for case in cases for v in case}
+    checked = {key: as_vector(v) for key, v in distinct.items()}
     worst, witness, violations = -np.inf, None, []
     for x, y in cases:
-        xv, yv = as_vector(x), as_vector(y)
+        xv, yv = checked[id(x)], checked[id(y)]
         lhs, rhs = sides(xv, yv)
         slack = lhs - rhs
         if slack > worst:

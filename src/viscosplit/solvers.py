@@ -41,6 +41,13 @@ dimension:
   (coerced to a :class:`SelectionRule`), the constants of
   :class:`ViscosityParams` (real numbers, not bools), the known solution,
   common points and start;
+- the run arguments, in :func:`check_run_arguments`, which :func:`run`
+  calls first and the CLI calls for each config cell: the algorithm name
+  (one of :data:`ALGORITHMS`), ``tol`` > 0, ``max_iter`` an integer >= 0,
+  ``record_stride`` an integer >= 1 or None, and ``sow_use_phi`` a bool
+  that is true only for ``"sow"``; then the schedule, in
+  :func:`require_admissible`, which raises
+  :class:`ScheduleValidationError` naming every failing condition;
 - ``psi0``, in :func:`initial_state`, which builds the start state on the
   step's own kernels and through the same state builder as a step: the
   projected start is checked once like a new iterate, and its images,
@@ -103,8 +110,16 @@ class ScheduleValidationError(ValueError):
 
     def __init__(self, report: ValidationReport):
         self.report = report
-        names = ", ".join(c.name for c in report.failures())
+        names = "; ".join(c.name for c in report.failures())
         super().__init__(f"schedule rejected: {names}")
+
+
+def require_admissible(schedule: Schedule, params: ViscosityParams) -> None:
+    """Raise :class:`ScheduleValidationError`, naming every failing
+    condition, unless ``schedule`` passes :func:`validate` for ``params``."""
+    report = validate(schedule, params)
+    if not report.ok:
+        raise ScheduleValidationError(report)
 
 
 @dataclass(frozen=True)
@@ -540,12 +555,11 @@ def audit_bounded(report: RunReport, q) -> BoundAudit:
     psi0 = report.trajectory[0].psi
     bound = boundedness_radius(report.problem, report.schedule.mu_bar,
                                psi0, qv)
-    violations = []
-    for st in report.trajectory:
-        d = norm(st.psi - qv)
-        if d > bound + CERTIFY_TOL:
-            violations.append((st.n, d))
-    return BoundAudit(bound, len(report.trajectory), tuple(violations))
+    d = _distances([st.psi for st in report.trajectory], qv[np.newaxis])
+    violations = tuple((st.n, dist) for st, dist
+                       in zip(report.trajectory, d[:, 0].tolist())
+                       if dist > bound + CERTIFY_TOL)
+    return BoundAudit(bound, len(report.trajectory), violations)
 
 
 def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
@@ -592,10 +606,15 @@ def _is_count(value, low: int) -> bool:
             and not isinstance(value, bool) and value >= low)
 
 
-def check_run_arguments(tol: float, max_iter, record_stride) -> None:
-    """Raise ``ValueError`` unless ``tol`` > 0, ``max_iter`` is an integer
-    >= 0 and ``record_stride`` is an integer >= 1 or None, as :func:`run`
-    needs them."""
+def check_run_arguments(tol: float, max_iter, record_stride,
+                        algorithm: str = "main", sow_use_phi=False) -> None:
+    """Raise ``ValueError`` unless the arguments are ones :func:`run` can
+    use: ``algorithm`` one of :data:`ALGORITHMS`, ``tol`` > 0, ``max_iter``
+    an integer >= 0, ``record_stride`` an integer >= 1 or None, and
+    ``sow_use_phi`` a bool that is True only for ``"sow"``."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; "
+                         f"expected one of {ALGORITHMS}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not _is_count(max_iter, 0):
@@ -604,6 +623,9 @@ def check_run_arguments(tol: float, max_iter, record_stride) -> None:
     if record_stride is not None and not _is_count(record_stride, 1):
         raise ValueError(f"record_stride must be a positive integer or "
                          f"None, got {record_stride!r}")
+    if not isinstance(sow_use_phi, bool) or sow_use_phi and algorithm != "sow":
+        raise ValueError(f"sow_use_phi must be true or false, and true only "
+                         f"for 'sow'; got {sow_use_phi!r} for {algorithm!r}")
 
 
 def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
@@ -624,35 +646,28 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     report's ``vi_residual`` is nan without certified points, or when an
     operator it evaluates is non-finite at the last iterate.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; "
-                         f"expected one of {ALGORITHMS}")
-    check_run_arguments(tol, max_iter, record_stride)
+    check_run_arguments(tol, max_iter, record_stride, algorithm, sow_use_phi)
     if check_schedule:
-        rep = validate(schedule, problem.params)
-        if not rep.ok:
-            raise ScheduleValidationError(rep)
+        require_admissible(schedule, problem.params)
 
     if psi0 is None:
         psi0 = (problem.default_start if problem.default_start is not None
                 else np.ones(problem.dim))
 
-    if algorithm == "main":
-        stepper = step_main
-    elif algorithm == "sow":
-        stepper = lambda p, s, st: step_sow(p, s, st, use_phi=sow_use_phi)
-    elif algorithm == "fc":
-        stepper = step_fc
-    else:
-        stepper = step_forward_backward
+    # Looked up per call, so that a step function rebound on the module is
+    # the one that runs.
+    stepper = {"main": step_main, "sow": step_sow, "fc": step_fc,
+               "forward_backward": step_forward_backward}[algorithm]
+    # check_run_arguments allows use_phi with "sow" only.
+    step_options = {"use_phi": True} if sow_use_phi else {}
 
-    qs = [q for q in problem.known_common_points
-          if problem.certify_common_point(q)]
-    if problem.known_common_points and not qs:
-        defects = problem.common_point_defects(problem.known_common_points[0])
+    defects = [problem.common_point_defects(q)
+               for q in problem.known_common_points]
+    qs = [q for q, bad in zip(problem.known_common_points, defects) if not bad]
+    if defects and not qs:
         raise ValueError(
             "no declared common point certifies; first defect list: "
-            + "; ".join(defects))
+            + "; ".join(defects[0]))
 
     def should_record(n: int) -> bool:
         if record_stride is not None:
@@ -665,8 +680,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
                                           state.psi, q) for q in qs]
                       ) + CERTIFY_TOL
 
-    fejer_violations = 0
-    bound_violations = 0
+    fejer_violations = bound_violations = 0
 
     def audit(st: IterState) -> None:
         """Audit the chain and the radius against all certified points at
@@ -691,7 +705,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
 
     for _ in steps:
         try:
-            new = stepper(problem, schedule, state)
+            new = stepper(problem, schedule, state, **step_options)
         except NonFiniteError as err:
             terminated, diverged_at = "divergence_guard", err.stage
             break

@@ -142,3 +142,26 @@ def test_check_scans_each_value_about_once(instance_id, monkeypatch, capsys):
     monkeypatch.setattr(hilbert, "all_finite", counting)
     assert main(["check", instance_id, "--seed", "0"]) == 0
     assert 0 < scans[0] <= 4500
+
+
+@pytest.mark.parametrize("audit", [
+    lambda t, xs: check_demicontractive(t, 0.5, xs),
+    check_quasi_nonexpansive], ids=["demicontractive", "quasi_nonexpansive"])
+def test_each_fixed_point_is_scanned_once_per_audit(audit, monkeypatch):
+    # Every sample point is paired with the fixed point; the audit checks
+    # that one array once, not once per case.
+    q = vec(0.0)
+    t = MultiMap(lambda x: Singleton(0.5 * x), KIND_DEMICONTRACTIVE, 0.5,
+                 fixed_points=(q,))
+    xs = [vec(float(x)) for x in range(1, 201)]
+    scans = []
+    real = hilbert.all_finite
+
+    def counting(v):
+        scans.append(v)
+        return real(v)
+
+    monkeypatch.setattr(hilbert, "all_finite", counting)
+    res = audit(t, xs)
+    assert res.passed and res.checked == 200
+    assert sum(v is t.fixed_points[0] for v in scans) <= 1

@@ -65,6 +65,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"liminf \(1 - gamma_n\)"):
             parse_config(json.dumps(bad))
 
+    def test_schedule_error_names_cell_and_every_condition(self):
+        from viscosplit.cli import ConfigError
+        bad = {"cells": [box_cell(**{
+            "schedule.gamma": {"kind": "approaching_one"},
+            "schedule.mu": {"kind": "constant", "scale": 0.99}})]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(bad))
+        message = str(exc.value)
+        assert message.startswith("cell 'box-main': schedule rejected: ")
+        assert "liminf (1 - gamma_n) gamma_n > 0" in message
+        assert "mu_n <= mu_bar" in message
+
     def test_psi0_dimension_checked(self):
         from viscosplit.cli import ConfigError
         with pytest.raises(ConfigError, match="dimension"):
@@ -134,7 +146,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("extra", [
         {"tol": 0.0}, {"tol": -1e-3}, {"max_iter": -1}, {"max_iter": 2.5},
-        {"record_stride": 0}, {"record_stride": 1.0}], ids=json.dumps)
+        {"record_stride": 0}, {"record_stride": 1.0},
+        {"algorithm": "secant"}, {"sow_use_phi": True}], ids=json.dumps)
     def test_run_arguments_are_checked_by_the_solver_rule(
             self, tmp_path, capsys, extra):
         # The CLI reports the error the solver's own rule raises.

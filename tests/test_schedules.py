@@ -106,8 +106,21 @@ class TestDefaultSchedule:
             default_schedule(reference_params(), beta_demi=0.5,
                              alpha_ism=1.0, mu_bar=0.99)
 
+    def test_nonpositive_ism_modulus_raises(self):
+        with pytest.raises(InfeasibleScheduleError, match="alpha_ism"):
+            default_schedule(reference_params(), beta_demi=0.5, alpha_ism=0)
+
 
 class TestValidationNegatives:
+    def test_sequence_leaving_unit_interval_rejected(self):
+        params = reference_params()
+        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        # theta_1 = 2/2 = 1 lies outside (0, 1).
+        outside = dataclasses.replace(sched, theta=ParamSeq.inverse(2.0))
+        failed = {c.name: c for c in validate(outside, params).failures()}
+        unit = failed["sequences take values in (0, 1)"]
+        assert unit.detail == "theta_n leaves (0, 1)"
+
     def test_beta_at_demicontractivity_constant_rejected(self):
         params = reference_params()
         sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)

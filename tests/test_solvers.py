@@ -148,12 +148,26 @@ class TestRun:
     @pytest.mark.parametrize("kwargs", [
         {"record_stride": 0}, {"record_stride": -3}, {"record_stride": 2.0},
         {"record_stride": True}, {"tol": float("nan")}, {"tol": 0.0},
-        {"max_iter": 2.5}, {"max_iter": -1}, {"max_iter": True}],
+        {"max_iter": 2.5}, {"max_iter": -1}, {"max_iter": True},
+        {"sow_use_phi": True}],
         ids=repr)
     def test_unusable_arguments_rejected_up_front(self, kwargs):
         prob = make_trivial_instance()
         with pytest.raises(ValueError):
             run("main", prob, default_schedule_for(prob), **kwargs)
+
+    def test_sow_use_phi_must_be_a_bool(self):
+        prob = make_trivial_instance()
+        with pytest.raises(ValueError, match="sow_use_phi"):
+            run("sow", prob, default_schedule_for(prob), sow_use_phi=1)
+
+    def test_no_certifiable_common_point_rejected(self):
+        # 0.5 is not fixed by the halving maps; its defects are reported.
+        prob = dataclasses.replace(make_box_instance(dim=1),
+                                   known_common_points=(np.array([0.5]),))
+        with pytest.raises(ValueError, match=r"no declared common point "
+                           r"certifies; first defect list: .*T1"):
+            run("main", prob, default_schedule_for(prob))
 
     def test_numpy_integer_counts_accepted(self):
         prob = make_trivial_instance()
