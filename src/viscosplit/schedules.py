@@ -219,7 +219,7 @@ class Schedule:
         if not 0.0 <= self.beta_demi < 1.0:
             raise InfeasibleScheduleError(
                 f"beta_demi = {self.beta_demi} must lie in [0, 1)")
-        if self.alpha_ism <= 0:
+        if not self.alpha_ism > 0:
             raise InfeasibleScheduleError("alpha_ism must be positive")
 
 

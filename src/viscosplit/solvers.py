@@ -43,34 +43,47 @@ dimension:
   common points and start;
 - the run arguments, in :func:`check_run_arguments`, which :func:`run`
   calls first and the CLI calls for each config cell: the algorithm name
-  (one of :data:`ALGORITHMS`), ``tol`` > 0, ``max_iter`` an integer >= 0,
-  ``record_stride`` an integer >= 1 or None, and ``sow_use_phi`` a bool
-  that is true only for ``"sow"``; then the schedule, in
+  (one of :data:`ALGORITHMS`), ``tol`` finite and > 0, ``max_iter`` an
+  integer >= 0, ``record_stride`` an integer >= 1 or None, and
+  ``sow_use_phi`` a bool that is true only for ``"sow"``; then the
+  schedule, in
   :func:`require_admissible`, which raises
   :class:`ScheduleValidationError` naming every failing condition;
 - ``psi0``, in :func:`initial_state`, which builds the start state on the
   step's own kernels and through the same state builder as a step: the
   projected start is checked once like a new iterate, and its images,
   residuals and forward-backward point are formed as in a step;
-- in a step, once each, every value that enters it: the forward,
-  contraction and strong operator values (``op.apply`` at a checked
-  point; only the value is coerced and checked, and a value that is the
-  point itself is not scanned again), each image a mapping returns
-  (checked by its constructor: ``Singleton``, ``FiniteSet``,
-  ``BallImage``), the point the resolvent returns (delta) and the point
-  the projection returns (the new iterate);
-- in a step, each stage point an averaging line makes (pi, phi_p, xi).
+- in a step, the values nothing later in it would reject, each scanned
+  once: the forward operator's value (``op.apply`` at a checked point;
+  only the value is coerced and checked, and a value that is the point
+  itself is not scanned again), because it enters the resolvent; each
+  image a mapping returns (checked by its constructor: ``Singleton``,
+  ``FiniteSet``, ``BallImage``); and the anchor target, which the
+  projection checks at its own boundary before it returns the new
+  iterate.
+
+The other values a step makes are caught downstream, not scanned:
+delta, pi and phi_p, and the forward-backward point carried to the next
+step, each enter a residual :func:`~viscosplit.hilbert.norm`, which
+raises on a non-finite argument; xi, the contraction value and the
+strong operator value enter the anchor target (0*inf is nan).  A value
+the solver did not make itself (a resolvent's or an operator's) is still
+coerced to a float vector, and scanned, when it is not one already.
 
 A projection checks the point it is given at its own public boundary, so
 a point it returns unchanged (the whole space, or a point already inside
 a ball or half-space) is not scanned again.  The resolvent is handed
-psi - lam*Forward psi unchecked and its value is checked instead: the
-built-in resolvents take a checked vector and do not check it again, but
-a projection (the normal cone) checks the point at its own boundary and
-the others carry a non-finite coordinate into their value.  So the
-identity resolvent's value, that point itself, is scanned once.  The
-residuals, selections and norms run on checked arrays without checking
-them again.  A non-finite value in a step raises
+psi - lam*Forward psi unchecked: the built-in resolvents take a checked
+vector and do not check it again, but a projection (the normal cone)
+checks the point at its own boundary and the others carry a non-finite
+coordinate into their value.  The residuals, selections and norms run on
+the arrays as they are.
+
+So a non-finite value may reach a mapping or an operator before it is
+caught.  A step that fails in any way is therefore replayed with every
+value scanned where it is made (delta, each image, pi, phi_p, xi, the
+contraction and strong operator values and the new iterate), and fails
+as that fully checked step does: a non-finite value raises
 :class:`NonFiniteError` naming it (``"forward operator"``, ``"delta"``,
 ``"T1 image"``, ``"pi"``, ``"contraction"``, ``"psi"``, ...), which
 :func:`run` turns into the ``divergence_guard`` termination and keeps as
@@ -84,8 +97,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import (ConvexSet, NonFiniteError, all_finite, as_vector,
-                      inner, norm, project)
+from .hilbert import (ConvexSet, NonFiniteError, _is_vector, all_finite,
+                      as_vector, inner, norm, project)
 from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
                        fixed_point_residual)
 from .schedules import (Schedule, ValidationReport, ViscosityParams,
@@ -174,9 +187,9 @@ class ProblemInstance:
     @property
     def alpha_ism(self) -> float:
         """The forward operator's declared ism modulus; 1 when it declares
-        none, or one that is not positive."""
+        none, or one that is not positive (nan included)."""
         ism = self.forward.inverse_strong_monotonicity
-        return 1.0 if ism is None or ism <= 0 else ism
+        return 1.0 if ism is None or not ism > 0 else ism
 
     def certification_lambda(self) -> float:
         """The midpoint of the splitting-step window, as the default
@@ -316,96 +329,126 @@ _IMAGES = ("T1 image", "T2 image", "T3 image")
 _AVERAGED = ("pi", "phi_p", "xi")
 
 
-def _named(stage: str, fn, *args):
-    """``fn(*args)``, with a :class:`NonFiniteError` it raises naming
-    ``stage``."""
+def _vector(v, checked: bool) -> np.ndarray:
+    """``v`` coerced as by :func:`~viscosplit.hilbert.as_vector`; a float
+    vector is scanned for finiteness only when ``checked``."""
+    return as_vector(v) if checked or not _is_vector(v) else v
+
+
+def _fb_point(problem: ProblemInstance, lam: float, x: np.ndarray,
+              checked: bool = True) -> np.ndarray:
+    """J(x - lam*Forward x) at the checked point ``x``; like
+    :func:`~viscosplit.monotone.resolvent`, rejects lam <= 0.  The forward
+    operator's value is checked, and with ``checked`` the resolvent's value
+    too; a :class:`NonFiniteError` names ``"forward operator"`` or
+    ``"delta"``."""
+    stage = "forward operator"
     try:
-        return fn(*args)
+        y = x - lam * _value(problem.forward, x)
+        _check_lam(lam)
+        stage = "delta"
+        return _vector(problem.inclusion.resolvent(lam, y), checked)
     except NonFiniteError:
         raise NonFiniteError(f"non-finite {stage}", stage) from None
 
 
-def _fb_point(problem: ProblemInstance, lam: float,
-              x: np.ndarray) -> np.ndarray:
-    """J(x - lam*Forward x) at the checked point ``x``; like
-    :func:`~viscosplit.monotone.resolvent`, rejects lam <= 0.  The
-    resolvent's value is checked, as ``"delta"``."""
-    y = x - lam * _named("forward operator", _value, problem.forward, x)
-    _check_lam(lam)
-    return _named("delta",
-                  lambda: as_vector(problem.inclusion.resolvent(lam, y)))
-
-
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
-          anchor: Anchor) -> IterState:
+          anchor: Anchor, checked: bool = False) -> IterState:
     """One step of the rule ``anchor`` describes.
 
     Uses sequence index n + 1 for the step leaving iterate n; sequences are
     defined from index 1.  Every T_i residual is measured, at the stage
     point it would average, also when that averaging line does not run.
-    Raises :class:`NonFiniteError` naming the value that turned non-finite.
+
+    The first pass scans only the values nothing downstream rejects (see
+    the module docstring).  If it fails in any way, the step is replayed
+    with ``checked``, which scans every value where it is made, so the
+    step fails as the fully checked step does: a :class:`NonFiniteError`
+    names the value that turned non-finite.
     """
     i = state.n + 1
     lam = schedule.lam(i)
     psi = state.psi
-    # The residual of ``state`` evaluated J(psi - lam*Forward psi) with its
-    # own problem and lambda; with the same ones that point is this step's
-    # delta.
-    carry = state.fb_carry
-    if carry is not None and carry[0] is problem and lam == state.lam:
-        x = carry[1]
-    else:
-        x = _fb_point(problem, lam, psi)
-    # Selected points stay alive until the averaging is done and each image
-    # is dropped after its pass: at dimension 1e5 other lifetimes made the
-    # allocator fault up to two thirds more pages per step.
-    points, residuals, selected = [x], [], []
-    weights = (schedule.theta, schedule.beta, schedule.gamma)
-    for k, (t, weight) in enumerate(zip(problem.maps, weights)):
-        img = _named(_IMAGES[k], t.image, x)
-        residuals.append(_distance(x, img))
-        if k < anchor.stages:
-            selected.append(_select(img, problem.selection, x))
-            w = weight(i)
-            x = w * x + (1.0 - w) * selected[-1]
-            if not all_finite(x):
-                raise NonFiniteError(f"non-finite {_AVERAGED[k]}", _AVERAGED[k])
-        points.append(x)
-        del img
-    del selected
-
-    if anchor.stages:
-        a = schedule.alpha(i)
-        m = schedule.mu(i) if anchor.mixes else np.nan
-        p = problem.params
-        c = points[anchor.carry]
-        phi_op, strong_op = problem.contraction, problem.strong
-        if anchor.mixes:
-            target = (a * p.gamma * _named("contraction", _value, phi_op, psi)
-                      + m * c + (1.0 - m) * (psi - p.eta * a * _named(
-                          "strong operator", _value, strong_op, psi)))
+    stage = None
+    try:
+        # The residual of ``state`` evaluated J(psi - lam*Forward psi) with
+        # its own problem and lambda; with the same ones that point is this
+        # step's delta.
+        carry = state.fb_carry
+        if carry is not None and carry[0] is problem and lam == state.lam:
+            x = carry[1]
         else:
-            target = (a * p.gamma * _named("contraction", _value, phi_op, psi)
-                      + c - p.eta * a
-                      * _named("strong operator", _value, strong_op, c))
-        psi_new = _named("psi", project, problem.feasible, target)
-    else:
-        a = m = np.nan
-        psi_new = points[0]
+            x = _fb_point(problem, lam, psi, checked)
+        # Selected points stay alive until the averaging is done and each
+        # image is dropped after its pass: at dimension 1e5 other lifetimes
+        # made the allocator fault up to two thirds more pages per step.
+        points, residuals, selected = [x], [], []
+        weights = (schedule.theta, schedule.beta, schedule.gamma)
+        for k, (t, weight) in enumerate(zip(problem.maps, weights)):
+            stage = _IMAGES[k]
+            img = t.image(x)
+            residuals.append(_distance(x, img))
+            if k < anchor.stages:
+                selected.append(_select(img, problem.selection, x))
+                w = weight(i)
+                stage = _AVERAGED[k]
+                x = w * x + (1.0 - w) * selected[-1]
+                if checked and not all_finite(x):
+                    raise NonFiniteError()
+            points.append(x)
+            del img
+        del selected
 
-    return _build_state(problem, i, psi_new, psi, points, residuals, a, m, lam)
+        if anchor.stages:
+            a = schedule.alpha(i)
+            m = schedule.mu(i) if anchor.mixes else np.nan
+            p = problem.params
+            c = points[anchor.carry]
+            # The target is summed in place, in the order of the rule's
+            # line, so that no operator value outlives its term.
+            stage = "contraction"
+            target = a * p.gamma * _vector(problem.contraction.apply(psi),
+                                           checked)
+            stage = "strong operator"
+            if anchor.mixes:
+                target += m * c
+                target += (1.0 - m) * (psi - p.eta * a * _vector(
+                    problem.strong.apply(psi), checked))
+            else:
+                target += c
+                target -= p.eta * a * _vector(problem.strong.apply(c),
+                                              checked)
+            stage = "psi"
+            psi_new = project(problem.feasible, target)
+        else:
+            a = m = np.nan
+            psi_new = points[0]
+        return _build_state(problem, i, psi_new, psi, points, residuals, a,
+                            m, lam, checked)
+    except Exception as err:
+        # Unscanned values may reach a mapping, an operator or numpy
+        # arithmetic that fails in its own way (a warning raised as an
+        # error, say); the replay fails where the checked step fails.
+        if checked:
+            if isinstance(err, NonFiniteError) and err.stage is None:
+                raise NonFiniteError(f"non-finite {stage}", stage) from None
+            raise
+    # Outside the handler, so that what the replay raises stands alone.
+    return _step(problem, schedule, state, anchor, checked=True)
 
 
 def _build_state(problem: ProblemInstance, n: int, psi: np.ndarray,
                  psi_prev: np.ndarray, points, residuals, alpha: float,
-                 mu: float, lam: float) -> IterState:
+                 mu: float, lam: float, checked: bool = True) -> IterState:
     """The state at the checked iterate ``psi``, with the stage ``points``
     (delta, pi, phi_p, xi) and their ``residuals`` that led to it.
 
     Adds the forward-backward point of ``psi`` at ``lam``, carried for the
     next step, with its residual, and the distance to the known solution.
+    Unless ``checked``, the point is not scanned: its residual ``norm``
+    rejects a non-finite one.
     """
-    fb_point = _fb_point(problem, lam, psi)
+    fb_point = _fb_point(problem, lam, psi, checked)
     dist = (np.nan if problem.known_solution is None
             else norm(psi - problem.known_solution))
     state = IterState(n, psi, psi_prev, *points, *residuals,
@@ -446,8 +489,11 @@ def step_forward_backward(problem: ProblemInstance, schedule: Schedule,
 def initial_state(problem: ProblemInstance, schedule: Schedule,
                   psi0) -> IterState:
     """State n = 0: the start projected onto the feasible set, mirrored."""
-    psi = _named("psi", project, problem.feasible,
-                 as_vector(psi0, problem.dim))
+    psi = as_vector(psi0, problem.dim)
+    try:
+        psi = project(problem.feasible, psi)
+    except NonFiniteError:
+        raise NonFiniteError("non-finite psi", "psi") from None
     residuals = [_distance(psi, t.image(psi)) for t in problem.maps]
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
                         np.nan, schedule.lam(1))
@@ -480,6 +526,13 @@ _LINKS = ("xi_le_phi", "phi_le_pi", "pi_le_delta", "delta_le_psi")
 #: and fault fresh pages: stacking at dimension 1e5 took 9 MB more peak
 #: memory and 1.4-1.8x the time per iteration.
 STACKED_AUDIT_BYTES = 128 * 1024
+
+#: Most states :func:`run` audits in one stacked pass.  The byte cap alone
+#: lets ~910 one-dimensional states wait against three common points, and
+#: keeping them alive, unrecorded ones too, read 1.1-1.2 MB more peak
+#: memory on the ``long_haul`` benchmark; with 64 it read within 0.1 MB of
+#: auditing each state at once.
+AUDIT_BLOCK = 64
 
 
 def _distances(points, q_rows: np.ndarray) -> np.ndarray:
@@ -609,14 +662,14 @@ def _is_count(value, low: int) -> bool:
 def check_run_arguments(tol: float, max_iter, record_stride,
                         algorithm: str = "main", sow_use_phi=False) -> None:
     """Raise ``ValueError`` unless the arguments are ones :func:`run` can
-    use: ``algorithm`` one of :data:`ALGORITHMS`, ``tol`` > 0, ``max_iter``
-    an integer >= 0, ``record_stride`` an integer >= 1 or None, and
-    ``sow_use_phi`` a bool that is True only for ``"sow"``."""
+    use: ``algorithm`` one of :data:`ALGORITHMS`, ``tol`` finite and > 0,
+    ``max_iter`` an integer >= 0, ``record_stride`` an integer >= 1 or
+    None, and ``sow_use_phi`` a bool that is True only for ``"sow"``."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ALGORITHMS}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if not _is_count(max_iter, 0):
         raise ValueError(
             f"max_iter must be a nonnegative integer, got {max_iter!r}")
@@ -641,7 +694,12 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     then says which.  Every iteration (recorded or
     not) is audited against each certified known common point: the stage
     chain with absolute tolerance 1e-10 and the a priori boundedness radius
-    with 1e-8.  Recording keeps every state up to n = 10000 and then
+    with 1e-8.  States are audited in blocks of up to :data:`AUDIT_BLOCK`,
+    in one stacked pass over a difference of at most
+    :data:`STACKED_AUDIT_BYTES` (a state wider than that alone, point by
+    point), and every exit audits the block it leaves; the violation
+    counts and each state's ``fejer_ok`` are exact, the same as one state
+    at a time.  Recording keeps every state up to n = 10000 and then
     every hundredth, unless ``record_stride`` forces a fixed stride.  The
     report's ``vi_residual`` is nan without certified points, or when an
     operator it evaluates is non-finite at the last iterate.
@@ -681,21 +739,38 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
                       ) + CERTIFY_TOL
 
     fejer_violations = bound_violations = 0
+    # States wait here and are audited together: AUDIT_BLOCK of them, or
+    # fewer when their stacked difference would pass STACKED_AUDIT_BYTES.
+    # A state whose own difference passes it is audited at once, point by
+    # point.
+    pending = []
 
-    def audit(st: IterState) -> None:
-        """Audit the chain and the radius against all certified points at
-        once, and set ``fejer_ok`` on the state."""
+    def audit() -> None:
+        """Audit the chain and the radius of the pending states against all
+        certified points at once, set ``fejer_ok`` on each and let them
+        go."""
         nonlocal fejer_violations, bound_violations
-        if not qs:
-            return
-        d = _distances((st.xi, st.phi, st.pi, st.delta, st.psi_prev, st.psi),
-                       q_rows)
-        failed = ~(d[:4] <= d[1:5] + AUDIT_TOL)
+        d = _distances([p for st in pending for p in (
+            st.xi, st.phi, st.pi, st.delta, st.psi_prev, st.psi)],
+            q_rows).reshape(len(pending), 6, len(qs))
+        failed = ~(d[:, :4] <= d[:, 1:5] + AUDIT_TOL)
         fejer_violations += int(np.count_nonzero(failed))
-        bound_violations += int(np.count_nonzero(d[5] > limits))
-        st.fejer_ok = not failed.any()
+        bound_violations += int(np.count_nonzero(d[:, 5] > limits))
+        for st, bad in zip(pending, failed.any(axis=(1, 2)).tolist()):
+            st.fejer_ok = not bad
+        pending.clear()
 
-    audit(state)
+    def hold(st: IterState) -> None:
+        """Queue ``st`` for the audit, and audit the queue once it is
+        full."""
+        pending.append(st)
+        if len(pending) == block:
+            audit()
+
+    if qs:
+        block = max(1, min(AUDIT_BLOCK,
+                           STACKED_AUDIT_BYTES // (6 * q_rows.nbytes)))
+        hold(state)
     recorded = [state]
     terminated, diverged_at = "max_iter", None
     steps = range(max_iter)
@@ -711,7 +786,8 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             break
         # The step has taken the point; keep it out of the trajectory.
         state.fb_carry = None
-        audit(new)
+        if qs:
+            hold(new)
         if should_record(new.n):
             recorded.append(new)
         displacement = norm(new.psi - state.psi)
@@ -725,6 +801,9 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             terminated = "tolerance"
             break
 
+    # Every exit path leaves the loop here.
+    if pending:
+        audit()
     if recorded[-1].n != state.n:
         recorded.append(state)
     state.fb_carry = None

@@ -18,14 +18,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from viscosplit.hilbert import WholeSpace
+import viscosplit.solvers as solvers
+from viscosplit.hilbert import Box, WholeSpace, norm
 from viscosplit.monotone import ZeroOperator, zero_op
 from viscosplit.problems import (catalog, default_schedule_for,
-                                 load_instance, make_inclusion_instance)
+                                 identity_map, load_instance,
+                                 make_inclusion_instance)
 from viscosplit.schedules import ParamSeq
-from viscosplit.setvalued import MultiMap, Singleton
-from viscosplit.solvers import (AUDIT_TOL, CERTIFY_TOL, STACKED_AUDIT_BYTES,
-                                audit_fejer_chain, boundedness_radius, run)
+from viscosplit.setvalued import KIND_DEMICONTRACTIVE, MultiMap, Singleton
+from viscosplit.solvers import (AUDIT_BLOCK, AUDIT_TOL, CERTIFY_TOL,
+                                STACKED_AUDIT_BYTES, audit_fejer_chain,
+                                boundedness_radius, run)
 
 STEPS = 50
 
@@ -85,12 +88,16 @@ def test_run_matches_the_oracle(instance_id, rule, steps):
     assert report.trajectory[-1].n == report.iterations
 
 
-def runaway():
-    """A 1-D instance whose maps double, so the chain and the bound break."""
+def runaway(feasible=WholeSpace()):
+    """A 1-D instance whose maps double, so the chain and the bound break.
+
+    In the whole space the iterates leave the norm limit; in a box they
+    are clipped and break the chain and the bound on every step.
+    """
     doubling = MultiMap(lambda x: Singleton(2.0 * x), "demicontractive",
                         0.5, fixed_points=(np.zeros(1),))
     prob = make_inclusion_instance(
-        dim=1, feasible=WholeSpace(), maps=(doubling,) * 3, name="runaway")
+        dim=1, feasible=feasible, maps=(doubling,) * 3, name="runaway")
     return dataclasses.replace(prob, forward=zero_op(),
                                inclusion=ZeroOperator(),
                                known_common_points=(np.zeros(1),))
@@ -155,3 +162,109 @@ def test_stacked_audit_matches_the_per_point_loop(instance_id, rule):
     assert report.bound_violations == bound
     if instance_id == "runaway":
         assert fejer > 0 and bound > 0
+
+
+def turning_t1(problem):
+    """``problem`` with a T1 image that is inf on 0 < |x| < 0.1."""
+    t1 = problem.t1
+    return dataclasses.replace(problem, t1=dataclasses.replace(
+        t1, image=lambda x: t1.image(np.inf * x if 0 < abs(x[0]) < 0.1
+                                     else x)))
+
+
+#: One run per exit path of ``run()``: (problem, max_iter, termination,
+#: what ended a divergent run).  The clamped runaway breaks the chain and
+#: the bound on every step, so blocks that end on either side of a
+#: multiple of AUDIT_BLOCK all carry violations.
+EXIT_PATHS = {
+    **{f"max_iter={n}": (lambda: runaway(Box(-np.ones(1), np.ones(1))), n,
+                         "max_iter", None)
+       for n in (0, 1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1,
+                 2_000)},
+    "tolerance": (lambda: load_instance("inclusion_box"), 2_000,
+                  "tolerance", None),
+    "non_finite": (lambda: turning_t1(load_instance("inclusion_box")),
+                   2_000, "divergence_guard", "T1 image"),
+    "norm_limit": (runaway, 2_000, "divergence_guard", "norm limit"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(EXIT_PATHS))
+def test_block_audit_is_exact_on_every_exit_path(path):
+    build, max_iter, terminated, diverged_at = EXIT_PATHS[path]
+    problem = build()
+    report = run("main", problem, default_schedule_for(problem),
+                 max_iter=max_iter, record_stride=1)
+    assert (report.terminated_by, report.diverged_at) == (terminated,
+                                                          diverged_at)
+    if terminated == "max_iter":
+        assert report.iterations == max_iter
+    assert len(report.trajectory) == report.iterations + 1
+    assert all(type(st.fejer_ok) is bool for st in report.trajectory)
+    flags, fejer, bound = reference_audit(report)
+    assert [st.fejer_ok for st in report.trajectory] == flags
+    assert (report.fejer_violations, report.bound_violations) == (fejer,
+                                                                  bound)
+    if path.startswith("max_iter") and max_iter:
+        assert fejer == 3 * max_iter and bound == max_iter
+
+
+def test_a_wide_state_is_audited_before_the_next_step(monkeypatch):
+    # One state's difference passes STACKED_AUDIT_BYTES, so no state
+    # waits: each step starts from a state that already has its flag.
+    problem = load_instance("inclusion_box", dim=WIDE_DIM)
+    flags, real = [], solvers.step_main
+
+    def step(problem, schedule, state):
+        flags.append(state.fejer_ok)
+        return real(problem, schedule, state)
+
+    monkeypatch.setattr(solvers, "step_main", step)
+    report = run("main", problem, default_schedule_for(problem),
+                 max_iter=5)
+    assert report.iterations == 5
+    assert flags == [True] * 5
+
+
+def stretching(dim, slack):
+    """An instance whose first step leaves pi farther from the certified
+    point 0 than delta by ``slack``, from the start e_1.
+
+    The forward operator is the identity and the inclusion the whole
+    space's normal cone, so delta = (1 - lam) e_1; T1 stretches by 1 + k,
+    so pi = (1 + (1 - theta) k) delta; T2 and T3 fix every point.
+    """
+    schedule = default_schedule_for(make_inclusion_instance(dim=dim))
+    k = slack / ((1.0 - schedule.theta(1)) * (1.0 - schedule.lam(1)))
+    stretch = MultiMap(lambda x: Singleton((1.0 + k) * x),
+                       KIND_DEMICONTRACTIVE, 0.5,
+                       fixed_points=(np.zeros(dim),))
+    problem = make_inclusion_instance(
+        dim=dim, feasible=WholeSpace(),
+        maps=(stretch, identity_map(dim), identity_map(dim)))
+    start = np.zeros(dim)
+    start[0] = 1.0
+    return problem, schedule, start
+
+
+#: The chain's documented absolute tolerance, written out so that a change
+#: of AUDIT_TOL shows.
+CHAIN_TOL = 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, WIDE_DIM], ids=["stacked", "per_point"])
+@pytest.mark.parametrize("slack, low, high, violations", [
+    (0.75 * CHAIN_TOL, CHAIN_TOL / 2, CHAIN_TOL, 0),
+    (1.5 * CHAIN_TOL, CHAIN_TOL, 2 * CHAIN_TOL, 1)],
+    ids=["inside_tolerance", "past_tolerance"])
+def test_near_miss_counts_against_the_audit_tolerance(dim, slack, low, high,
+                                                      violations):
+    problem, schedule, start = stretching(dim, slack)
+    assert len(problem.known_common_points) == 1
+    assert (6 * 8 * dim > STACKED_AUDIT_BYTES) == (dim == WIDE_DIM)
+    report = run("main", problem, schedule, psi0=start, max_iter=1)
+    step = report.trajectory[1]
+    assert low < norm(step.pi) - norm(step.delta) < high
+    assert report.fejer_violations == violations
+    assert step.fejer_ok is (violations == 0)
+    assert report.bound_violations == 0

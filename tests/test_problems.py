@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,14 @@ class TestSchedulesForInstances:
         mu_plain = default_schedule_for(plain).mu_bar
         mu_pushed = default_schedule_for(pushed).mu_bar
         assert mu_pushed < mu_plain
+
+    def test_nan_ism_modulus_counts_as_undeclared(self):
+        inst = make_box_instance(dim=1)
+        nan_ism = dataclasses.replace(
+            inst, forward=dataclasses.replace(
+                inst.forward, inverse_strong_monotonicity=float("nan")))
+        assert nan_ism.alpha_ism == 1.0
+        assert default_schedule_for(nan_ism).lam(1) == 0.5
 
     def test_strict_paper_passthrough(self):
         inst = make_box_instance(dim=1)

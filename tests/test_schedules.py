@@ -110,6 +110,12 @@ class TestDefaultSchedule:
         with pytest.raises(InfeasibleScheduleError, match="alpha_ism"):
             default_schedule(reference_params(), beta_demi=0.5, alpha_ism=0)
 
+    def test_nan_ism_modulus_raises(self):
+        # min(1, 2*nan) is 1, so only the modulus check itself catches it.
+        with pytest.raises(InfeasibleScheduleError, match="alpha_ism"):
+            default_schedule(reference_params(), beta_demi=0.5,
+                             alpha_ism=float("nan"))
+
 
 class TestValidationNegatives:
     def test_sequence_leaving_unit_interval_rejected(self):

@@ -1,9 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from viscosplit.hilbert import Box, WholeSpace, norm
+import viscosplit.hilbert as hilbert
+import viscosplit.solvers as solvers
+from viscosplit.hilbert import Box, NonFiniteError, WholeSpace, norm
 from viscosplit.monotone import MaxMonotone, SingleOp, ZeroOperator, zero_op
 from viscosplit.problems import (make_box_instance, make_inclusion_instance,
                                  make_trivial_instance, default_schedule_for)
@@ -148,6 +151,7 @@ class TestRun:
     @pytest.mark.parametrize("kwargs", [
         {"record_stride": 0}, {"record_stride": -3}, {"record_stride": 2.0},
         {"record_stride": True}, {"tol": float("nan")}, {"tol": 0.0},
+        {"tol": float("inf")},
         {"max_iter": 2.5}, {"max_iter": -1}, {"max_iter": True},
         {"sow_use_phi": True}],
         ids=repr)
@@ -247,6 +251,51 @@ class TestRun:
             "t2": "T2 image", "t3": "T3 image", "strong": "strong operator",
             "contraction": "contraction", "inclusion": "delta"}[part]
 
+    def test_map_rejecting_a_non_finite_argument_still_names_delta(self):
+        # The resolvent's value is not scanned before T1 takes it; T1 may
+        # then fail in its own way, and the step still names delta.  The
+        # start state is built for another problem, so the step forms its
+        # own delta instead of the carried one.
+        prob = make_box_instance(dim=1)
+        sched = default_schedule_for(prob)
+        box, t1 = prob.inclusion, prob.t1
+
+        class Turning(MaxMonotone):
+            def resolvent(self, lam, x):
+                out = box.resolvent(lam, x)
+                return np.inf * out if 0 < abs(out[0]) < 0.01 else out
+
+        def strict(x):
+            if not np.isfinite(x).all():
+                raise ZeroDivisionError("T1 takes finite points only")
+            return t1.image(x)
+
+        turned = dataclasses.replace(prob, inclusion=Turning(),
+                                     t1=dataclasses.replace(t1, image=strict))
+        state = initial_state(prob, sched, np.array([0.005]))
+        with pytest.raises(NonFiniteError) as err:
+            step_main(turned, sched, state)
+        assert err.value.stage == "delta"
+
+    def test_warning_raised_as_error_still_names_the_stage(self):
+        # Contraction and strong operator both turn to +inf, so the
+        # unscanned anchor target meets inf - inf and warns; as an error,
+        # that warning fails the step, and the replay names the first.
+        def turning(inside):
+            return lambda x: (np.full_like(x, np.inf)
+                              if 0 < abs(x[0]) < 0.1 else inside(x))
+
+        prob = make_box_instance(dim=1)
+        prob = dataclasses.replace(
+            prob, contraction=SingleOp(turning(np.zeros_like)),
+            strong=dataclasses.replace(prob.strong,
+                                       apply=turning(lambda x: x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run("main", prob, default_schedule_for(prob),
+                         max_iter=1000)
+        assert report.diverged_at == "contraction"
+
     @pytest.mark.parametrize("weight, stage", [
         ("theta", "pi"), ("beta", "phi_p"), ("gamma", "xi"), ("alpha", "psi")])
     def test_overflowing_line_names_its_stage(self, weight, stage):
@@ -280,6 +329,25 @@ class TestRun:
         report = run("main", prob, default_schedule_for(prob), max_iter=7,
                      record_stride=5)
         assert report.trajectory[-1].n == 7
+
+
+def test_main_step_scans_few_values(monkeypatch):
+    # One scan each for the forward operator's value, the three images and
+    # the anchor target; the fully checked step makes 10.
+    prob = make_trivial_instance()
+    sched = default_schedule_for(prob)
+    state = step_main(prob, sched, initial_state(prob, sched, np.ones(1)))
+    scans = [0]
+    real = hilbert.all_finite
+
+    def counting(v):
+        scans[0] += 1
+        return real(v)
+
+    monkeypatch.setattr(hilbert, "all_finite", counting)
+    monkeypatch.setattr(solvers, "all_finite", counting)
+    step_main(prob, sched, state)
+    assert 0 < scans[0] <= 5
 
 
 class TestAudits:
