@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -109,18 +109,14 @@ class ParamSeq:
         return np.full(horizon, self._closed_form(n))
 
 
-def _liminf_of(seq: ParamSeq, vals: np.ndarray,
-               f: Callable[[float], float]) -> tuple[float, bool]:
-    """liminf of f(s_n): exact through the limit when known, else sampled
-    from the second half of the horizon values ``vals``.
+def _liminf_of(f: Callable[[float], float], tail: Iterable[float]) -> float:
+    """liminf of f(s_n), as the least f over ``tail``: a declared limit
+    alone, or the second half of the horizon values.
 
-    Returns (value, empirical).  For the built-in families f(limit) is the
-    true liminf because f is continuous and the sequences are convergent.
+    For a declared limit f(limit) is the true liminf because f is
+    continuous and the sequence is convergent.
     """
-    if seq.limit is not None:
-        return f(seq.limit), False
-    tail = vals[len(vals) // 2:]
-    return float(min(f(v) for v in tail)), True
+    return float(min(map(f, tail)))
 
 
 # --------------------------------------------------------------------------
@@ -257,14 +253,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _lower_band(seq: ParamSeq, vals: np.ndarray,
-                low: float) -> tuple[bool, bool]:
-    """Whether s_n stays in (low, 1) for all n, exactly when the limit is
-    known; ``vals`` are the sequence's horizon values."""
-    scan_ok = bool(np.all((vals > low) & (vals < 1.0)))
-    if seq.limit is not None:
-        return scan_ok and low <= seq.limit <= 1.0, False
-    return scan_ok, True
+def _in_band(vals: np.ndarray, limit: float | None, low: float,
+             high: float, closed: bool = False) -> bool:
+    """The band rule: every horizon value in (low, high), or in [low, high]
+    when ``closed``, and a declared ``limit`` in the closure [low, high]."""
+    if closed:
+        inside = (vals >= low) & (vals <= high)
+    else:
+        inside = (vals > low) & (vals < high)
+    return bool(np.all(inside)) and (limit is None or low <= limit <= high)
 
 
 #: Number of leading sequence values :func:`validate` scans.
@@ -281,100 +278,92 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
     """
     horizon = VALIDATION_HORIZON
     conds: list[ConditionResult] = []
-    tau = params.tau
 
     # Static constant conditions, including the coupling 0 < gamma*b < tau.
     details = {"0 < gamma*b < tau":
-               f"gamma*b = {params.gamma * params.b:g}, tau = {tau:g}"}
+               f"gamma*b = {params.gamma * params.b:g}, tau = {params.tau:g}"}
     for name, holds in STATIC_CONDITIONS:
         conds.append(ConditionResult(name, bool(holds(params)),
                                      details.get(name, "")))
 
-    # Each sequence's values over the horizon, computed once.
+    # Each sequence's values over the horizon, computed once, and whether
+    # its verdicts are sampled from them: exact when its limit is declared.
+    # A liminf is taken at the declared limit, or over the second half of
+    # the values.
     seqs = {"alpha": schedule.alpha, "theta": schedule.theta,
             "beta": schedule.beta, "gamma": schedule.gamma,
             "mu": schedule.mu, "lambda": schedule.lam}
     vals = {label: seq.values(horizon) for label, seq in seqs.items()}
+    sampled = {label: seq.limit is None for label, seq in seqs.items()}
+    tails = {label: vals[label][horizon // 2:] if sampled[label]
+             else (seq.limit,) for label, seq in seqs.items()}
 
     # All six sequences inside (0, 1).
-    unit_ok, unit_emp, unit_note = True, False, ""
-    for label, seq in seqs.items():
-        ok, emp = _lower_band(seq, vals[label], 0.0)
-        if not ok:
-            unit_ok = False
-            unit_note = f"{label}_n leaves (0, 1)"
-        unit_emp = unit_emp or emp
-    conds.append(ConditionResult("sequences take values in (0, 1)", unit_ok,
-                                 unit_note, empirical=unit_emp))
+    outside = [label for label, seq in seqs.items()
+               if not _in_band(vals[label], seq.limit, 0.0, 1.0)]
+    conds.append(ConditionResult(
+        "sequences take values in (0, 1)", not outside,
+        f"{outside[-1]}_n leaves (0, 1)" if outside else "",
+        empirical=any(sampled.values())))
 
-    # Condition (i): the anchor weights vanish, with the adopted sum reading.
-    alpha = schedule.alpha
-    if alpha.limit is not None:
-        to_zero = alpha.limit == 0.0
-        emp = False
-    else:
-        alpha_vals = vals["alpha"]
+    # Condition (i): the anchor weights vanish, with the adopted sum
+    # reading; a declared divergent_sum makes the sum verdict exact.
+    alpha, alpha_vals = schedule.alpha, vals["alpha"]
+    if sampled["alpha"]:
         to_zero = alpha_vals[-1] <= 0.05 and alpha_vals[-1] <= alpha_vals[0]
-        emp = True
-    conds.append(ConditionResult("condition (i): alpha_n -> 0", to_zero,
-                                 empirical=emp))
-
-    if alpha.divergent_sum is not None:
-        diverges, emp = alpha.divergent_sum, False
     else:
+        to_zero = alpha.limit == 0.0
+    conds.append(ConditionResult("condition (i): alpha_n -> 0", to_zero,
+                                 empirical=sampled["alpha"]))
+
+    sum_sampled = alpha.divergent_sum is None
+    if sum_sampled:
         # Compare consecutive partial-sum chunks; a divergent tail keeps
         # contributing at a comparable rate, a summable one decays.
-        alpha_vals = vals["alpha"]
         chunk_late = float(np.sum(alpha_vals[horizon // 2:]))
         chunk_early = float(np.sum(alpha_vals[horizon // 4: horizon // 2]))
-        diverges, emp = chunk_late >= 0.8 * chunk_early, True
-    if schedule.strict_paper:
-        conds.append(ConditionResult(
-            "condition (i, strict): sum alpha_n < infinity", not diverges,
-            empirical=emp))
+        diverges = chunk_late >= 0.8 * chunk_early
     else:
-        conds.append(ConditionResult(
-            "condition (i): sum alpha_n = infinity", diverges, empirical=emp))
+        diverges = alpha.divergent_sum
+    if schedule.strict_paper:
+        name, holds = ("condition (i, strict): sum alpha_n < infinity",
+                       not diverges)
+    else:
+        name, holds = "condition (i): sum alpha_n = infinity", diverges
+    conds.append(ConditionResult(name, holds, empirical=sum_sampled))
 
     # Condition (ii): the splitting steps stay in [a, b] inside the window.
     a, b = schedule.interval
     window = step_window(schedule.alpha_ism)
-    window_ok = 0.0 < a <= b < window
-    lam_vals = vals["lambda"]
-    in_interval = bool(np.all((lam_vals >= a) & (lam_vals <= b)))
-    if schedule.lam.limit is not None:
-        in_interval = in_interval and a <= schedule.lam.limit <= b
     conds.append(ConditionResult(
         "condition (ii): lambda_n in [a, b] within (0, min(1, 2*alpha_ism))",
-        window_ok and in_interval,
+        0.0 < a <= b < window and _in_band(vals["lambda"], schedule.lam.limit,
+                                           a, b, closed=True),
         f"[a, b] = [{a:g}, {b:g}], window (0, {window:g})",
-        empirical=schedule.lam.limit is None))
+        empirical=sampled["lambda"]))
 
     # Condition (ii): theta_n and beta_n stay strictly above the
     # demicontractivity constant with a positive liminf gap.
-    for label, seq in (("theta", schedule.theta), ("beta", schedule.beta)):
-        band_ok, band_emp = _lower_band(seq, vals[label], schedule.beta_demi)
-        gap, gap_emp = _liminf_of(
-            seq, vals[label], lambda s: (1.0 - s) * (s - schedule.beta_demi))
+    demi = schedule.beta_demi
+    for label in ("theta", "beta"):
+        gap = _liminf_of(lambda s: (1.0 - s) * (s - demi), tails[label])
         conds.append(ConditionResult(
             f"condition (ii): {label}_n in (beta_demi, 1) with "
             f"liminf (1 - {label}_n)({label}_n - beta_demi) > 0",
-            band_ok and gap > 0.0,
-            f"liminf gap = {gap:g}", value=gap,
-            empirical=band_emp or gap_emp))
+            _in_band(vals[label], seqs[label].limit, demi, 1.0) and gap > 0.0,
+            f"liminf gap = {gap:g}", value=gap, empirical=sampled[label]))
 
     # Condition (iii): the three averaging products keep a positive liminf.
-    for label, seq in (("gamma", schedule.gamma), ("beta", schedule.beta),
-                       ("theta", schedule.theta)):
-        prod, emp = _liminf_of(seq, vals[label], lambda s: (1.0 - s) * s)
+    for label in ("gamma", "beta", "theta"):
+        prod = _liminf_of(lambda s: (1.0 - s) * s, tails[label])
         conds.append(ConditionResult(
             f"condition (iii): liminf (1 - {label}_n) {label}_n > 0",
             prod > 0.0, f"liminf product = {prod:g}", value=prod,
-            empirical=emp))
+            empirical=sampled[label]))
 
     # The mixing weights respect the cap that keeps the anchor contraction.
     sup_mu = float(np.max(vals["mu"]))
-    if schedule.mu.limit is not None:
+    if not sampled["mu"]:
         sup_mu = max(sup_mu, schedule.mu.limit)
     margin = params.margin(schedule.mu_bar)
     conds.append(ConditionResult(
@@ -382,7 +371,7 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
         sup_mu <= schedule.mu_bar and margin > 0.0,
         f"sup mu_n = {sup_mu:g}, mu_bar = {schedule.mu_bar:g}, "
         f"margin = {margin:g}",
-        value=margin, empirical=schedule.mu.limit is None))
+        value=margin, empirical=sampled["mu"]))
 
     return ValidationReport(tuple(conds))
 

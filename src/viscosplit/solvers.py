@@ -488,13 +488,22 @@ def step_forward_backward(problem: ProblemInstance, schedule: Schedule,
 
 def initial_state(problem: ProblemInstance, schedule: Schedule,
                   psi0) -> IterState:
-    """State n = 0: the start projected onto the feasible set, mirrored."""
-    psi = as_vector(psi0, problem.dim)
+    """State n = 0: the start projected onto the feasible set, mirrored.
+
+    A start state that cannot be built raises :class:`NonFiniteError`
+    naming its stage: ``"psi"`` for ``psi0`` and its projection,
+    ``"T1 image"``, ``"T2 image"`` or ``"T3 image"`` for the images of the
+    start, and ``"forward operator"`` or ``"delta"`` for its
+    forward-backward point.
+    """
+    stage = "psi"
     try:
-        psi = project(problem.feasible, psi)
+        psi = project(problem.feasible, as_vector(psi0, problem.dim))
+        residuals = []
+        for stage, t in zip(_IMAGES, problem.maps):
+            residuals.append(_distance(psi, t.image(psi)))
     except NonFiniteError:
-        raise NonFiniteError("non-finite psi", "psi") from None
-    residuals = [_distance(psi, t.image(psi)) for t in problem.maps]
+        raise NonFiniteError(f"non-finite {stage}", stage) from None
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
                         np.nan, schedule.lam(1))
 
@@ -691,7 +700,9 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     residuals fall below ``tol``, by "max_iter" otherwise, or by
     "divergence_guard" when an iterate leaves the norm ball of radius
     1e12 or a step meets a non-finite value; the report's ``diverged_at``
-    then says which.  Every iteration (recorded or
+    then says which.  A start state that cannot be built raises
+    :class:`NonFiniteError` naming its stage (see :func:`initial_state`).
+    Every iteration (recorded or
     not) is audited against each certified known common point: the stage
     chain with absolute tolerance 1e-10 and the a priori boundedness radius
     with 1e-8.  States are audited in blocks of up to :data:`AUDIT_BLOCK`,

@@ -240,6 +240,9 @@ class TestConsoleScript:
     {"instance.maps": []},
     {"instance.dim": 0},
     {"instance.selection": "bogus"},
+    {"schedule.bogus": 1},
+    {"schedule.mu_bar": 1.5},
+    {"id": "a b"},
 ], ids=lambda extra: json.dumps(extra))
 def test_mistyped_config_value_exits_two(tmp_path, capsys, extra):
     # json.dumps writes inf as Infinity; the config file carries 1e400,
@@ -248,6 +251,19 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, extra):
     cfg = tmp_path / "config.json"
     cfg.write_text(text.replace("Infinity", "1e400"))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("payload", [
+    [box_cell()],
+    {"cells": [box_cell()], "bogus": 1},
+    {"cells": []},
+    {"cells": [[box_cell()]]},
+], ids=["list-top-level", "unknown-top-level-key", "empty-cells",
+        "cell-not-an-object"])
+def test_malformed_config_shape_exits_two(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
 

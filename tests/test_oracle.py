@@ -186,6 +186,9 @@ EXIT_PATHS = {
     "non_finite": (lambda: turning_t1(load_instance("inclusion_box")),
                    2_000, "divergence_guard", "T1 image"),
     "norm_limit": (runaway, 2_000, "divergence_guard", "norm limit"),
+    "norm_limit_at_start": (
+        lambda: dataclasses.replace(runaway(), default_start=np.array([1e13])),
+        2_000, "divergence_guard", "norm limit"),
 }
 
 
@@ -199,6 +202,8 @@ def test_block_audit_is_exact_on_every_exit_path(path):
                                                           diverged_at)
     if terminated == "max_iter":
         assert report.iterations == max_iter
+    if path == "norm_limit_at_start":
+        assert report.iterations == 0
     assert len(report.trajectory) == report.iterations + 1
     assert all(type(st.fejer_ok) is bool for st in report.trajectory)
     flags, fejer, bound = reference_audit(report)

@@ -174,3 +174,100 @@ class TestValidationNegatives:
         mu_conds = [c for c in report.conditions
                     if c.name.startswith("mu_n <= mu_bar")]
         assert mu_conds[0].empirical
+
+
+def _by_name(report):
+    return {c.name: c for c in report.conditions}
+
+
+class TestSampledValidation:
+    """Verdicts of the sampled paths, for custom sequences with no declared
+    limit or sum, derived by hand from the first VALIDATION_HORIZON = 500
+    values."""
+
+    def test_custom_harmonic_alpha_is_sampled_as_divergent(self):
+        # alpha_n = 1/(n+1): alpha_500 = 1/501 <= 0.05 and below alpha_1,
+        # and the partial-sum chunks n = 251..500 and n = 126..250 are
+        # both ~ln 2, so the later one is above 0.8 times the earlier.
+        params = reference_params()
+        sched = dataclasses.replace(
+            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            alpha=ParamSeq.custom(lambda n: 1.0 / (n + 1)))
+        conds = _by_name(validate(sched, params))
+        for name in ("condition (i): alpha_n -> 0",
+                     "condition (i): sum alpha_n = infinity"):
+            assert conds[name].passed and conds[name].empirical
+        strict = _by_name(validate(
+            dataclasses.replace(sched, strict_paper=True), params))
+        summable = strict["condition (i, strict): sum alpha_n < infinity"]
+        assert not summable.passed and summable.empirical
+
+    def test_custom_square_alpha_is_sampled_as_summable(self):
+        # alpha_n = 1/(n+1)^2: the chunk n = 251..500 is ~1/251 - 1/501
+        # ~ 0.0020, under 0.8 times the chunk n = 126..250, ~ 0.0039.
+        params = reference_params()
+        sched = dataclasses.replace(
+            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            alpha=ParamSeq.custom(lambda n: 1.0 / (n + 1) ** 2))
+        conds = _by_name(validate(sched, params))
+        divergent = conds["condition (i): sum alpha_n = infinity"]
+        assert not divergent.passed and divergent.empirical
+        strict = _by_name(validate(
+            dataclasses.replace(sched, strict_paper=True), params))
+        summable = strict["condition (i, strict): sum alpha_n < infinity"]
+        assert summable.passed and summable.empirical
+
+    def test_custom_constant_theta_liminfs_are_sampled(self):
+        # theta_n = 3/4 with beta_demi = 1/2: the tail gives the gap
+        # (1 - 3/4)(3/4 - 1/2) = 1/16 and the product (1 - 3/4)(3/4) = 3/16.
+        params = reference_params()
+        sched = dataclasses.replace(
+            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            theta=ParamSeq.custom(lambda n: 0.75))
+        conds = _by_name(validate(sched, params))
+        gap = conds["condition (ii): theta_n in (beta_demi, 1) with "
+                    "liminf (1 - theta_n)(theta_n - beta_demi) > 0"]
+        prod = conds["condition (iii): liminf (1 - theta_n) theta_n > 0"]
+        assert (gap.passed, gap.value, gap.empirical) == (True, 0.0625, True)
+        assert (prod.passed, prod.value, prod.empirical) == (True, 0.1875,
+                                                             True)
+        assert gap.detail == "liminf gap = 0.0625"
+        assert prod.detail == "liminf product = 0.1875"
+
+    def test_summary_of_a_failing_schedule(self):
+        # gamma_n = 1 - 1/(n+1) -> 1 makes the gamma product's liminf 0;
+        # the custom constant mu_n = 0.4 marks the conditions on mu
+        # empirical.
+        params = reference_params()
+        sched = dataclasses.replace(
+            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            gamma=ParamSeq.approaching_one(),
+            mu=ParamSeq.custom(lambda n: 0.4))
+        assert validate(sched, params).summary().splitlines() == [
+            "[ok] k > 0",
+            "[ok] L > 0",
+            "[ok] k <= L (strong monotonicity cannot exceed Lipschitz)",
+            "[ok] b > 0",
+            "[ok] gamma > 0",
+            "[ok] 0 < eta < 2k/L^2",
+            "[ok] 0 < gamma*b < tau: gamma*b = 0.25, tau = 0.5",
+            "[ok] sequences take values in (0, 1) (empirical)",
+            "[ok] condition (i): alpha_n -> 0",
+            "[ok] condition (i): sum alpha_n = infinity",
+            "[ok] condition (ii): lambda_n in [a, b] within "
+            "(0, min(1, 2*alpha_ism)): [a, b] = [0.5, 0.5], window (0, 1)",
+            "[ok] condition (ii): theta_n in (beta_demi, 1) with "
+            "liminf (1 - theta_n)(theta_n - beta_demi) > 0: "
+            "liminf gap = 0.0625",
+            "[ok] condition (ii): beta_n in (beta_demi, 1) with "
+            "liminf (1 - beta_n)(beta_n - beta_demi) > 0: "
+            "liminf gap = 0.0625",
+            "[FAIL] condition (iii): liminf (1 - gamma_n) gamma_n > 0: "
+            "liminf product = 0",
+            "[ok] condition (iii): liminf (1 - beta_n) beta_n > 0: "
+            "liminf product = 0.1875",
+            "[ok] condition (iii): liminf (1 - theta_n) theta_n > 0: "
+            "liminf product = 0.1875",
+            "[ok] mu_n <= mu_bar with tau*(1 - mu_bar) > gamma*b "
+            "(empirical): sup mu_n = 0.4, mu_bar = 0.4, margin = 0.05",
+        ]

@@ -251,6 +251,27 @@ class TestRun:
             "t2": "T2 image", "t3": "T3 image", "strong": "strong operator",
             "contraction": "contraction", "inclusion": "delta"}[part]
 
+    @pytest.mark.parametrize("part, stage", [
+        ("t1", "T1 image"), ("t2", "T2 image"), ("t3", "T3 image"),
+        ("psi0", "psi")])
+    def test_start_state_that_cannot_be_built_names_its_stage(
+            self, part, stage):
+        # The map's image is inf on |x| > 0.5, so at the start 0.9 but not
+        # at the common point 0; psi0 is nan itself.
+        prob = make_box_instance(dim=1)
+        psi0 = None
+        if part == "psi0":
+            psi0 = np.array([np.nan])
+        else:
+            t = getattr(prob, part)
+            prob = dataclasses.replace(prob, **{part: dataclasses.replace(
+                t, image=lambda x: t.image(np.inf * x if abs(x[0]) > 0.5
+                                           else x))})
+        with pytest.raises(NonFiniteError) as err:
+            run("main", prob, default_schedule_for(prob), psi0=psi0,
+                max_iter=10)
+        assert err.value.stage == stage
+
     def test_map_rejecting_a_non_finite_argument_still_names_delta(self):
         # The resolvent's value is not scanned before T1 takes it; T1 may
         # then fail in its own way, and the step still names delta.  The
