@@ -283,10 +283,10 @@ def _cmd_run(args) -> int:
 # check
 # --------------------------------------------------------------------------
 
-def _sample_points(rng, dim: int, count: int, span: float = 5.0):
-    # One draw of count*dim numbers gives the same numbers, in the same
-    # order, as count draws of dim.
-    return list(span * (2.0 * rng.random((count, dim)) - 1.0))
+def _sample_points(rng, dim: int, count: int):
+    # Uniform on [-5, 5]^dim.  One draw of count*dim numbers gives the same
+    # numbers, in the same order, as count draws of dim.
+    return list(5.0 * (2.0 * rng.random((count, dim)) - 1.0))
 
 
 def _print_audit(name: str, result) -> bool:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Absolute tolerance used by all inequality audits unless overridden, and
-#: by :meth:`ConvexSet.contains`.
+#: Absolute tolerance used by all inequality audits, and by
+#: :meth:`ConvexSet.contains`.
 DEFAULT_TOL = 1e-10
 
 
@@ -150,7 +150,7 @@ class Ball(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
     def project(self, x) -> np.ndarray:
@@ -173,7 +173,9 @@ class HalfSpace(ConvexSet):
         if np.linalg.norm(nv) == 0.0:
             raise ValueError("half-space normal must be nonzero")
         object.__setattr__(self, "normal", nv)
-        object.__setattr__(self, "offset", float(self.offset))
+        # The offset is checked like a coordinate: NonFiniteError (a
+        # ValueError) unless it is finite.
+        object.__setattr__(self, "offset", float(as_vector(self.offset, 1)[0]))
 
     def project(self, x) -> np.ndarray:
         xv = as_vector(x, self.normal.size)

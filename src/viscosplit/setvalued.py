@@ -218,9 +218,11 @@ class AuditResult:
     """Outcome of a sampled inequality audit.
 
     ``worst_slack`` is max(lhs - rhs) over all tested combinations, so any
-    positive value beyond the tolerance is a violation.  ``witness`` holds
-    the arguments achieving it.  ``note`` flags degenerate situations such
-    as an empty sample or a vacuously true check.
+    positive value beyond the tolerance is a violation.  A nan slack (a
+    side that cannot be evaluated, such as inf - inf) is a violation too,
+    and the first one is the worst slack.  ``witness`` holds the arguments
+    achieving it.  ``note`` flags degenerate situations such as an empty
+    sample or a vacuously true check.
     """
 
     name: str
@@ -234,15 +236,19 @@ class AuditResult:
 
 def sampled_audit(name: str, cases: Sequence,
                   sides: Callable[[np.ndarray, np.ndarray], tuple[float, float]],
-                  tol: float, note: str = "") -> AuditResult:
+                  tol: float = DEFAULT_TOL, note: str = "") -> AuditResult:
     """Audit  lhs <= rhs  with ``(lhs, rhs) = sides(x, y)`` on each case.
 
     Each distinct case array is coerced and checked here, once per audit
     (a fixed point paired with every sample point is checked once), so
     ``sides`` gets checked vectors and works on them without checking them
     again.  Keeps the worst slack lhs - rhs with its witness (x, y), and
-    records every case whose slack exceeds ``tol`` as (x, y, lhs, rhs).
-    An empty sample passes vacuously, with a note that says so.
+    records every case whose slack is not <= ``tol`` as (x, y, lhs, rhs):
+    a nan slack is a violation, and the first one stays the worst.
+    ``tol`` defaults to the one audit tolerance,
+    :data:`~viscosplit.hilbert.DEFAULT_TOL`; only the resolvent audit
+    passes its caller's.  An empty sample passes vacuously, with a note
+    that says so.
     """
     # The tuples keep every value alive, so its id names it for the audit.
     cases = [tuple(case) for case in cases]
@@ -255,9 +261,9 @@ def sampled_audit(name: str, cases: Sequence,
         xv, yv = checked[id(x)], checked[id(y)]
         lhs, rhs = sides(xv, yv)
         slack = lhs - rhs
-        if slack > worst:
+        if not (slack <= worst or np.isnan(worst)):
             worst, witness = slack, (xv, yv)
-        if slack > tol:
+        if not slack <= tol:
             violations.append((xv, yv, lhs, rhs))
     return AuditResult(name, not violations, worst, witness, len(cases),
                        note, violations)
@@ -269,8 +275,8 @@ def _fixed_point_pairs(T: MultiMap, points: Sequence) -> list[tuple]:
     return [(x, q) for x in points for q in T.fixed_points]
 
 
-def check_demicontractive(T: MultiMap, beta: float, points: Sequence,
-                          tol: float = DEFAULT_TOL) -> AuditResult:
+def check_demicontractive(T: MultiMap, beta: float,
+                          points: Sequence) -> AuditResult:
     """Audit  H(T x, T q)^2 <= ||x - q||^2 + beta * d(x, T x)^2  on a sample.
 
     q ranges over the declared fixed points of T; for those the left side
@@ -285,19 +291,18 @@ def check_demicontractive(T: MultiMap, beta: float, points: Sequence,
         return (_farthest(img, q) ** 2,
                 norm(x - q) ** 2 + beta * _distance(x, img) ** 2)
     return sampled_audit("demicontractive", _fixed_point_pairs(T, points),
-                         sides, tol)
+                         sides)
 
 
-def check_quasi_nonexpansive(T: MultiMap, points: Sequence,
-                             tol: float = DEFAULT_TOL) -> AuditResult:
+def check_quasi_nonexpansive(T: MultiMap, points: Sequence) -> AuditResult:
     """Audit  H(T x, T q) <= ||x - q||  on a sample, q a fixed point."""
     return sampled_audit(
         "quasi_nonexpansive", _fixed_point_pairs(T, points),
-        lambda x, q: (_farthest(T.image(x), q), norm(x - q)), tol)
+        lambda x, q: (_farthest(T.image(x), q), norm(x - q)))
 
 
-def check_strictly_pseudocontractive(T: MultiMap, k: float, pairs: Sequence,
-                                     tol: float = DEFAULT_TOL) -> AuditResult:
+def check_strictly_pseudocontractive(T: MultiMap, k: float,
+                                     pairs: Sequence) -> AuditResult:
     """Audit  H(T x, T y)^2 <= ||x - y||^2 + k * d((x - y), (Tx - Ty))^2.
 
     The displacement term is evaluated through selections: with u in T(x)
@@ -317,8 +322,8 @@ def check_strictly_pseudocontractive(T: MultiMap, k: float, pairs: Sequence,
                    for w in _enumerable(img_y))
         return (hausdorff(img_x, img_y) ** 2,
                 norm(x - y) ** 2 + k * disp ** 2)
-    return sampled_audit("strictly_pseudocontractive", pairs, sides, tol,
-                         note)
+    return sampled_audit("strictly_pseudocontractive", pairs, sides,
+                         note=note)
 
 
 def _enumerable(S: SetImage) -> tuple:

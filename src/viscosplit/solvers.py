@@ -97,8 +97,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import (ConvexSet, NonFiniteError, _is_vector, all_finite,
-                      as_vector, inner, norm, project)
+from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _is_vector,
+                      all_finite, as_vector, inner, norm, project)
 from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
                        fixed_point_residual)
 from .schedules import (Schedule, ValidationReport, ViscosityParams,
@@ -109,8 +109,9 @@ from .setvalued import (MultiMap, SelectionRule, _distance, _farthest,
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
 
-#: Absolute tolerance for the per-iteration inequality audits.
-AUDIT_TOL = 1e-10
+#: Absolute tolerance for the per-iteration inequality audits: the one
+#: audit tolerance, :data:`~viscosplit.hilbert.DEFAULT_TOL`.
+AUDIT_TOL = DEFAULT_TOL
 
 #: Absolute tolerance when certifying a point as a common solution.
 CERTIFY_TOL = 1e-8
@@ -203,17 +204,17 @@ class ProblemInstance:
         lam = self.certification_lambda()
         defects = []
         res = fixed_point_residual(self.inclusion, self.forward, lam, qv)
-        if res > CERTIFY_TOL:
+        if not res <= CERTIFY_TOL:
             defects.append(
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
         for i, t in enumerate(self.maps, start=1):
             img = t.image(qv)
             d = _distance(qv, img)
-            if d > CERTIFY_TOL:
+            if not d <= CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
             elif self.strict_fixed_points:
                 h = _farthest(img, qv)
-                if h > CERTIFY_TOL:
+                if not h <= CERTIFY_TOL:
                     defects.append(
                         f"T{i} q is not the singleton {{q}}: H = {h:g}")
         return defects
@@ -338,10 +339,10 @@ def _vector(v, checked: bool) -> np.ndarray:
 def _fb_point(problem: ProblemInstance, lam: float, x: np.ndarray,
               checked: bool = True) -> np.ndarray:
     """J(x - lam*Forward x) at the checked point ``x``; like
-    :func:`~viscosplit.monotone.resolvent`, rejects lam <= 0.  The forward
-    operator's value is checked, and with ``checked`` the resolvent's value
-    too; a :class:`NonFiniteError` names ``"forward operator"`` or
-    ``"delta"``."""
+    :func:`~viscosplit.monotone.resolvent`, rejects a lam that is not > 0.
+    The forward operator's value is checked, and with ``checked`` the
+    resolvent's value too; a :class:`NonFiniteError` names
+    ``"forward operator"`` or ``"delta"``."""
     stage = "forward operator"
     try:
         y = x - lam * _value(problem.forward, x)
@@ -603,7 +604,7 @@ def boundedness_radius(problem: ProblemInstance, mu_bar: float, psi0,
     with m = tau*(1 - mu_bar) - gamma*b, valid for every iterate."""
     p = problem.params
     margin = p.margin(mu_bar)
-    if margin <= 0:
+    if not margin > 0:
         raise ValueError("no contraction margin: tau*(1-mu_bar) <= gamma*b")
     qv = as_vector(q, problem.dim)
     drift = norm(p.gamma * problem.contraction(qv) - p.eta * problem.strong(qv))
@@ -620,7 +621,7 @@ def audit_bounded(report: RunReport, q) -> BoundAudit:
     d = _distances([st.psi for st in report.trajectory], qv[np.newaxis])
     violations = tuple((st.n, dist) for st, dist
                        in zip(report.trajectory, d[:, 0].tolist())
-                       if dist > bound + CERTIFY_TOL)
+                       if not dist <= bound + CERTIFY_TOL)
     return BoundAudit(bound, len(report.trajectory), violations)
 
 
@@ -766,7 +767,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             q_rows).reshape(len(pending), 6, len(qs))
         failed = ~(d[:, :4] <= d[:, 1:5] + AUDIT_TOL)
         fejer_violations += int(np.count_nonzero(failed))
-        bound_violations += int(np.count_nonzero(d[:, 5] > limits))
+        bound_violations += int(np.count_nonzero(~(d[:, 5] <= limits)))
         for st, bad in zip(pending, failed.any(axis=(1, 2)).tolist()):
             st.fejer_ok = not bad
         pending.clear()

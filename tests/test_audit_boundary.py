@@ -6,11 +6,14 @@ sample point, image or operator value still raises ``NonFiniteError`` from
 each of the seven audits, and ``viscosplit check`` makes few finiteness
 scans per audited case.
 """
+import inspect
+
 import numpy as np
 import pytest
 
 import viscosplit.hilbert as hilbert
-from viscosplit.cli import main
+import viscosplit.solvers as solvers
+from viscosplit.cli import _sample_points, main
 from viscosplit.hilbert import NonFiniteError
 from viscosplit.monotone import (MaxMonotone, SingleOp,
                                  check_forward_nonexpansive,
@@ -95,6 +98,22 @@ CASES = (
 
 def test_every_audit_is_covered():
     assert len(AUDITS) == 7
+
+
+def test_audits_share_the_one_tolerance():
+    # Only the resolvent audit takes a tolerance; the others and the
+    # per-iteration audits use hilbert.DEFAULT_TOL itself.
+    audits = (check_demicontractive, check_quasi_nonexpansive,
+              check_strictly_pseudocontractive,
+              check_inverse_strongly_monotone, check_forward_nonexpansive,
+              check_wang_contraction)
+    for audit in audits:
+        assert "tol" not in inspect.signature(audit).parameters, audit
+    assert "tol" in inspect.signature(
+        check_resolvent_firmly_nonexpansive).parameters
+    assert list(inspect.signature(_sample_points).parameters) == [
+        "rng", "dim", "count"]
+    assert solvers.AUDIT_TOL is hilbert.DEFAULT_TOL
 
 
 def good_value(name):

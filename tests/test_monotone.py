@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from viscosplit.hilbert import Box
+from viscosplit.hilbert import Ball, Box, HalfSpace
 from viscosplit.monotone import (L1Subdifferential, LinearMonotone,
                                  NormalCone, ZeroOperator, affine_op,
                                  check_forward_nonexpansive,
@@ -11,6 +11,8 @@ from viscosplit.monotone import (L1Subdifferential, LinearMonotone,
                                  check_wang_contraction, fixed_point_residual,
                                  forward_backward_step, identity_op,
                                  resolvent, wang_tau, zero_op)
+from viscosplit.problems import make_box_instance
+from viscosplit.solvers import boundedness_radius
 
 
 def vec(*xs):
@@ -148,3 +150,24 @@ class TestOperatorAudits:
             check_wang_contraction(identity_op(), 2.5, 0.5, [])  # eta window
         with pytest.raises(ValueError):
             check_wang_contraction(identity_op(), 1.0, 1.5, [])  # t window
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Ball(vec(0.0), np.nan),
+    lambda: HalfSpace(vec(1.0), np.nan),
+    lambda: LinearMonotone(np.nan),
+    lambda: affine_op(np.nan),
+    lambda: L1Subdifferential(np.nan),
+    lambda: L1Subdifferential([1.0, np.nan]),
+    lambda: resolvent(ZeroOperator(), np.nan, vec(1.0)),
+    lambda: check_resolvent_firmly_nonexpansive(ZeroOperator(), np.nan, []),
+    lambda: check_inverse_strongly_monotone(identity_op(), np.nan, []),
+    lambda: boundedness_radius(make_box_instance(1), np.nan, vec(1.0),
+                               vec(0.0)),
+], ids=["ball_radius", "half_space_offset", "linear_monotone_coef",
+        "affine_op_coef", "l1_weight", "l1_weights", "resolvent_lam",
+        "resolvent_audit_lam", "ism_modulus", "radius_margin"])
+def test_nan_parameter_is_rejected(build):
+    # Each range check states the condition that must hold, so nan fails it.
+    with pytest.raises(ValueError):
+        build()

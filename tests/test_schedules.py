@@ -1,10 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from viscosplit.problems import default_schedule_for, load_instance
 from viscosplit.schedules import (InfeasibleScheduleError, ParamSeq,
                                   ViscosityParams, default_schedule, validate)
+from viscosplit.solvers import ScheduleValidationError, run
 
 
 def reference_params(b=1.0, gamma=0.25):
@@ -216,6 +219,50 @@ class TestSampledValidation:
             dataclasses.replace(sched, strict_paper=True), params))
         summable = strict["condition (i, strict): sum alpha_n < infinity"]
         assert summable.passed and summable.empirical
+
+    @pytest.mark.parametrize("fn, vanishes", [
+        (lambda n: 0.01, False),
+        (lambda n: 0.01 + 1.0 / (n + 1) ** 2, False),
+        (lambda n: 1.0 / (n + 1), True),
+        (lambda n: 1.0 / (n + 1) ** 2, True),
+    ], ids=["constant", "constant_plus_square", "harmonic", "square"])
+    def test_sampled_alpha_must_keep_falling(self, fn, vanishes):
+        # Each is <= 0.05 at n = 500 and not above alpha_1.  Over the
+        # second half of the horizon, alpha_500 / alpha_251 is 252/501 ~
+        # 0.50 for 1/(n+1) and ~0.25 for 1/(n+1)^2, under 0.8; it is 1 for
+        # 0.01 and ~0.9988 for 0.01 + 1/(n+1)^2, which level off.
+        params = reference_params()
+        sched = dataclasses.replace(
+            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            alpha=ParamSeq.custom(fn))
+        cond = _by_name(validate(sched, params))["condition (i): alpha_n -> 0"]
+        assert (cond.passed, cond.empirical) == (vanishes, True)
+
+    def test_plateau_alpha_is_not_run(self):
+        problem = load_instance("inclusion_box")
+        sched = dataclasses.replace(default_schedule_for(problem),
+                                    alpha=ParamSeq.custom(lambda n: 0.01))
+        assert not validate(sched, problem.params).ok
+        with pytest.raises(ScheduleValidationError, match="alpha_n -> 0"):
+            run("main", problem, sched)
+
+    def test_sampled_report_has_plain_bools(self):
+        # Every sequence sampled, and numpy constants where a verdict
+        # compares them.
+        params = reference_params()
+        base = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        sampled = {label: ParamSeq.custom(getattr(base, label))
+                   for label in ("theta", "beta", "gamma", "mu", "lam")}
+        sched = dataclasses.replace(
+            base, **sampled, interval=tuple(np.float64(base.interval)),
+            mu_bar=np.float64(base.mu_bar))
+        for alpha in (lambda n: 1.0 / (n + 1), lambda n: 0.01):
+            report = validate(dataclasses.replace(
+                sched, alpha=ParamSeq.custom(alpha)), params)
+            assert all(c.empirical for c in report.conditions[7:])
+            for cond in report.conditions:
+                assert type(cond.passed) is bool, cond.name
+            json.dumps([dataclasses.asdict(c) for c in report.conditions])
 
     def test_custom_constant_theta_liminfs_are_sampled(self):
         # theta_n = 3/4 with beta_demi = 1/2: the tail gives the gap

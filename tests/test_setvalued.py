@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from viscosplit.monotone import affine_op, check_inverse_strongly_monotone
+from viscosplit.problems import make_example1
 from viscosplit.setvalued import (BallImage, FiniteSet, MultiMap,
                                   SelectionRule, Singleton,
                                   UnsupportedPairing, check_demicontractive,
                                   check_quasi_nonexpansive,
                                   check_strictly_pseudocontractive,
-                                  distance_to_set, hausdorff, select,
-                                  select_from)
+                                  distance_to_set, hausdorff, sampled_audit,
+                                  select, select_from)
 
 
 def vec(*xs):
@@ -210,3 +214,37 @@ class TestClassAudits:
     def test_strictly_pseudocontractive_constant_range(self):
         with pytest.raises(ValueError):
             check_strictly_pseudocontractive(halving_map(), 1.5, [])
+
+
+class TestNanSlack:
+    """A slack that cannot be evaluated (nan) is a violation, and the first
+    one is the worst slack, with its case as the witness."""
+
+    @pytest.mark.parametrize("audit, case", [
+        (lambda cases: check_inverse_strongly_monotone(
+            affine_op(1.0), 1.0, cases), (vec(1e200), vec(-1e200))),
+        (lambda cases: check_quasi_nonexpansive(
+            make_example1(), [x for x, _ in cases]), (vec(1e200), vec(0.0))),
+    ], ids=["inverse_strongly_monotone", "quasi_nonexpansive"])
+    def test_overflowing_sides_fail(self, audit, case):
+        # Both sides overflow to inf, and inf - inf is nan.
+        with np.errstate(over="ignore"):
+            res = audit([case])
+        assert not res.passed
+        assert len(res.violations) == 1
+        assert math.isnan(res.worst_slack)
+        assert [v.tolist() for v in res.witness] == [v.tolist() for v in case]
+
+    @pytest.mark.parametrize("slacks, worst_at", [
+        ([math.nan, 1.0], 0), ([math.nan, math.nan, 2.0], 0),
+        ([1.0, math.nan, 2.0], 1), ([-1.0, 0.5], 1)])
+    def test_first_nan_stays_the_worst(self, slacks, worst_at):
+        cases = [(vec(float(k)), vec(0.0)) for k in range(len(slacks))]
+        res = sampled_audit("nan_first", cases,
+                            lambda x, y: (slacks[int(x[0])], 0.0))
+        worst = slacks[worst_at]
+        assert (math.isnan(res.worst_slack) if math.isnan(worst)
+                else res.worst_slack == worst)
+        assert res.witness[0][0] == worst_at
+        assert len(res.violations) == sum(not s <= 1e-10 for s in slacks)
+        assert res.passed is (not res.violations)
