@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Absolute tolerance used by all inequality audits, and by
-#: :meth:`ConvexSet.contains`.
+#: Absolute tolerance of the stage-chain audit, the sampled operator-class
+#: audits and :meth:`ConvexSet.contains`.  The boundedness radius audit
+#: and common-point certification use ``solvers.CERTIFY_TOL`` = 1e-8.
 DEFAULT_TOL = 1e-10
 
 

@@ -109,14 +109,16 @@ class ParamSeq:
         return np.full(horizon, self._closed_form(n))
 
 
-def _liminf_of(f: Callable[[float], float], tail: Iterable[float]) -> float:
+def _liminf_of(f: Callable[[np.ndarray], np.ndarray],
+               tail: Iterable[float]) -> float:
     """liminf of f(s_n), as the least f over ``tail``: a declared limit
     alone, or the second half of the horizon values.
 
     For a declared limit f(limit) is the true liminf because f is
-    continuous and the sequence is convergent.
+    continuous and the sequence is convergent.  A nan anywhere in the tail
+    makes the liminf nan, so no condition on it holds.
     """
-    return float(min(map(f, tail)))
+    return float(np.min(f(np.asarray(tail, dtype=float))))
 
 
 # --------------------------------------------------------------------------

@@ -109,11 +109,12 @@ from .setvalued import (MultiMap, SelectionRule, _distance, _farthest,
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
 
-#: Absolute tolerance for the per-iteration inequality audits: the one
+#: Absolute tolerance of the per-iteration stage-chain audit: the one
 #: audit tolerance, :data:`~viscosplit.hilbert.DEFAULT_TOL`.
 AUDIT_TOL = DEFAULT_TOL
 
-#: Absolute tolerance when certifying a point as a common solution.
+#: Absolute tolerance when certifying a point as a common solution, and of
+#: the per-iteration boundedness radius audit.
 CERTIFY_TOL = 1e-8
 
 ALGORITHMS = ("main", "sow", "fc", "forward_backward")
@@ -519,13 +520,9 @@ class FejerAudit:
 
     links: tuple
 
-    @property
-    def ok(self) -> bool:
-        return all(link[3] for link in self.links)
-
 
 #: Chain link names; link k compares distance row k with row k + 1 of
-#: :func:`_distances` over (xi, phi_p, pi, delta, psi_prev).
+#: :func:`_audit` over (xi, phi_p, pi, delta, psi_prev).
 _LINKS = ("xi_le_phi", "phi_le_pi", "pi_le_delta", "delta_le_psi")
 
 
@@ -571,31 +568,37 @@ def _distances(points, q_rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _audit(states, q_rows: np.ndarray, limits) -> tuple:
+    """Both per-iteration inequalities of ``states`` against each row of
+    the (Q, d) ``q_rows``.
+
+    Measures (xi, phi_p, pi, delta, psi_prev, psi) of every state with
+    :func:`_distances` and returns ``(d, failed_links, outside)``: the
+    (B, 6, Q) distances, the (B, 4, Q) chain links that fail with the
+    absolute tolerance :data:`AUDIT_TOL`, and the (B, Q) iterates beyond
+    ``limits`` (the radii with their tolerance).  A nan distance fails.
+    """
+    d = _distances([p for st in states for p in (
+        st.xi, st.phi, st.pi, st.delta, st.psi_prev, st.psi)],
+        q_rows).reshape(len(states), 6, len(q_rows))
+    return d, ~(d[:, :4] <= d[:, 1:5] + AUDIT_TOL), ~(d[:, 5] <= limits)
+
+
 def audit_fejer_chain(state: IterState, q) -> FejerAudit:
     """Audit the stage monotonicity chain of one state against a point q.
 
     Checks ||xi - q|| <= ||phi_p - q|| <= ||pi - q|| <= ||delta - q|| <=
-    ||psi_prev - q|| with the absolute tolerance :data:`AUDIT_TOL`.  The
-    last link is the averaging-monotone inequality tying the
-    forward-backward point back to the iterate the step started from.
+    ||psi_prev - q|| with the absolute tolerance :data:`AUDIT_TOL`, as
+    :func:`run` does.  The last link is the averaging-monotone inequality
+    tying the forward-backward point back to the iterate the step started
+    from.  A q of another dimension than the state raises
+    :class:`~viscosplit.hilbert.DimensionMismatch`.
     """
-    qv = as_vector(q)
-    d = _distances((state.xi, state.phi, state.pi, state.delta,
-                    state.psi_prev), qv[np.newaxis])[:, 0].tolist()
-    links = tuple((name, d[k], d[k + 1], d[k] <= d[k + 1] + AUDIT_TOL)
-                  for k, name in enumerate(_LINKS))
-    return FejerAudit(links)
-
-
-@dataclass(frozen=True)
-class BoundAudit:
-    bound: float
-    checked: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    qv = as_vector(q, state.psi.size)
+    d, failed, _ = _audit([state], qv[np.newaxis], np.inf)
+    d, failed = d[0, :, 0].tolist(), failed[0, :, 0].tolist()
+    return FejerAudit(tuple((name, d[k], d[k + 1], not failed[k])
+                            for k, name in enumerate(_LINKS)))
 
 
 def boundedness_radius(problem: ProblemInstance, mu_bar: float, psi0,
@@ -609,20 +612,6 @@ def boundedness_radius(problem: ProblemInstance, mu_bar: float, psi0,
     qv = as_vector(q, problem.dim)
     drift = norm(p.gamma * problem.contraction(qv) - p.eta * problem.strong(qv))
     return max(norm(as_vector(psi0, problem.dim) - qv), drift / margin)
-
-
-def audit_bounded(report: RunReport, q) -> BoundAudit:
-    """Check every recorded iterate against the a priori boundedness radius,
-    with the absolute tolerance :data:`CERTIFY_TOL`."""
-    qv = as_vector(q, report.problem.dim)
-    psi0 = report.trajectory[0].psi
-    bound = boundedness_radius(report.problem, report.schedule.mu_bar,
-                               psi0, qv)
-    d = _distances([st.psi for st in report.trajectory], qv[np.newaxis])
-    violations = tuple((st.n, dist) for st, dist
-                       in zip(report.trajectory, d[:, 0].tolist())
-                       if not dist <= bound + CERTIFY_TOL)
-    return BoundAudit(bound, len(report.trajectory), violations)
 
 
 def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
@@ -762,12 +751,9 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         certified points at once, set ``fejer_ok`` on each and let them
         go."""
         nonlocal fejer_violations, bound_violations
-        d = _distances([p for st in pending for p in (
-            st.xi, st.phi, st.pi, st.delta, st.psi_prev, st.psi)],
-            q_rows).reshape(len(pending), 6, len(qs))
-        failed = ~(d[:, :4] <= d[:, 1:5] + AUDIT_TOL)
+        _, failed, outside = _audit(pending, q_rows, limits)
         fejer_violations += int(np.count_nonzero(failed))
-        bound_violations += int(np.count_nonzero(~(d[:, 5] <= limits)))
+        bound_violations += int(np.count_nonzero(outside))
         for st, bad in zip(pending, failed.any(axis=(1, 2)).tolist()):
             st.fejer_ok = not bad
         pending.clear()

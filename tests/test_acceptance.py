@@ -28,7 +28,8 @@ from viscosplit.schedules import (ParamSeq, ViscosityParams, default_schedule,
 from viscosplit.setvalued import (check_demicontractive,
                                   check_quasi_nonexpansive,
                                   check_strictly_pseudocontractive, hausdorff)
-from viscosplit.solvers import audit_bounded, audit_fejer_chain, run
+from viscosplit.solvers import (CERTIFY_TOL, audit_fejer_chain,
+                               boundedness_radius, run)
 
 import dataclasses
 
@@ -111,7 +112,7 @@ def test_criterion_4_stage_chain_never_violated():
             for st in report.trajectory:
                 assert st.fejer_ok
                 audit = audit_fejer_chain(st, prob.known_common_points[0])
-                assert audit.ok
+                assert all(link[3] for link in audit.links)
                 assert audit.links[3][0] == "delta_le_psi"
 
 
@@ -127,11 +128,14 @@ def test_criterion_5_a_priori_boundedness():
             ("fc", make_box_instance(dim=1), 5_000),
         ]
         for algorithm, prob, iters in cases:
-            report = run(algorithm, prob, default_schedule_for(prob),
-                         max_iter=iters)
+            sched = default_schedule_for(prob)
+            report = run(algorithm, prob, sched, max_iter=iters)
             assert report.bound_violations == 0
+            psi0 = report.trajectory[0].psi
             for q in prob.known_common_points:
-                assert audit_bounded(report, q).ok
+                radius = boundedness_radius(prob, sched.mu_bar, psi0, q)
+                assert all(np.linalg.norm(st.psi - q) <= radius + CERTIFY_TOL
+                           for st in report.trajectory)
 
 
 def test_criterion_6_property_audits_at_scale():

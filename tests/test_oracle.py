@@ -273,3 +273,6 @@ def test_near_miss_counts_against_the_audit_tolerance(dim, slack, low, high,
     assert report.fejer_violations == violations
     assert step.fejer_ok is (violations == 0)
     assert report.bound_violations == 0
+    name, lhs, rhs, ok = audit_fejer_chain(step, np.zeros(dim)).links[2]
+    assert name == "pi_le_delta" and ok is (violations == 0)
+    assert -high < rhs - lhs < -low

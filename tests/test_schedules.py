@@ -281,6 +281,22 @@ class TestSampledValidation:
         assert gap.detail == "liminf gap = 0.0625"
         assert prod.detail == "liminf product = 0.1875"
 
+    # n = 251 opens the tail of the 500-step horizon; n = 300 lies inside.
+    @pytest.mark.parametrize("label", ["theta", "beta"])
+    @pytest.mark.parametrize("nan_at", [251, 300])
+    def test_nan_in_the_tail_fails_the_liminfs(self, label, nan_at):
+        prob = load_instance("inclusion_box", dim=2)
+        sched = dataclasses.replace(
+            default_schedule_for(prob), **{label: ParamSeq.custom(
+                lambda n: float("nan") if n == nan_at else 0.75)})
+        conds = _by_name(validate(sched, prob.params))
+        for name in (f"condition (ii): {label}_n in (beta_demi, 1) with "
+                     f"liminf (1 - {label}_n)({label}_n - beta_demi) > 0",
+                     f"condition (iii): liminf (1 - {label}_n) {label}_n "
+                     f"> 0"):
+            assert not conds[name].passed
+            assert np.isnan(conds[name].value)
+
     def test_summary_of_a_failing_schedule(self):
         # gamma_n = 1 - 1/(n+1) -> 1 makes the gamma product's liminf 0;
         # the custom constant mu_n = 0.4 marks the conditions on mu

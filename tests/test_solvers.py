@@ -13,8 +13,8 @@ from viscosplit.problems import (make_box_instance, make_inclusion_instance,
 from viscosplit.schedules import ParamSeq, Schedule
 from viscosplit.setvalued import BallImage, MultiMap, Singleton
 from viscosplit.solvers import ALGORITHMS
-from viscosplit.solvers import (IterState, ScheduleValidationError,
-                                audit_bounded, audit_fejer_chain,
+from viscosplit.solvers import (CERTIFY_TOL, IterState,
+                                ScheduleValidationError, audit_fejer_chain,
                                 boundedness_radius, initial_state, run,
                                 step_fc, step_forward_backward, step_main,
                                 step_sow, vi_residual)
@@ -92,7 +92,7 @@ class TestHandSteps:
         prob, sched, s0 = hand_setup()
         s1 = step_main(prob, sched, s0)
         audit = audit_fejer_chain(s1, np.zeros(1))
-        assert audit.ok
+        assert all(link[3] for link in audit.links)
         names = [link[0] for link in audit.links]
         assert names == ["xi_le_phi", "phi_le_pi", "pi_le_delta",
                          "delta_le_psi"]
@@ -390,12 +390,16 @@ class TestAudits:
         radius = boundedness_radius(prob, sched.mu_bar, np.ones(1), q)
         assert radius == pytest.approx(expected)
 
-    def test_audit_bounded_on_report(self):
+    def test_recorded_iterates_inside_radius(self):
         prob = make_box_instance(dim=2)
-        report = run("main", prob, default_schedule_for(prob))
-        audit = audit_bounded(report, np.zeros(2))
-        assert audit.ok
-        assert audit.checked == len(report.trajectory)
+        sched = default_schedule_for(prob)
+        report = run("main", prob, sched)
+        q = np.zeros(2)
+        radius = boundedness_radius(prob, sched.mu_bar,
+                                    report.trajectory[0].psi, q)
+        assert report.bound_violations == 0
+        assert all(np.linalg.norm(st.psi - q) <= radius + CERTIFY_TOL
+                   for st in report.trajectory)
 
     def test_vi_residual_frozen_value(self):
         prob = make_trivial_instance()
@@ -430,6 +434,14 @@ class TestAudits:
         dists = [np.linalg.norm(p - q) for p in (xi, phi, pi, delta, psi_prev)]
         assert [(lhs, rhs) for _, lhs, rhs, _ in links] == list(
             zip(dists[:-1], dists[1:]))
+
+    @pytest.mark.parametrize("q", [[5.0], [0.0, 0.0, 0.0]],
+                             ids=["shorter", "longer"])
+    def test_chain_audit_rejects_a_point_of_another_dimension(self, q):
+        prob = make_box_instance(dim=2)
+        state = initial_state(prob, default_schedule_for(prob), np.ones(2))
+        with pytest.raises(hilbert.DimensionMismatch):
+            audit_fejer_chain(state, q)
 
     def test_fejer_flag_set_on_states(self):
         prob = make_box_instance(dim=1)

@@ -2,6 +2,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -51,3 +53,16 @@ def test_code_lines_main_prints_a_total(capsys):
     count, name = lines[-1].split()
     assert name == "total" and int(count) > 0
     assert int(count) == sum(int(line.split()[0]) for line in lines[:-1])
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_bench_pairs_rejects_fewer_than_two_pairs(pairs, monkeypatch):
+    bench_pairs = load_tool("bench_pairs")
+    exported = []
+    monkeypatch.setattr(bench_pairs, "export",
+                        lambda *args: exported.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["HEAD", "HEAD", "--workload", "long_haul",
+                          "--pairs", pairs])
+    assert exit_info.value.code == 2
+    assert exported == []

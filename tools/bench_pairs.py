@@ -61,10 +61,13 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", action="append", required=True,
                         help="a BENCHMARK.json workload; may be repeated")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="at least 2, for the quartiles")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": export(args.base, Path(tmp) / "base"),
