@@ -1,10 +1,10 @@
-"""The four update rules side by side on one instance.
+"""The five update rules side by side on one instance.
 
 "main" anchors the viscosity step at the third averaged point xi_n,
-"sow" stops after two averaging stages and anchors at pi_n (or phi_n
-with the use_phi switch), "fc" anchors at xi_n without the mixing
-weight mu_n, and "forward_backward" drops the averaging stages
-entirely.  All three anchored variants share the same limit point.
+"sow" stops after two averaging stages and anchors at pi_n, "sow_phi"
+anchors the same two stages at phi_n, "fc" anchors at xi_n without the
+mixing weight mu_n, and "forward_backward" drops the averaging stages
+entirely.  All four anchored variants share the same limit point.
 """
 import numpy as np
 
@@ -26,13 +26,6 @@ for algorithm in ALGORITHMS:
     dist = report.trajectory[-1].dist_to_solution
     print(f"{algorithm:18s} {report.terminated_by:11s} "
           f"{report.iterations:5d} {dist:12.3e}")
-
-report = run("sow", problem, schedule, tol=1e-8, max_iter=50_000,
-             sow_use_phi=True)
-finals["sow(use_phi)"] = report.final
-dist = report.trajectory[-1].dist_to_solution
-print(f"{'sow(use_phi)':18s} {report.terminated_by:11s} "
-      f"{report.iterations:5d} {dist:12.3e}")
 
 print()
 print("pairwise gaps between final iterates:")

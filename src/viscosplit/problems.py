@@ -118,9 +118,10 @@ def make_inclusion_instance(dim: int = 1, feasible: ConvexSet | None = None,
         params=params, selection=selection,
         known_solution=solution,
         default_start=0.9 * np.ones(dim))
-    if instance.certify_common_point(solution):
-        instance = replace(instance, known_common_points=(solution,))
-    return instance
+    try:
+        return replace(instance, known_common_points=(solution,))
+    except ValueError:  # P(anchor) does not certify as a common point
+        return instance
 
 
 def make_box_instance(dim: int = 1, scale: float = 0.5,
@@ -197,18 +198,11 @@ def load_instance(instance_id: str, **overrides) -> ProblemInstance:
     return builders[instance_id](**overrides)
 
 
-def demicontractivity_bound(instance: ProblemInstance) -> float:
-    """Largest demicontractivity constant among the three mappings."""
-    consts = [t.constant or 0.0 for t in instance.maps
-              if t.kind == KIND_DEMICONTRACTIVE]
-    return max(consts, default=0.0)
-
-
 def default_schedule_for(instance: ProblemInstance,
                          **overrides) -> Schedule:
     """The default admissible schedule matched to an instance's constants."""
     return default_schedule(instance.params,
-                            beta_demi=demicontractivity_bound(instance),
+                            beta_demi=instance.beta_demi,
                             alpha_ism=instance.alpha_ism, **overrides)
 
 

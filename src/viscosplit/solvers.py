@@ -7,7 +7,7 @@ forward-backward step, then averages through the mappings, and finally
 applies a viscosity anchor step that combines a contraction phi and a
 strongly monotone operator.
 
-One step function serves all four update rules:
+One step function serves all five update rules:
 
   delta = J(psi - lam*Forward psi)
   pi    = theta*delta + (1-theta)*v,   v in T1 delta
@@ -23,7 +23,8 @@ stage point the anchor line carries and whether mu mixes it with psi:
 
   rule               stages  carried  mu mixes
   main               3       xi       yes
-  sow                2       pi       no     (phi_p with ``use_phi``)
+  sow                2       pi       no     (as printed)
+  sow_phi            2       phi_p    no     (the last averaged point)
   fc                 3       xi       no
   forward_backward   0       -        -      psi+ = delta, no anchor line
 
@@ -40,14 +41,15 @@ dimension:
 - instance construction: ``dim`` (an integer >= 1), ``selection``
   (coerced to a :class:`SelectionRule`), the constants of
   :class:`ViscosityParams` (real numbers, not bools), the known solution,
-  common points and start;
+  common points and start; each declared common point is certified there
+  (:meth:`ProblemInstance.common_point_defects`), so every run audits
+  against all of them;
 - the run arguments, in :func:`check_run_arguments`, which :func:`run`
   calls first and the CLI calls for each config cell: the algorithm name
-  (one of :data:`ALGORITHMS`), ``tol`` finite and > 0, ``max_iter`` an
-  integer >= 0, ``record_stride`` an integer >= 1 or None, and
-  ``sow_use_phi`` a bool that is true only for ``"sow"``; then the
-  schedule, in
-  :func:`require_admissible`, which raises
+  (one of :data:`ALGORITHMS`), ``tol`` a real number (not a bool), finite
+  and > 0, ``max_iter`` an integer >= 0 and ``record_stride`` an integer
+  >= 1 or None; then the schedule, in :func:`require_admissible`, which
+  judges it against the problem's own constants and raises
   :class:`ScheduleValidationError` naming every failing condition;
 - ``psi0``, in :func:`initial_state`, which builds the start state on the
   step's own kernels and through the same state builder as a step: the
@@ -91,8 +93,9 @@ as that fully checked step does: a non-finite value raises
 """
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,8 +106,8 @@ from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
                        fixed_point_residual)
 from .schedules import (Schedule, ValidationReport, ViscosityParams,
                         step_window, validate)
-from .setvalued import (MultiMap, SelectionRule, _distance, _farthest,
-                        _select)
+from .setvalued import (KIND_DEMICONTRACTIVE, MultiMap, SelectionRule,
+                        _distance, _farthest, _select)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -117,7 +120,7 @@ AUDIT_TOL = DEFAULT_TOL
 #: the per-iteration boundedness radius audit.
 CERTIFY_TOL = 1e-8
 
-ALGORITHMS = ("main", "sow", "fc", "forward_backward")
+ALGORITHMS = ("main", "sow", "sow_phi", "fc", "forward_backward")
 
 
 class ScheduleValidationError(ValueError):
@@ -129,10 +132,19 @@ class ScheduleValidationError(ValueError):
         super().__init__(f"schedule rejected: {names}")
 
 
-def require_admissible(schedule: Schedule, params: ViscosityParams) -> None:
+def require_admissible(schedule: Schedule, problem: ProblemInstance) -> None:
     """Raise :class:`ScheduleValidationError`, naming every failing
-    condition, unless ``schedule`` passes :func:`validate` for ``params``."""
-    report = validate(schedule, params)
+    condition, unless ``schedule`` passes :func:`validate` for the
+    problem's parameters.
+
+    The lambda window and the theta/beta band are judged with the larger
+    of the schedule's and the problem's demicontractivity constant and the
+    smaller of their ism moduli, so a schedule made for another problem
+    cannot carry looser constants onto this one.
+    """
+    report = validate(replace(
+        schedule, beta_demi=max(schedule.beta_demi, problem.beta_demi),
+        alpha_ism=min(schedule.alpha_ism, problem.alpha_ism)), problem.params)
     if not report.ok:
         raise ScheduleValidationError(report)
 
@@ -143,11 +155,12 @@ class ProblemInstance:
 
     ``dim`` must be an integer >= 1, and ``selection`` a
     :class:`SelectionRule` or its value (``"metric"``, ...).
-    ``known_common_points`` lists candidate members of the full solution
-    set; the solver certifies them before using them in audits.  With
-    ``strict_fixed_points`` the certification additionally demands
-    T_i(q) = {q} rather than just q in T_i(q), which the monotonicity
-    chain requires.
+    ``known_common_points`` lists members of the full solution set, which
+    every run audits against; construction certifies each one and raises
+    ``ValueError``, naming the point and its defects, for one that fails
+    (see :meth:`common_point_defects`).  With ``strict_fixed_points`` the
+    certification additionally demands T_i(q) = {q} rather than just
+    q in T_i(q), which the monotonicity chain requires.
     """
 
     name: str
@@ -175,12 +188,13 @@ class ProblemInstance:
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution",
                                as_vector(self.known_solution, self.dim))
-        object.__setattr__(self, "known_common_points",
-                           tuple(as_vector(q, self.dim)
-                                 for q in self.known_common_points))
         if self.default_start is not None:
             object.__setattr__(self, "default_start",
                                as_vector(self.default_start, self.dim))
+        qs = tuple(as_vector(q, self.dim) for q in self.known_common_points)
+        object.__setattr__(self, "known_common_points", qs)
+        for q in qs:
+            self._require_common_point(q, "declared common point")
 
     @property
     def maps(self) -> tuple[MultiMap, MultiMap, MultiMap]:
@@ -192,6 +206,13 @@ class ProblemInstance:
         none, or one that is not positive (nan included)."""
         ism = self.forward.inverse_strong_monotonicity
         return 1.0 if ism is None or not ism > 0 else ism
+
+    @property
+    def beta_demi(self) -> float:
+        """The largest declared demicontractivity constant among the three
+        mappings; 0 when none is declared demicontractive."""
+        return max((t.constant or 0.0 for t in self.maps
+                    if t.kind == KIND_DEMICONTRACTIVE), default=0.0)
 
     def certification_lambda(self) -> float:
         """The midpoint of the splitting-step window, as the default
@@ -222,6 +243,14 @@ class ProblemInstance:
 
     def certify_common_point(self, q) -> bool:
         return not self.common_point_defects(q)
+
+    def _require_common_point(self, q: np.ndarray, what: str) -> None:
+        """Raise ``ValueError`` naming ``what``, the vector ``q`` and its
+        defects unless ``q`` certifies."""
+        defects = self.common_point_defects(q)
+        if defects:
+            raise ValueError(f"{what} {q.tolist()} does not certify: "
+                             + "; ".join(defects))
 
 
 @dataclass(slots=True)
@@ -471,7 +500,8 @@ def step_sow(problem: ProblemInstance, schedule: Schedule, state: IterState,
     """One step of the two-stage variant anchored at pi.
 
     The printed rule carries pi into the anchor line even though phi_p is
-    the last averaged point; ``use_phi`` switches the carry to phi_p.
+    the last averaged point; ``use_phi`` switches the carry to phi_p (the
+    ``"sow_phi"`` rule of :func:`run`).
     """
     return _step(problem, schedule, state, SOW_PHI if use_phi else SOW)
 
@@ -620,21 +650,19 @@ def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
     For each certified common point q the solution must satisfy
     <eta*Strong(psi) - g*phi(psi), psi - q> <= 0; the residual is the
     largest positive left side over the probes (0 when all hold).  Probes
-    default to the instance's known common points; each probe must certify,
-    otherwise the metric would be meaningless.  Returns nan with no probes.
+    default to the instance's known common points, certified when it was
+    built; a probe passed in must certify, otherwise the metric would be
+    meaningless.  Returns nan with no probes.
     """
     psiv = as_vector(psi, problem.dim)
     if probes is None:
         probes = problem.known_common_points
-    probes = [as_vector(q, problem.dim) for q in probes]
+    else:
+        probes = [as_vector(q, problem.dim) for q in probes]
+        for q in probes:
+            problem._require_common_point(q, "probe")
     if not probes:
         return np.nan
-    for q in probes:
-        defects = problem.common_point_defects(q)
-        if defects:
-            raise ValueError(
-                f"probe {q} is not a certified common point: "
-                + "; ".join(defects))
     return _vi_worst(problem, psiv, probes)
 
 
@@ -659,15 +687,16 @@ def _is_count(value, low: int) -> bool:
 
 
 def check_run_arguments(tol: float, max_iter, record_stride,
-                        algorithm: str = "main", sow_use_phi=False) -> None:
+                        algorithm: str = "main") -> None:
     """Raise ``ValueError`` unless the arguments are ones :func:`run` can
-    use: ``algorithm`` one of :data:`ALGORITHMS`, ``tol`` finite and > 0,
-    ``max_iter`` an integer >= 0, ``record_stride`` an integer >= 1 or
-    None, and ``sow_use_phi`` a bool that is True only for ``"sow"``."""
+    use: ``algorithm`` one of :data:`ALGORITHMS`, ``tol`` a real number
+    (not a bool), finite and > 0, ``max_iter`` an integer >= 0 and
+    ``record_stride`` an integer >= 1 or None."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ALGORITHMS}")
-    if not 0.0 < tol < np.inf:
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not 0.0 < tol < np.inf):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if not _is_count(max_iter, 0):
         raise ValueError(
@@ -675,14 +704,11 @@ def check_run_arguments(tol: float, max_iter, record_stride,
     if record_stride is not None and not _is_count(record_stride, 1):
         raise ValueError(f"record_stride must be a positive integer or "
                          f"None, got {record_stride!r}")
-    if not isinstance(sow_use_phi, bool) or sow_use_phi and algorithm != "sow":
-        raise ValueError(f"sow_use_phi must be true or false, and true only "
-                         f"for 'sow'; got {sow_use_phi!r} for {algorithm!r}")
 
 
 def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         psi0=None, tol: float = 1e-8, max_iter: int = 100_000,
-        check_schedule: bool = True, sow_use_phi: bool = False,
+        check_schedule: bool = True,
         record_stride: int | None = None) -> RunReport:
     """Drive one update rule to termination with per-iteration audits.
 
@@ -693,7 +719,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     then says which.  A start state that cannot be built raises
     :class:`NonFiniteError` naming its stage (see :func:`initial_state`).
     Every iteration (recorded or
-    not) is audited against each certified known common point: the stage
+    not) is audited against each known common point: the stage
     chain with absolute tolerance 1e-10 and the a priori boundedness radius
     with 1e-8.  States are audited in blocks of up to :data:`AUDIT_BLOCK`,
     in one stacked pass over a difference of at most
@@ -702,12 +728,12 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     counts and each state's ``fejer_ok`` are exact, the same as one state
     at a time.  Recording keeps every state up to n = 10000 and then
     every hundredth, unless ``record_stride`` forces a fixed stride.  The
-    report's ``vi_residual`` is nan without certified points, or when an
+    report's ``vi_residual`` is nan without common points, or when an
     operator it evaluates is non-finite at the last iterate.
     """
-    check_run_arguments(tol, max_iter, record_stride, algorithm, sow_use_phi)
+    check_run_arguments(tol, max_iter, record_stride, algorithm)
     if check_schedule:
-        require_admissible(schedule, problem.params)
+        require_admissible(schedule, problem)
 
     if psi0 is None:
         psi0 = (problem.default_start if problem.default_start is not None
@@ -716,17 +742,10 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     # Looked up per call, so that a step function rebound on the module is
     # the one that runs.
     stepper = {"main": step_main, "sow": step_sow, "fc": step_fc,
-               "forward_backward": step_forward_backward}[algorithm]
-    # check_run_arguments allows use_phi with "sow" only.
-    step_options = {"use_phi": True} if sow_use_phi else {}
-
-    defects = [problem.common_point_defects(q)
-               for q in problem.known_common_points]
-    qs = [q for q, bad in zip(problem.known_common_points, defects) if not bad]
-    if defects and not qs:
-        raise ValueError(
-            "no declared common point certifies; first defect list: "
-            + "; ".join(defects[0]))
+               "forward_backward": step_forward_backward,
+               "sow_phi": functools.partial(step_sow, use_phi=True)}[algorithm]
+    # Certified when the problem was built.
+    qs = problem.known_common_points
 
     def should_record(n: int) -> bool:
         if record_stride is not None:
@@ -748,7 +767,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
 
     def audit() -> None:
         """Audit the chain and the radius of the pending states against all
-        certified points at once, set ``fejer_ok`` on each and let them
+        common points at once, set ``fejer_ok`` on each and let them
         go."""
         nonlocal fejer_violations, bound_violations
         _, failed, outside = _audit(pending, q_rows, limits)
@@ -778,7 +797,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
 
     for _ in steps:
         try:
-            new = stepper(problem, schedule, state, **step_options)
+            new = stepper(problem, schedule, state)
         except NonFiniteError as err:
             terminated, diverged_at = "divergence_guard", err.stage
             break

@@ -147,7 +147,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("extra", [
         {"tol": 0.0}, {"tol": -1e-3}, {"max_iter": -1}, {"max_iter": 2.5},
         {"record_stride": 0}, {"record_stride": 1.0},
-        {"algorithm": "secant"}, {"sow_use_phi": True}], ids=json.dumps)
+        {"algorithm": "secant"}], ids=json.dumps)
     def test_run_arguments_are_checked_by_the_solver_rule(
             self, tmp_path, capsys, extra):
         # The CLI reports the error the solver's own rule raises.
@@ -176,6 +176,14 @@ class TestCheckCommand:
     def test_check_unknown_instance_exits_two(self, capsys):
         assert main(["check", "mystery"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_check_negative_seed_exits_two(self, capsys, seed):
+        assert main(["check", "inclusion_box", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: --seed must be a "
+                                f"non-negative integer, got {seed}\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_sample_points_equal_one_draw_per_point(self, dim):
@@ -213,6 +221,17 @@ class TestValidateCommand:
             {"id": "x", "algorithm": "main", "instance": "unknown"}]})
         assert main(["validate", cfg]) == 2
 
+    def test_sow_phi_is_a_rule_and_sow_use_phi_is_unknown(self, tmp_path,
+                                                           capsys):
+        cfg = write_config(tmp_path, {"cells": [box_cell(algorithm="sow_phi")]})
+        assert main(["validate", cfg]) == 0
+        assert "algorithm=sow_phi" in capsys.readouterr().out
+        cfg = write_config(tmp_path, {"cells": [
+            box_cell(algorithm="sow", sow_use_phi=True)]})
+        assert main(["validate", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown cell keys: ['sow_use_phi']\n")
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
@@ -232,7 +251,6 @@ class TestConsoleScript:
     {"schedule.interval": [0.5, 0.1]},
     {"psi0": [float("inf")]},
     {"schedule.strict_paper": "false"},
-    {"sow_use_phi": "false"},
     {"max_iter": True},
     {"instance.gamma": "x"},
     {"instance.gamma": None},
@@ -277,7 +295,7 @@ def _builder_parameters() -> list[str]:
 #: The documented keys a cell may carry besides id, algorithm, instance
 #: and max_iter.
 _DOCUMENTED_KEYS = (
-    ["psi0", "tol", "sow_use_phi", "record_stride"]
+    ["psi0", "tol", "record_stride"]
     + [f"instance.{name}" for name in _builder_parameters()]
     + [f"schedule.{key}" for key in ("mu_bar", "strict_paper", "interval",
                                      "alpha", "theta", "beta", "gamma",

@@ -75,8 +75,7 @@ def test_run_matches_the_oracle(instance_id, rule, steps):
     schedule = default_schedule_for(problem)
     if steps == "varying":
         schedule = varying_step(schedule)
-    report = run("sow" if rule == "sow_phi" else rule, problem, schedule,
-                 tol=1e-300, max_iter=STEPS, sow_use_phi=rule == "sow_phi")
+    report = run(rule, problem, schedule, tol=1e-300, max_iter=STEPS)
     psi = problem.feasible.project(problem.default_start)
     np.testing.assert_allclose(report.trajectory[0].psi, psi, rtol=0,
                                atol=1e-12)
@@ -152,9 +151,8 @@ def test_stacked_audit_matches_the_per_point_loop(instance_id, rule):
     stacked = 6 * 8 * problem.dim * len(problem.known_common_points)
     assert (stacked > STACKED_AUDIT_BYTES) == (instance_id == "wide_box")
     # Below the recording switch at 10 000, so every audited state is kept.
-    report = run("sow" if rule == "sow_phi" else rule, problem,
-                 default_schedule_for(problem), max_iter=2_000,
-                 sow_use_phi=rule == "sow_phi")
+    report = run(rule, problem, default_schedule_for(problem),
+                 max_iter=2_000)
     assert len(report.trajectory) == report.iterations + 1
     flags, fejer, bound = reference_audit(report)
     assert [st.fejer_ok for st in report.trajectory] == flags

@@ -5,8 +5,7 @@ import pytest
 
 from viscosplit.hilbert import Ball
 from viscosplit.problems import (catalog, default_schedule_for,
-                                 demicontractivity_bound, grid_points,
-                                 load_instance, make_ball_instance,
+                                 grid_points, load_instance, make_ball_instance,
                                  make_box_instance, make_example1,
                                  make_example2, make_example3,
                                  make_inclusion_instance,
@@ -108,10 +107,10 @@ class TestInstanceGeometry:
         inst = make_box_instance(dim=1, selection="first_enumerated")
         assert inst.selection is SelectionRule.FIRST_ENUMERATED
 
-    def test_demicontractivity_bound(self):
+    def test_beta_demi(self):
         inst = make_box_instance(dim=1, beta=0.7)
-        assert demicontractivity_bound(inst) == 0.7
-        assert demicontractivity_bound(make_trivial_instance()) == 0.0
+        assert inst.beta_demi == 0.7
+        assert make_trivial_instance().beta_demi == 0.0
 
 
 class TestSchedulesForInstances:

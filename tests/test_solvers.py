@@ -7,15 +7,18 @@ import pytest
 import viscosplit.hilbert as hilbert
 import viscosplit.solvers as solvers
 from viscosplit.hilbert import Box, NonFiniteError, WholeSpace, norm
-from viscosplit.monotone import MaxMonotone, SingleOp, ZeroOperator, zero_op
-from viscosplit.problems import (make_box_instance, make_inclusion_instance,
+from viscosplit.monotone import (MaxMonotone, SingleOp, ZeroOperator,
+                                 affine_op, zero_op)
+from viscosplit.problems import (catalog, load_instance, make_box_instance,
+                                 make_inclusion_instance,
                                  make_trivial_instance, default_schedule_for)
 from viscosplit.schedules import ParamSeq, Schedule
 from viscosplit.setvalued import BallImage, MultiMap, Singleton
 from viscosplit.solvers import ALGORITHMS
 from viscosplit.solvers import (CERTIFY_TOL, IterState,
                                 ScheduleValidationError, audit_fejer_chain,
-                                boundedness_radius, initial_state, run,
+                                boundedness_radius, initial_state,
+                                require_admissible, run,
                                 step_fc, step_forward_backward, step_main,
                                 step_sow, vi_residual)
 
@@ -152,26 +155,14 @@ class TestRun:
         {"record_stride": 0}, {"record_stride": -3}, {"record_stride": 2.0},
         {"record_stride": True}, {"tol": float("nan")}, {"tol": 0.0},
         {"tol": float("inf")},
-        {"max_iter": 2.5}, {"max_iter": -1}, {"max_iter": True},
-        {"sow_use_phi": True}],
+        {"tol": True}, {"tol": "1e-8"}, {"tol": None},
+        {"max_iter": 2.5}, {"max_iter": -1}, {"max_iter": True}],
         ids=repr)
     def test_unusable_arguments_rejected_up_front(self, kwargs):
         prob = make_trivial_instance()
         with pytest.raises(ValueError):
             run("main", prob, default_schedule_for(prob), **kwargs)
 
-    def test_sow_use_phi_must_be_a_bool(self):
-        prob = make_trivial_instance()
-        with pytest.raises(ValueError, match="sow_use_phi"):
-            run("sow", prob, default_schedule_for(prob), sow_use_phi=1)
-
-    def test_no_certifiable_common_point_rejected(self):
-        # 0.5 is not fixed by the halving maps; its defects are reported.
-        prob = dataclasses.replace(make_box_instance(dim=1),
-                                   known_common_points=(np.array([0.5]),))
-        with pytest.raises(ValueError, match=r"no declared common point "
-                           r"certifies; first defect list: .*T1"):
-            run("main", prob, default_schedule_for(prob))
 
     def test_numpy_integer_counts_accepted(self):
         prob = make_trivial_instance()
@@ -455,6 +446,13 @@ class TestCommonPointCertification:
         assert prob.certify_common_point(np.zeros(2))
         assert prob.known_common_points  # builder attached it
 
+    def test_uncertifiable_declared_point_rejected_at_construction(self):
+        # 0.5 is not fixed by the halving maps; its defects are reported.
+        with pytest.raises(ValueError, match=r"declared common point \[0.5\] "
+                           r"does not certify: .*T1"):
+            dataclasses.replace(make_box_instance(dim=1),
+                                known_common_points=(np.array([0.5]),))
+
     def test_noncommon_point_reports_defects(self):
         prob = make_box_instance(dim=1)
         defects = prob.common_point_defects(np.array([0.5]))
@@ -473,3 +471,40 @@ class TestCommonPointCertification:
         assert not prob.certify_common_point(q)
         relaxed = dataclasses.replace(prob, strict_fixed_points=False)
         assert relaxed.certify_common_point(q)
+
+
+class TestScheduleGateJudgesTheProblem:
+    """A schedule is judged with the constants of the problem it runs on,
+    not only with the copies it carries."""
+
+    def test_step_outside_the_problems_window_rejected(self):
+        box = load_instance("inclusion_box", dim=1)
+        schedule = default_schedule_for(box)
+        assert schedule.lam(1) == 0.5
+        # Forward 10 x is 0.1-inverse strongly monotone: window (0, 0.2).
+        steep = dataclasses.replace(box, forward=affine_op(10.0))
+        assert steep.alpha_ism == pytest.approx(0.1)
+        with pytest.raises(ScheduleValidationError) as exc:
+            run("main", steep, schedule)
+        names = [c.name for c in exc.value.report.failures()]
+        assert names == ["condition (ii): lambda_n in [a, b] within "
+                         "(0, min(1, 2*alpha_ism))"]
+
+    def test_weights_below_the_problems_demicontractivity_rejected(self):
+        schedule = default_schedule_for(load_instance("inclusion_box", dim=1))
+        assert schedule.theta(1) == schedule.beta(1) == 0.75
+        tight = make_inclusion_instance(dim=1, beta=0.9)
+        assert tight.beta_demi == 0.9
+        with pytest.raises(ScheduleValidationError) as exc:
+            require_admissible(schedule, tight)
+        names = [c.name for c in exc.value.report.failures()]
+        assert names == [
+            f"condition (ii): {label}_n in (beta_demi, 1) with liminf "
+            f"(1 - {label}_n)({label}_n - beta_demi) > 0"
+            for label in ("theta", "beta")]
+
+    @pytest.mark.parametrize("instance_id", sorted(catalog()))
+    def test_every_default_schedule_passes_on_its_instance(self,
+                                                           instance_id):
+        problem = load_instance(instance_id)
+        require_admissible(default_schedule_for(problem), problem)

@@ -1,7 +1,7 @@
 """Run the benchmark on two git revisions in alternation and compare them.
 
     python3 tools/bench_pairs.py BASE CHANGE --workload long_haul \\
-        --pairs 10 --seconds 20 --first-seed 1
+        --pairs 10 --seconds 20 --first-seed 1 [--json BENCH.json]
 
 Both revisions are exported with ``git archive`` into a temporary
 directory.  Pair k runs ``python3 perfbench/run.py --workload W --seed S
@@ -11,6 +11,13 @@ machine's speed falls on both sides.  For each workload and metric it then
 prints the base's and the change's median with their quartiles and in how
 many pairs the change read lower.  A run that reports ``"correct": false``
 or fails stops the script.
+
+``--json PATH`` also writes every run to PATH: the ``command``, the
+``base`` and ``change`` revisions (as given and as commits), the
+``run_order``, and ``runs``, each with its ``pair`` (0-based),
+``position`` in the pair (0 runs first), ``side``, ``revision``,
+``seed``, ``workload``, ``exit`` status, the ``env`` line and the parsed
+``result`` line of ``perfbench/run.py``.
 
 A revision is anything ``git archive`` takes; to compare uncommitted work,
 stage it and pass ``$(git stash create)``.
@@ -27,6 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+RUN_ORDER = ("one run at a time; workloads in the order given, pairs in "
+             "ascending seed; pair i (0-based) runs the base first when i "
+             "is even and the change first when i is odd")
+
 
 def export(revision: str, into: Path) -> Path:
     """Extract ``revision`` into the new directory ``into``."""
@@ -37,16 +48,28 @@ def export(revision: str, into: Path) -> Path:
     return into
 
 
+def commit(revision: str) -> str:
+    """The commit ``revision`` names."""
+    return subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify",
+         f"{revision}^{{commit}}"],
+        check=True, capture_output=True, text=True).stdout.strip()
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``; its metrics as {name: value}."""
-    out = subprocess.run(
+    """One benchmark run in ``tree``: its ``exit`` status, its ``env``
+    line and its ``result`` line, parsed."""
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=tree, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+        cwd=tree, check=True, capture_output=True, text=True)
+    *rest, last = proc.stdout.strip().splitlines()
+    result = json.loads(last)
     if not result["correct"]:
         sys.exit(f"{tree.name} {workload} seed {seed}: not correct: {result}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    env = [json.loads(line[4:]) for line in rest if line.startswith("env ")]
+    return {"exit": proc.returncode, "env": env[-1] if env else None,
+            "result": result}
 
 
 def spread(values: list) -> str:
@@ -65,32 +88,52 @@ def main(argv=None) -> int:
                         help="at least 2, for the quartiles")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write every run to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
 
+    revisions = {"base": args.base, "change": args.change}
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"base": export(args.base, Path(tmp) / "base"),
-                 "change": export(args.change, Path(tmp) / "change")}
+        trees = {side: export(rev, Path(tmp) / side)
+                 for side, rev in revisions.items()}
         for workload in args.workload:
-            runs = {"base": [], "change": []}
             for k in range(args.pairs):
                 seed = args.first_seed + k
                 order = ("base", "change") if k % 2 == 0 else ("change",
                                                                 "base")
-                for side in order:
-                    runs[side].append(bench(trees[side], workload, seed,
-                                            args.seconds))
+                for position, side in enumerate(order):
+                    runs.append({
+                        "pair": k, "position": position, "side": side,
+                        "revision": revisions[side], "seed": seed,
+                        "workload": workload,
+                        **bench(trees[side], workload, seed, args.seconds)})
             print(f"{workload}: {args.base} -> {args.change}, "
                   f"{args.pairs} pairs of {args.seconds:g} s")
-            for name in runs["base"][0]:
-                base = [r[name] for r in runs["base"]]
-                change = [r[name] for r in runs["change"]]
+            metrics = {side: [r["result"]["metrics"] for r in runs
+                              if r["workload"] == workload
+                              and r["side"] == side]
+                       for side in revisions}
+            for name in metrics["base"][0]:
+                base = [m[name]["value"] for m in metrics["base"]]
+                change = [m[name]["value"] for m in metrics["change"]]
                 lower = sum(c < b for b, c in zip(base, change))
                 ratio = statistics.median(change) / statistics.median(base)
                 print(f"  {name:12} {spread(base)} -> {spread(change)}  "
                       f"x{ratio:.3f}  change lower in {lower} of "
                       f"{args.pairs}")
+    if args.json:
+        record = {
+            "command": ("python3 perfbench/run.py --workload <workload> "
+                        f"--seed <seed> --seconds {args.seconds:g}"),
+            "base": {"revision": args.base, "commit": commit(args.base)},
+            "change": {"revision": args.change,
+                       "commit": commit(args.change)},
+            "run_order": RUN_ORDER, "runs": runs}
+        Path(args.json).write_text(
+            json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
 
