@@ -7,7 +7,7 @@ iteration, and reports how it terminated.
 import numpy as np
 
 from viscosplit import (audit_fejer_chain, boundedness_radius, catalog,
-                        default_schedule_for, load_instance, run)
+                        default_schedule_for, load_instance, run, step_main)
 
 print("-- catalog --")
 for name in sorted(catalog()):
@@ -37,8 +37,11 @@ print(f"n={state.n}: psi={np.round(state.psi, 6).tolist()}, "
 print(f"  stage residuals: T1 {state.residual_t1:.2e}, "
       f"T2 {state.residual_t2:.2e}, T3 {state.residual_t3:.2e}, "
       f"splitting {state.fb_residual:.2e}")
+# run() audited the state's stage points and then released them; stepping
+# the state recorded before it again gives them back, bit for bit.
 q = problem.known_common_points[0]
-audit = audit_fejer_chain(state, q)
+audit = audit_fejer_chain(step_main(problem, schedule, report.trajectory[4]),
+                          q)
 for name, lhs, rhs, ok in audit.links:
     print(f"  {name:12s} {lhs:.6f} <= {rhs:.6f}  {'ok' if ok else 'FAIL'}")
 

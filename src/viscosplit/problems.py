@@ -8,6 +8,7 @@ every catalog instance has a known solution and certifiable audit points.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 from typing import Callable
 
@@ -96,8 +97,17 @@ def make_inclusion_instance(dim: int = 1, feasible: ConvexSet | None = None,
     the splitting solutions are exactly {P(anchor)}.  ``maps``, when given,
     must be three mappings; they default to three copies of the scaling
     map.  When P(anchor) is also their common fixed point it becomes a
-    certified audit point of the instance.
+    certified audit point of the instance.  The default start is 0.9 in
+    every coordinate.
     """
+    return _inclusion_instance(0.9, **locals())
+
+
+def _inclusion_instance(start: float, dim, feasible, anchor, scale, beta,
+                        phi_coef, phi_offset, gamma, eta, selection, maps,
+                        name) -> ProblemInstance:
+    """:func:`make_inclusion_instance`'s instance with the default start
+    ``start`` in every coordinate, its common point certified once."""
     if feasible is None:
         feasible = Box(-np.ones(dim), np.ones(dim))
     anchor = (np.zeros(dim) if anchor is None else as_vector(anchor, dim))
@@ -117,7 +127,7 @@ def make_inclusion_instance(dim: int = 1, feasible: ConvexSet | None = None,
         contraction=contraction, strong=identity_op(),
         params=params, selection=selection,
         known_solution=solution,
-        default_start=0.9 * np.ones(dim))
+        default_start=start * np.ones(dim))
     try:
         return replace(instance, known_common_points=(solution,))
     except ValueError:  # P(anchor) does not certify as a common point
@@ -137,10 +147,11 @@ def make_ball_instance(dim: int = 2, scale: float = 0.5,
     """Inclusion over a ball through the origin; the solution sits on its
     boundary, which exercises the projection in earnest."""
     feasible = Ball(np.ones(dim), float(np.sqrt(dim)))
-    inst = make_inclusion_instance(
+    args = inspect.signature(make_inclusion_instance).bind(
         dim=dim, feasible=feasible, scale=scale, name="inclusion_ball",
         **overrides)
-    return replace(inst, default_start=0.75 * np.ones(dim))
+    args.apply_defaults()
+    return _inclusion_instance(0.75, **args.arguments)
 
 
 def make_trivial_instance(dim: int = 1) -> ProblemInstance:

@@ -28,11 +28,15 @@ stage point the anchor line carries and whether mu mixes it with psi:
   fc                 3       xi       no
   forward_backward   0       -        -      psi+ = delta, no anchor line
 
-Stage points past the last averaging line mirror it.  They are stored on
-the state they produce, together with the previous iterate, so every
-recorded state carries its own monotonicity chain ||xi - q|| <=
-||phi_p - q|| <= ||pi - q|| <= ||delta - q|| <= ||psi_prev - q||,
-auditable against any certified common point q.
+Stage points past the last averaging line mirror it.  A step returns
+them on the state it produces, together with the previous iterate, so
+the state carries its own monotonicity chain ||xi - q|| <= ||phi_p - q||
+<= ||pi - q|| <= ||delta - q|| <= ||psi_prev - q||, auditable against
+any certified common point q with :func:`audit_fejer_chain`.  :func:`run`
+audits that chain on every state and then releases the four stage
+points, so the states of ``RunReport.trajectory`` keep only ``psi``,
+``psi_prev`` and the scalars; re-step a recorded state's predecessor to
+see them again.
 
 Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
@@ -265,6 +269,11 @@ class IterState:
     the same problem with a lambda equal to ``lam``.  A copy made with
     ``dataclasses.replace`` drops it.  ``alpha``/``mu`` are nan when the
     rule does not use them.
+
+    A state :func:`run` returns in its trajectory has had its stage
+    points released once they were audited: ``delta``, ``pi``, ``phi`` and
+    ``xi`` are then all :data:`RELEASED`, and :func:`audit_fejer_chain`
+    raises on it.  ``fejer_ok`` keeps the audit's verdict.
     """
 
     n: int
@@ -551,6 +560,17 @@ class FejerAudit:
     links: tuple
 
 
+#: What the stage points of a state read once :func:`run` has audited
+#: and released them: one shared, read-only, empty array.
+RELEASED = np.empty(0)
+RELEASED.flags.writeable = False
+
+
+def _release(state: IterState) -> None:
+    """Drop the stage points of an audited ``state``."""
+    state.delta = state.pi = state.phi = state.xi = RELEASED
+
+
 #: Chain link names; link k compares distance row k with row k + 1 of
 #: :func:`_audit` over (xi, phi_p, pi, delta, psi_prev).
 _LINKS = ("xi_le_phi", "phi_le_pi", "pi_le_delta", "delta_le_psi")
@@ -622,8 +642,13 @@ def audit_fejer_chain(state: IterState, q) -> FejerAudit:
     :func:`run` does.  The last link is the averaging-monotone inequality
     tying the forward-backward point back to the iterate the step started
     from.  A q of another dimension than the state raises
-    :class:`~viscosplit.hilbert.DimensionMismatch`.
+    :class:`~viscosplit.hilbert.DimensionMismatch`, and a state whose
+    stage points :func:`run` has released raises ``ValueError``: its
+    chain can no longer be measured, only read from ``fejer_ok``.
     """
+    if not state.xi.size:
+        raise ValueError(f"the stage points of state n={state.n} were "
+                         f"released after run() audited the state")
     qv = as_vector(q, state.psi.size)
     d, failed, _ = _audit([state], qv[np.newaxis], np.inf)
     d, failed = d[0, :, 0].tolist(), failed[0, :, 0].tolist()
@@ -726,8 +751,11 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     :data:`STACKED_AUDIT_BYTES` (a state wider than that alone, point by
     point), and every exit audits the block it leaves; the violation
     counts and each state's ``fejer_ok`` are exact, the same as one state
-    at a time.  Recording keeps every state up to n = 10000 and then
-    every hundredth, unless ``record_stride`` forces a fixed stride.  The
+    at a time.  Each state's stage points are released once its audit has
+    run (without common points, once the next step has left it), so no
+    state of the trajectory keeps them (see :class:`IterState`).
+    Recording keeps every state up to n = 10000 and then every
+    hundredth, unless ``record_stride`` forces a fixed stride.  The
     report's ``vi_residual`` is nan without common points, or when an
     operator it evaluates is non-finite at the last iterate.
     """
@@ -767,14 +795,15 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
 
     def audit() -> None:
         """Audit the chain and the radius of the pending states against all
-        common points at once, set ``fejer_ok`` on each and let them
-        go."""
+        common points at once, set ``fejer_ok`` on each, release its stage
+        points and let them go."""
         nonlocal fejer_violations, bound_violations
         _, failed, outside = _audit(pending, q_rows, limits)
         fejer_violations += int(np.count_nonzero(failed))
         bound_violations += int(np.count_nonzero(outside))
         for st, bad in zip(pending, failed.any(axis=(1, 2)).tolist()):
             st.fejer_ok = not bad
+            _release(st)
         pending.clear()
 
     def hold(st: IterState) -> None:
@@ -805,6 +834,8 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         state.fb_carry = None
         if qs:
             hold(new)
+        else:
+            _release(state)  # nothing audits it
         if should_record(new.n):
             recorded.append(new)
         displacement = norm(new.psi - state.psi)
@@ -824,6 +855,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     if recorded[-1].n != state.n:
         recorded.append(state)
     state.fb_carry = None
+    _release(state)  # the last state, when no audit has released it
 
     final_vi = np.nan
     if qs:

@@ -31,6 +31,8 @@ from viscosplit.setvalued import (check_demicontractive,
 from viscosplit.solvers import (CERTIFY_TOL, audit_fejer_chain,
                                boundedness_radius, run)
 
+from restage import restaged
+
 import dataclasses
 
 
@@ -109,8 +111,8 @@ def test_criterion_4_stage_chain_never_violated():
                          max_iter=5_000)
             assert report.audit_points >= 1
             assert report.fejer_violations == 0
-            for st in report.trajectory:
-                assert st.fejer_ok
+            assert all(st.fejer_ok for st in report.trajectory)
+            for st in restaged(report):
                 audit = audit_fejer_chain(st, prob.known_common_points[0])
                 assert all(link[3] for link in audit.links)
                 assert audit.links[3][0] == "delta_le_psi"

@@ -12,13 +12,20 @@ point by point, with ``np.linalg.norm``, and compares them with the counts
 and flags ``run()`` got from auditing all certified points at once, on
 small instances (one stacked pass over all six points) and on a wide one
 (one point at a time).
+
+``run()`` releases the stage points of every state it records, so both
+oracles read them from the recorded states stepped again
+(:func:`restage.restaged`).
 """
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import viscosplit.solvers as solvers
+from restage import restaged
 from viscosplit.hilbert import Box, WholeSpace, norm
 from viscosplit.monotone import ZeroOperator, zero_op
 from viscosplit.problems import (catalog, default_schedule_for,
@@ -26,9 +33,10 @@ from viscosplit.problems import (catalog, default_schedule_for,
                                  make_inclusion_instance)
 from viscosplit.schedules import ParamSeq
 from viscosplit.setvalued import KIND_DEMICONTRACTIVE, MultiMap, Singleton
-from viscosplit.solvers import (AUDIT_BLOCK, AUDIT_TOL, CERTIFY_TOL,
-                                STACKED_AUDIT_BYTES, audit_fejer_chain,
-                                boundedness_radius, run)
+from viscosplit.solvers import (ALGORITHMS, AUDIT_BLOCK, AUDIT_TOL,
+                                CERTIFY_TOL, RELEASED, STACKED_AUDIT_BYTES,
+                                audit_fejer_chain, boundedness_radius,
+                                initial_state, run, step_main)
 
 STEPS = 50
 
@@ -79,7 +87,7 @@ def test_run_matches_the_oracle(instance_id, rule, steps):
     psi = problem.feasible.project(problem.default_start)
     np.testing.assert_allclose(report.trajectory[0].psi, psi, rtol=0,
                                atol=1e-12)
-    for state in report.trajectory[1:]:
+    for state in restaged(report)[1:]:
         psi, stages = oracle_step(problem, schedule, psi, state.n, rule)
         for got, want in zip((state.psi, state.delta, state.pi, state.phi,
                               state.xi), (psi, *stages)):
@@ -104,7 +112,7 @@ def runaway(feasible=WholeSpace()):
 
 def reference_audit(report):
     """Per-state chain flags and the run's two violation counts, one
-    certified point at a time."""
+    certified point at a time, over the recorded states stepped again."""
     problem = report.problem
     qs = [q for q in problem.known_common_points
           if problem.certify_common_point(q)]
@@ -112,7 +120,7 @@ def reference_audit(report):
     radii = [boundedness_radius(problem, report.schedule.mu_bar, psi0, q)
              for q in qs]
     flags, fejer, bound = [], 0, 0
-    for st in report.trajectory:
+    for st in restaged(report):
         ok = True
         for q, radius in zip(qs, radii):
             d = [np.linalg.norm(p - q) for p in
@@ -160,6 +168,67 @@ def test_stacked_audit_matches_the_per_point_loop(instance_id, rule):
     assert report.bound_violations == bound
     if instance_id == "runaway":
         assert fejer > 0 and bound > 0
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def held_bytes(trajectory) -> int:
+    """Bytes of the distinct arrays the states hold, over all their
+    fields."""
+    seen = {}
+    for state in trajectory:
+        for f in dataclasses.fields(state):
+            value = getattr(state, f.name)
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    seen[id(arr)] = arr.nbytes
+    return sum(seen.values())
+
+
+@pytest.mark.parametrize("rule", ALGORITHMS)
+def test_the_trajectory_holds_one_vector_per_state(rule):
+    # Every state is recorded, so each psi_prev is the psi before it and
+    # the stage points, once released, hold no bytes.
+    problem = load_instance("inclusion_box", dim=WIDE_DIM)
+    report = run(rule, problem, default_schedule_for(problem))
+    assert report.terminated_by == "tolerance"
+    limit = (len(report.trajectory) + 1) * 8 * WIDE_DIM
+    assert held_bytes(report.trajectory) <= limit
+    # perfbench's tracer reads the stage fields as arrays.
+    assert _load_tracing().trajectory_bytes(report.trajectory) <= limit
+    for st in report.trajectory:
+        assert st.delta is st.pi is st.phi is st.xi is RELEASED
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_instance("inclusion_ball"),
+    lambda: make_inclusion_instance(dim=1, anchor=np.array([5.0]))],
+    ids=["audited", "no_common_points"])
+def test_a_recorded_state_cannot_be_audited_again(build):
+    problem = build()
+    report = run("main", problem, default_schedule_for(problem),
+                 max_iter=3)
+    q = np.zeros(problem.dim)
+    for st in report.trajectory:
+        with pytest.raises(ValueError, match="released after run"):
+            audit_fejer_chain(st, q)
+
+
+def test_a_stepped_state_keeps_its_chain():
+    problem = load_instance("inclusion_ball")
+    schedule = default_schedule_for(problem)
+    state = step_main(problem, schedule, initial_state(
+        problem, schedule, problem.default_start))
+    links = audit_fejer_chain(state, problem.known_common_points[0]).links
+    assert [link[0] for link in links] == ["xi_le_phi", "phi_le_pi",
+                                           "pi_le_delta", "delta_le_psi"]
+    assert all(link[3] for link in links)
 
 
 def turning_t1(problem):
@@ -266,10 +335,10 @@ def test_near_miss_counts_against_the_audit_tolerance(dim, slack, low, high,
     assert len(problem.known_common_points) == 1
     assert (6 * 8 * dim > STACKED_AUDIT_BYTES) == (dim == WIDE_DIM)
     report = run("main", problem, schedule, psi0=start, max_iter=1)
-    step = report.trajectory[1]
+    step = restaged(report)[1]
     assert low < norm(step.pi) - norm(step.delta) < high
     assert report.fejer_violations == violations
-    assert step.fejer_ok is (violations == 0)
+    assert report.trajectory[1].fejer_ok is (violations == 0)
     assert report.bound_violations == 0
     name, lhs, rhs, ok = audit_fejer_chain(step, np.zeros(dim)).links[2]
     assert name == "pi_le_delta" and ok is (violations == 0)

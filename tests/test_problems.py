@@ -13,6 +13,7 @@ from viscosplit.problems import (catalog, default_schedule_for,
                                  make_trivial_instance, scaling_map)
 from viscosplit.schedules import validate
 from viscosplit.setvalued import SelectionRule, Singleton, distance_to_set
+from viscosplit.solvers import ProblemInstance
 
 
 class TestExampleMaps:
@@ -92,6 +93,27 @@ class TestInstanceGeometry:
         inst = make_oscillation_instance()
         assert inst.dim == 1
         assert inst.t1 is inst.t2 is inst.t3
+
+    @pytest.mark.parametrize("instance_id, certified", [
+        ("inclusion_ball", 1), ("inclusion_box", 1),
+        ("trivial_collapse", 3), ("sine_oscillation", 1)])
+    def test_each_common_point_is_certified_once_per_build(
+            self, monkeypatch, instance_id, certified):
+        calls = []
+        real = ProblemInstance.common_point_defects
+
+        def counted(self, q):
+            calls.append(q)
+            return real(self, q)
+
+        monkeypatch.setattr(ProblemInstance, "common_point_defects", counted)
+        inst = load_instance(instance_id)
+        assert len(calls) == certified
+        assert len(inst.known_common_points) == certified
+
+    def test_ball_start_is_three_quarters(self):
+        assert np.array_equal(load_instance("inclusion_ball", dim=3)
+                              .default_start, np.full(3, 0.75))
 
     def test_anchor_off_fixed_point_drops_common_points(self):
         inst = make_inclusion_instance(dim=1, anchor=np.array([5.0]))
