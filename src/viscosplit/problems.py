@@ -147,6 +147,8 @@ def make_ball_instance(dim: int = 2, scale: float = 0.5,
     """Inclusion over a ball through the origin; the solution sits on its
     boundary, which exercises the projection in earnest."""
     feasible = Ball(np.ones(dim), float(np.sqrt(dim)))
+    # Built with its own start at once: replacing the start afterwards
+    # would certify the common point a second time.
     args = inspect.signature(make_inclusion_instance).bind(
         dim=dim, feasible=feasible, scale=scale, name="inclusion_ball",
         **overrides)

@@ -14,9 +14,9 @@ import numpy as np
 from viscosplit.solvers import (initial_state, step_fc, step_forward_backward,
                                 step_main, step_sow)
 
-STEPS = {"main": step_main, "sow": step_sow, "fc": step_fc,
-         "forward_backward": step_forward_backward,
-         "sow_phi": functools.partial(step_sow, use_phi=True)}
+_STEPS = {"main": step_main, "sow": step_sow, "fc": step_fc,
+          "forward_backward": step_forward_backward,
+          "sow_phi": functools.partial(step_sow, use_phi=True)}
 
 
 def restaged(report) -> list:
@@ -28,9 +28,8 @@ def restaged(report) -> list:
     exactly.
     """
     problem, schedule = report.problem, report.schedule
-    step = STEPS[report.algorithm]
-    first = report.trajectory[0]
-    states = [initial_state(problem, schedule, first.psi)]
+    step = _STEPS[report.algorithm]
+    states = [initial_state(problem, schedule, report.trajectory[0].psi)]
     for prev, state in zip(report.trajectory, report.trajectory[1:]):
         assert state.n == prev.n + 1, "a state between them was not recorded"
         states.append(step(problem, schedule, prev))

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 import viscosplit.solvers as solvers
-from restage import restaged
 from viscosplit.hilbert import Box, WholeSpace, norm
 from viscosplit.monotone import ZeroOperator, zero_op
 from viscosplit.problems import (catalog, default_schedule_for,
@@ -37,6 +36,8 @@ from viscosplit.solvers import (ALGORITHMS, AUDIT_BLOCK, AUDIT_TOL,
                                 CERTIFY_TOL, RELEASED, STACKED_AUDIT_BYTES,
                                 audit_fejer_chain, boundedness_radius,
                                 initial_state, run, step_main)
+
+from restage import restaged
 
 STEPS = 50
 

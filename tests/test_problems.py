@@ -111,10 +111,6 @@ class TestInstanceGeometry:
         assert len(calls) == certified
         assert len(inst.known_common_points) == certified
 
-    def test_ball_start_is_three_quarters(self):
-        assert np.array_equal(load_instance("inclusion_ball", dim=3)
-                              .default_start, np.full(3, 0.75))
-
     def test_anchor_off_fixed_point_drops_common_points(self):
         inst = make_inclusion_instance(dim=1, anchor=np.array([5.0]))
         # Solution is P_[-1,1](5) = 1, which the halving maps do not fix.
