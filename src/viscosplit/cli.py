@@ -314,13 +314,18 @@ def _cmd_check(args) -> int:
                      _sample_points(rng, problem.dim, 200)))
     ok = True
 
+    # A mapping passed as more than one T_i is audited once.
+    audited = {}
     for i, t in enumerate(problem.maps, start=1):
-        if t.kind == KIND_DEMICONTRACTIVE:
-            res = check_demicontractive(t, t.constant, points)
-        elif t.kind == KIND_STRICTLY_PSEUDOCONTRACTIVE:
-            res = check_strictly_pseudocontractive(t, t.constant, pairs)
-        else:
-            res = check_quasi_nonexpansive(t, points)
+        res = audited.get(id(t))
+        if res is None:
+            if t.kind == KIND_DEMICONTRACTIVE:
+                res = check_demicontractive(t, t.constant, points)
+            elif t.kind == KIND_STRICTLY_PSEUDOCONTRACTIVE:
+                res = check_strictly_pseudocontractive(t, t.constant, pairs)
+            else:
+                res = check_quasi_nonexpansive(t, points)
+            audited[id(t)] = res
         ok = _print_audit(f"T{i} ({t.name or f'T{i}'}) {res.name}", res) and ok
 
     ism = problem.forward.inverse_strong_monotonicity

@@ -59,17 +59,44 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     :class:`NonFiniteError` on non-finite coordinates and
     ``DimensionMismatch`` when ``dim`` is given and does not match.
     """
-    if _is_vector(x):
-        v = x
-    else:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        if v.ndim != 1:
-            raise ValueError(f"expected a vector, got shape {v.shape}")
+    v = x if _is_vector(x) else _coerce(x)
     if not all_finite(v):
         raise NonFiniteError()
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v
+
+
+def _coerce(x) -> np.ndarray:
+    """``x`` as a 1-D float array, not scanned for finiteness."""
+    if _is_vector(x):
+        return x
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {v.shape}")
+    return v
+
+
+def as_rows(values) -> tuple[list, np.ndarray]:
+    """Coerce each of ``values`` as :func:`as_vector` does and stack them.
+
+    Returns the coerced vectors (a 1-D float64 array is its own) and their
+    (k, d) stack, which is scanned for finiteness once.  Raises
+    :class:`DimensionMismatch` naming both sizes when two values differ in
+    dimension, and :class:`NonFiniteError` when any coordinate is not
+    finite.
+    """
+    vectors = [_coerce(v) for v in values]
+    try:
+        rows = np.array(vectors)
+    except ValueError:
+        # numpy refuses a ragged stack; name the first size that differs.
+        size = next(v.size for v in vectors if v.size != vectors[0].size)
+        raise DimensionMismatch(f"dimensions differ: "
+                                f"{vectors[0].size} vs {size}") from None
+    if not all_finite(rows.ravel()):
+        raise NonFiniteError()
+    return vectors, rows
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -99,6 +126,14 @@ def norm(x) -> float:
             return math.sqrt(s)
     v = as_vector(x)
     return math.sqrt(float(v.dot(v)))
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row of the 2-D float array ``rows``, equal to
+    :func:`norm` of that row bit for bit: ``np.vecdot`` reduces each row
+    with the dot kernel of ``v.dot(v)``.  Nothing is scanned, so an
+    overflowing row reads inf."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 # --------------------------------------------------------------------------

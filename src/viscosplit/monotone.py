@@ -9,10 +9,12 @@ identity.  The resolvent with parameter lam > 0 is J(x) = (I + lam*A)^{-1} x.
 
 :func:`resolvent` is the public boundary: it checks lam and coerces and
 checks x, once.  A :meth:`MaxMonotone.resolvent` method takes a vector
-already checked and does not check it again.  The class audits check each
-sampled case once and then evaluate operators at the checked points:
-an operator value is checked once, and a resolvent value through the
-norm of the gap it enters.
+already checked and does not check it again.  The class audits hand
+their pairs to :func:`~viscosplit.setvalued.sampled_audit`, which checks
+the whole sample in one scan, and form each inequality over the stacked
+rows at once: the operator or resolvent is called at each row, an operator
+value is checked once, as it is made, and the stacked resolvent gap
+Jx - Jy is scanned once.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, ConvexSet, as_vector, norm
+from .hilbert import DEFAULT_TOL, ConvexSet, as_vector, norm, row_norms
 from .setvalued import AuditResult, sampled_audit
 
 
@@ -174,15 +176,25 @@ def fixed_point_residual(inclusion: MaxMonotone, forward: SingleOp,
 # Operator audits
 # --------------------------------------------------------------------------
 
+def _paired(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
+            ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``f`` at every row of ``xs`` and of ``ys``, stacked as two arrays.
+    ``f`` is called case by case, at x and then at y."""
+    fx, fy = zip(*[(f(x), f(y)) for x, y in zip(xs, ys)])
+    return np.array(fx), np.array(fy)
+
+
 def check_inverse_strongly_monotone(op: SingleOp, alpha: float,
                                     pairs: Sequence) -> AuditResult:
     """Audit  <op x - op y, x - y> >= alpha * ||op x - op y||^2  on pairs."""
     if not alpha > 0:
         raise ValueError("inverse strong monotonicity modulus must be positive")
 
-    def sides(x, y):
-        gap = _value(op, x) - _value(op, y)
-        return alpha * norm(gap) ** 2, float(gap @ (x - y))
+    def sides(xs, ys):
+        vx, vy = _paired(lambda x: _value(op, x), xs, ys)
+        gap = vx - vy
+        size = row_norms(gap)
+        return alpha * (size * size), np.vecdot(gap, xs - ys)
     return sampled_audit("inverse_strongly_monotone", pairs, sides)
 
 
@@ -198,11 +210,12 @@ def check_forward_nonexpansive(op: SingleOp, alpha: float, theta: float,
     if not 0.0 <= theta <= 2.0 * alpha:
         note = (f"theta={theta} outside [0, {2.0 * alpha}]; "
                 "nonexpansiveness is not guaranteed in this range")
-    return sampled_audit(
-        "forward_nonexpansive", pairs,
-        lambda x, y: (norm((x - theta * _value(op, x))
-                           - (y - theta * _value(op, y))),
-                      norm(x - y)), note=note)
+
+    def sides(xs, ys):
+        vx, vy = _paired(lambda x: _value(op, x), xs, ys)
+        return (row_norms((xs - theta * vx) - (ys - theta * vy)),
+                row_norms(xs - ys))
+    return sampled_audit("forward_nonexpansive", pairs, sides, note=note)
 
 
 def wang_tau(eta: float, k: float, L: float) -> float:
@@ -227,11 +240,12 @@ def check_wang_contraction(op: SingleOp, eta: float, t: float,
     tau = wang_tau(eta, k, L)
     if not 0.0 < t < min(1.0, 1.0 / tau):
         raise ValueError(f"t={t} outside (0, {min(1.0, 1.0 / tau)})")
-    return sampled_audit(
-        "averaged_contraction", pairs,
-        lambda x, y: (norm((x - t * eta * _value(op, x))
-                           - (y - t * eta * _value(op, y))),
-                      (1.0 - t * tau) * norm(x - y)))
+
+    def sides(xs, ys):
+        vx, vy = _paired(lambda x: _value(op, x), xs, ys)
+        return (row_norms((xs - t * eta * vx) - (ys - t * eta * vy)),
+                (1.0 - t * tau) * row_norms(xs - ys))
+    return sampled_audit("averaged_contraction", pairs, sides)
 
 
 def check_resolvent_firmly_nonexpansive(op: MaxMonotone, lam: float,
@@ -239,13 +253,16 @@ def check_resolvent_firmly_nonexpansive(op: MaxMonotone, lam: float,
                                         tol: float = DEFAULT_TOL) -> AuditResult:
     """Audit  ||Jx - Jy||^2 <= <Jx - Jy, x - y>  for J the lam-resolvent.
 
-    lam > 0 is enforced before any sampling.  A non-finite resolvent value
-    makes the gap non-finite, which :func:`~viscosplit.hilbert.norm`
-    rejects, so the values are not checked one by one.
+    lam > 0 is enforced before any sampling.  The resolvent values are not
+    checked one by one: the stacked gap Jx - Jy is scanned once, and a
+    non-finite value raises :class:`~viscosplit.hilbert.NonFiniteError`.
     """
     _check_lam(lam)
 
-    def sides(x, y):
-        gap = op.resolvent(lam, x) - op.resolvent(lam, y)
-        return norm(gap) ** 2, float(gap @ (x - y))
+    def sides(xs, ys):
+        jx, jy = _paired(lambda x: op.resolvent(lam, x), xs, ys)
+        gap = jx - jy
+        as_vector(gap.ravel())  # one scan rejects a non-finite value
+        size = row_norms(gap)
+        return size * size, np.vecdot(gap, xs - ys)
     return sampled_audit("resolvent_firmly_nonexpansive", pairs, sides, tol)

@@ -7,11 +7,15 @@ defining inequality of a declared mapping class (demicontractive,
 quasi-nonexpansive, strictly pseudocontractive) and report the worst slack
 together with a witness pair, never just a bare boolean.
 
-An audit checks each sampled case once, in :func:`sampled_audit`, and
-then works on the checked arrays: it takes images with ``T.image`` and
-measures them with the private kernels behind :func:`distance_to_set`
-and :func:`hausdorff`, which check nothing again.  Each image is checked
-by its constructor.
+An audit checks its whole sample once, in :func:`sampled_audit`: the
+distinct values are stacked and the stack is scanned in one pass.  A batch
+``sides(xs, ys)`` then evaluates the inequality over all cases at once, one
+row per case, and returns one lhs and one rhs array.  Only what belongs to
+a single case runs case by case: the images ``T.image`` and the private
+kernels behind :func:`distance_to_set` and :func:`hausdorff`, which check
+nothing again.  Each image is checked by its constructor.  Norms of the
+stacked rows come from :func:`~viscosplit.hilbert.row_norms`, equal to
+:func:`~viscosplit.hilbert.norm` bit for bit.
 """
 from __future__ import annotations
 
@@ -21,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, DimensionMismatch, as_vector, norm
+from .hilbert import (DEFAULT_TOL, DimensionMismatch, as_rows, as_vector,
+                      norm, row_norms)
 
 
 class UnsupportedPairing(TypeError):
@@ -235,36 +240,49 @@ class AuditResult:
 
 
 def sampled_audit(name: str, cases: Sequence,
-                  sides: Callable[[np.ndarray, np.ndarray], tuple[float, float]],
+                  sides: Callable[[np.ndarray, np.ndarray],
+                                  tuple[np.ndarray, np.ndarray]],
                   tol: float = DEFAULT_TOL, note: str = "") -> AuditResult:
-    """Audit  lhs <= rhs  with ``(lhs, rhs) = sides(x, y)`` on each case.
+    """Audit  lhs <= rhs  on every case (x, y) of a sample at once.
 
-    Each distinct case array is coerced and checked here, once per audit
-    (a fixed point paired with every sample point is checked once), so
-    ``sides`` gets checked vectors and works on them without checking them
-    again.  Keeps the worst slack lhs - rhs with its witness (x, y), and
-    records every case whose slack is not <= ``tol`` as (x, y, lhs, rhs):
-    a nan slack is a violation, and the first one stays the worst.
-    ``tol`` defaults to the one audit tolerance,
-    :data:`~viscosplit.hilbert.DEFAULT_TOL`; only the resolvent audit
-    passes its caller's.  An empty sample passes vacuously, with a note
-    that says so.
+    The distinct case values are coerced and stacked, and the stack is
+    scanned for finiteness once (:func:`~viscosplit.hilbert.as_rows`), so a
+    fixed point paired with every sample point is checked once, and values
+    of different dimensions raise
+    :class:`~viscosplit.hilbert.DimensionMismatch`.  ``sides(xs, ys)`` then
+    gets the checked sample as two (cases, d) arrays, row k holding case k,
+    and returns the lhs and the rhs of every case as two arrays; it works on
+    the rows without checking them again.  numpy's overflow and invalid
+    warnings are silenced while it runs and the slack is taken, as Python
+    float arithmetic is silent: an overflow reads inf and inf - inf nan.
+
+    Keeps the worst slack lhs - rhs with its witness (x, y), and records
+    every case whose slack is not <= ``tol`` as (x, y, lhs, rhs): a nan
+    slack is a violation, and the first one is the worst.  A sample whose
+    every slack is -inf keeps no witness.  ``tol`` defaults to the one
+    audit tolerance, :data:`~viscosplit.hilbert.DEFAULT_TOL`; only the
+    resolvent audit passes its caller's.  An empty sample passes
+    vacuously, with a note that says so.
     """
     # The tuples keep every value alive, so its id names it for the audit.
     cases = [tuple(case) for case in cases]
     if not cases:
         note = "; ".join(filter(None, (note, "empty sample")))
+        return AuditResult(name, True, -np.inf, None, 0, note)
     distinct = {id(v): v for case in cases for v in case}
-    checked = {key: as_vector(v) for key, v in distinct.items()}
-    worst, witness, violations = -np.inf, None, []
-    for x, y in cases:
-        xv, yv = checked[id(x)], checked[id(y)]
-        lhs, rhs = sides(xv, yv)
+    row = {key: k for k, key in enumerate(distinct)}
+    vectors, stack = as_rows(distinct.values())
+    xi, yi = np.array([[row[id(x)], row[id(y)]] for x, y in cases]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = sides(stack[xi], stack[yi])
         slack = lhs - rhs
-        if not (slack <= worst or np.isnan(worst)):
-            worst, witness = slack, (xv, yv)
-        if not slack <= tol:
-            violations.append((xv, yv, lhs, rhs))
+    nan = np.isnan(slack)
+    k = int(nan.argmax() if nan.any() else slack.argmax())
+    worst = float(slack[k])
+    witness = (None if worst == -np.inf
+               else (vectors[xi[k]], vectors[yi[k]]))
+    violations = [(vectors[xi[j]], vectors[yi[j]], float(lhs[j]),
+                   float(rhs[j])) for j in np.flatnonzero(~(slack <= tol))]
     return AuditResult(name, not violations, worst, witness, len(cases),
                        note, violations)
 
@@ -286,10 +304,14 @@ def check_demicontractive(T: MultiMap, beta: float,
     if not 0.0 <= beta < 1.0:
         raise ValueError("demicontractive constant must lie in [0, 1)")
 
-    def sides(x, q):
-        img = T.image(x)
-        return (_farthest(img, q) ** 2,
-                norm(x - q) ** 2 + beta * _distance(x, img) ** 2)
+    def sides(xs, qs):
+        far, dist = [], []
+        for x, q in zip(xs, qs):
+            img = T.image(x)
+            far.append(_farthest(img, q))
+            dist.append(_distance(x, img))
+        far, dist, gap = np.array(far), np.array(dist), row_norms(xs - qs)
+        return far * far, gap * gap + beta * (dist * dist)
     return sampled_audit("demicontractive", _fixed_point_pairs(T, points),
                          sides)
 
@@ -298,7 +320,9 @@ def check_quasi_nonexpansive(T: MultiMap, points: Sequence) -> AuditResult:
     """Audit  H(T x, T q) <= ||x - q||  on a sample, q a fixed point."""
     return sampled_audit(
         "quasi_nonexpansive", _fixed_point_pairs(T, points),
-        lambda x, q: (_farthest(T.image(x), q), norm(x - q)))
+        lambda xs, qs: (np.array([_farthest(T.image(x), q)
+                                  for x, q in zip(xs, qs)]),
+                        row_norms(xs - qs)))
 
 
 def check_strictly_pseudocontractive(T: MultiMap, k: float,
@@ -316,12 +340,19 @@ def check_strictly_pseudocontractive(T: MultiMap, k: float,
         raise ValueError("pseudocontractive constant must lie in [0, 1]")
     note = "k = 1 is the non-strict boundary case" if k == 1.0 else ""
 
-    def sides(x, y):
-        img_x, img_y = T.image(x), T.image(y)
-        disp = min(norm((x - u) - (y - w)) for u in _enumerable(img_x)
-                   for w in _enumerable(img_y))
-        return (hausdorff(img_x, img_y) ** 2,
-                norm(x - y) ** 2 + k * disp ** 2)
+    def sides(xs, ys):
+        # The displacements of all cases are measured in one stack; case j
+        # owns the rows from starts[j] to the next case's start.
+        haus, disp, starts = [], [], []
+        for x, y in zip(xs, ys):
+            img_x, img_y = T.image(x), T.image(y)
+            starts.append(len(disp))
+            disp += [(x - u) - (y - w) for u in _enumerable(img_x)
+                     for w in _enumerable(img_y)]
+            haus.append(hausdorff(img_x, img_y))
+        haus, gap = np.array(haus), row_norms(xs - ys)
+        disp = np.minimum.reduceat(row_norms(np.array(disp)), starts)
+        return haus * haus, gap * gap + k * (disp * disp)
     return sampled_audit("strictly_pseudocontractive", pairs, sides,
                          note=note)
 

@@ -35,8 +35,9 @@ the state carries its own monotonicity chain ||xi - q|| <= ||phi_p - q||
 any certified common point q with :func:`audit_fejer_chain`.  :func:`run`
 audits that chain on every state and then releases the four stage
 points, so the states of ``RunReport.trajectory`` keep only ``psi``,
-``psi_prev`` and the scalars; re-step a recorded state's predecessor to
-see them again.
+``psi_prev`` and the scalars, and ``psi_prev`` only where the state
+before is recorded too; re-step a recorded state's predecessor to see
+them again.
 
 Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
@@ -273,7 +274,10 @@ class IterState:
     A state :func:`run` returns in its trajectory has had its stage
     points released once they were audited: ``delta``, ``pi``, ``phi`` and
     ``xi`` are then all :data:`RELEASED`, and :func:`audit_fejer_chain`
-    raises on it.  ``fejer_ok`` keeps the audit's verdict.
+    raises on it.  ``fejer_ok`` keeps the audit's verdict.  Its
+    ``psi_prev`` is :data:`RELEASED` too when the state before it was not
+    recorded (past n = 10000, or with a ``record_stride`` above 1), and is
+    otherwise the ``psi`` of the state recorded before it.
     """
 
     n: int
@@ -753,7 +757,10 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     counts and each state's ``fejer_ok`` are exact, the same as one state
     at a time.  Each state's stage points are released once its audit has
     run (without common points, once the next step has left it), so no
-    state of the trajectory keeps them (see :class:`IterState`).
+    state of the trajectory keeps them (see :class:`IterState`).  The
+    ``psi_prev`` of a recorded state whose predecessor is not recorded is
+    released at the same time, and every exit releases what is left of
+    both.
     Recording keeps every state up to n = 10000 and then every
     hundredth, unless ``record_stride`` forces a fixed stride.  The
     report's ``vi_residual`` is nan without common points, or when an
@@ -793,6 +800,15 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     # point.
     pending = []
 
+    # Recorded states whose predecessor is not recorded: their psi_prev is
+    # an iterate the trajectory does not keep, released once audited.
+    orphans = []
+
+    def release_orphans() -> None:
+        for st in orphans:
+            st.psi_prev = RELEASED
+        orphans.clear()
+
     def audit() -> None:
         """Audit the chain and the radius of the pending states against all
         common points at once, set ``fejer_ok`` on each, release its stage
@@ -805,6 +821,7 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             st.fejer_ok = not bad
             _release(st)
         pending.clear()
+        release_orphans()  # each was pending until now, or before
 
     def hold(st: IterState) -> None:
         """Queue ``st`` for the audit, and audit the queue once it is
@@ -836,7 +853,10 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             hold(new)
         else:
             _release(state)  # nothing audits it
+            release_orphans()
         if should_record(new.n):
+            if recorded[-1] is not state:
+                orphans.append(new)
             recorded.append(new)
         displacement = norm(new.psi - state.psi)
         state = new
@@ -853,9 +873,12 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     if pending:
         audit()
     if recorded[-1].n != state.n:
+        if recorded[-1].n != state.n - 1:
+            orphans.append(state)
         recorded.append(state)
     state.fb_carry = None
     _release(state)  # the last state, when no audit has released it
+    release_orphans()
 
     final_vi = np.nan
     if qs:

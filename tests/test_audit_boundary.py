@@ -1,10 +1,11 @@
 """The class audits check their inputs once, at their boundary.
 
-``sampled_audit`` coerces and checks each sampled case once, and the audits
-then work on the checked arrays.  These tests pin both halves: a non-finite
-sample point, image or operator value still raises ``NonFiniteError`` from
-each of the seven audits, and ``viscosplit check`` makes few finiteness
-scans per audited case.
+``sampled_audit`` coerces and stacks the sampled values and checks the stack
+once, and the audits then work on the checked arrays.  These tests pin both
+halves: a non-finite sample point, image or operator value still raises
+``NonFiniteError`` from each of the seven audits, a sample of mixed
+dimension raises ``DimensionMismatch`` naming both sizes, and ``viscosplit
+check`` makes few finiteness scans per audited case.
 """
 import inspect
 
@@ -14,13 +15,13 @@ import pytest
 import viscosplit.hilbert as hilbert
 import viscosplit.solvers as solvers
 from viscosplit.cli import _sample_points, main
-from viscosplit.hilbert import NonFiniteError
-from viscosplit.monotone import (MaxMonotone, SingleOp,
+from viscosplit.hilbert import DimensionMismatch, NonFiniteError
+from viscosplit.monotone import (MaxMonotone, SingleOp, affine_op,
                                  check_forward_nonexpansive,
                                  check_inverse_strongly_monotone,
                                  check_resolvent_firmly_nonexpansive,
                                  check_wang_contraction)
-from viscosplit.problems import catalog
+from viscosplit.problems import catalog, make_example1
 from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, BallImage, FiniteSet,
                                   MultiMap, Singleton, check_demicontractive,
                                   check_quasi_nonexpansive,
@@ -144,6 +145,23 @@ def test_non_finite_input_raises_at_the_boundary(name, fault, bad):
         value = BAD_IMAGES[fault.removesuffix(" image")](bad)
     with pytest.raises(NonFiniteError):
         AUDITS[name](value, xs)
+
+
+@pytest.mark.parametrize("name", sorted(AUDITS))
+def test_mixed_dimensions_raise_at_the_boundary(name):
+    # Numpy would broadcast the 1-vector against the 2-vector.  Every map
+    # audit pairs the sample with the fixed point vec(0.0); every operator
+    # audit pairs x with -0.5 * x, so the sizes differ across cases.
+    with pytest.raises(DimensionMismatch, match="1 vs 2"):
+        AUDITS[name](good_value(name), [vec(1.0), vec(1.0, 2.0)])
+
+
+def test_mixed_dimensions_within_one_case_raise():
+    with pytest.raises(DimensionMismatch, match="2 vs 1"):
+        check_quasi_nonexpansive(make_example1(), [vec(1.0, 2.0)])
+    with pytest.raises(DimensionMismatch, match="2 vs 1"):
+        check_inverse_strongly_monotone(affine_op(1.0), 1.0,
+                                        [(vec(1.0, 2.0), vec(3.0))])
 
 
 @pytest.mark.parametrize("instance_id", sorted(catalog()))

@@ -192,12 +192,15 @@ def held_bytes(trajectory) -> int:
     return sum(seen.values())
 
 
+@pytest.mark.parametrize("stride", [None, 2])
 @pytest.mark.parametrize("rule", ALGORITHMS)
-def test_the_trajectory_holds_one_vector_per_state(rule):
-    # Every state is recorded, so each psi_prev is the psi before it and
-    # the stage points, once released, hold no bytes.
+def test_the_trajectory_holds_one_vector_per_state(rule, stride):
+    # Each psi_prev is the psi recorded before it, or released when the
+    # state before was not recorded, and the stage points, once released,
+    # hold no bytes.
     problem = load_instance("inclusion_box", dim=WIDE_DIM)
-    report = run(rule, problem, default_schedule_for(problem))
+    report = run(rule, problem, default_schedule_for(problem),
+                 record_stride=stride)
     assert report.terminated_by == "tolerance"
     limit = (len(report.trajectory) + 1) * 8 * WIDE_DIM
     assert held_bytes(report.trajectory) <= limit

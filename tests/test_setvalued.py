@@ -240,8 +240,10 @@ class TestNanSlack:
         ([1.0, math.nan, 2.0], 1), ([-1.0, 0.5], 1)])
     def test_first_nan_stays_the_worst(self, slacks, worst_at):
         cases = [(vec(float(k)), vec(0.0)) for k in range(len(slacks))]
-        res = sampled_audit("nan_first", cases,
-                            lambda x, y: (slacks[int(x[0])], 0.0))
+        res = sampled_audit(
+            "nan_first", cases,
+            lambda xs, ys: (np.array(slacks)[xs[:, 0].astype(int)],
+                            np.zeros(len(xs))))
         worst = slacks[worst_at]
         assert (math.isnan(res.worst_slack) if math.isnan(worst)
                 else res.worst_slack == worst)

@@ -114,3 +114,53 @@ def test_bench_pairs_json_records_every_run_in_alternation(tmp_path,
         assert r["exit"] == 0 and r["env"] == {"tree": r["side"]}
         assert r["result"]["metrics"]["us_per_iter"]["value"] == (
             r["seed"] + (0.5 if r["side"] == "change" else 0.0))
+
+
+def test_bench_pairs_verdict_applies_the_gain_and_bound_rules():
+    verdict = load_tool("bench_pairs").verdict
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    # Lower in all pairs by 3, more than the base's quartile spread (2).
+    assert verdict(base, [b - 3.0 for b in base]) == "gain rule holds"
+    # Lower in all pairs, but by less than the spread.
+    assert verdict(base, [b - 1.0 for b in base]) == "gain rule fails"
+    # Far lower in 8 of 10 pairs only.
+    eight = [b - 5.0 for b in base[:8]] + base[8:]
+    assert verdict(base, eight) == "gain rule fails"
+    # Higher is better where BENCHMARK.json says so.
+    assert verdict(base, [b + 3.0 for b in base],
+                   better="higher") == "gain rule holds"
+    # The bound is relative to the base's median, 12.
+    assert verdict(base, [b + 2.9 for b in base], bound=0.25) == (
+        "gain rule fails; median within its bound of 0.25")
+    assert verdict(base, [b + 3.1 for b in base], bound=0.25) == (
+        "gain rule fails; median BEYOND its bound of 0.25")
+
+
+def test_bench_pairs_prints_a_verdict_per_metric(monkeypatch, capsys):
+    bench_pairs = load_tool("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: into)
+
+    def fake_bench(tree, workload, seed, seconds):
+        change = tree.name == "change"
+        return {"exit": 0, "env": None, "result": {"correct": True,
+                "metrics": {
+                    "op_ms_p50": {"unit": "ms",
+                                  "value": 10.0 + seed % 2
+                                  - (5.0 if change else 0.0)},
+                    "peak_rss_mb": {"unit": "MB",
+                                    "value": 40.0 + (5.0 if change
+                                                     else 0.0)}}}}
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+
+    assert bench_pairs.main(["BASE", "CHANGE", "--workload", "cli_batch",
+                             "--pairs", "10", "--seconds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # Each metric line is followed by its verdicts; the bounds are read
+    # from BENCHMARK.json (op_ms_p50 0.25, peak_rss_mb 0.1).
+    at = {line.split()[0]: k for k, line in enumerate(lines)
+          if line.startswith("  ") and line.split()[0] in (
+              "op_ms_p50", "peak_rss_mb")}
+    assert lines[at["op_ms_p50"] + 1].split() == (
+        "gain rule holds; median within its bound of 0.25".split())
+    assert lines[at["peak_rss_mb"] + 1].split() == (
+        "gain rule fails; median BEYOND its bound of 0.1".split())

@@ -9,7 +9,16 @@ directory.  Pair k runs ``python3 perfbench/run.py --workload W --seed S
 first in odd pairs and the change first in even ones, so a drift of the
 machine's speed falls on both sides.  For each workload and metric it then
 prints the base's and the change's median with their quartiles and in how
-many pairs the change read lower.  A run that reports ``"correct": false``
+many pairs the change read lower.  Under it, two verdicts per metric:
+
+- the gain rule: the change reads better (lower, or higher where
+  ``BENCHMARK.json`` says so) in at least 9 of 10 pairs, and its median is
+  better than the base's by more than the base's quartile spread;
+- for an end-to-end metric of ``BENCHMARK.json``, whether the change's
+  median is worse than the base's by no more than the metric's relative
+  bound.
+
+``BENCHMARK.json`` is only read.  A run that reports ``"correct": false``
 or fails stops the script.
 
 ``--json PATH`` also writes every run to PATH: the ``command``, the
@@ -78,6 +87,31 @@ def spread(values: list) -> str:
     return f"{q2:.4g} [{q1:.4g}-{q3:.4g}]"
 
 
+def declared_metrics(path: Path = ROOT / "BENCHMARK.json") -> dict:
+    """``name -> (better, bound)`` for each metric ``path`` declares; the
+    bound is None for a per-layer metric."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: (m.get("better", "lower"), m.get("bound"))
+            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def verdict(base: list, change: list, better: str = "lower",
+            bound: float | None = None) -> str:
+    """The gain rule and, with a ``bound``, the bound rule for one metric
+    of paired runs (``base[k]`` and ``change[k]`` form pair k)."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    q1, base_median, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    gap = sign * (base_median - statistics.median(change))
+    gain = 10 * wins >= 9 * len(base) and gap > q3 - q1
+    text = f"gain rule {'holds' if gain else 'fails'}"
+    if bound is not None:
+        within = -gap <= bound * abs(base_median)
+        text += (f"; median {'within' if within else 'BEYOND'} "
+                 f"its bound of {bound:g}")
+    return text
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base")
@@ -94,6 +128,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
 
+    declared = declared_metrics()
     revisions = {"base": args.base, "change": args.change}
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -124,6 +159,8 @@ def main(argv=None) -> int:
                 print(f"  {name:12} {spread(base)} -> {spread(change)}  "
                       f"x{ratio:.3f}  change lower in {lower} of "
                       f"{args.pairs}")
+                print(f"  {'':12} "
+                      f"{verdict(base, change, *declared.get(name, ()))}")
     if args.json:
         record = {
             "command": ("python3 perfbench/run.py --workload <workload> "
