@@ -87,10 +87,10 @@ def spread(values: list) -> str:
     return f"{q2:.4g} [{q1:.4g}-{q3:.4g}]"
 
 
-def declared_metrics(path: Path = ROOT / "BENCHMARK.json") -> dict:
-    """``name -> (better, bound)`` for each metric ``path`` declares; the
-    bound is None for a per-layer metric."""
-    spec = json.loads(path.read_text())
+def declared_metrics() -> dict:
+    """``name -> (better, bound)`` for each metric ``BENCHMARK.json``
+    declares; the bound is None for a per-layer metric."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: (m.get("better", "lower"), m.get("bound"))
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
