@@ -24,7 +24,7 @@ from .setvalued import (AuditResult, BallImage, FiniteSet, MultiMap,
                         SelectionRule, Singleton, UnsupportedPairing,
                         check_demicontractive, check_quasi_nonexpansive,
                         check_strictly_pseudocontractive, distance_to_set,
-                        hausdorff, select, select_from)
+                        hausdorff, select_from)
 from .solvers import (ALGORITHMS, DIVERGENCE_LIMIT, FejerAudit, IterState,
                       ProblemInstance, RunReport, ScheduleValidationError,
                       audit_fejer_chain, boundedness_radius, initial_state,

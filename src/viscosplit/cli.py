@@ -26,6 +26,9 @@ schedule is judged against the instance's own constants.  An instance's
 declared common points are certified when it is built, so ``check``
 reports each as certified.
 
+A config file is read as UTF-8 whatever the locale; one that does not
+decode is an invalid configuration.
+
 Per cell the run writes <id>.csv with one row per recorded iteration and
 <id>.json with the run summary.  Output is byte-deterministic for a fixed
 config: floats are written via repr and JSON keys are sorted.
@@ -204,6 +207,15 @@ def _build_cell(raw: dict, default_seed) -> Cell:
                 max_iter=max_iter, record_stride=stride, seed=default_seed)
 
 
+def _read_config(path) -> str:
+    """The text of the config file at ``path``, read as UTF-8 whatever the
+    locale; a file that does not decode is a :class:`ConfigError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def parse_config(text: str, seed_override=None) -> list[Cell]:
     try:
         data = json.loads(text)
@@ -255,8 +267,7 @@ def _write_summary(path: Path, cell: Cell, report) -> None:
 
 
 def _cmd_run(args) -> int:
-    cells = parse_config(Path(args.config).read_text(),
-                         seed_override=args.seed)
+    cells = parse_config(_read_config(args.config), seed_override=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -360,7 +371,7 @@ def _cmd_check(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    cells = parse_config(Path(args.config).read_text())
+    cells = parse_config(_read_config(args.config))
     for cell in cells:
         print(f"cell {cell.id}: algorithm={cell.algorithm} "
               f"instance={cell.instance_id} dim={cell.problem.dim} "

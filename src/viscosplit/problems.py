@@ -95,8 +95,8 @@ def make_inclusion_instance(dim: int = 1, feasible: ConvexSet | None = None,
     The forward operator is x -> x - anchor (inverse strongly monotone with
     modulus 1), the inclusion part is the normal cone of ``feasible``, so
     the splitting solutions are exactly {P(anchor)}.  ``maps``, when given,
-    must be three mappings; they default to three copies of the scaling
-    map.  When P(anchor) is also their common fixed point it becomes a
+    must be three mappings; they default to one scaling map passed as T1,
+    T2 and T3.  When P(anchor) is also their common fixed point it becomes a
     certified audit point of the instance.  The default start is 0.9 in
     every coordinate.
     """
@@ -112,7 +112,7 @@ def _inclusion_instance(start: float, dim, feasible, anchor, scale, beta,
         feasible = Box(-np.ones(dim), np.ones(dim))
     anchor = (np.zeros(dim) if anchor is None else as_vector(anchor, dim))
     if maps is None:
-        maps = tuple(scaling_map(scale, dim, beta) for _ in range(3))
+        maps = (scaling_map(scale, dim, beta),) * 3
     elif not (isinstance(maps, (tuple, list)) and len(maps) == 3
               and all(isinstance(t, MultiMap) for t in maps)):
         raise ValueError(f"maps must be three mappings, got {maps!r}")
@@ -165,10 +165,11 @@ def make_trivial_instance(dim: int = 1) -> ProblemInstance:
     """
     contraction, b = _contraction(dim, 0.0, None)
     params = ViscosityParams(gamma=0.25, eta=1.0, k=1.0, L=1.0, b=b)
+    identity = identity_map(dim)
     return ProblemInstance(
         name="trivial_collapse", dim=dim, feasible=WholeSpace(),
         forward=zero_op(), inclusion=ZeroOperator(),
-        t1=identity_map(dim), t2=identity_map(dim), t3=identity_map(dim),
+        t1=identity, t2=identity, t3=identity,
         contraction=contraction, strong=identity_op(),
         params=params,
         known_solution=np.zeros(dim),

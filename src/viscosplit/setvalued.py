@@ -209,11 +209,6 @@ class MultiMap:
         return self.image(as_vector(x))
 
 
-def select(T: MultiMap, rule: SelectionRule, x) -> np.ndarray:
-    """One point of T(x) under the given selection rule."""
-    return select_from(T(x), rule, as_vector(x))
-
-
 # --------------------------------------------------------------------------
 # Class audits
 # --------------------------------------------------------------------------

@@ -33,11 +33,9 @@ them on the state it produces, together with the previous iterate, so
 the state carries its own monotonicity chain ||xi - q|| <= ||phi_p - q||
 <= ||pi - q|| <= ||delta - q|| <= ||psi_prev - q||, auditable against
 any certified common point q with :func:`audit_fejer_chain`.  :func:`run`
-audits that chain on every state and then releases the four stage
-points, so the states of ``RunReport.trajectory`` keep only ``psi``,
-``psi_prev`` and the scalars, and ``psi_prev`` only where the state
-before is recorded too; re-step a recorded state's predecessor to see
-them again.
+audits that chain on every state and then releases what its outputs do
+not read (see :class:`IterState`); re-step a recorded state's
+predecessor to see the stage points again.
 
 Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
@@ -163,9 +161,7 @@ class ProblemInstance:
     ``known_common_points`` lists members of the full solution set, which
     every run audits against; construction certifies each one and raises
     ``ValueError``, naming the point and its defects, for one that fails
-    (see :meth:`common_point_defects`).  With ``strict_fixed_points`` the
-    certification additionally demands T_i(q) = {q} rather than just
-    q in T_i(q), which the monotonicity chain requires.
+    (see :meth:`common_point_defects`).
     """
 
     name: str
@@ -182,7 +178,6 @@ class ProblemInstance:
     selection: SelectionRule = SelectionRule.METRIC
     known_solution: np.ndarray | None = None
     known_common_points: tuple = ()
-    strict_fixed_points: bool = True
     default_start: np.ndarray | None = None
 
     def __post_init__(self):
@@ -226,7 +221,8 @@ class ProblemInstance:
 
     def common_point_defects(self, q) -> list[str]:
         """Reasons q is not certifiable, within :data:`CERTIFY_TOL`, as a
-        common solution; empty = good."""
+        common solution; empty = good.  Each T_i(q) must be {q} itself,
+        not merely contain q, which the monotonicity chain requires."""
         qv = as_vector(q, self.dim)
         lam = self.certification_lambda()
         defects = []
@@ -239,15 +235,11 @@ class ProblemInstance:
             d = _distance(qv, img)
             if not d <= CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
-            elif self.strict_fixed_points:
-                h = _farthest(img, qv)
-                if not h <= CERTIFY_TOL:
-                    defects.append(
-                        f"T{i} q is not the singleton {{q}}: H = {h:g}")
+                continue
+            h = _farthest(img, qv)
+            if not h <= CERTIFY_TOL:
+                defects.append(f"T{i} q is not the singleton {{q}}: H = {h:g}")
         return defects
-
-    def certify_common_point(self, q) -> bool:
-        return not self.common_point_defects(q)
 
     def _require_common_point(self, q: np.ndarray, what: str) -> None:
         """Raise ``ValueError`` naming ``what``, the vector ``q`` and its
@@ -271,13 +263,14 @@ class IterState:
     ``dataclasses.replace`` drops it.  ``alpha``/``mu`` are nan when the
     rule does not use them.
 
-    A state :func:`run` returns in its trajectory has had its stage
-    points released once they were audited: ``delta``, ``pi``, ``phi`` and
-    ``xi`` are then all :data:`RELEASED`, and :func:`audit_fejer_chain`
-    raises on it.  ``fejer_ok`` keeps the audit's verdict.  Its
-    ``psi_prev`` is :data:`RELEASED` too when the state before it was not
-    recorded (past n = 10000, or with a ``record_stride`` above 1), and is
-    otherwise the ``psi`` of the state recorded before it.
+    :func:`run` releases every state once its audit has run, and
+    ``fejer_ok`` keeps the audit's verdict.  The release points ``delta``,
+    ``pi``, ``phi`` and ``xi`` at :data:`RELEASED`, so
+    :func:`audit_fejer_chain` raises on the state, and ``psi_prev`` too
+    when n > 0 and the recording rule of :func:`run` skips state n - 1.
+    In ``RunReport.trajectory`` a state's ``psi_prev`` is therefore
+    ``psi`` at n = 0, the ``psi`` of the state recorded before it when
+    that state is n - 1, and :data:`RELEASED` otherwise.
     """
 
     n: int
@@ -564,15 +557,11 @@ class FejerAudit:
     links: tuple
 
 
-#: What the stage points of a state read once :func:`run` has audited
-#: and released them: one shared, read-only, empty array.
+#: What the stage points (and a released ``psi_prev``) of a state read
+#: once :func:`run` has audited and released them: one shared, read-only,
+#: empty array.
 RELEASED = np.empty(0)
 RELEASED.flags.writeable = False
-
-
-def _release(state: IterState) -> None:
-    """Drop the stage points of an audited ``state``."""
-    state.delta = state.pi = state.phi = state.xi = RELEASED
 
 
 #: Chain link names; link k compares distance row k with row k + 1 of
@@ -747,24 +736,20 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     1e12 or a step meets a non-finite value; the report's ``diverged_at``
     then says which.  A start state that cannot be built raises
     :class:`NonFiniteError` naming its stage (see :func:`initial_state`).
-    Every iteration (recorded or
-    not) is audited against each known common point: the stage
-    chain with absolute tolerance 1e-10 and the a priori boundedness radius
-    with 1e-8.  States are audited in blocks of up to :data:`AUDIT_BLOCK`,
-    in one stacked pass over a difference of at most
+    Every iteration (recorded or not) is audited against each known common
+    point: the stage chain with absolute tolerance 1e-10 and the a priori
+    boundedness radius with 1e-8.  States are audited in blocks of up to
+    :data:`AUDIT_BLOCK`, in one stacked pass over a difference of at most
     :data:`STACKED_AUDIT_BYTES` (a state wider than that alone, point by
     point), and every exit audits the block it leaves; the violation
     counts and each state's ``fejer_ok`` are exact, the same as one state
-    at a time.  Each state's stage points are released once its audit has
-    run (without common points, once the next step has left it), so no
-    state of the trajectory keeps them (see :class:`IterState`).  The
-    ``psi_prev`` of a recorded state whose predecessor is not recorded is
-    released at the same time, and every exit releases what is left of
-    both.
-    Recording keeps every state up to n = 10000 and then every
-    hundredth, unless ``record_stride`` forces a fixed stride.  The
-    report's ``vi_residual`` is nan without common points, or when an
-    operator it evaluates is non-finite at the last iterate.
+    at a time.  Recording keeps every state up to n = 10000 and then
+    every hundredth, unless ``record_stride`` forces a fixed stride, and
+    always the last.  Each state is released by that rule (see
+    :class:`IterState`) once its audit has run, or at once without common
+    points, since nothing reads its stage points then.  The report's
+    ``vi_residual`` is nan without common points, or when an operator it
+    evaluates is non-finite at the last iterate.
     """
     check_run_arguments(tol, max_iter, record_stride, algorithm)
     if check_schedule:
@@ -800,40 +785,38 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     # point.
     pending = []
 
-    # Recorded states whose predecessor is not recorded: their psi_prev is
-    # an iterate the trajectory does not keep, released once audited.
-    orphans = []
-
-    def release_orphans() -> None:
-        for st in orphans:
+    def release(st: IterState) -> None:
+        """Drop the stage points of an audited ``st``, and its ``psi_prev``
+        when n > 0 and the recording rule skips state n - 1."""
+        st.delta = st.pi = st.phi = st.xi = RELEASED
+        if st.n and not should_record(st.n - 1):
             st.psi_prev = RELEASED
-        orphans.clear()
 
     def audit() -> None:
         """Audit the chain and the radius of the pending states against all
-        common points at once, set ``fejer_ok`` on each, release its stage
-        points and let them go."""
+        common points at once, set ``fejer_ok`` on each and release it."""
         nonlocal fejer_violations, bound_violations
         _, failed, outside = _audit(pending, q_rows, limits)
         fejer_violations += int(np.count_nonzero(failed))
         bound_violations += int(np.count_nonzero(outside))
         for st, bad in zip(pending, failed.any(axis=(1, 2)).tolist()):
             st.fejer_ok = not bad
-            _release(st)
+            release(st)
         pending.clear()
-        release_orphans()  # each was pending until now, or before
 
     def hold(st: IterState) -> None:
-        """Queue ``st`` for the audit, and audit the queue once it is
-        full."""
+        """Queue ``st`` for the audit, and audit the queue once it is full;
+        without common points nothing reads its stage points: release it."""
+        if not qs:
+            release(st)
+            return
         pending.append(st)
         if len(pending) == block:
             audit()
 
-    if qs:
-        block = max(1, min(AUDIT_BLOCK,
-                           STACKED_AUDIT_BYTES // (6 * q_rows.nbytes)))
-        hold(state)
+    block = max(1, min(AUDIT_BLOCK,
+                       STACKED_AUDIT_BYTES // (6 * q_rows.nbytes or 1)))
+    hold(state)
     recorded = [state]
     terminated, diverged_at = "max_iter", None
     steps = range(max_iter)
@@ -849,14 +832,8 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             break
         # The step has taken the point; keep it out of the trajectory.
         state.fb_carry = None
-        if qs:
-            hold(new)
-        else:
-            _release(state)  # nothing audits it
-            release_orphans()
+        hold(new)
         if should_record(new.n):
-            if recorded[-1] is not state:
-                orphans.append(new)
             recorded.append(new)
         displacement = norm(new.psi - state.psi)
         state = new
@@ -872,13 +849,9 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     # Every exit path leaves the loop here.
     if pending:
         audit()
-    if recorded[-1].n != state.n:
-        if recorded[-1].n != state.n - 1:
-            orphans.append(state)
+    if recorded[-1] is not state:
         recorded.append(state)
     state.fb_carry = None
-    _release(state)  # the last state, when no audit has released it
-    release_orphans()
 
     final_vi = np.nan
     if qs:

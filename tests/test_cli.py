@@ -233,6 +233,16 @@ class TestValidateCommand:
             "config error: unknown cell keys: ['sow_use_phi']\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff\xfe\x00bad")
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(cfg), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg} is not UTF-8 text: ")
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         cfg = write_config(tmp_path, {"cells": [box_cell()]})

@@ -116,7 +116,7 @@ def reference_audit(report):
     certified point at a time, over the recorded states stepped again."""
     problem = report.problem
     qs = [q for q in problem.known_common_points
-          if problem.certify_common_point(q)]
+          if not problem.common_point_defects(q)]
     psi0 = report.trajectory[0].psi
     radii = [boundedness_radius(problem, report.schedule.mu_bar, psi0, q)
              for q in qs]
@@ -192,22 +192,42 @@ def held_bytes(trajectory) -> int:
     return sum(seen.values())
 
 
-@pytest.mark.parametrize("stride", [None, 2])
-@pytest.mark.parametrize("rule", ALGORITHMS)
-def test_the_trajectory_holds_one_vector_per_state(rule, stride):
+@pytest.mark.parametrize("build, rule, arguments, termination", [
+    *(pytest.param(lambda: load_instance("inclusion_box", dim=WIDE_DIM),
+                   rule, {"record_stride": stride}, "tolerance",
+                   id=f"{rule}-{stride}")
+      for rule in ALGORITHMS for stride in (None, 2)),
+    # Past the recording switch at n = 10000, ending off the 100-stride.
+    pytest.param(lambda: load_instance("trivial_collapse"), "main",
+                 {"tol": 1e-12, "max_iter": 10_250}, "max_iter",
+                 id="trivial_collapse-past_the_switch"),
+    # States 3, 6 and 9 release psi_prev; the final state 10 keeps it.
+    pytest.param(lambda: load_instance("inclusion_box"), "main",
+                 {"record_stride": 3, "max_iter": 10}, "max_iter",
+                 id="inclusion_box-stride_3"),
+    pytest.param(lambda: make_inclusion_instance(dim=1, anchor=[5.0]),
+                 "main", {"record_stride": 3, "max_iter": 10}, "max_iter",
+                 id="no_common_points-stride_3")])
+def test_the_trajectory_holds_one_vector_per_state(build, rule, arguments,
+                                                   termination):
     # Each psi_prev is the psi recorded before it, or released when the
     # state before was not recorded, and the stage points, once released,
     # hold no bytes.
-    problem = load_instance("inclusion_box", dim=WIDE_DIM)
-    report = run(rule, problem, default_schedule_for(problem),
-                 record_stride=stride)
-    assert report.terminated_by == "tolerance"
-    limit = (len(report.trajectory) + 1) * 8 * WIDE_DIM
+    problem = build()
+    report = run(rule, problem, default_schedule_for(problem), **arguments)
+    assert report.terminated_by == termination
+    limit = (len(report.trajectory) + 1) * 8 * problem.dim
     assert held_bytes(report.trajectory) <= limit
     # perfbench's tracer reads the stage fields as arrays.
     assert _load_tracing().trajectory_bytes(report.trajectory) <= limit
-    for st in report.trajectory:
+    for k, st in enumerate(report.trajectory):
         assert st.delta is st.pi is st.phi is st.xi is RELEASED
+        if st.n == 0:
+            assert st.psi_prev is st.psi
+        elif report.trajectory[k - 1].n == st.n - 1:
+            assert st.psi_prev is report.trajectory[k - 1].psi
+        else:
+            assert st.psi_prev is RELEASED
 
 
 @pytest.mark.parametrize("build", [

@@ -69,7 +69,7 @@ class TestCatalog:
         report = validate(default_schedule_for(inst), inst.params)
         assert report.ok, report.summary()
         for q in inst.known_common_points:
-            assert inst.certify_common_point(q)
+            assert not inst.common_point_defects(q)
 
 
 class TestInstanceGeometry:
@@ -92,6 +92,11 @@ class TestInstanceGeometry:
     def test_oscillation_instance(self):
         inst = make_oscillation_instance()
         assert inst.dim == 1
+
+    @pytest.mark.parametrize("instance_id", sorted(catalog()))
+    def test_one_mapping_object_per_instance(self, instance_id):
+        # check audits each mapping object once.
+        inst = load_instance(instance_id)
         assert inst.t1 is inst.t2 is inst.t3
 
     @pytest.mark.parametrize("instance_id, certified", [

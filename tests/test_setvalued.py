@@ -12,7 +12,7 @@ from viscosplit.setvalued import (BallImage, FiniteSet, MultiMap,
                                   check_quasi_nonexpansive,
                                   check_strictly_pseudocontractive,
                                   distance_to_set, hausdorff, sampled_audit,
-                                  select, select_from)
+                                  select_from)
 
 
 def vec(*xs):
@@ -142,7 +142,8 @@ class TestSelection:
     def test_select_through_multimap(self):
         half = MultiMap(lambda x: Singleton(0.5 * x), "demicontractive", 0.5,
                         fixed_points=(vec(0.0),))
-        assert select(half, SelectionRule.METRIC, vec(4.0))[0] == 2.0
+        x = vec(4.0)
+        assert select_from(half(x), SelectionRule.METRIC, x)[0] == 2.0
 
 
 class TestMultiMapValidation:

@@ -443,7 +443,7 @@ class TestAudits:
 class TestCommonPointCertification:
     def test_box_solution_certifies(self):
         prob = make_box_instance(dim=2)
-        assert prob.certify_common_point(np.zeros(2))
+        assert not prob.common_point_defects(np.zeros(2))
         assert prob.known_common_points  # builder attached it
 
     def test_uncertifiable_declared_point_rejected_at_construction(self):
@@ -468,9 +468,9 @@ class TestCommonPointCertification:
         prob = dataclasses.replace(prob, forward=zero_op(),
                                    inclusion=ZeroOperator())
         q = np.zeros(1)
-        assert not prob.certify_common_point(q)
-        relaxed = dataclasses.replace(prob, strict_fixed_points=False)
-        assert relaxed.certify_common_point(q)
+        defects = prob.common_point_defects(q)
+        assert defects
+        assert any("is not the singleton" in d for d in defects)
 
 
 class TestScheduleGateJudgesTheProblem:
