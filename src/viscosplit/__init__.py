@@ -14,7 +14,7 @@ from .monotone import (L1Subdifferential, LinearMonotone, MaxMonotone,
                        wang_tau, zero_op)
 from .problems import (catalog, default_schedule_for, grid_points,
                        load_instance, make_ball_instance, make_box_instance,
-                       make_example1, make_example2, make_example3,
+                       make_example1, make_example3,
                        make_inclusion_instance, make_oscillation_instance,
                        make_trivial_instance, scaling_map)
 from .schedules import (InfeasibleScheduleError, ParamSeq, Schedule,

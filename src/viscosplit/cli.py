@@ -26,8 +26,9 @@ schedule is judged against the instance's own constants.  An instance's
 declared common points are certified when it is built, so ``check``
 reports each as certified.
 
-A config file is read as UTF-8 whatever the locale; one that does not
-decode is an invalid configuration.
+A config file is read as UTF-8 whatever the locale, and a leading
+byte-order mark is skipped (RFC 8259 lets a parser ignore one); a file
+that does not decode is an invalid configuration.
 
 Per cell the run writes <id>.csv with one row per recorded iteration and
 <id>.json with the run summary.  Output is byte-deterministic for a fixed
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import norm
+from .hilbert import as_vector, norm
 from .monotone import (check_inverse_strongly_monotone,
                        check_resolvent_firmly_nonexpansive,
                        check_wang_contraction)
@@ -54,7 +55,8 @@ from .problems import catalog, default_schedule_for, load_instance
 from .schedules import (SEQUENCE_FAMILIES, InfeasibleScheduleError,
                         ParamSeq, validate)
 from .setvalued import (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE,
-                        check_demicontractive, check_quasi_nonexpansive,
+                        Sample, check_demicontractive,
+                        check_quasi_nonexpansive,
                         check_strictly_pseudocontractive)
 from .solvers import (ScheduleValidationError, check_run_arguments,
                       require_admissible, run as run_solver)
@@ -209,9 +211,10 @@ def _build_cell(raw: dict, default_seed) -> Cell:
 
 def _read_config(path) -> str:
     """The text of the config file at ``path``, read as UTF-8 whatever the
-    locale; a file that does not decode is a :class:`ConfigError`."""
+    locale and without a leading byte-order mark; a file that does not
+    decode is a :class:`ConfigError`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -295,10 +298,11 @@ def _cmd_run(args) -> int:
 # check
 # --------------------------------------------------------------------------
 
-def _sample_points(rng, dim: int, count: int):
-    # Uniform on [-5, 5]^dim.  One draw of count*dim numbers gives the same
-    # numbers, in the same order, as count draws of dim.
-    return list(5.0 * (2.0 * rng.random((count, dim)) - 1.0))
+def _sample_points(rng, dim: int, count: int) -> np.ndarray:
+    # Uniform on [-5, 5]^dim, one row per point.  One draw of count*dim
+    # numbers gives the same numbers, in the same order, as count draws of
+    # dim.
+    return 5.0 * (2.0 * rng.random((count, dim)) - 1.0)
 
 
 def _print_audit(name: str, result) -> bool:
@@ -319,10 +323,13 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         print(f"config error: {exc.args[0]}", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
-    points = _sample_points(rng, problem.dim, 200)
-    pairs = list(zip(_sample_points(rng, problem.dim, 200),
-                     _sample_points(rng, problem.dim, 200)))
+    # One draw, scanned once and shared by every audit: 200 points, then
+    # the x and the y of 200 pairs.
+    drawn = _sample_points(np.random.default_rng(args.seed), problem.dim, 600)
+    as_vector(drawn.ravel())
+    k = np.arange(200)
+    points = Sample(drawn, drawn, k, k)
+    pairs = Sample(drawn, drawn, k + 200, k + 400)
     ok = True
 
     # A mapping passed as more than one T_i is audited once.

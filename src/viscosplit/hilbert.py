@@ -19,7 +19,16 @@ DEFAULT_TOL = 1e-10
 
 
 class DimensionMismatch(ValueError):
-    """Two vectors (or a vector and a set) live in different dimensions."""
+    """Two vectors (or a vector and a set) live in different dimensions.
+
+    ``stage`` names the value that failed (``"forward operator"``,
+    ``"T1 image"``, ...) when a solver step or the certification of a
+    common point raised the error, and is None otherwise.
+    """
+
+    def __init__(self, message: str = "", stage: str | None = None):
+        super().__init__(message)
+        self.stage = stage
 
 
 class NonFiniteError(ValueError):
@@ -77,26 +86,12 @@ def _coerce(x) -> np.ndarray:
     return v
 
 
-def as_rows(values) -> tuple[list, np.ndarray]:
-    """Coerce each of ``values`` as :func:`as_vector` does and stack them.
-
-    Returns the coerced vectors (a 1-D float64 array is its own) and their
-    (k, d) stack, which is scanned for finiteness once.  Raises
-    :class:`DimensionMismatch` naming both sizes when two values differ in
-    dimension, and :class:`NonFiniteError` when any coordinate is not
-    finite.
-    """
-    vectors = [_coerce(v) for v in values]
-    try:
-        rows = np.array(vectors)
-    except ValueError:
-        # numpy refuses a ragged stack; name the first size that differs.
-        size = next(v.size for v in vectors if v.size != vectors[0].size)
-        raise DimensionMismatch(f"dimensions differ: "
-                                f"{vectors[0].size} vs {size}") from None
-    if not all_finite(rows.ravel()):
-        raise NonFiniteError()
-    return vectors, rows
+def _width(xs: np.ndarray, dim: int) -> np.ndarray:
+    """The (k, d) stack ``xs``; raises :class:`DimensionMismatch` unless
+    d is ``dim``."""
+    if xs.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {xs.shape[1]}")
+    return xs
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -148,6 +143,12 @@ class ConvexSet:
         checked as by :func:`as_vector`."""
         raise NotImplementedError
 
+    def project_rows(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`project` of every row of the checked (k, d) stack ``xs``,
+        stacked; each row equals its projection bit for bit.  Row by row
+        here; the whole space, a box and a ball project the stack at once."""
+        return np.array([self.project(x) for x in xs])
+
     def contains(self, x) -> bool:
         """Whether x lies within :data:`DEFAULT_TOL` of the set."""
         xv = as_vector(x)
@@ -160,6 +161,9 @@ class WholeSpace(ConvexSet):
 
     def project(self, x) -> np.ndarray:
         return as_vector(x)
+
+    def project_rows(self, xs: np.ndarray) -> np.ndarray:
+        return xs
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,9 @@ class Box(ConvexSet):
 
     def project(self, x) -> np.ndarray:
         return np.clip(as_vector(x, self.lower.size), self.lower, self.upper)
+
+    def project_rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.clip(_width(xs, self.lower.size), self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -195,6 +202,12 @@ class Ball(ConvexSet):
         if d <= self.radius:
             return xv
         return self.center + (self.radius / d) * (xv - self.center)
+
+    def project_rows(self, xs: np.ndarray) -> np.ndarray:
+        gap = _width(xs, self.center.size) - self.center
+        d = row_norms(gap)[:, np.newaxis]
+        far = self.center + (self.radius / np.maximum(d, self.radius)) * gap
+        return np.where(d <= self.radius, xs, far)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,20 @@ checks x, once.  A :meth:`MaxMonotone.resolvent` method takes a vector
 already checked and does not check it again.  The class audits hand
 their pairs to :func:`~viscosplit.setvalued.sampled_audit`, which checks
 the whole sample in one scan, and form each inequality over the stacked
-rows at once: the operator or resolvent is called at each row, an operator
-value is checked once, as it is made, and the stacked resolvent gap
-Jx - Jy is scanned once.
+rows at once.  The operators and resolvents run on the whole stack too:
+
+- an operator that declares ``rowwise`` (``affine_op``, ``zero_op`` and
+  ``identity_op``, so every operator of the catalog) is called once per
+  stack, and its value is scanned once; any other operator is called
+  case by case, and each value is checked as it is made;
+- :meth:`MaxMonotone.resolvent_rows` of the zero operator, a multiple of
+  the identity and the l1 subdifferential acts elementwise on the stack,
+  and that of a normal cone projects it with
+  :meth:`~viscosplit.hilbert.ConvexSet.project_rows`; any other resolvent
+  runs row by row.  The stacked gap Jx - Jy is scanned once.
+
+Each stacked value equals its rows' values bit for bit, so the audits
+read the same numbers either way.
 """
 from __future__ import annotations
 
@@ -23,41 +34,66 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, ConvexSet, as_vector, norm, row_norms
+from .hilbert import (DEFAULT_TOL, ConvexSet, DimensionMismatch, as_vector,
+                      norm, row_norms)
 from .setvalued import AuditResult, sampled_audit
 
 
 @dataclass(frozen=True)
 class SingleOp:
-    """A single-valued operator with declared (not verified) moduli."""
+    """A single-valued operator with declared (not verified) moduli.
+
+    ``rowwise`` declares that ``apply`` also takes a (k, d) stack and
+    returns the stack of its values at the rows, each equal bit for bit to
+    the value at that row alone; the class audits then call it once per
+    stack.
+    """
 
     apply: Callable[[np.ndarray], np.ndarray]
     lipschitz: float | None = None
     strong_monotonicity: float | None = None
     inverse_strong_monotonicity: float | None = None
     name: str = ""
+    rowwise: bool = False
 
     def __call__(self, x) -> np.ndarray:
         return _value(self, as_vector(x))
 
 
-def _value(op: SingleOp, xv: np.ndarray) -> np.ndarray:
+def _value(op: SingleOp, xv: np.ndarray, dim=None) -> np.ndarray:
     """``op`` at the checked point ``xv``.  The value is coerced and checked,
-    unless it is ``xv`` itself."""
+    with its dimension when ``dim`` is given, unless it is ``xv`` itself."""
     v = op.apply(xv)
-    return v if v is xv else as_vector(v)
+    return v if v is xv else as_vector(v, dim)
+
+
+def _values(op: SingleOp, xs: np.ndarray) -> np.ndarray:
+    """``op`` at every row of the checked (k, d) stack ``xs``, stacked.
+
+    A ``rowwise`` operator is called once, and its value is scanned once
+    unless it is ``xs`` itself; a value of another shape than ``xs``
+    raises :class:`~viscosplit.hilbert.DimensionMismatch`.  Any other
+    operator is called row by row through :func:`_value`.
+    """
+    if not op.rowwise:
+        return np.array([_value(op, x) for x in xs])
+    vs = np.asarray(op.apply(xs), dtype=float)
+    if vs.shape != xs.shape:
+        raise DimensionMismatch(f"value shape {vs.shape}, not {xs.shape}")
+    # One scan of a value that is not xs itself rejects a non-finite one.
+    return vs if vs is xs else as_vector(vs.ravel()).reshape(xs.shape)
 
 
 def zero_op(name: str = "zero") -> SingleOp:
     # Vacuously inverse strongly monotone for any modulus; declare 1 so the
     # splitting-step window stays the unit interval.
     return SingleOp(lambda x: np.zeros_like(x), lipschitz=0.0,
-                    inverse_strong_monotonicity=1.0, name=name)
+                    inverse_strong_monotonicity=1.0, name=name, rowwise=True)
 
 
 def identity_op(name: str = "identity") -> SingleOp:
     return SingleOp(lambda x: x, lipschitz=1.0, strong_monotonicity=1.0,
-                    inverse_strong_monotonicity=1.0, name=name)
+                    inverse_strong_monotonicity=1.0, name=name, rowwise=True)
 
 
 def affine_op(coef: float, offset=None, dim: int | None = None,
@@ -65,7 +101,9 @@ def affine_op(coef: float, offset=None, dim: int | None = None,
     """x -> coef * x + offset with the moduli of a scaled shift.
 
     For coef > 0 this is coef-strongly monotone and (1/coef)-inverse
-    strongly monotone; for coef = 0 it is a constant map.
+    strongly monotone; for coef = 0 it is a constant map.  With an offset,
+    a point of another dimension raises
+    :class:`~viscosplit.hilbert.DimensionMismatch`.
     """
     coef = float(coef)
     if not coef >= 0:
@@ -73,6 +111,9 @@ def affine_op(coef: float, offset=None, dim: int | None = None,
     off = None if offset is None else as_vector(offset, dim)
 
     def apply(x):
+        if off is not None and x.shape[-1] != off.size:
+            raise DimensionMismatch(f"an operator of dimension {off.size} "
+                                    f"at a point of dimension {x.shape[-1]}")
         y = coef * x
         return y if off is None else y + off
 
@@ -81,7 +122,7 @@ def affine_op(coef: float, offset=None, dim: int | None = None,
         lipschitz=abs(coef),
         strong_monotonicity=coef if coef > 0 else None,
         inverse_strong_monotonicity=(1.0 / coef) if coef > 0 else None,
-        name=name,
+        name=name, rowwise=True,
     )
 
 
@@ -96,6 +137,12 @@ class MaxMonotone:
         """J(x) for lam > 0 at a checked vector ``x``."""
         raise NotImplementedError
 
+    def resolvent_rows(self, lam: float, xs: np.ndarray) -> np.ndarray:
+        """:meth:`resolvent` at every row of the checked (k, d) stack
+        ``xs``, stacked, each row equal to its resolvent bit for bit.  Row
+        by row here; the built-in operators take the stack at once."""
+        return np.array([self.resolvent(lam, x) for x in xs])
+
 
 @dataclass(frozen=True)
 class ZeroOperator(MaxMonotone):
@@ -103,6 +150,8 @@ class ZeroOperator(MaxMonotone):
 
     def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
         return x
+
+    resolvent_rows = resolvent  # elementwise, so a stack too
 
 
 @dataclass(frozen=True)
@@ -113,6 +162,9 @@ class NormalCone(MaxMonotone):
 
     def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
         return self.set.project(x)
+
+    def resolvent_rows(self, lam: float, xs: np.ndarray) -> np.ndarray:
+        return self.set.project_rows(xs)
 
 
 @dataclass(frozen=True)
@@ -130,6 +182,8 @@ class L1Subdifferential(MaxMonotone):
     def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
         return np.sign(x) * np.maximum(np.abs(x) - lam * self.weight, 0.0)
 
+    resolvent_rows = resolvent  # elementwise, so a stack too
+
 
 @dataclass(frozen=True)
 class LinearMonotone(MaxMonotone):
@@ -144,6 +198,8 @@ class LinearMonotone(MaxMonotone):
 
     def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
         return x / (1.0 + lam * self.coef)
+
+    resolvent_rows = resolvent  # elementwise, so a stack too
 
 
 def _check_lam(lam: float) -> None:
@@ -176,14 +232,6 @@ def fixed_point_residual(inclusion: MaxMonotone, forward: SingleOp,
 # Operator audits
 # --------------------------------------------------------------------------
 
-def _paired(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
-            ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``f`` at every row of ``xs`` and of ``ys``, stacked as two arrays.
-    ``f`` is called case by case, at x and then at y."""
-    fx, fy = zip(*[(f(x), f(y)) for x, y in zip(xs, ys)])
-    return np.array(fx), np.array(fy)
-
-
 def check_inverse_strongly_monotone(op: SingleOp, alpha: float,
                                     pairs: Sequence) -> AuditResult:
     """Audit  <op x - op y, x - y> >= alpha * ||op x - op y||^2  on pairs."""
@@ -191,8 +239,7 @@ def check_inverse_strongly_monotone(op: SingleOp, alpha: float,
         raise ValueError("inverse strong monotonicity modulus must be positive")
 
     def sides(xs, ys):
-        vx, vy = _paired(lambda x: _value(op, x), xs, ys)
-        gap = vx - vy
+        gap = _values(op, xs) - _values(op, ys)
         size = row_norms(gap)
         return alpha * (size * size), np.vecdot(gap, xs - ys)
     return sampled_audit("inverse_strongly_monotone", pairs, sides)
@@ -212,7 +259,7 @@ def check_forward_nonexpansive(op: SingleOp, alpha: float, theta: float,
                 "nonexpansiveness is not guaranteed in this range")
 
     def sides(xs, ys):
-        vx, vy = _paired(lambda x: _value(op, x), xs, ys)
+        vx, vy = _values(op, xs), _values(op, ys)
         return (row_norms((xs - theta * vx) - (ys - theta * vy)),
                 row_norms(xs - ys))
     return sampled_audit("forward_nonexpansive", pairs, sides, note=note)
@@ -242,7 +289,7 @@ def check_wang_contraction(op: SingleOp, eta: float, t: float,
         raise ValueError(f"t={t} outside (0, {min(1.0, 1.0 / tau)})")
 
     def sides(xs, ys):
-        vx, vy = _paired(lambda x: _value(op, x), xs, ys)
+        vx, vy = _values(op, xs), _values(op, ys)
         return (row_norms((xs - t * eta * vx) - (ys - t * eta * vy)),
                 (1.0 - t * tau) * row_norms(xs - ys))
     return sampled_audit("averaged_contraction", pairs, sides)
@@ -260,8 +307,7 @@ def check_resolvent_firmly_nonexpansive(op: MaxMonotone, lam: float,
     _check_lam(lam)
 
     def sides(xs, ys):
-        jx, jy = _paired(lambda x: op.resolvent(lam, x), xs, ys)
-        gap = jx - jy
+        gap = op.resolvent_rows(lam, xs) - op.resolvent_rows(lam, ys)
         as_vector(gap.ravel())  # one scan rejects a non-finite value
         size = row_norms(gap)
         return size * size, np.vecdot(gap, xs - ys)

@@ -1,8 +1,9 @@
 """Ready-made mappings and problem instances.
 
-The worked mappings are small enough to verify by hand: halving maps in one
-and two dimensions and a scalar oscillation map that keeps changing the side
-it sends points to.  The instance builders combine them with projectable
+The worked mappings are small enough to verify by hand: scaling maps in any
+dimension (``scaling_map``; ``make_example1`` is the scalar halving map)
+and a scalar oscillation map that keeps changing the side it sends points
+to.  The instance builders combine them with projectable
 feasible sets, an affine forward operator, and a normal-cone inclusion, so
 every catalog instance has a known solution and certifiable audit points.
 """
@@ -46,11 +47,6 @@ def identity_map(dim: int) -> MultiMap:
 def make_example1(beta: float = 0.5) -> MultiMap:
     """The scalar halving map T(x) = {x/2}, declared demicontractive."""
     return scaling_map(0.5, 1, beta, name="halving_1d")
-
-
-def make_example2(beta: float = 0.5) -> MultiMap:
-    """The planar halving map T(x) = {x/2} on R^2."""
-    return scaling_map(0.5, 2, beta, name="halving_2d")
 
 
 def make_example3(beta: float = 0.5) -> MultiMap:

@@ -7,25 +7,29 @@ defining inequality of a declared mapping class (demicontractive,
 quasi-nonexpansive, strictly pseudocontractive) and report the worst slack
 together with a witness pair, never just a bare boolean.
 
-An audit checks its whole sample once, in :func:`sampled_audit`: the
-distinct values are stacked and the stack is scanned in one pass.  A batch
+An audit checks its whole sample once, in :func:`prepare`: the distinct
+values are stacked and the stack is scanned in one pass.  ``viscosplit
+check`` prepares one :class:`Sample` per command and hands it to every
+audit; a public audit given a list prepares its own.  A batch
 ``sides(xs, ys)`` then evaluates the inequality over all cases at once, one
-row per case, and returns one lhs and one rhs array.  Only what belongs to
-a single case runs case by case: the images ``T.image`` and the private
-kernels behind :func:`distance_to_set` and :func:`hausdorff`, which check
-nothing again.  Each image is checked by its constructor.  Norms of the
-stacked rows come from :func:`~viscosplit.hilbert.row_norms`, equal to
+row per case, and returns one lhs and one rhs array.  Operators and
+resolvents run on the whole stack (see :mod:`viscosplit.monotone`).  Only
+what belongs to a single case runs case by case: the images ``T.image``
+and the private kernels behind :func:`distance_to_set` and
+:func:`hausdorff`, which check nothing again.  Each image is checked by
+its constructor.  Norms of the stacked rows come from
+:func:`~viscosplit.hilbert.row_norms`, equal to
 :func:`~viscosplit.hilbert.norm` bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, DimensionMismatch, as_rows, as_vector,
+from .hilbert import (DEFAULT_TOL, DimensionMismatch, _coerce, as_vector,
                       norm, row_norms)
 
 
@@ -73,6 +77,16 @@ class BallImage:
 
 
 SetImage = Singleton | FiniteSet | BallImage
+
+
+def _sized(S: SetImage, dim: int, stage: str) -> SetImage:
+    """``S``; raises :class:`~viscosplit.hilbert.DimensionMismatch` naming
+    ``stage`` unless its points have dimension ``dim``."""
+    size = (S.center if isinstance(S, BallImage) else _enumerable(S)[0]).size
+    if size != dim:
+        raise DimensionMismatch(
+            f"{stage}: expected dimension {dim}, got {size}", stage)
+    return S
 
 
 def distance_to_set(x, S: SetImage) -> float:
@@ -234,22 +248,56 @@ class AuditResult:
     violations: list = field(default_factory=list)
 
 
-def sampled_audit(name: str, cases: Sequence,
+#: Audit cases after their one check.  ``rows`` stacks the distinct
+#: values, scanned for finiteness once, and case k is the pair of rows
+#: (xi[k], yi[k]).  ``values[j]`` is the value behind row j that a witness
+#: and a violation report: the caller's own array for a sample
+#: :func:`prepare` made.
+Sample = NamedTuple("Sample", [("values", Sequence), ("rows", np.ndarray),
+                               ("xi", np.ndarray), ("yi", np.ndarray)])
+
+
+def prepare(cases: Sequence) -> Sample:
+    """The pairs ``cases`` as a :class:`Sample`, checked once.
+
+    The distinct values are coerced as by
+    :func:`~viscosplit.hilbert.as_vector` (a 1-D float64 array is its own)
+    and stacked, and the stack is scanned for finiteness once, so a value
+    in many cases, such as a fixed point paired with every sample point,
+    is checked once.  Values of different dimensions raise
+    :class:`~viscosplit.hilbert.DimensionMismatch` naming both sizes, and
+    a non-finite coordinate :class:`~viscosplit.hilbert.NonFiniteError`.
+    """
+    # The tuples keep every value alive, so its id names it for the audit.
+    cases = [tuple(case) for case in cases]
+    distinct = {id(v): v for case in cases for v in case}
+    row = {key: k for k, key in enumerate(distinct)}
+    values = [_coerce(v) for v in distinct.values()]
+    # Values of different sizes do not stack; name the first that differs.
+    size = next((v.size for v in values if v.size != values[0].size), None)
+    if size is not None:
+        raise DimensionMismatch(f"dimensions differ: {values[0].size} vs "
+                                f"{size}")
+    rows = np.array(values)
+    as_vector(rows.ravel())  # one scan of the whole stack
+    index = np.array([[row[id(x)], row[id(y)]] for x, y in cases],
+                     dtype=np.intp).reshape(-1, 2)
+    return Sample(values, rows, *index.T)
+
+
+def sampled_audit(name: str, cases: Sequence | Sample,
                   sides: Callable[[np.ndarray, np.ndarray],
                                   tuple[np.ndarray, np.ndarray]],
                   tol: float = DEFAULT_TOL, note: str = "") -> AuditResult:
     """Audit  lhs <= rhs  on every case (x, y) of a sample at once.
 
-    The distinct case values are coerced and stacked, and the stack is
-    scanned for finiteness once (:func:`~viscosplit.hilbert.as_rows`), so a
-    fixed point paired with every sample point is checked once, and values
-    of different dimensions raise
-    :class:`~viscosplit.hilbert.DimensionMismatch`.  ``sides(xs, ys)`` then
-    gets the checked sample as two (cases, d) arrays, row k holding case k,
-    and returns the lhs and the rhs of every case as two arrays; it works on
-    the rows without checking them again.  numpy's overflow and invalid
-    warnings are silenced while it runs and the slack is taken, as Python
-    float arithmetic is silent: an overflow reads inf and inf - inf nan.
+    ``cases`` is a :class:`Sample`, or pairs that :func:`prepare` checks
+    here.  ``sides(xs, ys)`` gets the checked sample as two (cases, d)
+    arrays, row k holding case k, and returns the lhs and the rhs of every
+    case as two arrays; it works on the rows without checking them again.
+    numpy's overflow and invalid warnings are silenced while it runs and
+    the slack is taken, as Python float arithmetic is silent: an overflow
+    reads inf and inf - inf nan.
 
     Keeps the worst slack lhs - rhs with its witness (x, y), and records
     every case whose slack is not <= ``tol`` as (x, y, lhs, rhs): a nan
@@ -259,33 +307,39 @@ def sampled_audit(name: str, cases: Sequence,
     resolvent audit passes its caller's.  An empty sample passes
     vacuously, with a note that says so.
     """
-    # The tuples keep every value alive, so its id names it for the audit.
-    cases = [tuple(case) for case in cases]
-    if not cases:
+    vals, rows, xi, yi = cases if isinstance(cases, Sample) else prepare(cases)
+    if not len(xi):
         note = "; ".join(filter(None, (note, "empty sample")))
         return AuditResult(name, True, -np.inf, None, 0, note)
-    distinct = {id(v): v for case in cases for v in case}
-    row = {key: k for k, key in enumerate(distinct)}
-    vectors, stack = as_rows(distinct.values())
-    xi, yi = np.array([[row[id(x)], row[id(y)]] for x, y in cases]).T
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs = sides(stack[xi], stack[yi])
+        lhs, rhs = sides(rows[xi], rows[yi])
         slack = lhs - rhs
     nan = np.isnan(slack)
     k = int(nan.argmax() if nan.any() else slack.argmax())
     worst = float(slack[k])
-    witness = (None if worst == -np.inf
-               else (vectors[xi[k]], vectors[yi[k]]))
-    violations = [(vectors[xi[j]], vectors[yi[j]], float(lhs[j]),
-                   float(rhs[j])) for j in np.flatnonzero(~(slack <= tol))]
-    return AuditResult(name, not violations, worst, witness, len(cases),
+    witness = None if worst == -np.inf else (vals[xi[k]], vals[yi[k]])
+    violations = [(vals[xi[j]], vals[yi[j]], float(lhs[j]), float(rhs[j]))
+                  for j in np.flatnonzero(~(slack <= tol))]
+    return AuditResult(name, not violations, worst, witness, len(xi),
                        note, violations)
 
 
-def _fixed_point_pairs(T: MultiMap, points: Sequence) -> list[tuple]:
+def _fixed_point_pairs(T: MultiMap, points: Sequence | Sample):
+    """Every point paired with every declared fixed point of T.
+
+    ``points`` is a sequence, or a :class:`Sample` whose cases' x are the
+    points.  From a sample, the pairs are a sample over its rows and the
+    fixed points, which T checked when it was built; its witnesses are
+    rows of that stack.
+    """
     if not T.fixed_points:
         raise ValueError("audit needs at least one known fixed point")
-    return [(x, q) for x in points for q in T.fixed_points]
+    if not isinstance(points, Sample):
+        return [(x, q) for x in points for q in T.fixed_points]
+    n, m = len(points.rows), len(T.fixed_points)
+    rows = np.concatenate([points.rows, T.fixed_points])
+    return Sample(rows, rows, np.repeat(points.xi, m),
+                  np.tile(np.arange(n, n + m), len(points.xi)))
 
 
 def check_demicontractive(T: MultiMap, beta: float,

@@ -92,7 +92,13 @@ as that fully checked step does: a non-finite value raises
 :class:`NonFiniteError` naming it (``"forward operator"``, ``"delta"``,
 ``"T1 image"``, ``"pi"``, ``"contraction"``, ``"psi"``, ...), which
 :func:`run` turns into the ``divergence_guard`` termination and keeps as
-``RunReport.diverged_at``.
+``RunReport.diverged_at``.  The replay also checks the dimension of the
+forward operator's and the resolvent's values, each image, and the
+contraction and strong operator values: one of another dimension than
+the problem raises :class:`~viscosplit.hilbert.DimensionMismatch`
+naming it in the same way, and :func:`run` lets it propagate, since no
+iteration can go on from it.  Certifying a common point at construction
+checks its values the same way.
 """
 from __future__ import annotations
 
@@ -105,12 +111,11 @@ import numpy as np
 
 from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _is_vector,
                       all_finite, as_vector, inner, norm, project)
-from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
-                       fixed_point_residual)
+from .monotone import MaxMonotone, SingleOp, _check_lam, _value
 from .schedules import (Schedule, ValidationReport, ViscosityParams,
                         step_window, validate)
 from .setvalued import (KIND_DEMICONTRACTIVE, MultiMap, SelectionRule,
-                        _distance, _farthest, _select)
+                        _distance, _farthest, _select, _sized)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -222,16 +227,22 @@ class ProblemInstance:
     def common_point_defects(self, q) -> list[str]:
         """Reasons q is not certifiable, within :data:`CERTIFY_TOL`, as a
         common solution; empty = good.  Each T_i(q) must be {q} itself,
-        not merely contain q, which the monotonicity chain requires."""
+        not merely contain q, which the monotonicity chain requires.
+
+        Each value is checked as in a step's checked replay: a non-finite
+        value or one of another dimension than the instance raises
+        :class:`NonFiniteError` or
+        :class:`~viscosplit.hilbert.DimensionMismatch` naming it
+        (``"forward operator"``, ``"delta"``, ``"T1 image"``, ...)."""
         qv = as_vector(q, self.dim)
         lam = self.certification_lambda()
         defects = []
-        res = fixed_point_residual(self.inclusion, self.forward, lam, qv)
+        res = norm(qv - _fb_point(self, lam, qv, self.dim))
         if not res <= CERTIFY_TOL:
             defects.append(
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
         for i, t in enumerate(self.maps, start=1):
-            img = t.image(qv)
+            img = _sized(t.image(qv), self.dim, _IMAGES[i - 1])
             d = _distance(qv, img)
             if not d <= CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
@@ -366,27 +377,40 @@ _IMAGES = ("T1 image", "T2 image", "T3 image")
 _AVERAGED = ("pi", "phi_p", "xi")
 
 
-def _vector(v, checked: bool) -> np.ndarray:
+def _vector(v, dim: int | None) -> np.ndarray:
     """``v`` coerced as by :func:`~viscosplit.hilbert.as_vector`; a float
-    vector is scanned for finiteness only when ``checked``."""
-    return as_vector(v) if checked or not _is_vector(v) else v
+    vector is checked, for finiteness and dimension ``dim``, only when
+    ``dim`` is given (in a checked replay)."""
+    return as_vector(v, dim) if dim or not _is_vector(v) else v
+
+
+def _named(err: Exception, stage: str | None) -> Exception:
+    """``err`` naming ``stage`` when it is a :class:`NonFiniteError` or a
+    :class:`~viscosplit.hilbert.DimensionMismatch` that names no stage yet,
+    else ``err``."""
+    if getattr(err, "stage", "") is not None:
+        return err
+    return type(err)(f"non-finite {stage}" if isinstance(err, NonFiniteError)
+                     else f"{stage}: {err}", stage)
 
 
 def _fb_point(problem: ProblemInstance, lam: float, x: np.ndarray,
-              checked: bool = True) -> np.ndarray:
+              dim: int | None) -> np.ndarray:
     """J(x - lam*Forward x) at the checked point ``x``; like
     :func:`~viscosplit.monotone.resolvent`, rejects a lam that is not > 0.
-    The forward operator's value is checked, and with ``checked`` the
-    resolvent's value too; a :class:`NonFiniteError` names
+    The forward operator's value is checked, and with ``dim`` (the
+    problem's, in a checked pass) the resolvent's value too, and both
+    dimensions; a :class:`NonFiniteError` or
+    :class:`~viscosplit.hilbert.DimensionMismatch` names
     ``"forward operator"`` or ``"delta"``."""
     stage = "forward operator"
     try:
-        y = x - lam * _value(problem.forward, x)
+        y = x - lam * _value(problem.forward, x, dim)
         _check_lam(lam)
         stage = "delta"
-        return _vector(problem.inclusion.resolvent(lam, y), checked)
-    except NonFiniteError:
-        raise NonFiniteError(f"non-finite {stage}", stage) from None
+        return _vector(problem.inclusion.resolvent(lam, y), dim)
+    except ValueError as err:
+        raise _named(err, stage) from None
 
 
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
@@ -399,13 +423,16 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
 
     The first pass scans only the values nothing downstream rejects (see
     the module docstring).  If it fails in any way, the step is replayed
-    with ``checked``, which scans every value where it is made, so the
-    step fails as the fully checked step does: a :class:`NonFiniteError`
-    names the value that turned non-finite.
+    with ``checked``, which scans every value where it is made and checks
+    its dimension, so the step fails as the fully checked step does: a
+    :class:`NonFiniteError` names the value that turned non-finite, and a
+    :class:`~viscosplit.hilbert.DimensionMismatch` the value of another
+    dimension than the problem.
     """
     i = state.n + 1
     lam = schedule.lam(i)
     psi = state.psi
+    dim = problem.dim if checked else None
     stage = None
     try:
         # The residual of ``state`` evaluated J(psi - lam*Forward psi) with
@@ -415,7 +442,7 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         if carry is not None and carry[0] is problem and lam == state.lam:
             x = carry[1]
         else:
-            x = _fb_point(problem, lam, psi, checked)
+            x = _fb_point(problem, lam, psi, dim)
         # Selected points stay alive until the averaging is done and each
         # image is dropped after its pass: at dimension 1e5 other lifetimes
         # made the allocator fault up to two thirds more pages per step.
@@ -423,7 +450,7 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         weights = (schedule.theta, schedule.beta, schedule.gamma)
         for k, (t, weight) in enumerate(zip(problem.maps, weights)):
             stage = _IMAGES[k]
-            img = t.image(x)
+            img = _sized(t.image(x), dim, stage) if checked else t.image(x)
             residuals.append(_distance(x, img))
             if k < anchor.stages:
                 selected.append(_select(img, problem.selection, x))
@@ -445,47 +472,44 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             # line, so that no operator value outlives its term.
             stage = "contraction"
             target = a * p.gamma * _vector(problem.contraction.apply(psi),
-                                           checked)
+                                           dim)
             stage = "strong operator"
             if anchor.mixes:
                 target += m * c
                 target += (1.0 - m) * (psi - p.eta * a * _vector(
-                    problem.strong.apply(psi), checked))
+                    problem.strong.apply(psi), dim))
             else:
                 target += c
-                target -= p.eta * a * _vector(problem.strong.apply(c),
-                                              checked)
+                target -= p.eta * a * _vector(problem.strong.apply(c), dim)
             stage = "psi"
             psi_new = project(problem.feasible, target)
         else:
             a = m = np.nan
             psi_new = points[0]
         return _build_state(problem, i, psi_new, psi, points, residuals, a,
-                            m, lam, checked)
+                            m, lam, dim)
     except Exception as err:
         # Unscanned values may reach a mapping, an operator or numpy
         # arithmetic that fails in its own way (a warning raised as an
         # error, say); the replay fails where the checked step fails.
         if checked:
-            if isinstance(err, NonFiniteError) and err.stage is None:
-                raise NonFiniteError(f"non-finite {stage}", stage) from None
-            raise
+            raise _named(err, stage) from None
     # Outside the handler, so that what the replay raises stands alone.
     return _step(problem, schedule, state, anchor, checked=True)
 
 
 def _build_state(problem: ProblemInstance, n: int, psi: np.ndarray,
                  psi_prev: np.ndarray, points, residuals, alpha: float,
-                 mu: float, lam: float, checked: bool = True) -> IterState:
+                 mu: float, lam: float, dim: int | None) -> IterState:
     """The state at the checked iterate ``psi``, with the stage ``points``
     (delta, pi, phi_p, xi) and their ``residuals`` that led to it.
 
     Adds the forward-backward point of ``psi`` at ``lam``, carried for the
     next step, with its residual, and the distance to the known solution.
-    Unless ``checked``, the point is not scanned: its residual ``norm``
-    rejects a non-finite one.
+    Unless ``dim`` is given (a checked pass), the point is not scanned: its
+    residual ``norm`` rejects a non-finite one.
     """
-    fb_point = _fb_point(problem, lam, psi, checked)
+    fb_point = _fb_point(problem, lam, psi, dim)
     dist = (np.nan if problem.known_solution is None
             else norm(psi - problem.known_solution))
     state = IterState(n, psi, psi_prev, *points, *residuals,
@@ -532,18 +556,21 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
     naming its stage: ``"psi"`` for ``psi0`` and its projection,
     ``"T1 image"``, ``"T2 image"`` or ``"T3 image"`` for the images of the
     start, and ``"forward operator"`` or ``"delta"`` for its
-    forward-backward point.
+    forward-backward point.  An image of another dimension than the
+    problem raises :class:`~viscosplit.hilbert.DimensionMismatch` naming
+    it.
     """
     stage = "psi"
     try:
         psi = project(problem.feasible, as_vector(psi0, problem.dim))
         residuals = []
         for stage, t in zip(_IMAGES, problem.maps):
-            residuals.append(_distance(psi, t.image(psi)))
+            residuals.append(_distance(psi, _sized(t.image(psi), problem.dim,
+                                                   stage)))
     except NonFiniteError:
         raise NonFiniteError(f"non-finite {stage}", stage) from None
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
-                        np.nan, schedule.lam(1))
+                        np.nan, schedule.lam(1), problem.dim)
 
 
 # --------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from viscosplit.monotone import (NormalCone, check_forward_nonexpansive,
                                  check_wang_contraction, identity_op)
 from viscosplit.problems import (default_schedule_for, grid_points,
                                  make_ball_instance, make_box_instance,
-                                 make_example1, make_example2, make_example3,
+                                 make_example1, make_example3,
                                  make_oscillation_instance,
-                                 make_trivial_instance)
+                                 make_trivial_instance, scaling_map)
 from viscosplit.schedules import (ParamSeq, ViscosityParams, default_schedule,
                                   validate)
 from viscosplit.setvalued import (check_demicontractive,
@@ -81,7 +81,7 @@ def test_criterion_2_halving_maps_class_audits():
             assert res.passed and res.checked == 1000
             assert check_quasi_nonexpansive(one_d, pts_1d).passed
 
-            two_d = make_example2(beta)
+            two_d = scaling_map(0.5, 2, beta, name="halving_2d")
             pts_2d = list(grid_points(-10, 10, 1000, 2))
             res = check_demicontractive(two_d, beta, pts_2d)
             assert res.passed and res.checked == 1000

@@ -243,6 +243,17 @@ def test_a_config_that_is_not_utf8_exits_two(tmp_path, capsys, command):
     assert err.startswith(f"config error: {cfg} is not UTF-8 text: ")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_with_a_byte_order_mark_is_read(tmp_path, capsys, command):
+    # RFC 8259 lets a parser ignore a leading UTF-8 byte-order mark.
+    sample = Path(__file__).resolve().parents[1] / "demos" / "sample_config.json"
+    cfg = tmp_path / "bom.json"
+    cfg.write_bytes(b"\xef\xbb\xbf" + sample.read_bytes())
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(cfg), *out]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         cfg = write_config(tmp_path, {"cells": [box_cell()]})

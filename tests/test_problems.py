@@ -7,7 +7,7 @@ from viscosplit.hilbert import Ball
 from viscosplit.problems import (catalog, default_schedule_for,
                                  grid_points, load_instance, make_ball_instance,
                                  make_box_instance, make_example1,
-                                 make_example2, make_example3,
+                                 make_example3,
                                  make_inclusion_instance,
                                  make_oscillation_instance,
                                  make_trivial_instance, scaling_map)
@@ -23,7 +23,8 @@ class TestExampleMaps:
         assert img.point[0] == 1.0
 
     def test_halving_2d(self):
-        img = make_example2()(np.array([2.0, -4.0]))
+        halving_2d = scaling_map(0.5, 2, 0.5, name="halving_2d")
+        img = halving_2d(np.array([2.0, -4.0]))
         assert np.array_equal(img.point, np.array([1.0, -2.0]))
 
     def test_oscillation_values(self):

@@ -6,14 +6,16 @@ import pytest
 
 import viscosplit.hilbert as hilbert
 import viscosplit.solvers as solvers
-from viscosplit.hilbert import Box, NonFiniteError, WholeSpace, norm
+from viscosplit.hilbert import (Box, DimensionMismatch, NonFiniteError,
+                                WholeSpace, norm)
 from viscosplit.monotone import (MaxMonotone, SingleOp, ZeroOperator,
                                  affine_op, zero_op)
 from viscosplit.problems import (catalog, load_instance, make_box_instance,
                                  make_inclusion_instance,
                                  make_trivial_instance, default_schedule_for)
 from viscosplit.schedules import ParamSeq, Schedule
-from viscosplit.setvalued import BallImage, MultiMap, Singleton
+from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, BallImage, MultiMap,
+                                  Singleton)
 from viscosplit.solvers import ALGORITHMS
 from viscosplit.solvers import (CERTIFY_TOL, IterState,
                                 ScheduleValidationError, audit_fejer_chain,
@@ -508,3 +510,32 @@ class TestScheduleGateJudgesTheProblem:
                                                            instance_id):
         problem = load_instance(instance_id)
         require_admissible(default_schedule_for(problem), problem)
+
+
+class TestValueOfAnotherDimension:
+    """A user's callable that returns a value of another dimension than the
+    instance raises DimensionMismatch naming the stage, not numpy's
+    broadcasting error."""
+
+    def test_forward_operator_at_construction(self):
+        with pytest.raises(DimensionMismatch,
+                           match="^forward operator: ") as info:
+            dataclasses.replace(load_instance("inclusion_box", dim=2),
+                                forward=affine_op(1.0, np.zeros(3), 3))
+        assert info.value.stage == "forward operator"
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_image_that_turns_three_dimensional_mid_run(self, algorithm):
+        # T1's image is a 3-vector on 0 < |x_0| < 0.1: not at the common
+        # point 0 nor at the start 0.9, but on the way.
+        def image(x):
+            return Singleton(np.zeros(3) if 0 < abs(x[0]) < 0.1 else 0.5 * x)
+
+        t1 = MultiMap(image, KIND_DEMICONTRACTIVE, 0.5,
+                      fixed_points=(np.zeros(2),))
+        halving = make_box_instance(dim=2).t2
+        prob = make_box_instance(dim=2, maps=(t1, halving, halving))
+        assert prob.known_common_points
+        with pytest.raises(DimensionMismatch,
+                           match="^T1 image: expected dimension 2, got 3$"):
+            run(algorithm, prob, default_schedule_for(prob), max_iter=1000)
