@@ -27,8 +27,9 @@ from .setvalued import (AuditResult, BallImage, FiniteSet, MultiMap,
                         hausdorff, select_from)
 from .solvers import (ALGORITHMS, DIVERGENCE_LIMIT, FejerAudit, IterState,
                       ProblemInstance, RunReport, ScheduleValidationError,
-                      audit_fejer_chain, boundedness_radius, initial_state,
-                      run, step_fc, step_forward_backward, step_main,
-                      step_sow, vi_residual)
+                      UncertifiedPointError, audit_fejer_chain,
+                      boundedness_radius, initial_state, run, step_fc,
+                      step_forward_backward, step_main, step_sow,
+                      vi_residual)
 
 __version__ = "0.1.0"

@@ -178,11 +178,13 @@ class Box(ConvexSet):
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    # ``ndarray.clip`` is what ``np.clip`` dispatches to, without its
+    # wrapper: the same values, signed zeros and nan included.
     def project(self, x) -> np.ndarray:
-        return np.clip(as_vector(x, self.lower.size), self.lower, self.upper)
+        return as_vector(x, self.lower.size).clip(self.lower, self.upper)
 
     def project_rows(self, xs: np.ndarray) -> np.ndarray:
-        return np.clip(_width(xs, self.lower.size), self.lower, self.upper)
+        return _width(xs, self.lower.size).clip(self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ class Ball(ConvexSet):
 
     def project(self, x) -> np.ndarray:
         xv = as_vector(x, self.center.size)
-        d = np.linalg.norm(xv - self.center)
+        d = norm(xv - self.center)
         if d <= self.radius:
             return xv
         return self.center + (self.radius / d) * (xv - self.center)

@@ -87,7 +87,7 @@ def _values(op: SingleOp, xs: np.ndarray) -> np.ndarray:
 def zero_op(name: str = "zero") -> SingleOp:
     # Vacuously inverse strongly monotone for any modulus; declare 1 so the
     # splitting-step window stays the unit interval.
-    return SingleOp(lambda x: np.zeros_like(x), lipschitz=0.0,
+    return SingleOp(lambda x: np.zeros(x.shape), lipschitz=0.0,
                     inverse_strong_monotonicity=1.0, name=name, rowwise=True)
 
 

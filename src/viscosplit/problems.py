@@ -20,7 +20,7 @@ from .monotone import NormalCone, SingleOp, ZeroOperator, affine_op, identity_op
 from .schedules import Schedule, ViscosityParams, default_schedule
 from .setvalued import (KIND_DEMICONTRACTIVE, KIND_NONEXPANSIVE, MultiMap,
                         SelectionRule, Singleton)
-from .solvers import ProblemInstance
+from .solvers import ProblemInstance, UncertifiedPointError
 
 #: Lipschitz constant declared for an identically-zero contraction term, kept
 #: strictly positive because the margin conditions divide by it being below
@@ -93,8 +93,9 @@ def make_inclusion_instance(dim: int = 1, feasible: ConvexSet | None = None,
     the splitting solutions are exactly {P(anchor)}.  ``maps``, when given,
     must be three mappings; they default to one scaling map passed as T1,
     T2 and T3.  When P(anchor) is also their common fixed point it becomes a
-    certified audit point of the instance.  The default start is 0.9 in
-    every coordinate.
+    certified audit point of the instance; an error a mapping raises while
+    it is certified (an image of another dimension or a non-finite one
+    among them) propagates.  The default start is 0.9 in every coordinate.
     """
     return _inclusion_instance(0.9, **locals())
 
@@ -124,9 +125,11 @@ def _inclusion_instance(start: float, dim, feasible, anchor, scale, beta,
         params=params, selection=selection,
         known_solution=solution,
         default_start=start * np.ones(dim))
+    # Only a failed certification drops the point; an error of a mapping's
+    # own (a value of another dimension, a non-finite one) propagates.
     try:
         return replace(instance, known_common_points=(solution,))
-    except ValueError:  # P(anchor) does not certify as a common point
+    except UncertifiedPointError:
         return instance
 
 

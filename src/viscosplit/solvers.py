@@ -53,7 +53,10 @@ dimension:
   and > 0, ``max_iter`` an integer >= 0 and ``record_stride`` an integer
   >= 1 or None; then the schedule, in :func:`require_admissible`, which
   judges it against the problem's own constants and raises
-  :class:`ScheduleValidationError` naming every failing condition;
+  :class:`ScheduleValidationError` naming every failing condition.  An
+  admission is memoized per process for each (schedule, constants), so
+  repeated runs of one schedule judge it once, and a custom sequence must
+  be a pure function of n;
 - ``psi0``, in :func:`initial_state`, which builds the start state on the
   step's own kernels and through the same state builder as a step: the
   projected start is checked once like a new iterate, and its images,
@@ -63,9 +66,10 @@ dimension:
   only the value is coerced and checked, and a value that is the point
   itself is not scanned again), because it enters the resolvent; each
   image a mapping returns (checked by its constructor: ``Singleton``,
-  ``FiniteSet``, ``BallImage``); and the anchor target, which the
-  projection checks at its own boundary before it returns the new
-  iterate.
+  ``FiniteSet``, ``BallImage``, and its dimension compared with the
+  problem's, since a 1-vector would broadcast); and the anchor target,
+  which the projection checks at its own boundary before it returns the
+  new iterate.
 
 The other values a step makes are caught downstream, not scanned:
 delta, pi and phi_p, and the forward-backward point carried to the next
@@ -140,6 +144,11 @@ class ScheduleValidationError(ValueError):
         super().__init__(f"schedule rejected: {names}")
 
 
+class UncertifiedPointError(ValueError):
+    """A point offered as a common solution does not certify; the message
+    names the point and its defects."""
+
+
 def require_admissible(schedule: Schedule, problem: ProblemInstance) -> None:
     """Raise :class:`ScheduleValidationError`, naming every failing
     condition, unless ``schedule`` passes :func:`validate` for the
@@ -149,12 +158,38 @@ def require_admissible(schedule: Schedule, problem: ProblemInstance) -> None:
     of the schedule's and the problem's demicontractivity constant and the
     smaller of their ism moduli, so a schedule made for another problem
     cannot carry looser constants onto this one.
+
+    The verdict is memoized per process for each (schedule, constants):
+    the key is the schedule with the problem's ``params``, ``beta_demi``
+    and ``alpha_ism``, compared by value, so equal schedules and problems
+    share one verdict.  A custom sequence must therefore be a pure
+    function of n.  Only admissions are kept: a refused schedule is judged
+    again, and raises with its full report, on every call.  A schedule
+    that cannot be hashed (an ``interval`` list, an unhashable custom
+    ``fn``) is judged on every call.
     """
+    key = (schedule, problem.params, problem.beta_demi, problem.alpha_ism)
+    try:
+        hash(key)
+    except TypeError:
+        _judge(*key)
+    else:
+        _admit(*key)
+
+
+def _judge(schedule: Schedule, params: ViscosityParams, beta_demi: float,
+           alpha_ism: float) -> None:
+    """:func:`require_admissible` for a problem with these constants,
+    judged afresh."""
     report = validate(replace(
-        schedule, beta_demi=max(schedule.beta_demi, problem.beta_demi),
-        alpha_ism=min(schedule.alpha_ism, problem.alpha_ism)), problem.params)
+        schedule, beta_demi=max(schedule.beta_demi, beta_demi),
+        alpha_ism=min(schedule.alpha_ism, alpha_ism)), params)
     if not report.ok:
         raise ScheduleValidationError(report)
+
+
+#: :func:`_judge` memoized; a call that raises is not kept.
+_admit = functools.lru_cache(maxsize=128)(_judge)
 
 
 @dataclass(frozen=True)
@@ -165,8 +200,8 @@ class ProblemInstance:
     :class:`SelectionRule` or its value (``"metric"``, ...).
     ``known_common_points`` lists members of the full solution set, which
     every run audits against; construction certifies each one and raises
-    ``ValueError``, naming the point and its defects, for one that fails
-    (see :meth:`common_point_defects`).
+    :class:`UncertifiedPointError` (a ``ValueError``), naming the point
+    and its defects, for one that fails (see :meth:`common_point_defects`).
     """
 
     name: str
@@ -241,8 +276,11 @@ class ProblemInstance:
         if not res <= CERTIFY_TOL:
             defects.append(
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
-        for i, t in enumerate(self.maps, start=1):
-            img = _sized(t.image(qv), self.dim, _IMAGES[i - 1])
+        for i, (t, stage) in enumerate(zip(self.maps, _IMAGES), start=1):
+            try:
+                img = _sized(t.image(qv), self.dim, stage)
+            except ValueError as err:
+                raise _named(err, stage) from None
             d = _distance(qv, img)
             if not d <= CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
@@ -253,12 +291,12 @@ class ProblemInstance:
         return defects
 
     def _require_common_point(self, q: np.ndarray, what: str) -> None:
-        """Raise ``ValueError`` naming ``what``, the vector ``q`` and its
-        defects unless ``q`` certifies."""
+        """Raise :class:`UncertifiedPointError` naming ``what``, the vector
+        ``q`` and its defects unless ``q`` certifies."""
         defects = self.common_point_defects(q)
         if defects:
-            raise ValueError(f"{what} {q.tolist()} does not certify: "
-                             + "; ".join(defects))
+            raise UncertifiedPointError(
+                f"{what} {q.tolist()} does not certify: " + "; ".join(defects))
 
 
 @dataclass(slots=True)
@@ -450,7 +488,7 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         weights = (schedule.theta, schedule.beta, schedule.gamma)
         for k, (t, weight) in enumerate(zip(problem.maps, weights)):
             stage = _IMAGES[k]
-            img = _sized(t.image(x), dim, stage) if checked else t.image(x)
+            img = _sized(t.image(x), problem.dim, stage)
             residuals.append(_distance(x, img))
             if k < anchor.stages:
                 selected.append(_select(img, problem.selection, x))
@@ -624,7 +662,10 @@ def _distances(points, q_rows: np.ndarray) -> np.ndarray:
     either path.
     """
     if len(points) * q_rows.nbytes <= STACKED_AUDIT_BYTES:
-        diff = np.array(points)[:, np.newaxis] - q_rows
+        # One concatenation of the 1-D points costs less than np.array's
+        # inspection of a list of arrays.
+        diff = (np.concatenate(points).reshape(len(points), 1, q_rows.shape[1])
+                - q_rows)
         return np.sqrt(np.vecdot(diff, diff))
     out = np.empty((len(points), len(q_rows)))
     first = {}

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from viscosplit.hilbert import Ball
+from viscosplit.hilbert import Ball, DimensionMismatch, NonFiniteError
 from viscosplit.problems import (catalog, default_schedule_for,
                                  grid_points, load_instance, make_ball_instance,
                                  make_box_instance, make_example1,
@@ -12,8 +12,9 @@ from viscosplit.problems import (catalog, default_schedule_for,
                                  make_oscillation_instance,
                                  make_trivial_instance, scaling_map)
 from viscosplit.schedules import validate
-from viscosplit.setvalued import SelectionRule, Singleton, distance_to_set
-from viscosplit.solvers import ProblemInstance
+from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, MultiMap,
+                                  SelectionRule, Singleton, distance_to_set)
+from viscosplit.solvers import ProblemInstance, UncertifiedPointError
 
 
 class TestExampleMaps:
@@ -122,6 +123,37 @@ class TestInstanceGeometry:
         # Solution is P_[-1,1](5) = 1, which the halving maps do not fix.
         assert inst.known_solution[0] == 1.0
         assert inst.known_common_points == ()
+        with pytest.raises(UncertifiedPointError, match="does not certify"):
+            dataclasses.replace(inst, known_common_points=(np.ones(1),))
+
+    def test_mapping_of_another_dimension_raises_at_construction(self):
+        # Only a failed certification drops the common point; a mapping's
+        # own fault propagates, naming the image.
+        to_r3 = MultiMap(lambda x: Singleton(np.zeros(3)),
+                         KIND_DEMICONTRACTIVE, 0.5,
+                         fixed_points=(np.zeros(3),))
+        with pytest.raises(DimensionMismatch,
+                           match="^T1 image: expected dimension 2, got 3$"
+                           ) as info:
+            make_box_instance(dim=2, maps=(to_r3,) * 3)
+        assert info.value.stage == "T1 image"
+
+    def test_non_finite_image_raises_at_construction(self):
+        nan = MultiMap(lambda x: Singleton(np.full(x.size, np.nan)),
+                       KIND_DEMICONTRACTIVE, 0.5, fixed_points=(np.zeros(2),))
+        with pytest.raises(NonFiniteError,
+                           match="^non-finite T1 image$") as info:
+            make_box_instance(dim=2, maps=(nan,) * 3)
+        assert info.value.stage == "T1 image"
+
+    def test_mapping_error_of_its_own_propagates(self):
+        def image(x):
+            raise ValueError("no image here")
+
+        broken = MultiMap(image, KIND_DEMICONTRACTIVE, 0.5,
+                          fixed_points=(np.zeros(1),))
+        with pytest.raises(ValueError, match="^no image here$"):
+            make_box_instance(dim=1, maps=(broken,) * 3)
 
     def test_selection_rule_override(self):
         inst = make_box_instance(dim=1, selection=SelectionRule.FIRST_ENUMERATED)

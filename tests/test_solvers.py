@@ -13,7 +13,7 @@ from viscosplit.monotone import (MaxMonotone, SingleOp, ZeroOperator,
 from viscosplit.problems import (catalog, load_instance, make_box_instance,
                                  make_inclusion_instance,
                                  make_trivial_instance, default_schedule_for)
-from viscosplit.schedules import ParamSeq, Schedule
+from viscosplit.schedules import ParamSeq, Schedule, validate
 from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, BallImage, MultiMap,
                                   Singleton)
 from viscosplit.solvers import ALGORITHMS
@@ -512,6 +512,127 @@ class TestScheduleGateJudgesTheProblem:
         require_admissible(default_schedule_for(problem), problem)
 
 
+def _varying_lam(n):
+    return 0.4 + 0.1 / (n + 1)
+
+
+class TestAdmissionVerdictCache:
+    """require_admissible judges each (schedule, constants) once per
+    process; a refusal is judged, and raised with its report, every time."""
+
+    @pytest.fixture(autouse=True)
+    def counted(self, monkeypatch):
+        """The reports :func:`validate` makes, in order, with the memo
+        cleared before and after the test."""
+        reports = []
+        real = solvers.validate
+
+        def counting(schedule, params):
+            reports.append(real(schedule, params))
+            return reports[-1]
+
+        solvers._admit.cache_clear()
+        monkeypatch.setattr(solvers, "validate", counting)
+        yield reports
+        solvers._admit.cache_clear()
+
+    def test_refusal_raises_with_its_full_report_on_every_call(self,
+                                                               counted):
+        schedule = default_schedule_for(load_instance("inclusion_box", dim=1))
+        tight = make_inclusion_instance(dim=1, beta=0.9)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ScheduleValidationError) as exc:
+                require_admissible(schedule, tight)
+            raised.append(exc.value.report)
+        assert len(counted) == 3
+        assert raised == counted
+        assert not raised[0].ok and len(raised[0].failures()) == 2
+        assert len(raised[0].conditions) == len(
+            validate(schedule, tight.params).conditions)
+
+    def test_equal_but_distinct_objects_share_one_verdict(self, counted):
+        first = load_instance("inclusion_box", dim=2)
+        second = load_instance("inclusion_box", dim=2)
+        s1, s2 = default_schedule_for(first), default_schedule_for(second)
+        assert first is not second and s1 is not s2 and s1 == s2
+        require_admissible(s1, first)
+        require_admissible(s2, second)
+        run("main", second, s2, max_iter=3)
+        assert len(counted) == 1
+
+    def test_admitted_schedule_still_refused_for_a_tighter_problem(
+            self, counted):
+        box = load_instance("inclusion_box", dim=1)
+        schedule = default_schedule_for(box)
+        require_admissible(schedule, box)
+        tight = make_inclusion_instance(dim=1, beta=0.9)
+        with pytest.raises(ScheduleValidationError):
+            require_admissible(schedule, tight)
+        steep = dataclasses.replace(box, forward=affine_op(10.0))
+        with pytest.raises(ScheduleValidationError):
+            run("main", steep, schedule)
+        require_admissible(schedule, box)
+        assert len(counted) == 3
+
+    def test_unhashable_schedule_is_judged_on_every_call(self, counted):
+        box = load_instance("inclusion_box", dim=1)
+        listed = dataclasses.replace(default_schedule_for(box),
+                                     interval=[0.5, 0.5])
+        with pytest.raises(TypeError):
+            hash(listed)
+        require_admissible(listed, box)
+        run("main", box, listed, max_iter=3)
+        assert len(counted) == 2
+        narrow = dataclasses.replace(listed, interval=[0.6, 0.7])
+        for _ in range(2):
+            with pytest.raises(ScheduleValidationError):
+                require_admissible(narrow, box)
+        assert len(counted) == 4
+
+    def test_unhashable_custom_sequence_is_judged_on_every_call(self,
+                                                                counted):
+        class Lam:
+            __hash__ = None
+
+            def __call__(self, n):
+                return 0.5
+
+        box = load_instance("inclusion_box", dim=1)
+        schedule = dataclasses.replace(default_schedule_for(box),
+                                       lam=ParamSeq.custom(Lam(), limit=0.5))
+        require_admissible(schedule, box)
+        require_admissible(schedule, box)
+        assert len(counted) == 2
+
+    @pytest.mark.parametrize("interval, admitted", [
+        ((0.4, 0.45), True), ((0.42, 0.45), False), ((0.4, 0.44), False)])
+    def test_custom_step_gets_the_same_verdict_cached_or_not(
+            self, counted, interval, admitted):
+        box = load_instance("inclusion_box", dim=2)
+        schedule = dataclasses.replace(
+            default_schedule_for(box), interval=interval,
+            lam=ParamSeq.custom(_varying_lam, limit=0.4))
+        assert validate(schedule, box.params).ok is admitted
+        for _ in range(3):
+            try:
+                require_admissible(schedule, box)
+            except ScheduleValidationError as err:
+                assert not admitted
+                assert err.report == validate(schedule, box.params)
+            else:
+                assert admitted
+        # One judgement of an admission; a refusal each time.
+        assert len(counted) == (1 if admitted else 3)
+
+    def test_unchecked_run_judges_nothing(self, counted):
+        box = load_instance("inclusion_box", dim=1)
+        bad = dataclasses.replace(default_schedule_for(box),
+                                  interval=(0.6, 0.7))
+        run("main", box, bad, check_schedule=False, max_iter=3)
+        assert counted == []
+
+
 class TestValueOfAnotherDimension:
     """A user's callable that returns a value of another dimension than the
     instance raises DimensionMismatch naming the stage, not numpy's
@@ -539,3 +660,21 @@ class TestValueOfAnotherDimension:
         with pytest.raises(DimensionMismatch,
                            match="^T1 image: expected dimension 2, got 3$"):
             run(algorithm, prob, default_schedule_for(prob), max_iter=1000)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_image_that_turns_one_dimensional_mid_run(self, algorithm):
+        # A 1-vector image broadcasts against a 2-vector, so the first,
+        # unchecked pass of a step must compare its size to reject it.
+        def image(x):
+            return Singleton(np.array([0.01]) if 0 < abs(x[0]) < 0.1
+                             else x / 2)
+
+        t = MultiMap(image, KIND_DEMICONTRACTIVE, 0.5,
+                     fixed_points=(np.zeros(2),))
+        prob = make_box_instance(dim=2, maps=(t,) * 3)
+        assert prob.known_common_points
+        with pytest.raises(DimensionMismatch,
+                           match="^T1 image: expected dimension 2, got 1$"
+                           ) as info:
+            run(algorithm, prob, default_schedule_for(prob), max_iter=200)
+        assert info.value.stage == "T1 image"
