@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -104,21 +104,38 @@ class ParamSeq:
         """s_1, ..., s_horizon.  The built-in families are one array
         expression, equal bit for bit to calling the sequence per index."""
         if self.kind == "custom":
-            return np.array([self(n) for n in range(1, horizon + 1)])
+            fn = self.fn
+            return np.array([float(fn(n)) for n in range(1, horizon + 1)])
         n = np.arange(1, horizon + 1, dtype=float)
         return np.full(horizon, self._closed_form(n))
 
+    def extremes(self, horizon: int) -> tuple[float, float]:
+        """The least and the largest of s_1, ..., s_horizon, equal to those
+        of :meth:`values`.  A built-in family is monotone in n, and so is
+        each rounded value, so its extremes are s_1 and s_horizon."""
+        if self.kind == "custom":
+            return _extremes(self.values(horizon))
+        first, last = float(self(1)), float(self(horizon))
+        return min(first, last), max(first, last)
+
+
+def _extremes(vals: np.ndarray) -> tuple[float, float]:
+    """The least and the largest of ``vals``; nan if any value is nan."""
+    return float(np.min(vals)), float(np.max(vals))
+
 
 def _liminf_of(f: Callable[[np.ndarray], np.ndarray],
-               tail: Iterable[float]) -> float:
-    """liminf of f(s_n), as the least f over ``tail``: a declared limit
-    alone, or the second half of the horizon values.
+               tail: float | np.ndarray) -> float:
+    """liminf of f(s_n), as the least f over ``tail``: a declared limit (a
+    number), or the second half of the horizon values (an array).
 
     For a declared limit f(limit) is the true liminf because f is
     continuous and the sequence is convergent.  A nan anywhere in the tail
     makes the liminf nan, so no condition on it holds.
     """
-    return float(np.min(f(np.asarray(tail, dtype=float))))
+    if isinstance(tail, np.ndarray):
+        return float(np.min(f(tail)))
+    return float(f(float(tail)))
 
 
 # --------------------------------------------------------------------------
@@ -260,15 +277,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _in_band(vals: np.ndarray, limit: float | None, low: float,
-             high: float, closed: bool = False) -> bool:
+def _in_band(extremes: tuple[float, float], limit: float | None,
+             low: float, high: float, closed: bool = False) -> bool:
     """The band rule: every horizon value in (low, high), or in [low, high]
-    when ``closed``, and a declared ``limit`` in the closure [low, high]."""
+    when ``closed``, and a declared ``limit`` in the closure [low, high].
+    The horizon values enter by their ``extremes``, a nan one failing."""
+    least, most = extremes
     if closed:
-        inside = (vals >= low) & (vals <= high)
+        inside = least >= low and most <= high
     else:
-        inside = (vals > low) & (vals < high)
-    return bool(np.all(inside)) and (limit is None or low <= limit <= high)
+        inside = least > low and most < high
+    return inside and (limit is None or low <= limit <= high)
 
 
 #: Number of leading sequence values :func:`validate` scans.
@@ -293,21 +312,27 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
         conds.append(ConditionResult(name, holds(params),
                                      details.get(name, "")))
 
-    # Each sequence's values over the horizon, computed once, and whether
-    # its verdicts are sampled from them: exact when its limit is declared.
-    # A liminf is taken at the declared limit, or over the second half of
-    # the values.
+    # Whether each sequence's verdicts are sampled from its horizon values:
+    # exact when its limit is declared.  The band and cap rules read only
+    # the least and largest values; all the values, computed once, are
+    # kept only where a verdict samples them: a liminf over the second half
+    # of a sampled sequence, and alpha's decay and sum when sampled.  A
+    # liminf is taken at the declared limit otherwise.
     seqs = {"alpha": schedule.alpha, "theta": schedule.theta,
             "beta": schedule.beta, "gamma": schedule.gamma,
             "mu": schedule.mu, "lambda": schedule.lam}
-    vals = {label: seq.values(horizon) for label, seq in seqs.items()}
     sampled = {label: seq.limit is None for label, seq in seqs.items()}
+    vals = {label: seq.values(horizon) for label, seq in seqs.items()
+            if sampled[label]
+            or label == "alpha" and seq.divergent_sum is None}
+    spans = {label: _extremes(vals[label]) if label in vals
+             else seq.extremes(horizon) for label, seq in seqs.items()}
     tails = {label: vals[label][horizon // 2:] if sampled[label]
-             else (seq.limit,) for label, seq in seqs.items()}
+             else seq.limit for label, seq in seqs.items()}
 
     # All six sequences inside (0, 1).
     outside = [label for label, seq in seqs.items()
-               if not _in_band(vals[label], seq.limit, 0.0, 1.0)]
+               if not _in_band(spans[label], seq.limit, 0.0, 1.0)]
     conds.append(ConditionResult(
         "sequences take values in (0, 1)", not outside,
         f"{outside[-1]}_n leaves (0, 1)" if outside else "",
@@ -318,7 +343,7 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
     # sampled alpha must end small, below its start, and still falling
     # over the second half of the horizon (by a fifth at least, as 1/n
     # falls by half), so a plateau such as a small constant fails.
-    alpha, alpha_vals = schedule.alpha, vals["alpha"]
+    alpha, alpha_vals = schedule.alpha, vals.get("alpha")
     if sampled["alpha"]:
         to_zero = np.all(alpha_vals[-1] <= np.array(
             (0.05, alpha_vals[0], 0.8 * alpha_vals[horizon // 2])))
@@ -348,8 +373,9 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
     window = step_window(schedule.alpha_ism)
     conds.append(ConditionResult(
         "condition (ii): lambda_n in [a, b] within (0, min(1, 2*alpha_ism))",
-        0.0 < a <= b < window and _in_band(vals["lambda"], schedule.lam.limit,
-                                           a, b, closed=True),
+        0.0 < a <= b < window and _in_band(spans["lambda"],
+                                           schedule.lam.limit, a, b,
+                                           closed=True),
         f"[a, b] = [{a:g}, {b:g}], window (0, {window:g})",
         empirical=sampled["lambda"]))
 
@@ -361,7 +387,8 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
         conds.append(ConditionResult(
             f"condition (ii): {label}_n in (beta_demi, 1) with "
             f"liminf (1 - {label}_n)({label}_n - beta_demi) > 0",
-            _in_band(vals[label], seqs[label].limit, demi, 1.0) and gap > 0.0,
+            _in_band(spans[label], seqs[label].limit, demi, 1.0)
+            and gap > 0.0,
             f"liminf gap = {gap:g}", value=gap, empirical=sampled[label]))
 
     # Condition (iii): the three averaging products keep a positive liminf.
@@ -373,7 +400,7 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
             empirical=sampled[label]))
 
     # The mixing weights respect the cap that keeps the anchor contraction.
-    sup_mu = float(np.max(vals["mu"]))
+    sup_mu = spans["mu"][1]
     if not sampled["mu"]:
         sup_mu = max(sup_mu, schedule.mu.limit)
     margin = params.margin(schedule.mu_bar)

@@ -53,10 +53,7 @@ dimension:
   and > 0, ``max_iter`` an integer >= 0 and ``record_stride`` an integer
   >= 1 or None; then the schedule, in :func:`require_admissible`, which
   judges it against the problem's own constants and raises
-  :class:`ScheduleValidationError` naming every failing condition.  An
-  admission is memoized per process for each (schedule, constants), so
-  repeated runs of one schedule judge it once, and a custom sequence must
-  be a pure function of n;
+  :class:`ScheduleValidationError` naming every failing condition;
 - ``psi0``, in :func:`initial_state`, which builds the start state on the
   step's own kernels and through the same state builder as a step: the
   projected start is checked once like a new iterate, and its images,
@@ -159,37 +156,15 @@ def require_admissible(schedule: Schedule, problem: ProblemInstance) -> None:
     smaller of their ism moduli, so a schedule made for another problem
     cannot carry looser constants onto this one.
 
-    The verdict is memoized per process for each (schedule, constants):
-    the key is the schedule with the problem's ``params``, ``beta_demi``
-    and ``alpha_ism``, compared by value, so equal schedules and problems
-    share one verdict.  A custom sequence must therefore be a pure
-    function of n.  Only admissions are kept: a refused schedule is judged
-    again, and raises with its full report, on every call.  A schedule
-    that cannot be hashed (an ``interval`` list, an unhashable custom
-    ``fn``) is judged on every call.
+    A caller that runs one schedule many times on one problem can judge
+    it here once and pass ``check_schedule=False`` to :func:`run`, as the
+    CLI does for its config cells.
     """
-    key = (schedule, problem.params, problem.beta_demi, problem.alpha_ism)
-    try:
-        hash(key)
-    except TypeError:
-        _judge(*key)
-    else:
-        _admit(*key)
-
-
-def _judge(schedule: Schedule, params: ViscosityParams, beta_demi: float,
-           alpha_ism: float) -> None:
-    """:func:`require_admissible` for a problem with these constants,
-    judged afresh."""
     report = validate(replace(
-        schedule, beta_demi=max(schedule.beta_demi, beta_demi),
-        alpha_ism=min(schedule.alpha_ism, alpha_ism)), params)
+        schedule, beta_demi=max(schedule.beta_demi, problem.beta_demi),
+        alpha_ism=min(schedule.alpha_ism, problem.alpha_ism)), problem.params)
     if not report.ok:
         raise ScheduleValidationError(report)
-
-
-#: :func:`_judge` memoized; a call that raises is not kept.
-_admit = functools.lru_cache(maxsize=128)(_judge)
 
 
 @dataclass(frozen=True)

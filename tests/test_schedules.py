@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from viscosplit.problems import default_schedule_for, load_instance
-from viscosplit.schedules import (InfeasibleScheduleError, ParamSeq,
-                                  ViscosityParams, default_schedule, validate)
+from viscosplit.schedules import (SEQUENCE_FAMILIES, VALIDATION_HORIZON,
+                                  InfeasibleScheduleError, ParamSeq,
+                                  ViscosityParams, _in_band, _liminf_of,
+                                  default_schedule, validate)
 from viscosplit.solvers import ScheduleValidationError, run
 
 
@@ -48,6 +50,74 @@ class TestParamSeq:
     def test_values_equal_the_per_index_sequence(self, seq, horizon):
         expected = [seq(n) for n in range(1, horizon + 1)]
         assert np.array_equal(seq.values(horizon), expected)
+
+
+class TestExtremes:
+    """validate reads a built-in family's band by its first and last
+    values; they must be the least and largest of the whole horizon."""
+
+    @pytest.mark.parametrize("family", SEQUENCE_FAMILIES)
+    @pytest.mark.parametrize("scale", [0.7, -0.7, 1.3, 0.0, -0.0,
+                                       float("inf"), float("-inf"),
+                                       float("nan")])
+    @pytest.mark.parametrize("horizon", [1, 2, VALIDATION_HORIZON])
+    def test_extremes_of_a_family_are_those_of_its_values(self, family,
+                                                          scale, horizon):
+        seq = getattr(ParamSeq, family)(scale)
+        vals = seq.values(horizon)
+        expected = np.array([np.min(vals), np.max(vals)])
+        got = np.array(seq.extremes(horizon))
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("fn", [
+        lambda n: 0.4 + 0.1 / (n + 1),
+        lambda n: 0.5 + 0.3 * (-1) ** n / n,
+        lambda n: float("nan") if n == 300 else 0.5])
+    def test_extremes_of_a_custom_sequence_scan_it(self, fn):
+        seq = ParamSeq.custom(fn)
+        vals = seq.values(VALIDATION_HORIZON)
+        assert np.array_equal(seq.extremes(VALIDATION_HORIZON),
+                              [np.min(vals), np.max(vals)], equal_nan=True)
+
+    @pytest.mark.parametrize("vals", [
+        [0.2, 0.5], [0.0, 0.5], [0.5, 1.0], [0.0, 1.0], [-0.1, 0.5],
+        [0.5, 1.1], [float("nan"), 0.5], [0.3, 0.3]])
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("limit", [None, 0.5, 1.5])
+    def test_band_rule_equals_a_scan_of_the_values(self, vals, closed,
+                                                   limit):
+        arr = np.array(vals)
+        inside = ((arr >= 0.0) & (arr <= 1.0) if closed
+                  else (arr > 0.0) & (arr < 1.0))
+        scanned = bool(np.all(inside)) and (limit is None
+                                            or 0.0 <= limit <= 1.0)
+        extremes = (float(np.min(arr)), float(np.max(arr)))
+        assert _in_band(extremes, limit, 0.0, 1.0, closed) is scanned
+
+    @pytest.mark.parametrize("limit", [0.75, 0, 1, 0.5, float("nan")])
+    def test_liminf_at_a_limit_equals_the_array_form(self, limit):
+        def gap(s):
+            return (1.0 - s) * (s - 0.5)
+
+        expected = float(np.min(gap(np.asarray((limit,), dtype=float))))
+        assert np.array_equal(_liminf_of(gap, limit), expected,
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("family", SEQUENCE_FAMILIES)
+    def test_family_without_declared_facts_is_judged_like_its_values(
+            self, family):
+        # A family built without its limit and sum is sampled, like the
+        # custom sequence of the same values.
+        params = reference_params()
+        base = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        bare = ParamSeq(family, 0.4)
+        as_custom = ParamSeq.custom(bare)
+        for label in ("alpha", "theta", "gamma", "mu", "lam"):
+            got = validate(dataclasses.replace(base, **{label: bare}), params)
+            want = validate(dataclasses.replace(base, **{label: as_custom}),
+                            params)
+            assert got == want, label
 
 
 class TestViscosityParams:

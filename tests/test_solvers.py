@@ -516,14 +516,13 @@ def _varying_lam(n):
     return 0.4 + 0.1 / (n + 1)
 
 
-class TestAdmissionVerdictCache:
-    """require_admissible judges each (schedule, constants) once per
-    process; a refusal is judged, and raised with its report, every time."""
+class TestScheduleGateJudgesEveryCall:
+    """require_admissible keeps no verdict: each call, and so each checked
+    run, judges the schedule afresh."""
 
     @pytest.fixture(autouse=True)
     def counted(self, monkeypatch):
-        """The reports :func:`validate` makes, in order, with the memo
-        cleared before and after the test."""
+        """The reports :func:`validate` makes, in order."""
         reports = []
         real = solvers.validate
 
@@ -531,10 +530,8 @@ class TestAdmissionVerdictCache:
             reports.append(real(schedule, params))
             return reports[-1]
 
-        solvers._admit.cache_clear()
         monkeypatch.setattr(solvers, "validate", counting)
-        yield reports
-        solvers._admit.cache_clear()
+        return reports
 
     def test_refusal_raises_with_its_full_report_on_every_call(self,
                                                                counted):
@@ -551,79 +548,54 @@ class TestAdmissionVerdictCache:
         assert len(raised[0].conditions) == len(
             validate(schedule, tight.params).conditions)
 
-    def test_equal_but_distinct_objects_share_one_verdict(self, counted):
-        first = load_instance("inclusion_box", dim=2)
-        second = load_instance("inclusion_box", dim=2)
-        s1, s2 = default_schedule_for(first), default_schedule_for(second)
-        assert first is not second and s1 is not s2 and s1 == s2
-        require_admissible(s1, first)
-        require_admissible(s2, second)
-        run("main", second, s2, max_iter=3)
-        assert len(counted) == 1
+    def test_step_that_changes_after_an_admitted_run_is_refused(self,
+                                                                counted):
+        class Step:
+            value = 0.5
 
-    def test_admitted_schedule_still_refused_for_a_tighter_problem(
-            self, counted):
+            def __call__(self, n):
+                return self.value
+
         box = load_instance("inclusion_box", dim=1)
-        schedule = default_schedule_for(box)
-        require_admissible(schedule, box)
-        tight = make_inclusion_instance(dim=1, beta=0.9)
-        with pytest.raises(ScheduleValidationError):
-            require_admissible(schedule, tight)
-        steep = dataclasses.replace(box, forward=affine_op(10.0))
-        with pytest.raises(ScheduleValidationError):
-            run("main", steep, schedule)
-        require_admissible(schedule, box)
-        assert len(counted) == 3
+        step = Step()
+        schedule = dataclasses.replace(default_schedule_for(box),
+                                       lam=ParamSeq.custom(step, limit=0.5))
+        run("main", box, schedule, max_iter=3)
+        step.value = 0.7
+        with pytest.raises(ScheduleValidationError) as exc:
+            run("main", box, schedule, max_iter=3)
+        assert [c.name for c in exc.value.report.failures()] == [
+            "condition (ii): lambda_n in [a, b] within "
+            "(0, min(1, 2*alpha_ism))"]
+        assert len(counted) == 2
 
-    def test_unhashable_schedule_is_judged_on_every_call(self, counted):
+    def test_unhashable_schedule_is_judged(self, counted):
         box = load_instance("inclusion_box", dim=1)
         listed = dataclasses.replace(default_schedule_for(box),
                                      interval=[0.5, 0.5])
-        with pytest.raises(TypeError):
-            hash(listed)
         require_admissible(listed, box)
         run("main", box, listed, max_iter=3)
-        assert len(counted) == 2
         narrow = dataclasses.replace(listed, interval=[0.6, 0.7])
-        for _ in range(2):
-            with pytest.raises(ScheduleValidationError):
-                require_admissible(narrow, box)
-        assert len(counted) == 4
-
-    def test_unhashable_custom_sequence_is_judged_on_every_call(self,
-                                                                counted):
-        class Lam:
-            __hash__ = None
-
-            def __call__(self, n):
-                return 0.5
-
-        box = load_instance("inclusion_box", dim=1)
-        schedule = dataclasses.replace(default_schedule_for(box),
-                                       lam=ParamSeq.custom(Lam(), limit=0.5))
-        require_admissible(schedule, box)
-        require_admissible(schedule, box)
-        assert len(counted) == 2
+        with pytest.raises(ScheduleValidationError):
+            require_admissible(narrow, box)
+        assert len(counted) == 3
 
     @pytest.mark.parametrize("interval, admitted", [
         ((0.4, 0.45), True), ((0.42, 0.45), False), ((0.4, 0.44), False)])
-    def test_custom_step_gets_the_same_verdict_cached_or_not(
-            self, counted, interval, admitted):
+    def test_custom_step_gets_validates_verdict(self, counted, interval,
+                                                admitted):
         box = load_instance("inclusion_box", dim=2)
         schedule = dataclasses.replace(
             default_schedule_for(box), interval=interval,
             lam=ParamSeq.custom(_varying_lam, limit=0.4))
         assert validate(schedule, box.params).ok is admitted
-        for _ in range(3):
-            try:
-                require_admissible(schedule, box)
-            except ScheduleValidationError as err:
-                assert not admitted
-                assert err.report == validate(schedule, box.params)
-            else:
-                assert admitted
-        # One judgement of an admission; a refusal each time.
-        assert len(counted) == (1 if admitted else 3)
+        try:
+            require_admissible(schedule, box)
+        except ScheduleValidationError as err:
+            assert not admitted
+            assert err.report == validate(schedule, box.params)
+        else:
+            assert admitted
 
     def test_unchecked_run_judges_nothing(self, counted):
         box = load_instance("inclusion_box", dim=1)
