@@ -49,15 +49,23 @@ def _is_vector(x) -> bool:
     return type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64
 
 
+#: Up to this many coordinates, :func:`all_finite` sums them in Python,
+#: which costs less than a call of ``np.vdot``.
+SMALL_VECTOR = 32
+
+
 def all_finite(v: np.ndarray) -> bool:
     """Whether every coordinate of the 1-D float64 array ``v`` is finite.
 
-    Any inf or nan coordinate makes the sum of squares non-finite, so the
-    full coordinate scan runs only when that sum is not finite (a
-    non-finite coordinate, or finite ones whose squares overflow).
-    ``np.vdot`` forms the sum without an overflow warning.
+    Any inf or nan coordinate makes the sum of the coordinates, and the
+    sum of their squares, non-finite, so the full coordinate scan runs
+    only when that sum is not finite (a non-finite coordinate, or finite
+    ones whose sum overflows).  A vector of at most :data:`SMALL_VECTOR`
+    coordinates is summed as Python floats, a longer one by ``np.vdot``
+    as its sum of squares; neither warns on overflow.
     """
-    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+    s = sum(v.tolist()) if v.size <= SMALL_VECTOR else np.vdot(v, v)
+    return math.isfinite(s) or bool(np.isfinite(v).all())
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:

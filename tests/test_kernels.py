@@ -3,8 +3,10 @@
 Each kernel stands for a numpy call it replaces without the call's
 wrapper: ``ndarray.clip`` for ``np.clip`` in the box projection,
 ``hilbert.norm`` for ``np.linalg.norm`` in the ball projection,
-``np.zeros(x.shape)`` for ``np.zeros_like(x)`` in ``zero_op``, and one
-concatenation for ``np.array(points)`` in the stacked audit distances.
+``np.zeros(x.shape)`` for ``np.zeros_like(x)`` in ``zero_op``, one
+concatenation for ``np.array(points)`` in the stacked audit distances,
+and a Python sum for ``np.vdot`` in the finiteness check of a short
+vector.
 """
 import warnings
 
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 import viscosplit.solvers as solvers
-from viscosplit.hilbert import Ball, Box, NonFiniteError, norm
+from viscosplit.hilbert import (SMALL_VECTOR, Ball, Box, NonFiniteError,
+                                all_finite, norm)
 from viscosplit.monotone import _values, zero_op
 
 SEEDS = (0, 1, 2)
@@ -132,3 +135,26 @@ class TestAuditDistances:
         assert same_bits(stacked, expected)
         monkeypatch.setattr(solvers, "STACKED_AUDIT_BYTES", 0)
         assert same_bits(solvers._distances(points, q_rows), expected)
+
+
+class TestFiniteness:
+    """all_finite agrees with a scan of every coordinate, on both sides of
+    SMALL_VECTOR, and warns of no overflow."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, SMALL_VECTOR,
+                                      SMALL_VECTOR + 1, 200])
+    @pytest.mark.parametrize("fill", [0.5, 1e308, -1e308, 1e200])
+    @pytest.mark.parametrize("bad", [None, np.inf, -np.inf, np.nan])
+    def test_equals_the_coordinate_scan(self, size, fill, bad):
+        v = np.full(size, fill)
+        if bad is not None and size:
+            v[size // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(v) is bool(np.isfinite(v).all())
+
+    def test_opposite_infinities(self):
+        for size in (2, SMALL_VECTOR + 2):
+            v = np.zeros(size)
+            v[:2] = np.inf, -np.inf
+            assert all_finite(v) is False
