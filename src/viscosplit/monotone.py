@@ -36,7 +36,7 @@ import numpy as np
 
 from .hilbert import (DEFAULT_TOL, ConvexSet, DimensionMismatch, as_vector,
                       norm, row_norms)
-from .setvalued import AuditResult, sampled_audit
+from .setvalued import AuditResult, _stacked, sampled_audit
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,7 @@ def _values(op: SingleOp, xs: np.ndarray) -> np.ndarray:
     """
     if not op.rowwise:
         return np.array([_value(op, x) for x in xs])
-    vs = np.asarray(op.apply(xs), dtype=float)
-    if vs.shape != xs.shape:
-        raise DimensionMismatch(f"value shape {vs.shape}, not {xs.shape}")
-    # One scan of a value that is not xs itself rejects a non-finite one.
-    return vs if vs is xs else as_vector(vs.ravel()).reshape(xs.shape)
+    return _stacked(op.apply, xs)
 
 
 def zero_op(name: str = "zero") -> SingleOp:

@@ -19,7 +19,7 @@ from .hilbert import Ball, Box, ConvexSet, WholeSpace, as_vector
 from .monotone import NormalCone, SingleOp, ZeroOperator, affine_op, identity_op, zero_op
 from .schedules import Schedule, ViscosityParams, default_schedule
 from .setvalued import (KIND_DEMICONTRACTIVE, KIND_NONEXPANSIVE, MultiMap,
-                        SelectionRule, Singleton)
+                        SelectionRule)
 from .solvers import ProblemInstance, UncertifiedPointError
 
 #: Lipschitz constant declared for an identically-zero contraction term, kept
@@ -30,18 +30,23 @@ ZERO_CONTRACTION_LIPSCHITZ = 1e-6
 
 def scaling_map(scale: float, dim: int, beta: float = 0.5,
                 name: str = "") -> MultiMap:
-    """T(x) = {scale * x}; for |scale| < 1 the only fixed point is 0."""
+    """T(x) = {scale * x}; for |scale| < 1 the only fixed point is 0.
+
+    Declares ``points``: scale * x is elementwise, so a stack's rows equal
+    their points' images bit for bit, and the class audits take the stack.
+    """
     if not abs(scale) < 1.0:
         raise ValueError("scaling_map needs |scale| < 1 for a fixed point at 0")
-    return MultiMap(lambda x: Singleton(scale * x), KIND_DEMICONTRACTIVE,
-                    beta, fixed_points=(np.zeros(dim),),
-                    name=name or f"scale({scale})")
+    return MultiMap(kind=KIND_DEMICONTRACTIVE, constant=beta,
+                    fixed_points=(np.zeros(dim),),
+                    name=name or f"scale({scale})", points=lambda x: scale * x)
 
 
 def identity_map(dim: int) -> MultiMap:
-    """T(x) = {x}; every point is fixed."""
-    return MultiMap(lambda x: Singleton(x), KIND_NONEXPANSIVE,
-                    fixed_points=(np.zeros(dim),), name="identity")
+    """T(x) = {x}; every point is fixed.  Declares ``points``: a stack is
+    its own image, and the audits scan nothing more."""
+    return MultiMap(kind=KIND_NONEXPANSIVE, fixed_points=(np.zeros(dim),),
+                    name="identity", points=lambda x: x)
 
 
 def make_example1(beta: float = 0.5) -> MultiMap:
@@ -54,17 +59,24 @@ def make_example3(beta: float = 0.5) -> MultiMap:
 
     The factor (2/3) sin(1/x) stays in [-2/3, 2/3], so 0 is the only fixed
     point and the map is quasi-nonexpansive there, hence demicontractive
-    for every constant in [0, 1).
+    for every constant in [0, 1).  Declares ``points``, elementwise: a
+    1-vector is computed in Python floats, as cheap as a step needs, and
+    any other array with the same float64 operations, so each row of a
+    stack equals its point's image bit for bit.  A zero coordinate, +0.0
+    or -0.0, maps to +0.0 on both paths, and nothing divides by zero.
     """
 
-    def image(x):
-        v = float(x[0])
-        if v == 0.0:
-            return Singleton(np.zeros(1))
-        return Singleton(np.array([(2.0 / 3.0) * v * np.sin(1.0 / v)]))
+    def points(x):
+        if x.shape == (1,):
+            v = float(x[0])
+            return np.array([(2.0 / 3.0) * v * np.sin(1.0 / v) if v else 0.0])
+        zero = x == 0.0
+        safe = x + zero  # 1 where x is 0
+        return np.where(zero, 0.0, (2.0 / 3.0) * safe * np.sin(1.0 / safe))
 
-    return MultiMap(image, KIND_DEMICONTRACTIVE, beta,
-                    fixed_points=(np.zeros(1),), name="oscillation_1d")
+    return MultiMap(kind=KIND_DEMICONTRACTIVE, constant=beta,
+                    fixed_points=(np.zeros(1),), name="oscillation_1d",
+                    points=points)
 
 
 # --------------------------------------------------------------------------

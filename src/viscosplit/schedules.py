@@ -242,7 +242,7 @@ class Schedule:
 # Validation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConditionResult:
     """One named condition's verdict; ``passed`` is a plain ``bool``."""
 
@@ -252,8 +252,14 @@ class ConditionResult:
     value: float | None = None
     empirical: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 value: float | None = None, empirical: bool = False):
+        # Written to the instance dict: the generated frozen __init__
+        # would pay one object.__setattr__ per field.
+        fields = self.__dict__
+        fields["name"], fields["passed"], fields["detail"] = (
+            name, bool(passed), detail)
+        fields["value"], fields["empirical"] = value, empirical
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,17 @@ check`` prepares one :class:`Sample` per command and hands it to every
 audit; a public audit given a list prepares its own.  A batch
 ``sides(xs, ys)`` then evaluates the inequality over all cases at once, one
 row per case, and returns one lhs and one rhs array.  Operators and
-resolvents run on the whole stack (see :mod:`viscosplit.monotone`).  Only
-what belongs to a single case runs case by case: the images ``T.image``
-and the private kernels behind :func:`distance_to_set` and
-:func:`hausdorff`, which check nothing again.  Each image is checked by
-its constructor.  Norms of the stacked rows come from
-:func:`~viscosplit.hilbert.row_norms`, equal to
+resolvents run on the whole stack too (see :mod:`viscosplit.monotone`), and
+so does a single-valued mapping that declares ``points`` (every mapping of
+:mod:`viscosplit.problems`): its function is called once per stack, its
+value is checked for shape and scanned once, unless it is the stack itself.
+The function must take a (k, d) stack to the stack of its image points,
+each row equal bit for bit to the image point at that row alone, so the
+audits read the same numbers as case by case.  Any other mapping runs
+case by case: its images ``T.image`` and the private kernels behind
+:func:`distance_to_set` and :func:`hausdorff`, which check nothing again.
+Each image is checked by its constructor.  Norms of the stacked rows come
+from :func:`~viscosplit.hilbert.row_norms`, equal to
 :func:`~viscosplit.hilbert.norm` bit for bit.
 """
 from __future__ import annotations
@@ -199,13 +204,23 @@ class MultiMap:
     modulus: beta in [0, 1) for demicontractive maps, k in [0, 1] for
     strictly pseudocontractive ones, unused otherwise.  ``fixed_points``
     lists known members of Fix(T) for audits; it need not be exhaustive.
+
+    A single-valued mapping may declare ``points`` instead of ``image``: a
+    function that takes a point to its image point and a (k, d) stack to
+    the stack of image points, each row equal bit for bit to the image
+    point at that row alone.  ``image`` is then built from it, as
+    x -> {points(x)}, and the class audits call it once per stack.  An
+    ``image`` given beside ``points``, as ``dataclasses.replace(T,
+    image=...)`` gives it, is the mapping from then on, and ``points`` is
+    dropped.
     """
 
-    image: Callable[[np.ndarray], SetImage]
+    image: Callable[[np.ndarray], SetImage] | None = None
     kind: str = KIND_DEMICONTRACTIVE
     constant: float | None = None
     fixed_points: tuple = ()
     name: str = ""
+    points: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         kinds = (KIND_DEMICONTRACTIVE, KIND_QUASI_NONEXPANSIVE,
@@ -216,11 +231,46 @@ class MultiMap:
             c = self.constant
             if c is None or not 0.0 <= c < 1.0:
                 raise ValueError("demicontractive maps need constant in [0, 1)")
+        # An image built from points carries them; one that carries other
+        # points is rebuilt, and one of the caller's own replaces them.
+        built_from = getattr(self.image, "points", None)
+        if self.points is not None and built_from is not self.points:
+            if self.image is None or built_from is not None:
+                object.__setattr__(self, "image", _singletons(self.points))
+            else:
+                object.__setattr__(self, "points", None)
+        if self.image is None:
+            raise ValueError("a mapping needs an image or points")
         object.__setattr__(
             self, "fixed_points", tuple(as_vector(p) for p in self.fixed_points))
 
     def __call__(self, x) -> SetImage:
         return self.image(as_vector(x))
+
+
+def _singletons(points: Callable[[np.ndarray], np.ndarray]):
+    """The image x -> {points(x)}, marked with the ``points`` it is built
+    from."""
+    def image(x):
+        return Singleton(points(x))
+    image.points = points
+    return image
+
+
+def _stacked(f: Callable[[np.ndarray], np.ndarray],
+             xs: np.ndarray) -> np.ndarray:
+    """``f`` at the checked (k, d) stack ``xs``, for an ``f`` that takes
+    a stack row by row.
+
+    A value of another shape than ``xs`` raises
+    :class:`~viscosplit.hilbert.DimensionMismatch`; any other value is
+    scanned once, unless it is ``xs`` itself, and a non-finite one raises
+    :class:`~viscosplit.hilbert.NonFiniteError`.
+    """
+    vs = np.asarray(f(xs), dtype=float)
+    if vs.shape != xs.shape:
+        raise DimensionMismatch(f"value shape {vs.shape}, not {xs.shape}")
+    return vs if vs is xs else as_vector(vs.ravel()).reshape(xs.shape)
 
 
 # --------------------------------------------------------------------------
@@ -354,12 +404,17 @@ def check_demicontractive(T: MultiMap, beta: float,
         raise ValueError("demicontractive constant must lie in [0, 1)")
 
     def sides(xs, qs):
-        far, dist = [], []
-        for x, q in zip(xs, qs):
-            img = T.image(x)
-            far.append(_farthest(img, q))
-            dist.append(_distance(x, img))
-        far, dist, gap = np.array(far), np.array(dist), row_norms(xs - qs)
+        if T.points is not None:
+            ys = _stacked(T.points, xs)
+            far, dist = row_norms(ys - qs), row_norms(xs - ys)
+        else:
+            far, dist = [], []
+            for x, q in zip(xs, qs):
+                img = T.image(x)
+                far.append(_farthest(img, q))
+                dist.append(_distance(x, img))
+            far, dist = np.array(far), np.array(dist)
+        gap = row_norms(xs - qs)
         return far * far, gap * gap + beta * (dist * dist)
     return sampled_audit("demicontractive", _fixed_point_pairs(T, points),
                          sides)
@@ -367,11 +422,14 @@ def check_demicontractive(T: MultiMap, beta: float,
 
 def check_quasi_nonexpansive(T: MultiMap, points: Sequence) -> AuditResult:
     """Audit  H(T x, T q) <= ||x - q||  on a sample, q a fixed point."""
-    return sampled_audit(
-        "quasi_nonexpansive", _fixed_point_pairs(T, points),
-        lambda xs, qs: (np.array([_farthest(T.image(x), q)
-                                  for x, q in zip(xs, qs)]),
-                        row_norms(xs - qs)))
+    def sides(xs, qs):
+        if T.points is not None:
+            far = row_norms(_stacked(T.points, xs) - qs)
+        else:
+            far = np.array([_farthest(T.image(x), q) for x, q in zip(xs, qs)])
+        return far, row_norms(xs - qs)
+    return sampled_audit("quasi_nonexpansive", _fixed_point_pairs(T, points),
+                         sides)
 
 
 def check_strictly_pseudocontractive(T: MultiMap, k: float,
@@ -390,17 +448,22 @@ def check_strictly_pseudocontractive(T: MultiMap, k: float,
     note = "k = 1 is the non-strict boundary case" if k == 1.0 else ""
 
     def sides(xs, ys):
-        # The displacements of all cases are measured in one stack; case j
-        # owns the rows from starts[j] to the next case's start.
-        haus, disp, starts = [], [], []
-        for x, y in zip(xs, ys):
-            img_x, img_y = T.image(x), T.image(y)
-            starts.append(len(disp))
-            disp += [(x - u) - (y - w) for u in _enumerable(img_x)
-                     for w in _enumerable(img_y)]
-            haus.append(hausdorff(img_x, img_y))
-        haus, gap = np.array(haus), row_norms(xs - ys)
-        disp = np.minimum.reduceat(row_norms(np.array(disp)), starts)
+        if T.points is not None:
+            us, ws = _stacked(T.points, xs), _stacked(T.points, ys)
+            haus, disp = row_norms(ws - us), row_norms((xs - us) - (ys - ws))
+        else:
+            # The displacements of all cases are measured in one stack;
+            # case j owns the rows from starts[j] to the next case's start.
+            haus, disp, starts = [], [], []
+            for x, y in zip(xs, ys):
+                img_x, img_y = T.image(x), T.image(y)
+                starts.append(len(disp))
+                disp += [(x - u) - (y - w) for u in _enumerable(img_x)
+                         for w in _enumerable(img_y)]
+                haus.append(hausdorff(img_x, img_y))
+            haus = np.array(haus)
+            disp = np.minimum.reduceat(row_norms(np.array(disp)), starts)
+        gap = row_norms(xs - ys)
         return haus * haus, gap * gap + k * (disp * disp)
     return sampled_audit("strictly_pseudocontractive", pairs, sides,
                          note=note)

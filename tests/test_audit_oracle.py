@@ -171,10 +171,21 @@ def sample(rng, dim, count=30):
 def random_map(rng, dim, kind):
     """A map x -> image of A x (and B x) with 0 and a random point as its
     declared fixed points; A and B have norms near 1, so some sampled
-    cases pass and some fail."""
+    cases pass and some fail.
+
+    The ``"stacked"`` map declares ``points`` instead, so the audits call
+    it once per stack: x -> c x + s sin(x), elementwise with random
+    vectors c and s, so that each row of a stack equals its point's image
+    bit for bit, as a declared function must (a stacked ``xs @ A.T`` does
+    not equal ``A @ x`` row by row)."""
     a = rng.standard_normal((dim, dim)) / math.sqrt(dim)
     b = rng.standard_normal((dim, dim)) / math.sqrt(dim)
     r = rng.uniform(0.0, 0.5)
+    if kind == "stacked":
+        c, s = rng.uniform(-1.5, 1.5, dim), rng.uniform(-0.5, 0.5, dim)
+        return MultiMap(kind=KIND_DEMICONTRACTIVE, constant=0.5,
+                        fixed_points=(np.zeros(dim), rng.standard_normal(dim)),
+                        points=lambda x: c * x + s * np.sin(x))
     image = {
         "singleton": lambda x: Singleton(a @ x),
         "finite_set": lambda x: FiniteSet((a @ x, b @ x, 0.5 * x)),
@@ -184,7 +195,7 @@ def random_map(rng, dim, kind):
                     fixed_points=(np.zeros(dim), rng.standard_normal(dim)))
 
 
-IMAGES = ("singleton", "finite_set", "ball")
+IMAGES = ("singleton", "finite_set", "ball", "stacked")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -193,6 +204,7 @@ IMAGES = ("singleton", "finite_set", "ball")
 def test_map_audits_agree_with_the_reference(kind, dim, seed):
     rng = np.random.default_rng([seed, dim, IMAGES.index(kind)])
     T = random_map(rng, dim, kind)
+    assert (T.points is not None) is (kind == "stacked")
     points = sample(rng, dim)
     pairs = list(zip(points, sample(rng, dim)))
     beta, k = rng.uniform(0.0, 1.0), rng.choice([rng.uniform(), 1.0])

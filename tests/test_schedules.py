@@ -6,9 +6,9 @@ import pytest
 
 from viscosplit.problems import default_schedule_for, load_instance
 from viscosplit.schedules import (SEQUENCE_FAMILIES, VALIDATION_HORIZON,
-                                  InfeasibleScheduleError, ParamSeq,
-                                  ViscosityParams, _in_band, _liminf_of,
-                                  default_schedule, validate)
+                                  ConditionResult, InfeasibleScheduleError,
+                                  ParamSeq, ViscosityParams, _in_band,
+                                  _liminf_of, default_schedule, validate)
 from viscosplit.solvers import ScheduleValidationError, run
 
 
@@ -188,6 +188,30 @@ class TestDefaultSchedule:
         with pytest.raises(InfeasibleScheduleError, match="alpha_ism"):
             default_schedule(reference_params(), beta_demi=0.5,
                              alpha_ism=float("nan"))
+
+
+class TestConditionResult:
+    def test_fields_and_defaults(self):
+        c = ConditionResult("c", np.bool_(True), "d", value=0.5,
+                            empirical=True)
+        assert c.passed is True
+        assert dataclasses.asdict(c) == {"name": "c", "passed": True,
+                                         "detail": "d", "value": 0.5,
+                                         "empirical": True}
+        bare = ConditionResult("c", 0)
+        assert bare.passed is False
+        assert (bare.detail, bare.value, bare.empirical) == ("", None, False)
+
+    def test_frozen_and_compared_by_value(self):
+        c = ConditionResult("c", True, "d", 0.5, True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.passed = False
+        assert c == ConditionResult("c", np.bool_(True), "d", 0.5, True)
+        assert hash(c) == hash(ConditionResult("c", True, "d", 0.5, True))
+        flipped = dataclasses.replace(c, passed=np.bool_(False))
+        assert flipped.passed is False and flipped.detail == "d"
+        assert repr(c) == ("ConditionResult(name='c', passed=True, "
+                           "detail='d', value=0.5, empirical=True)")
 
 
 class TestValidationNegatives:

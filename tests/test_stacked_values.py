@@ -1,16 +1,20 @@
-"""Operators, resolvents and projections on a whole stack, against the rows.
+"""Operators, resolvents, projections and mappings on a whole stack, against
+the rows.
 
-The class audits call a row-wise operator, a built-in resolvent and a
-projection once per (k, d) stack.  On seeded samples each stacked value
+The class audits call a row-wise operator, a built-in resolvent, a
+projection and a mapping's declared ``points`` once per (k, d) stack.  On seeded samples each stacked value
 must equal the per-row value bit for bit, so the audits read the same
 numbers on either path.  The per-row reference is the base class's loop:
 ``MaxMonotone.resolvent_rows`` and ``ConvexSet.project_rows`` call the
 single-row method at each row, and an operator that does not declare
-``rowwise`` is called once per row through ``monotone._value``.
+``rowwise`` is called once per row through ``monotone._value``, and a
+mapping without ``points`` through its ``image``.
 """
 import dataclasses
+import functools
 import io
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +30,11 @@ from viscosplit.monotone import (L1Subdifferential, LinearMonotone,
                                  check_inverse_strongly_monotone,
                                  check_resolvent_firmly_nonexpansive,
                                  check_wang_contraction, identity_op, zero_op)
-from viscosplit.problems import catalog
+from viscosplit.problems import catalog, load_instance, make_example3
+from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, MultiMap, Singleton,
+                                  check_demicontractive,
+                                  check_quasi_nonexpansive,
+                                  check_strictly_pseudocontractive)
 
 DIMS = (1, 2, 3, 7, 50)
 SEEDS = (0, 1, 2)
@@ -201,3 +209,145 @@ def test_check_prepares_no_sample_of_its_own(instance_id, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", instance_id, "--seed", "0"]) == 0
     assert not prepared
+
+
+# --------------------------------------------------------------------------
+# Mappings that declare their points
+# --------------------------------------------------------------------------
+
+MAP_AUDITS = {
+    "demicontractive":
+        lambda T, rows: check_demicontractive(T, 0.5, list(rows)),
+    "quasi_nonexpansive":
+        lambda T, rows: check_quasi_nonexpansive(T, list(rows)),
+    "strictly_pseudocontractive":
+        lambda T, rows: check_strictly_pseudocontractive(T, 0.5,
+                                                         pairs_of(rows)),
+}
+
+
+def mapping(points, dim, stacked):
+    """A demicontractive map with the image points ``points`` and the
+    fixed point 0: declared as ``points`` when ``stacked``, otherwise as
+    an image that calls ``points`` at one point at a time."""
+    if stacked:
+        return MultiMap(kind=KIND_DEMICONTRACTIVE, constant=0.5,
+                        fixed_points=(np.zeros(dim),), points=points)
+    return MultiMap(lambda x: Singleton(points(x)), KIND_DEMICONTRACTIVE,
+                    0.5, fixed_points=(np.zeros(dim),))
+
+
+def test_every_catalog_mapping_declares_points():
+    for instance_id in catalog():
+        for t in load_instance(instance_id).maps:
+            assert t.points is not None, (instance_id, t.name)
+
+
+@pytest.mark.parametrize("name", sorted(MAP_AUDITS))
+@pytest.mark.parametrize("stacked", [True, False],
+                         ids=["stacked", "per-point"])
+def test_mapping_calls_per_audit(name, stacked):
+    # Declared points are called once per stack, at x (and at y for the
+    # pair audit); an image once per case and point.
+    calls = []
+
+    def half(x):
+        calls.append(x.shape)
+        return 0.5 * x
+
+    rows = np.random.default_rng(5).standard_normal((25, 3))
+    res = MAP_AUDITS[name](mapping(half, 3, stacked), rows)
+    assert res.passed and res.checked == 25
+    per_stack = 2 if name == "strictly_pseudocontractive" else 1
+    assert calls == ([(25, 3)] * per_stack if stacked
+                     else [(3,)] * (25 * per_stack))
+
+
+@pytest.mark.parametrize("name", sorted(MAP_AUDITS))
+def test_mapping_points_of_another_shape_raise(name):
+    T = mapping(lambda x: x[..., :1], 2, stacked=True)
+    with pytest.raises(DimensionMismatch, match=r"shape \(2, 1\)"):
+        MAP_AUDITS[name](T, np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+@pytest.mark.parametrize("name", sorted(MAP_AUDITS))
+@pytest.mark.parametrize("stacked", [True, False],
+                         ids=["stacked", "per-point"])
+def test_non_finite_mapping_points_raise(name, stacked):
+    # inf beyond 1 in absolute value: 2.0 is sampled on either path.
+    T = mapping(lambda x: np.where(np.abs(x) > 1.0, np.inf, 0.5 * x), 1,
+                stacked)
+    with pytest.raises(NonFiniteError):
+        MAP_AUDITS[name](T, np.array([[0.5], [2.0]]))
+
+
+def test_replaced_image_is_the_one_audited():
+    base = mapping(lambda x: 0.5 * x, 2, stacked=True)
+    seen = []
+
+    def doubling(x):
+        seen.append(x.shape)
+        return Singleton(2.0 * x)
+
+    T = dataclasses.replace(base, image=doubling)
+    assert T.points is None and T.image is doubling
+    rows = np.random.default_rng(8).standard_normal((10, 2))
+    res = check_quasi_nonexpansive(T, list(rows))
+    assert not res.passed and len(res.violations) == 10
+    assert seen == [(2,)] * 10
+    # Replacing anything else keeps the declared points and the image
+    # built from them.
+    kept = dataclasses.replace(base, name="renamed")
+    assert kept.points is base.points and kept.image is base.image
+
+
+def test_replaced_points_rebuild_the_image():
+    base = mapping(lambda x: 0.5 * x, 1, stacked=True)
+    T = dataclasses.replace(base, points=lambda x: 0.25 * x)
+    assert T.image(np.array([1.0])).point.tolist() == [0.25]
+
+
+def test_image_wrapped_after_construction_keeps_the_stack():
+    # A tracer wraps each mapping's image once it is built; the audits
+    # still take the declared points, and a replace keeps them.
+    T = mapping(lambda x: 0.5 * x, 3, stacked=True)
+    image, calls = T.image, []
+
+    @functools.wraps(image)
+    def traced(x):
+        calls.append(x.shape)
+        return image(x)
+
+    object.__setattr__(T, "image", traced)
+    rows = np.random.default_rng(9).standard_normal((12, 3))
+    for name in MAP_AUDITS:
+        assert MAP_AUDITS[name](T, rows).passed
+    assert not calls
+    assert dataclasses.replace(T, name="renamed").points is T.points
+
+
+def test_a_mapping_needs_an_image_or_points():
+    with pytest.raises(ValueError, match="image or points"):
+        MultiMap(kind=KIND_DEMICONTRACTIVE, constant=0.5)
+
+
+def test_oscillation_points_equal_its_images():
+    # Large, moderate and tiny points of both signs, down to 1e-300 (1/x
+    # stays finite), and both zeros, which map to +0.0.
+    rng = np.random.default_rng(10)
+    sign = rng.choice([-1.0, 1.0], 4000)
+    xs = np.concatenate([rng.uniform(-5.0, 5.0, 4000),
+                         rng.uniform(-1e-3, 1e-3, 4000),
+                         sign * 10.0 ** rng.uniform(-300.0, 3.0, 4000),
+                         [1e-300, -1e-300, 5.0, 0.0, -0.0]])[:, np.newaxis]
+    T = make_example3()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = T.points(xs)
+        rows = np.array([T.image(x).point for x in xs])
+    assert same_bits(stacked, rows)
+    assert same_bits(stacked[-2:], np.zeros((2, 1)))
+    # Elementwise in any dimension, so on pairs of coordinates too.
+    pairs = xs[1:].reshape(-1, 2)
+    assert same_bits(T.points(pairs),
+                     np.array([T.image(x).point for x in pairs]))
