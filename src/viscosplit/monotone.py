@@ -46,7 +46,7 @@ class SingleOp:
     ``rowwise`` declares that ``apply`` also takes a (k, d) stack and
     returns the stack of its values at the rows, each equal bit for bit to
     the value at that row alone; the class audits then call it once per
-    stack.
+    stack, and once more at the stack's first row to compare the two.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]

@@ -19,9 +19,11 @@ so does a single-valued mapping that declares ``points`` (every mapping of
 value is checked for shape and scanned once, unless it is the stack itself.
 The function must take a (k, d) stack to the stack of its image points,
 each row equal bit for bit to the image point at that row alone, so the
-audits read the same numbers as case by case.  Any other mapping runs
-case by case: its images ``T.image`` and the private kernels behind
-:func:`distance_to_set` and :func:`hausdorff`, which check nothing again.
+audits read the same numbers as case by case; the first row of each
+stacked value is compared with the function at that row alone, and a
+mismatch raises ``ValueError``.  Any other mapping runs case by case: its
+images ``T.image`` and the private kernels behind :func:`distance_to_set`
+and :func:`hausdorff`, which check nothing again.
 Each image is checked by its constructor.  Norms of the stacked rows come
 from :func:`~viscosplit.hilbert.row_norms`, equal to
 :func:`~viscosplit.hilbert.norm` bit for bit.
@@ -48,10 +50,16 @@ class UnsupportedPairing(TypeError):
 
 @dataclass(frozen=True)
 class Singleton:
+    """The image {point}.  ``point`` is coerced and scanned as by
+    :func:`~viscosplit.hilbert.as_vector`, so a checked float64 vector is
+    its own point."""
+
     point: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", as_vector(self.point))
+    def __init__(self, point):
+        # Written to the instance dict: the generated frozen __init__
+        # would pay one object.__setattr__ per field.
+        self.__dict__["point"] = as_vector(point)
 
 
 @dataclass(frozen=True)
@@ -265,12 +273,21 @@ def _stacked(f: Callable[[np.ndarray], np.ndarray],
     A value of another shape than ``xs`` raises
     :class:`~viscosplit.hilbert.DimensionMismatch`; any other value is
     scanned once, unless it is ``xs`` itself, and a non-finite one raises
-    :class:`~viscosplit.hilbert.NonFiniteError`.
+    :class:`~viscosplit.hilbert.NonFiniteError`.  Its first row is then
+    compared bit for bit with ``f`` at that row alone, and a row that
+    differs raises ``ValueError``: ``f`` does not take a stack row by row.
     """
     vs = np.asarray(f(xs), dtype=float)
     if vs.shape != xs.shape:
         raise DimensionMismatch(f"value shape {vs.shape}, not {xs.shape}")
-    return vs if vs is xs else as_vector(vs.ravel()).reshape(xs.shape)
+    if vs is xs:
+        return vs
+    vs = as_vector(vs.ravel()).reshape(xs.shape)
+    if len(xs) and (np.asarray(f(xs[0]), dtype=float).tobytes()
+                    != vs[0].tobytes()):
+        raise ValueError("the stacked value's first row differs from the "
+                         "value at that row alone")
+    return vs
 
 
 # --------------------------------------------------------------------------

@@ -66,7 +66,13 @@ dimension:
   ``FiniteSet``, ``BallImage``, and its dimension compared with the
   problem's, since a 1-vector would broadcast); and the anchor target,
   which the projection checks at its own boundary before it returns the
-  new iterate.
+  new iterate.  Each image is measured with one dispatch on its type: a
+  singleton's point is the selection, read directly, and its residual is
+  ``norm(x - point)``, or 0.0 with no subtraction when the point is the
+  argument x itself, as an identity mapping's is (a checked float64
+  vector is its own ``Singleton`` point, and the constructor scanned it).
+  A finite set or a ball goes through the kernels of
+  :mod:`viscosplit.setvalued`.
 
 The other values a step makes are caught downstream, not scanned:
 delta, pi and phi_p, and the forward-backward point carried to the next
@@ -116,7 +122,8 @@ from .monotone import MaxMonotone, SingleOp, _check_lam, _value
 from .schedules import (Schedule, ValidationReport, ViscosityParams,
                         step_window, validate)
 from .setvalued import (KIND_DEMICONTRACTIVE, MultiMap, SelectionRule,
-                        _distance, _farthest, _select, _sized)
+                        SetImage, Singleton, _distance, _farthest, _select,
+                        _sized)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -253,14 +260,15 @@ class ProblemInstance:
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
         for i, (t, stage) in enumerate(zip(self.maps, _IMAGES), start=1):
             try:
-                img = _sized(t.image(qv), self.dim, stage)
+                img = t.image(qv)
             except ValueError as err:
                 raise _named(err, stage) from None
-            d = _distance(qv, img)
+            d = _t_stage(img, qv, self.dim, stage)[0]
             if not d <= CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
                 continue
-            h = _farthest(img, qv)
+            # H({p}, {q}) is the distance d just measured.
+            h = d if type(img) is Singleton else _farthest(img, qv)
             if not h <= CERTIFY_TOL:
                 defects.append(f"T{i} q is not the singleton {{q}}: H = {h:g}")
         return defects
@@ -426,13 +434,42 @@ def _fb_point(problem: ProblemInstance, lam: float, x: np.ndarray,
         raise _named(err, stage) from None
 
 
+def _t_stage(img: SetImage, x: np.ndarray, dim: int, stage: str,
+             rule: SelectionRule | None = None
+             ) -> tuple[float, np.ndarray | None]:
+    """The residual d(x, img) of the image ``img`` a mapping returned at
+    the checked point ``x``, and its point selected under ``rule``: None
+    without a rule, unless the image is a singleton.
+
+    An image of another dimension than ``dim`` raises
+    :class:`~viscosplit.hilbert.DimensionMismatch` naming ``stage``.  A
+    :class:`~viscosplit.setvalued.Singleton` is read directly: its point is
+    the selection, and the residual is ``norm(x - point)``, or 0.0 with no
+    subtraction when the point is ``x`` itself (as an identity mapping's
+    is: its constructor scanned it, so no non-finite x gets here).  Any
+    other image goes through the kernels of :mod:`viscosplit.setvalued`.
+    """
+    if type(img) is Singleton:
+        y = img.point
+        if y.size != dim:
+            _sized(img, dim, stage)  # raises, naming the stage
+        return (0.0 if y is x else norm(x - y)), y
+    _sized(img, dim, stage)
+    return _distance(x, img), None if rule is None else _select(img, rule, x)
+
+
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
           anchor: Anchor, checked: bool = False) -> IterState:
     """One step of the rule ``anchor`` describes.
 
     Uses sequence index n + 1 for the step leaving iterate n; sequences are
     defined from index 1.  Every T_i residual is measured, at the stage
-    point it would average, also when that averaging line does not run.
+    point it would average, also when that averaging line does not run,
+    and a point is selected only where the line runs.  Each image is
+    measured and selected with one dispatch on its type (:func:`_t_stage`):
+    a singleton's point is read directly, and a point that is the stage
+    point itself, as an identity mapping's is, has residual 0.0 with no
+    subtraction.
 
     The first pass scans only the values nothing downstream rejects (see
     the module docstring).  If it fails in any way, the step is replayed
@@ -456,25 +493,24 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             x = carry[1]
         else:
             x = _fb_point(problem, lam, psi, dim)
-        # Selected points stay alive until the averaging is done and each
-        # image is dropped after its pass: at dimension 1e5 other lifetimes
-        # made the allocator fault up to two thirds more pages per step.
-        points, residuals, selected = [x], [], []
+        # Each image is dropped when it is measured, and its point after
+        # its averaging line, so no image point reaches the anchor line.
+        points, residuals = [x], []
         weights = (schedule.theta, schedule.beta, schedule.gamma)
         for k, (t, weight) in enumerate(zip(problem.maps, weights)):
             stage = _IMAGES[k]
-            img = _sized(t.image(x), problem.dim, stage)
-            residuals.append(_distance(x, img))
-            if k < anchor.stages:
-                selected.append(_select(img, problem.selection, x))
+            averages = k < anchor.stages
+            d, y = _t_stage(t.image(x), x, problem.dim, stage,
+                            problem.selection if averages else None)
+            residuals.append(d)
+            if averages:
                 w = weight(i)
                 stage = _AVERAGED[k]
-                x = w * x + (1.0 - w) * selected[-1]
+                x = w * x + (1.0 - w) * y
                 if checked and not all_finite(x):
                     raise NonFiniteError()
             points.append(x)
-            del img
-        del selected
+            del y
 
         if anchor.stages:
             a = schedule.alpha(i)
@@ -578,8 +614,8 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
         psi = project(problem.feasible, as_vector(psi0, problem.dim))
         residuals = []
         for stage, t in zip(_IMAGES, problem.maps):
-            residuals.append(_distance(psi, _sized(t.image(psi), problem.dim,
-                                                   stage)))
+            residuals.append(_t_stage(t.image(psi), psi, problem.dim,
+                                      stage)[0])
     except NonFiniteError:
         raise NonFiniteError(f"non-finite {stage}", stage) from None
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,

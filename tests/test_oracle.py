@@ -31,7 +31,8 @@ from viscosplit.problems import (catalog, default_schedule_for,
                                  identity_map, load_instance,
                                  make_inclusion_instance)
 from viscosplit.schedules import ParamSeq
-from viscosplit.setvalued import KIND_DEMICONTRACTIVE, MultiMap, Singleton
+from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, FiniteSet, MultiMap,
+                                  Singleton)
 from viscosplit.solvers import (ALGORITHMS, AUDIT_BLOCK, AUDIT_TOL,
                                 CERTIFY_TOL, RELEASED, STACKED_AUDIT_BYTES,
                                 audit_fejer_chain, boundedness_radius,
@@ -94,6 +95,53 @@ def test_run_matches_the_oracle(instance_id, rule, steps):
                               state.xi), (psi, *stages)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert report.trajectory[-1].n == report.iterations
+
+
+def rewrapped(problem, wrap):
+    """``problem`` with each mapping's image replaced by ``wrap`` of it."""
+    def replaced(t):
+        image = t.image
+        return dataclasses.replace(t, image=lambda x: wrap(image(x)))
+    return dataclasses.replace(problem, **{name: replaced(t) for name, t in
+                                           zip(("t1", "t2", "t3"),
+                                               problem.maps)})
+
+
+def bits(report):
+    """What a run's T-stages feed: every recorded iterate, its residuals
+    and chain verdict, bit for bit, and the violation counts."""
+    states = report.trajectory
+    return (np.array([st.psi for st in states]).tobytes(),
+            np.array([(st.residual_t1, st.residual_t2, st.residual_t3,
+                       st.fb_residual) for st in states]).tobytes(),
+            [st.fejer_ok for st in states], report.fejer_violations,
+            report.bound_violations, report.iterations, report.terminated_by)
+
+
+@pytest.mark.parametrize("wrap", ["finite_set", "copied_point"])
+@pytest.mark.parametrize("selection", ["metric", "first_enumerated"])
+@pytest.mark.parametrize("rule", ALGORITHMS)
+@pytest.mark.parametrize("instance_id", sorted(catalog()))
+def test_singleton_dispatch_matches_the_general_path(instance_id, rule,
+                                                     selection, wrap):
+    # A one-point FiniteSet takes the kernels of setvalued; a Singleton of
+    # a copy is measured by a subtraction even where the mapping (the
+    # identity) returns its argument, which the step reads as 0.0.
+    problem = dataclasses.replace(load_instance(instance_id),
+                                  selection=selection)
+    wrapper = {"finite_set": lambda img: FiniteSet((img.point,)),
+               "copied_point": lambda img: Singleton(img.point.copy())}[wrap]
+    schedule = default_schedule_for(problem)
+    got, want = (run(rule, p, schedule, tol=1e-300, max_iter=STEPS)
+                 for p in (problem, rewrapped(problem, wrapper)))
+    assert bits(got) == bits(want)
+
+
+def test_an_identity_image_point_is_its_argument():
+    x = np.array([0.3])
+    assert identity_map(1).image(x).point is x
+    assert all(t.image(x).point is x
+               for t in load_instance("trivial_collapse").maps)
 
 
 def runaway(feasible=WholeSpace()):

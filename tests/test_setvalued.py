@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from viscosplit.hilbert import NonFiniteError
 from viscosplit.monotone import affine_op, check_inverse_strongly_monotone
 from viscosplit.problems import make_example1
 from viscosplit.setvalued import (BallImage, FiniteSet, MultiMap,
@@ -45,6 +47,66 @@ class TestImages:
         b = BallImage(vec(0, 0), 1.0)
         assert distance_to_set(vec(3, 0), b) == 2.0
         assert distance_to_set(vec(0.5, 0), b) == 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class GeneratedSingleton:
+    """The dataclass ``Singleton`` would be with the generated __init__."""
+
+    point: np.ndarray
+
+
+def outcome(f):
+    """What ``f()`` returns, or the type of what it raises."""
+    try:
+        return f()
+    except Exception as err:
+        return type(err)
+
+
+class TestSingleton:
+    def test_a_checked_vector_is_its_own_point(self):
+        # The step reads an identity mapping's residual as 0.0 on this.
+        x = vec(1.0, 2.0)
+        assert Singleton(x).point is x
+
+    @pytest.mark.parametrize("raw", [[1, 2], (1, 2), np.array([1, 2]),
+                                     np.array([1, 2], dtype=np.float32)])
+    def test_other_input_is_coerced_to_float64(self, raw):
+        p = Singleton(raw).point
+        assert p.dtype == np.float64 and p.tolist() == [1.0, 2.0]
+        assert Singleton(3).point.tolist() == [3.0]
+
+    def test_non_finite_and_non_vector_points_raise(self):
+        with pytest.raises(NonFiniteError):
+            Singleton([1.0, np.nan])
+        with pytest.raises(ValueError, match="expected a vector"):
+            Singleton(np.ones((2, 2)))
+
+    def test_frozen_dataclass_behaviour(self):
+        s = Singleton(vec(1.0, 2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.point = vec(0.0, 0.0)
+        moved = dataclasses.replace(s, point=[3, 4])
+        assert moved.point.dtype == np.float64
+        assert moved.point.tolist() == [3.0, 4.0]
+        with pytest.raises(NonFiniteError):
+            dataclasses.replace(s, point=[np.inf, 0.0])
+        assert [f.name for f in dataclasses.fields(s)] == ["point"]
+        assert repr(s) == "Singleton(point=array([1., 2.]))"
+        assert repr(s)[len("Singleton"):] == repr(
+            GeneratedSingleton(s.point))[len("GeneratedSingleton"):]
+
+    @pytest.mark.parametrize("a, b", [
+        (vec(1.0), vec(1.0)), (vec(1.0), vec(2.0)),
+        (vec(1.0, 2.0), vec(1.0, 2.0)), (vec(1.0), vec(1.0, 2.0))])
+    def test_equality_and_hash_as_the_dataclass_has_them(self, a, b):
+        ours, generated = (Singleton(a), Singleton(b)), (
+            GeneratedSingleton(a), GeneratedSingleton(b))
+        for probe in (lambda s, t: s == t, lambda s, t: s == s,
+                      lambda s, t: s != t, lambda s, t: hash(s)):
+            assert outcome(lambda: probe(*ours)) == outcome(
+                lambda: probe(*generated))
 
 
 class TestHausdorff:

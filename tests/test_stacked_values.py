@@ -161,8 +161,9 @@ def test_overflowing_operator_value_raises(name, rowwise):
 @pytest.mark.parametrize("name", sorted(PAIR_AUDITS))
 @pytest.mark.parametrize("rowwise", [True, False], ids=["rowwise", "per-row"])
 def test_operator_calls_per_audit(name, rowwise):
-    # A row-wise operator is called once per stack, at x and at y; any
-    # other once per row, 2 x cases calls in all.
+    # A row-wise operator is called once per stack, at x and at y, and
+    # once more at the stack's first row alone; any other once per row,
+    # 2 x cases calls in all.
     calls = []
 
     def half(x):
@@ -173,7 +174,7 @@ def test_operator_calls_per_audit(name, rowwise):
                   inverse_strong_monotonicity=1.0, rowwise=rowwise)
     rows = np.random.default_rng(5).standard_normal((25, 3))
     assert PAIR_AUDITS[name](op, pairs_of(rows)).checked == 25
-    assert calls == ([(25, 3)] * 2 if rowwise else [(3,)] * 50)
+    assert calls == ([(25, 3), (3,)] * 2 if rowwise else [(3,)] * 50)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_AUDITS))
@@ -248,7 +249,8 @@ def test_every_catalog_mapping_declares_points():
                          ids=["stacked", "per-point"])
 def test_mapping_calls_per_audit(name, stacked):
     # Declared points are called once per stack, at x (and at y for the
-    # pair audit); an image once per case and point.
+    # pair audit), and once more at the stack's first row alone; an image
+    # once per case and point.
     calls = []
 
     def half(x):
@@ -259,7 +261,7 @@ def test_mapping_calls_per_audit(name, stacked):
     res = MAP_AUDITS[name](mapping(half, 3, stacked), rows)
     assert res.passed and res.checked == 25
     per_stack = 2 if name == "strictly_pseudocontractive" else 1
-    assert calls == ([(25, 3)] * per_stack if stacked
+    assert calls == ([(25, 3), (3,)] * per_stack if stacked
                      else [(3,)] * (25 * per_stack))
 
 
@@ -268,6 +270,30 @@ def test_mapping_points_of_another_shape_raise(name):
     T = mapping(lambda x: x[..., :1], 2, stacked=True)
     with pytest.raises(DimensionMismatch, match=r"shape \(2, 1\)"):
         MAP_AUDITS[name](T, np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 50])
+def test_a_matrix_product_is_not_taken_row_by_row(dim):
+    # x @ A.T is A x at one point up to rounding, but a stack's rows are
+    # summed in another order; the first row shows it.
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((dim, dim))
+    A *= 0.5 / np.linalg.norm(A, 2)
+    rows = rng.standard_normal((200, dim))
+
+    def product(x):
+        return x @ A.T
+
+    assert not same_bits(product(rows)[0], product(rows[0]))
+    T = mapping(product, dim, stacked=True)
+    op = SingleOp(product, lipschitz=1.0, strong_monotonicity=1.0,
+                  inverse_strong_monotonicity=1.0, rowwise=True)
+    for audit in MAP_AUDITS.values():
+        with pytest.raises(ValueError, match="first row differs"):
+            audit(T, rows)
+    for audit in PAIR_AUDITS.values():
+        with pytest.raises(ValueError, match="first row differs"):
+            audit(op, pairs_of(rows))
 
 
 @pytest.mark.parametrize("name", sorted(MAP_AUDITS))
