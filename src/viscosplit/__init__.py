@@ -7,7 +7,7 @@ from .hilbert import (AffineSet, Ball, Box, ConvexSet, DimensionMismatch,
 from .monotone import (L1Subdifferential, LinearMonotone, MaxMonotone,
                        NormalCone, SingleOp, ZeroOperator, affine_op,
                        check_forward_nonexpansive,
-                       check_inverse_strongly_monotone,
+                       check_inverse_strongly_monotone, check_lipschitz,
                        check_resolvent_firmly_nonexpansive,
                        check_wang_contraction, fixed_point_residual,
                        forward_backward_step, identity_op, resolvent,

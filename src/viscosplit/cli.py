@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .hilbert import as_vector, norm
-from .monotone import (check_inverse_strongly_monotone,
+from .monotone import (check_inverse_strongly_monotone, check_lipschitz,
                        check_resolvent_firmly_nonexpansive,
                        check_wang_contraction)
 from .problems import catalog, default_schedule_for, load_instance
@@ -355,9 +355,13 @@ def _cmd_check(args) -> int:
     res = check_resolvent_firmly_nonexpansive(problem.inclusion, lam, pairs)
     ok = _print_audit(f"inclusion {res.name} (lambda={lam:g})", res) and ok
 
-    eta = problem.params.eta
+    eta = problem.eta
     res = check_wang_contraction(problem.strong, eta, t=0.5, pairs=pairs)
     ok = _print_audit(f"strong {res.name} (eta={eta:g})", res) and ok
+
+    b = problem.params.b
+    res = check_lipschitz(problem.contraction, b, pairs)
+    ok = _print_audit(f"contraction {res.name} (b={b:g})", res) and ok
 
     # Building the instance has certified each declared common point.
     for q in problem.known_common_points:

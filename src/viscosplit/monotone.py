@@ -261,6 +261,18 @@ def check_forward_nonexpansive(op: SingleOp, alpha: float, theta: float,
     return sampled_audit("forward_nonexpansive", pairs, sides, note=note)
 
 
+def check_lipschitz(op: SingleOp, L: float, pairs: Sequence) -> AuditResult:
+    """Audit  ||op x - op y|| <= L * ||x - y||  on pairs; L >= 0 is enforced
+    before any sampling."""
+    if not L >= 0:
+        raise ValueError(f"Lipschitz constant must be nonnegative, got {L}")
+
+    def sides(xs, ys):
+        gap = _values(op, xs) - _values(op, ys)
+        return row_norms(gap), L * row_norms(xs - ys)
+    return sampled_audit("lipschitz", pairs, sides)
+
+
 def wang_tau(eta: float, k: float, L: float) -> float:
     """Contraction modulus tau = eta * (k - L^2 * eta / 2)."""
     return eta * (k - L ** 2 * eta / 2.0)

@@ -16,16 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import Ball, Box, ConvexSet, WholeSpace, as_vector
-from .monotone import NormalCone, SingleOp, ZeroOperator, affine_op, identity_op, zero_op
-from .schedules import Schedule, ViscosityParams, default_schedule
+from .monotone import NormalCone, ZeroOperator, affine_op, identity_op, zero_op
+from .schedules import Schedule, default_schedule
 from .setvalued import (KIND_DEMICONTRACTIVE, KIND_NONEXPANSIVE, MultiMap,
                         SelectionRule)
 from .solvers import ProblemInstance, UncertifiedPointError
-
-#: Lipschitz constant declared for an identically-zero contraction term, kept
-#: strictly positive because the margin conditions divide by it being below
-#: tau; the audits are insensitive to its exact tiny value.
-ZERO_CONTRACTION_LIPSCHITZ = 1e-6
 
 
 def scaling_map(scale: float, dim: int, beta: float = 0.5,
@@ -83,13 +78,6 @@ def make_example3(beta: float = 0.5) -> MultiMap:
 # Instance builders
 # --------------------------------------------------------------------------
 
-def _contraction(dim: int, coef: float, offset) -> tuple[SingleOp, float]:
-    if coef == 0.0 and offset is None:
-        return zero_op(name="zero_contraction"), ZERO_CONTRACTION_LIPSCHITZ
-    op = affine_op(coef, offset, dim, name="affine_contraction")
-    return op, max(abs(coef), ZERO_CONTRACTION_LIPSCHITZ)
-
-
 def make_inclusion_instance(dim: int = 1, feasible: ConvexSet | None = None,
                             anchor=None, scale: float = 0.5,
                             beta: float = 0.5, phi_coef: float = 0.0,
@@ -125,8 +113,9 @@ def _inclusion_instance(start: float, dim, feasible, anchor, scale, beta,
     elif not (isinstance(maps, (tuple, list)) and len(maps) == 3
               and all(isinstance(t, MultiMap) for t in maps)):
         raise ValueError(f"maps must be three mappings, got {maps!r}")
-    contraction, b = _contraction(dim, phi_coef, phi_offset)
-    params = ViscosityParams(gamma=gamma, eta=eta, k=1.0, L=1.0, b=b)
+    contraction = (zero_op(name="zero_contraction")
+                   if phi_coef == 0.0 and phi_offset is None else
+                   affine_op(phi_coef, phi_offset, dim, "affine_contraction"))
     solution = feasible.project(anchor)
     instance = ProblemInstance(
         name=name, dim=dim, feasible=feasible,
@@ -134,7 +123,7 @@ def _inclusion_instance(start: float, dim, feasible, anchor, scale, beta,
         inclusion=NormalCone(feasible),
         t1=maps[0], t2=maps[1], t3=maps[2],
         contraction=contraction, strong=identity_op(),
-        params=params, selection=selection,
+        gamma=gamma, eta=eta, selection=selection,
         known_solution=solution,
         default_start=start * np.ones(dim))
     # Only a failed certification drops the point; an error of a mapping's
@@ -174,15 +163,13 @@ def make_trivial_instance(dim: int = 1) -> ProblemInstance:
     the origin by the factor 1 - alpha_n*(1 - mu_n) each step.  Useful as
     an exactly-predictable regression instance.
     """
-    contraction, b = _contraction(dim, 0.0, None)
-    params = ViscosityParams(gamma=0.25, eta=1.0, k=1.0, L=1.0, b=b)
     identity = identity_map(dim)
     return ProblemInstance(
         name="trivial_collapse", dim=dim, feasible=WholeSpace(),
         forward=zero_op(), inclusion=ZeroOperator(),
         t1=identity, t2=identity, t3=identity,
-        contraction=contraction, strong=identity_op(),
-        params=params,
+        contraction=zero_op(name="zero_contraction"), strong=identity_op(),
+        gamma=0.25, eta=1.0,
         known_solution=np.zeros(dim),
         known_common_points=(np.zeros(dim), np.ones(dim), -np.ones(dim)),
         default_start=np.ones(dim))
@@ -192,14 +179,12 @@ def make_oscillation_instance(beta: float = 0.5) -> ProblemInstance:
     """The oscillation map on [-1, 1] with a pure normal-cone inclusion."""
     feasible = Box(-np.ones(1), np.ones(1))
     osc = make_example3(beta)
-    contraction, b = _contraction(1, 0.0, None)
-    params = ViscosityParams(gamma=0.25, eta=1.0, k=1.0, L=1.0, b=b)
     return ProblemInstance(
         name="sine_oscillation", dim=1, feasible=feasible,
         forward=zero_op(), inclusion=NormalCone(feasible),
         t1=osc, t2=osc, t3=osc,
-        contraction=contraction, strong=identity_op(),
-        params=params,
+        contraction=zero_op(name="zero_contraction"), strong=identity_op(),
+        gamma=0.25, eta=1.0,
         known_solution=np.zeros(1),
         known_common_points=(np.zeros(1),),
         default_start=np.array([0.9]))

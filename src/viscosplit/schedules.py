@@ -152,6 +152,12 @@ class ViscosityParams:
     constant ``L``.  ``tau`` is the induced contraction margin.  Each
     constant must be a real number (not a bool); its range is a named
     condition, see :data:`STATIC_CONDITIONS`.
+
+    This is the standalone input of :func:`validate` and
+    :func:`default_schedule`.  A problem instance builds its own from its
+    ``gamma`` and ``eta`` and the constants its operators declare, so k, L
+    and b have one home there (see
+    :class:`~viscosplit.solvers.ProblemInstance`).
     """
 
     gamma: float

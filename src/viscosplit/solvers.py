@@ -41,9 +41,13 @@ Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
 dimension:
 
-- instance construction: ``dim`` (an integer >= 1), ``selection``
-  (coerced to a :class:`SelectionRule`), the constants of
-  :class:`ViscosityParams` (real numbers, not bools), the known solution,
+- instance construction: ``dim`` (an integer >= 1), the anchor-step
+  constants (``gamma`` and ``eta`` as given, k and L the strong operator's
+  ``strong_monotonicity`` and ``lipschitz``, b the contraction's
+  ``lipschitz`` floored at :data:`ZERO_CONTRACTION_LIPSCHITZ`; a constant
+  an operator does not declare raises ``ValueError`` naming it, and each
+  must be a real number, not a bool, see :class:`ViscosityParams`),
+  ``selection`` (coerced to a :class:`SelectionRule`), the known solution,
   common points and start; each declared common point is certified there
   (:meth:`ProblemInstance.common_point_defects`), so every run audits
   against all of them;
@@ -136,6 +140,12 @@ AUDIT_TOL = DEFAULT_TOL
 #: the per-iteration boundedness radius audit.
 CERTIFY_TOL = 1e-8
 
+#: The floor of b, the contraction's Lipschitz constant in the problem's
+#: params: an identically-zero contraction declares 0, and the margin
+#: conditions need 0 < gamma*b; the audits are insensitive to its exact tiny
+#: value.
+ZERO_CONTRACTION_LIPSCHITZ = 1e-6
+
 ALGORITHMS = ("main", "sow", "sow_phi", "fc", "forward_backward")
 
 
@@ -179,7 +189,16 @@ class ProblemInstance:
     """Everything the iteration needs, with declared (auditable) constants.
 
     ``dim`` must be an integer >= 1, and ``selection`` a
-    :class:`SelectionRule` or its value (``"metric"``, ...).
+    :class:`SelectionRule` or its value (``"metric"``, ...).  ``gamma`` and
+    ``eta`` are the anchor step's own constants; ``params`` is not given
+    but built from them and from the operators that declare the others:
+    k and L are ``strong``'s ``strong_monotonicity`` and ``lipschitz``, and
+    b is ``contraction``'s ``lipschitz``, floored at
+    :data:`ZERO_CONTRACTION_LIPSCHITZ`.  So a copy made with
+    ``dataclasses.replace`` and another operator judges with that
+    operator's constants.  An operator that leaves one of these constants
+    undeclared (None) raises ``ValueError`` naming the operator and the
+    constant.
     ``known_common_points`` lists members of the full solution set, which
     every run audits against; construction certifies each one and raises
     :class:`UncertifiedPointError` (a ``ValueError``), naming the point
@@ -196,16 +215,27 @@ class ProblemInstance:
     t3: MultiMap
     contraction: SingleOp
     strong: SingleOp
-    params: ViscosityParams
+    gamma: float
+    eta: float
     selection: SelectionRule = SelectionRule.METRIC
     known_solution: np.ndarray | None = None
     known_common_points: tuple = ()
     default_start: np.ndarray | None = None
+    params: ViscosityParams = field(init=False)
 
     def __post_init__(self):
         if not _is_count(self.dim, 1):
             raise ValueError(
                 f"dim must be a positive integer, got {self.dim!r}")
+        strong, phi = self.strong, self.contraction
+        for role, op, const in (("strong", strong, "strong_monotonicity"),
+                                ("strong", strong, "lipschitz"),
+                                ("contraction", phi, "lipschitz")):
+            if getattr(op, const) is None:
+                raise ValueError(f"{role} operator {op.name!r} has no {const}")
+        object.__setattr__(self, "params", ViscosityParams(
+            self.gamma, self.eta, strong.strong_monotonicity, strong.lipschitz,
+            max(phi.lipschitz, ZERO_CONTRACTION_LIPSCHITZ)))
         object.__setattr__(self, "selection", SelectionRule(self.selection))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution",

@@ -3,7 +3,7 @@
 ``sampled_audit`` evaluates an audit over the whole sample at once.  The
 reference here is the loop it replaced: it checks each distinct case value
 with ``as_vector``, calls ``sides(x, y)`` once per case on scalars, and keeps
-the worst slack, its witness and the violations as it goes.  The seven
+the worst slack, its witness and the violations as it goes.  The eight
 reference audits form their sides case by case with ``norm``, ``@`` and the
 per-image kernels.  Squares are written as products: Python's ``x ** 2`` on
 a float goes through libm ``pow``, which is not always the correctly
@@ -24,6 +24,7 @@ from viscosplit.monotone import (L1Subdifferential, SingleOp, _check_lam,
                                  _value, affine_op,
                                  check_forward_nonexpansive,
                                  check_inverse_strongly_monotone,
+                                 check_lipschitz,
                                  check_resolvent_firmly_nonexpansive,
                                  check_wang_contraction, wang_tau)
 from viscosplit.problems import make_example1
@@ -110,6 +111,12 @@ def ref_forward_nonexpansive(op, alpha, theta, pairs):
         lambda x, y: (norm((x - theta * _value(op, x))
                            - (y - theta * _value(op, y))),
                       norm(x - y)), note=note)
+
+
+def ref_lipschitz(op, L, pairs):
+    return reference_audit(
+        "lipschitz", pairs,
+        lambda x, y: (norm(_value(op, x) - _value(op, y)), L * norm(x - y)))
 
 
 def ref_wang_contraction(op, eta, t, pairs):
@@ -257,6 +264,10 @@ def test_operator_audits_agree_with_the_reference(dim, seed):
     lam = rng.uniform(0.1, 3.0)
     assert_agree(check_resolvent_firmly_nonexpansive(inclusion, lam, pairs),
                  ref_resolvent_firmly_nonexpansive(inclusion, lam, pairs))
+    # An understated Lipschitz constant, so that some cases fail.
+    lip = 0.7 * op.lipschitz
+    assert_agree(check_lipschitz(op, lip, pairs),
+                 ref_lipschitz(op, lip, pairs))
 
 
 HALVING, AFFINE = make_example1(), affine_op(1.0)

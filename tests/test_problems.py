@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from viscosplit.hilbert import Ball, DimensionMismatch, NonFiniteError
+from viscosplit.monotone import SingleOp, affine_op, zero_op
 from viscosplit.problems import (catalog, default_schedule_for,
                                  grid_points, load_instance, make_ball_instance,
                                  make_box_instance, make_example1,
@@ -11,10 +13,12 @@ from viscosplit.problems import (catalog, default_schedule_for,
                                  make_inclusion_instance,
                                  make_oscillation_instance,
                                  make_trivial_instance, scaling_map)
-from viscosplit.schedules import validate
+from viscosplit.schedules import (InfeasibleScheduleError, ViscosityParams,
+                                  validate)
 from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, MultiMap,
                                   SelectionRule, Singleton, distance_to_set)
-from viscosplit.solvers import ProblemInstance, UncertifiedPointError
+from viscosplit.solvers import (ProblemInstance, ScheduleValidationError,
+                                 UncertifiedPointError, run)
 
 
 class TestExampleMaps:
@@ -212,6 +216,55 @@ class TestGridPoints:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             grid_points(0, 1, 0, 1)
+
+
+class TestConstantsFromOperators:
+    """k and L come from the strong operator and b from the contraction,
+    floored at 1e-6, so a replaced operator brings its own constants."""
+
+    @pytest.mark.parametrize("instance_id, overrides", [
+        *((instance_id, {}) for instance_id in sorted(catalog())),
+        ("inclusion_box", {"phi_coef": 0.3, "gamma": 0.5, "eta": 0.8}),
+        ("inclusion_ball", {"phi_offset": np.ones(2)}),
+        ("inclusion_box", {"phi_coef": 1e-9, "gamma": 0.1})])
+    def test_params_are_the_builders_constants(self, instance_id, overrides):
+        inst = load_instance(instance_id, **overrides)
+        gamma, eta = overrides.get("gamma", 0.25), overrides.get("eta", 1.0)
+        b = max(abs(overrides.get("phi_coef", 0.0)), 1e-6)
+        assert inst.params == ViscosityParams(gamma, eta, 1.0, 1.0, b)
+        assert (inst.gamma, inst.eta) == (gamma, eta)
+
+    @pytest.mark.parametrize("instance_id, part, op, condition", [
+        ("trivial_collapse", "contraction", affine_op(3.0),
+         "0 < gamma*b < tau"),
+        ("inclusion_box", "strong", affine_op(5.0), "0 < eta < 2k/L^2")])
+    def test_a_replaced_operator_is_judged_by_its_own_constants(
+            self, instance_id, part, op, condition):
+        inst = load_instance(instance_id)
+        replaced = dataclasses.replace(inst, **{part: op})
+        assert replaced.params == dataclasses.replace(
+            inst.params, **({"b": 3.0} if part == "contraction"
+                            else {"k": 5.0, "L": 5.0}))
+        with pytest.raises(InfeasibleScheduleError,
+                           match=re.escape(condition)):
+            default_schedule_for(replaced)
+        with pytest.raises(ScheduleValidationError,
+                           match=re.escape(condition)):
+            run("main", replaced, default_schedule_for(inst), max_iter=5)
+
+    @pytest.mark.parametrize("part, op, message", [
+        ("strong", zero_op(), "strong operator 'zero' has no "
+         "strong_monotonicity"),
+        ("strong", SingleOp(lambda x: x, strong_monotonicity=1.0,
+                            name="bare"), "strong operator 'bare' has no "
+         "lipschitz"),
+        ("contraction", SingleOp(lambda x: 0.5 * x, name="halving"),
+         "contraction operator 'halving' has no lipschitz")])
+    def test_an_undeclared_constant_is_refused_by_name(self, part, op,
+                                                       message):
+        inst = make_box_instance(dim=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(inst, **{part: op})
 
 
 class TestZeroContraction:

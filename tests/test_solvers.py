@@ -8,8 +8,7 @@ import viscosplit.hilbert as hilbert
 import viscosplit.solvers as solvers
 from viscosplit.hilbert import (Box, DimensionMismatch, NonFiniteError,
                                 WholeSpace, norm)
-from viscosplit.monotone import (MaxMonotone, SingleOp, ZeroOperator,
-                                 affine_op, zero_op)
+from viscosplit.monotone import MaxMonotone, ZeroOperator, affine_op, zero_op
 from viscosplit.problems import (catalog, load_instance, make_box_instance,
                                  make_inclusion_instance,
                                  make_trivial_instance, default_schedule_for)
@@ -220,8 +219,9 @@ class TestRun:
         if part == "contraction":
             # The box instance's contraction is identically zero, so the
             # injected operator returns the value itself.
-            prob = dataclasses.replace(prob, contraction=SingleOp(
-                lambda x: value * x if 0 < abs(x[0]) < 0.1 else np.zeros_like(x)))
+            prob = dataclasses.replace(prob, contraction=dataclasses.replace(
+                prob.contraction, apply=lambda x: (
+                    value * x if 0 < abs(x[0]) < 0.1 else np.zeros_like(x))))
         elif part == "inclusion":
             box = prob.inclusion
 
@@ -301,7 +301,8 @@ class TestRun:
 
         prob = make_box_instance(dim=1)
         prob = dataclasses.replace(
-            prob, contraction=SingleOp(turning(np.zeros_like)),
+            prob, contraction=dataclasses.replace(
+                prob.contraction, apply=turning(np.zeros_like)),
             strong=dataclasses.replace(prob.strong,
                                        apply=turning(lambda x: x)))
         with warnings.catch_warnings():

@@ -28,6 +28,7 @@ from viscosplit.monotone import (L1Subdifferential, LinearMonotone,
                                  ZeroOperator, _value, _values, affine_op,
                                  check_forward_nonexpansive,
                                  check_inverse_strongly_monotone,
+                                 check_lipschitz,
                                  check_resolvent_firmly_nonexpansive,
                                  check_wang_contraction, identity_op, zero_op)
 from viscosplit.problems import catalog, load_instance, make_example3
@@ -142,6 +143,7 @@ PAIR_AUDITS = {
         lambda op, pairs: check_forward_nonexpansive(op, 1.0, 1.0, pairs),
     "averaged_contraction":
         lambda op, pairs: check_wang_contraction(op, 1.0, 0.5, pairs),
+    "lipschitz": lambda op, pairs: check_lipschitz(op, 1.0, pairs),
 }
 
 
