@@ -21,9 +21,13 @@ for seq, label in [(ParamSeq.inverse(), "1/(n+1)"),
 
 print()
 print("-- a default schedule from problem constants --")
-params = ViscosityParams(gamma=0.25, eta=1.0, k=1.0, L=1.0, b=1.0)
-print(f"tau = {params.tau:g}, gamma*b = {params.gamma * params.b:g}")
-schedule = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+# A problem instance derives these from its operators and mappings
+# (ProblemInstance.params); here they are written out by hand.
+params = ViscosityParams(gamma=0.25, eta=1.0, k=1.0, L=1.0, b=1.0,
+                         beta_demi=0.5, alpha_ism=1.0)
+print(f"tau = {params.tau:g}, gamma*b = {params.gamma * params.b:g}, "
+      f"beta_demi = {params.beta_demi:g}, alpha_ism = {params.alpha_ism:g}")
+schedule = default_schedule(params)
 print(f"alpha_1 = {schedule.alpha(1):g}, theta = {schedule.theta(1):g}, "
       f"lambda window = {schedule.interval}, mu_bar = {schedule.mu_bar:g}")
 report = validate(schedule, params)
@@ -38,15 +42,13 @@ for failure in report.failures():
     print(f"       {failure.detail}")
 
 try:
-    default_schedule(dataclasses.replace(params, b=3.0),
-                     beta_demi=0.5, alpha_ism=1.0)
+    default_schedule(dataclasses.replace(params, b=3.0))
 except InfeasibleScheduleError as exc:
     print(f"  infeasible constants rejected up front: {exc}")
 
 print()
 print("-- strict summable-anchor mode --")
-strict = default_schedule(params, beta_demi=0.5, alpha_ism=1.0,
-                          strict_paper=True)
+strict = default_schedule(params, strict_paper=True)
 report = validate(strict, params)
 sum_conditions = [c for c in report.conditions if "sum alpha_n" in c.name]
 for c in sum_conditions:

@@ -346,10 +346,9 @@ def _cmd_check(args) -> int:
             audited[id(t)] = res
         ok = _print_audit(f"T{i} ({t.name or f'T{i}'}) {res.name}", res) and ok
 
-    ism = problem.forward.inverse_strong_monotonicity
-    if ism:
-        res = check_inverse_strongly_monotone(problem.forward, ism, pairs)
-        ok = _print_audit(f"forward {res.name} (alpha={ism:g})", res) and ok
+    ism = problem.params.alpha_ism
+    res = check_inverse_strongly_monotone(problem.forward, ism, pairs)
+    ok = _print_audit(f"forward {res.name} (alpha={ism:g})", res) and ok
 
     lam = problem.certification_lambda()
     res = check_resolvent_firmly_nonexpansive(problem.inclusion, lam, pairs)

@@ -8,6 +8,7 @@ floating point; no inner QP solve is involved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,11 @@ class NonFiniteError(ValueError):
                  stage: str | None = None):
         super().__init__(message)
         self.stage = stage
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_vector(x) -> bool:

@@ -34,14 +34,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, ConvexSet, DimensionMismatch, as_vector,
-                      norm, row_norms)
+from .hilbert import (DEFAULT_TOL, ConvexSet, DimensionMismatch, _is_real,
+                      as_vector, norm, row_norms)
 from .setvalued import AuditResult, _stacked, sampled_audit
 
 
 @dataclass(frozen=True)
 class SingleOp:
     """A single-valued operator with declared (not verified) moduli.
+
+    Each of ``lipschitz``, ``strong_monotonicity`` and
+    ``inverse_strong_monotonicity`` is None (undeclared) or a finite real
+    number >= 0, not a bool; construction raises ``ValueError`` naming a
+    modulus that is neither.
 
     ``rowwise`` declares that ``apply`` also takes a (k, d) stack and
     returns the stack of its values at the rows, each equal bit for bit to
@@ -55,6 +60,16 @@ class SingleOp:
     inverse_strong_monotonicity: float | None = None
     name: str = ""
     rowwise: bool = False
+
+    def __post_init__(self):
+        for modulus in ("lipschitz", "strong_monotonicity",
+                        "inverse_strong_monotonicity"):
+            value = getattr(self, modulus)
+            if value is not None and not (_is_real(value)
+                                          and 0.0 <= value < np.inf):
+                raise ValueError(
+                    f"operator {self.name!r}: {modulus} must be None or a "
+                    f"finite real number >= 0, got {value!r}")
 
     def __call__(self, x) -> np.ndarray:
         return _value(self, as_vector(x))

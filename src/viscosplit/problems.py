@@ -211,9 +211,7 @@ def load_instance(instance_id: str, **overrides) -> ProblemInstance:
 def default_schedule_for(instance: ProblemInstance,
                          **overrides) -> Schedule:
     """The default admissible schedule matched to an instance's constants."""
-    return default_schedule(instance.params,
-                            beta_demi=instance.beta_demi,
-                            alpha_ism=instance.alpha_ism, **overrides)
+    return default_schedule(instance.params, **overrides)
 
 
 def grid_points(lo: float, hi: float, count: int, dim: int) -> np.ndarray:

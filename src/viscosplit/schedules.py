@@ -3,9 +3,11 @@
 The iteration consumes six scalar sequences indexed from n = 1: the anchor
 weights alpha_n, the three averaging weights theta_n, beta_n, gamma_n, the
 mixing weights mu_n, and the splitting steps lambda_n.  A schedule bundles
-them with the constants they must respect.  ``validate`` evaluates every
-admissibility condition by name and returns a report instead of raising, so
-a caller can surface exactly which condition failed.
+them with the step window and the mixing cap; the problem's constants they
+must respect are a :class:`ViscosityParams`.  ``validate`` evaluates every
+admissibility condition of a schedule against those constants by name and
+returns a report instead of raising, so a caller can surface exactly which
+condition failed.
 
 Sequences built from the known families (constant, 1/(n+1), 1/(n+1)^2,
 1 - c/(n+1)) carry their limits in closed form, which makes every liminf
@@ -14,12 +16,12 @@ affected conditions are flagged as empirical.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
+from .hilbert import _is_real
 from .monotone import wang_tau
 
 
@@ -144,19 +146,26 @@ def _liminf_of(f: Callable[[np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class ViscosityParams:
-    """Constants of the anchor step: psi+ includes alpha*gamma*phi(psi) and
-    (1 - mu)*(psi - eta*alpha*Strong(psi)).
+    """The problem's constants: those of the anchor step, psi+ includes
+    alpha*gamma*phi(psi) and (1 - mu)*(psi - eta*alpha*Strong(psi)), and
+    the two that bound the averaging weights and the splitting step.
 
     ``gamma`` scales the contraction phi (Lipschitz constant ``b``); ``eta``
     scales the strongly monotone operator with modulus ``k`` and Lipschitz
-    constant ``L``.  ``tau`` is the induced contraction margin.  Each
-    constant must be a real number (not a bool); its range is a named
-    condition, see :data:`STATIC_CONDITIONS`.
+    constant ``L``.  ``tau`` is the induced contraction margin.
+    ``beta_demi`` is the largest demicontractivity constant among the
+    mappings, which theta_n and beta_n must stay above, and ``alpha_ism``
+    the forward operator's ism modulus, which sets the splitting-step
+    window (0, min(1, 2*alpha_ism)).  Each constant must be a real number
+    (not a bool), and construction raises
+    :class:`InfeasibleScheduleError` unless ``beta_demi`` lies in [0, 1)
+    and ``alpha_ism`` > 0; the other ranges are named conditions, see
+    :data:`STATIC_CONDITIONS`.
 
     This is the standalone input of :func:`validate` and
     :func:`default_schedule`.  A problem instance builds its own from its
-    ``gamma`` and ``eta`` and the constants its operators declare, so k, L
-    and b have one home there (see
+    ``gamma`` and ``eta``, its mappings and the constants its operators
+    declare, so each constant has one home there (see
     :class:`~viscosplit.solvers.ProblemInstance`).
     """
 
@@ -165,13 +174,20 @@ class ViscosityParams:
     k: float
     L: float
     b: float
+    beta_demi: float
+    alpha_ism: float
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise TypeError(
                     f"{f.name} must be a real number, got {value!r}")
+        if not 0.0 <= self.beta_demi < 1.0:
+            raise InfeasibleScheduleError(
+                f"beta_demi = {self.beta_demi} must lie in [0, 1)")
+        if not self.alpha_ism > 0:
+            raise InfeasibleScheduleError("alpha_ism must be positive")
 
     @property
     def tau(self) -> float:
@@ -209,16 +225,15 @@ def step_window(alpha_ism: float) -> float:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Six sequences plus the constants their conditions refer to.
+    """Six sequences plus the window and cap their conditions refer to.
 
     ``interval`` is the compact window [a, b] that lambda_n must stay in,
     itself required to sit inside (0, min(1, 2*alpha_ism)).  ``mu_bar`` caps
-    mu_n; ``beta_demi`` is the largest demicontractivity constant among the
-    mappings, lower-bounding theta_n and beta_n.  ``strict_paper`` switches
-    the anchor-weight sum condition from divergent to summable.
-    Construction raises :class:`InfeasibleScheduleError` unless
-    ``beta_demi`` lies in [0, 1) and ``alpha_ism`` > 0, and ``ValueError``
-    unless a <= b.
+    mu_n.  ``strict_paper`` switches the anchor-weight sum condition from
+    divergent to summable.  The problem's constants, beta_demi and
+    alpha_ism among them, are not part of a schedule: :func:`validate`
+    takes them as its :class:`ViscosityParams`.  Construction raises
+    ``ValueError`` unless a <= b.
     """
 
     alpha: ParamSeq
@@ -227,8 +242,6 @@ class Schedule:
     gamma: ParamSeq
     mu: ParamSeq
     lam: ParamSeq
-    beta_demi: float
-    alpha_ism: float
     interval: tuple[float, float]
     mu_bar: float
     strict_paper: bool = False
@@ -237,11 +250,6 @@ class Schedule:
         a, b = self.interval
         if not a <= b:
             raise ValueError("interval must satisfy a <= b")
-        if not 0.0 <= self.beta_demi < 1.0:
-            raise InfeasibleScheduleError(
-                f"beta_demi = {self.beta_demi} must lie in [0, 1)")
-        if not self.alpha_ism > 0:
-            raise InfeasibleScheduleError("alpha_ism must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +390,7 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
 
     # Condition (ii): the splitting steps stay in [a, b] inside the window.
     a, b = schedule.interval
-    window = step_window(schedule.alpha_ism)
+    window = step_window(params.alpha_ism)
     conds.append(ConditionResult(
         "condition (ii): lambda_n in [a, b] within (0, min(1, 2*alpha_ism))",
         0.0 < a <= b < window and _in_band(spans["lambda"],
@@ -393,7 +401,7 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
 
     # Condition (ii): theta_n and beta_n stay strictly above the
     # demicontractivity constant with a positive liminf gap.
-    demi = schedule.beta_demi
+    demi = params.beta_demi
     for label in ("theta", "beta"):
         gap = _liminf_of(lambda s: (1.0 - s) * (s - demi), tails[label])
         conds.append(ConditionResult(
@@ -430,15 +438,15 @@ def validate(schedule: Schedule, params: ViscosityParams) -> ValidationReport:
 # Default construction
 # --------------------------------------------------------------------------
 
-def default_schedule(params: ViscosityParams, beta_demi: float,
-                     alpha_ism: float, mu_bar: float | None = None,
+def default_schedule(params: ViscosityParams, mu_bar: float | None = None,
                      strict_paper: bool = False) -> Schedule:
     """An admissible schedule from the problem constants alone.
 
     Uses alpha_n = 1/(n+1) (or 1/(n+1)^2 under ``strict_paper``), constant
     theta_n = beta_n = (1 + beta_demi)/2, gamma_n = 1/2, a constant
     splitting step lambda_n = min(1, 2*alpha_ism)/2, and a constant mixing
-    weight mu_n = mu_bar, defaulting to 0.8*(tau - gamma*b)/tau.  Raises
+    weight mu_n = mu_bar, defaulting to 0.8*(tau - gamma*b)/tau, with
+    every constant read from ``params``.  Raises
     :class:`InfeasibleScheduleError` when the constants admit no schedule.
     """
     bad = params.violations()
@@ -454,8 +462,8 @@ def default_schedule(params: ViscosityParams, beta_demi: float,
             f"mu_bar = {mu_bar:g} leaves no contraction margin "
             f"(tau = {tau:g}, gamma*b = {params.gamma * params.b:g})")
 
-    mid = (1.0 + beta_demi) / 2.0
-    lam_value = step_window(alpha_ism) / 2.0
+    mid = (1.0 + params.beta_demi) / 2.0
+    lam_value = step_window(params.alpha_ism) / 2.0
     alpha = (ParamSeq.inverse_square() if strict_paper else ParamSeq.inverse())
     return Schedule(
         alpha=alpha,
@@ -464,8 +472,6 @@ def default_schedule(params: ViscosityParams, beta_demi: float,
         gamma=ParamSeq.constant(0.5),
         mu=ParamSeq.constant(mu_bar),
         lam=ParamSeq.constant(lam_value),
-        beta_demi=beta_demi,
-        alpha_ism=alpha_ism,
         interval=(lam_value, lam_value),
         mu_bar=mu_bar,
         strict_paper=strict_paper,

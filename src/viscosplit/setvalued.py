@@ -36,8 +36,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, DimensionMismatch, _coerce, as_vector,
-                      norm, row_norms)
+from .hilbert import (DEFAULT_TOL, DimensionMismatch, _coerce, _is_real,
+                      as_vector, norm, row_norms)
 
 
 class UnsupportedPairing(TypeError):
@@ -210,8 +210,10 @@ class MultiMap:
 
     ``image`` maps a point to a :data:`SetImage`.  ``constant`` is the class
     modulus: beta in [0, 1) for demicontractive maps, k in [0, 1] for
-    strictly pseudocontractive ones, unused otherwise.  ``fixed_points``
-    lists known members of Fix(T) for audits; it need not be exhaustive.
+    strictly pseudocontractive ones, unused otherwise; construction raises
+    ``ValueError`` unless it is a real number (not a bool) in that range.
+    ``fixed_points`` lists known members of Fix(T) for audits; it need not
+    be exhaustive.
 
     A single-valued mapping may declare ``points`` instead of ``image``: a
     function that takes a point to its image point and a (k, d) stack to
@@ -235,10 +237,16 @@ class MultiMap:
                  KIND_STRICTLY_PSEUDOCONTRACTIVE, KIND_NONEXPANSIVE)
         if self.kind not in kinds:
             raise ValueError(f"unknown mapping kind {self.kind!r}")
+        c = self.constant
         if self.kind == KIND_DEMICONTRACTIVE:
-            c = self.constant
-            if c is None or not 0.0 <= c < 1.0:
-                raise ValueError("demicontractive maps need constant in [0, 1)")
+            ok, span = _is_real(c) and 0.0 <= c < 1.0, "[0, 1)"
+        elif self.kind == KIND_STRICTLY_PSEUDOCONTRACTIVE:
+            ok, span = _is_real(c) and 0.0 <= c <= 1.0, "[0, 1]"
+        else:
+            ok = True
+        if not ok:
+            raise ValueError(
+                f"{self.kind} maps need constant in {span}, got {c!r}")
         # An image built from points carries them; one that carries other
         # points is rebuilt, and one of the caller's own replaces them.
         built_from = getattr(self.image, "points", None)

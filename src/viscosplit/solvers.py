@@ -41,12 +41,17 @@ Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
 dimension:
 
-- instance construction: ``dim`` (an integer >= 1), the anchor-step
+- instance construction: ``dim`` (an integer >= 1), the problem's
   constants (``gamma`` and ``eta`` as given, k and L the strong operator's
   ``strong_monotonicity`` and ``lipschitz``, b the contraction's
-  ``lipschitz`` floored at :data:`ZERO_CONTRACTION_LIPSCHITZ`; a constant
-  an operator does not declare raises ``ValueError`` naming it, and each
-  must be a real number, not a bool, see :class:`ViscosityParams`),
+  ``lipschitz`` floored at :data:`ZERO_CONTRACTION_LIPSCHITZ`, beta_demi
+  the largest constant of a demicontractive or strictly pseudocontractive
+  mapping and alpha_ism the forward operator's positive
+  ``inverse_strong_monotonicity``; a constant an operator does not
+  declare raises ``ValueError`` naming it, and each must be a real
+  number, not a bool, see :class:`ViscosityParams`; the operators and
+  mappings checked their declared moduli and constants when they were
+  made),
   ``selection`` (coerced to a :class:`SelectionRule`), the known solution,
   common points and start; each declared common point is certified there
   (:meth:`ProblemInstance.common_point_defects`), so every run audits
@@ -56,7 +61,8 @@ dimension:
   (one of :data:`ALGORITHMS`), ``tol`` a real number (not a bool), finite
   and > 0, ``max_iter`` an integer >= 0 and ``record_stride`` an integer
   >= 1 or None; then the schedule, in :func:`require_admissible`, which
-  judges it against the problem's own constants and raises
+  judges it against the problem's own constants, ``problem.params``, and
+  raises
   :class:`ScheduleValidationError` naming every failing condition;
 - ``psi0``, in :func:`initial_state`, which builds the start state on the
   step's own kernels and through the same state builder as a step: the
@@ -115,19 +121,19 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _is_vector,
-                      all_finite, as_vector, inner, norm, project)
+from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _is_real,
+                      _is_vector, all_finite, as_vector, inner, norm, project)
 from .monotone import MaxMonotone, SingleOp, _check_lam, _value
 from .schedules import (Schedule, ValidationReport, ViscosityParams,
                         step_window, validate)
-from .setvalued import (KIND_DEMICONTRACTIVE, MultiMap, SelectionRule,
-                        SetImage, Singleton, _distance, _farthest, _select,
-                        _sized)
+from .setvalued import (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE,
+                        MultiMap, SelectionRule, SetImage, Singleton,
+                        _distance, _farthest, _select, _sized)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -148,6 +154,11 @@ ZERO_CONTRACTION_LIPSCHITZ = 1e-6
 
 ALGORITHMS = ("main", "sow", "sow_phi", "fc", "forward_backward")
 
+#: The mapping kinds whose constant bounds the averaging weights: a
+#: k-strictly pseudocontractive mapping with a fixed point is
+#: k-demicontractive (Chidume & Maruster 2010).
+_DEMI_KINDS = (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE)
+
 
 class ScheduleValidationError(ValueError):
     """A schedule failed validation; carries the full report."""
@@ -166,20 +177,13 @@ class UncertifiedPointError(ValueError):
 def require_admissible(schedule: Schedule, problem: ProblemInstance) -> None:
     """Raise :class:`ScheduleValidationError`, naming every failing
     condition, unless ``schedule`` passes :func:`validate` for the
-    problem's parameters.
-
-    The lambda window and the theta/beta band are judged with the larger
-    of the schedule's and the problem's demicontractivity constant and the
-    smaller of their ism moduli, so a schedule made for another problem
-    cannot carry looser constants onto this one.
+    problem's constants, ``problem.params``.
 
     A caller that runs one schedule many times on one problem can judge
     it here once and pass ``check_schedule=False`` to :func:`run`, as the
     CLI does for its config cells.
     """
-    report = validate(replace(
-        schedule, beta_demi=max(schedule.beta_demi, problem.beta_demi),
-        alpha_ism=min(schedule.alpha_ism, problem.alpha_ism)), problem.params)
+    report = validate(schedule, problem.params)
     if not report.ok:
         raise ScheduleValidationError(report)
 
@@ -190,15 +194,22 @@ class ProblemInstance:
 
     ``dim`` must be an integer >= 1, and ``selection`` a
     :class:`SelectionRule` or its value (``"metric"``, ...).  ``gamma`` and
-    ``eta`` are the anchor step's own constants; ``params`` is not given
-    but built from them and from the operators that declare the others:
-    k and L are ``strong``'s ``strong_monotonicity`` and ``lipschitz``, and
-    b is ``contraction``'s ``lipschitz``, floored at
-    :data:`ZERO_CONTRACTION_LIPSCHITZ`.  So a copy made with
-    ``dataclasses.replace`` and another operator judges with that
-    operator's constants.  An operator that leaves one of these constants
-    undeclared (None) raises ``ValueError`` naming the operator and the
-    constant.
+    ``eta`` are the anchor step's own constants; ``params``, the one record
+    of the problem's constants, is not given but built from them and from
+    the pieces that declare the others: k and L are ``strong``'s
+    ``strong_monotonicity`` and ``lipschitz``; b is ``contraction``'s
+    ``lipschitz``, floored at :data:`ZERO_CONTRACTION_LIPSCHITZ`;
+    ``beta_demi`` is the largest ``constant`` among the mappings of kind
+    demicontractive or strictly pseudocontractive (a k-strictly
+    pseudocontractive mapping with a fixed point is k-demicontractive),
+    and 0 when there is none; ``alpha_ism`` is ``forward``'s
+    ``inverse_strong_monotonicity``.  So a copy made with
+    ``dataclasses.replace`` and another operator or mapping judges with
+    its constants.  An operator that leaves one of these constants
+    undeclared (None), or a forward operator whose ism modulus is 0,
+    raises ``ValueError`` naming the operator and the constant; a
+    beta_demi of 1 raises
+    :class:`~viscosplit.schedules.InfeasibleScheduleError`.
     ``known_common_points`` lists members of the full solution set, which
     every run audits against; construction certifies each one and raises
     :class:`UncertifiedPointError` (a ``ValueError``), naming the point
@@ -233,9 +244,15 @@ class ProblemInstance:
                                 ("contraction", phi, "lipschitz")):
             if getattr(op, const) is None:
                 raise ValueError(f"{role} operator {op.name!r} has no {const}")
+        ism = self.forward.inverse_strong_monotonicity
+        if ism is None or not ism > 0:
+            raise ValueError(f"forward operator {self.forward.name!r} has no "
+                             f"positive inverse_strong_monotonicity")
         object.__setattr__(self, "params", ViscosityParams(
             self.gamma, self.eta, strong.strong_monotonicity, strong.lipschitz,
-            max(phi.lipschitz, ZERO_CONTRACTION_LIPSCHITZ)))
+            max(phi.lipschitz, ZERO_CONTRACTION_LIPSCHITZ),
+            max((t.constant for t in self.maps if t.kind in _DEMI_KINDS),
+                default=0.0), ism))
         object.__setattr__(self, "selection", SelectionRule(self.selection))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution",
@@ -252,24 +269,10 @@ class ProblemInstance:
     def maps(self) -> tuple[MultiMap, MultiMap, MultiMap]:
         return (self.t1, self.t2, self.t3)
 
-    @property
-    def alpha_ism(self) -> float:
-        """The forward operator's declared ism modulus; 1 when it declares
-        none, or one that is not positive (nan included)."""
-        ism = self.forward.inverse_strong_monotonicity
-        return 1.0 if ism is None or not ism > 0 else ism
-
-    @property
-    def beta_demi(self) -> float:
-        """The largest declared demicontractivity constant among the three
-        mappings; 0 when none is declared demicontractive."""
-        return max((t.constant or 0.0 for t in self.maps
-                    if t.kind == KIND_DEMICONTRACTIVE), default=0.0)
-
     def certification_lambda(self) -> float:
         """The midpoint of the splitting-step window, as the default
         schedule uses."""
-        return step_window(self.alpha_ism) / 2.0
+        return step_window(self.params.alpha_ism) / 2.0
 
     def common_point_defects(self, q) -> list[str]:
         """Reasons q is not certifiable, within :data:`CERTIFY_TOL`, as a
@@ -822,8 +825,7 @@ def check_run_arguments(tol: float, max_iter, record_stride,
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ALGORITHMS}")
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not 0.0 < tol < np.inf):
+    if not (_is_real(tol) and 0.0 < tol < np.inf):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if not _is_count(max_iter, 0):
         raise ValueError(

@@ -207,18 +207,20 @@ def test_criterion_9_schedule_acceptance_and_named_rejections():
             L = k * rng.uniform(1.0, 2.5)
             eta = rng.uniform(0.1, 0.9) * 2.0 * k / L ** 2
             params = ViscosityParams(gamma=rng.uniform(0.05, 0.9), eta=eta,
-                                     k=k, L=L, b=1.0)
+                                     k=k, L=L, b=1.0, beta_demi=0.0,
+                                     alpha_ism=1.0)
             tau = params.tau
             params = dataclasses.replace(
-                params, b=rng.uniform(0.05, 0.9) * tau / params.gamma)
-            beta_demi = rng.uniform(0.0, 0.9)
-            sched = default_schedule(params, beta_demi=beta_demi,
-                                     alpha_ism=rng.uniform(0.2, 2.0))
+                params, b=rng.uniform(0.05, 0.9) * tau / params.gamma,
+                beta_demi=rng.uniform(0.0, 0.9),
+                alpha_ism=rng.uniform(0.2, 2.0))
+            sched = default_schedule(params)
             report = validate(sched, params)
             assert report.ok, report.summary()
 
-        params = ViscosityParams(gamma=0.25, eta=1.0, k=1.0, L=1.0, b=1.0)
-        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        params = ViscosityParams(gamma=0.25, eta=1.0, k=1.0, L=1.0, b=1.0,
+                                 beta_demi=0.5, alpha_ism=1.0)
+        sched = default_schedule(params)
 
         stuck = dataclasses.replace(sched, beta=ParamSeq.constant(0.5))
         names = [c.name for c in validate(stuck, params).failures()]
@@ -230,7 +232,7 @@ def test_criterion_9_schedule_acceptance_and_named_rejections():
         names = [c.name for c in validate(drifty, params).failures()]
         assert "condition (iii): liminf (1 - gamma_n) gamma_n > 0" in names
 
-        coupled = ViscosityParams(gamma=0.25, eta=1.0, k=1.0, L=1.0, b=3.0)
+        coupled = dataclasses.replace(params, b=3.0)
         names = [c.name for c in validate(sched, coupled).failures()]
         assert "0 < gamma*b < tau" in names
 

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from viscosplit.hilbert import Ball, Box, HalfSpace
 from viscosplit.monotone import (L1Subdifferential, LinearMonotone,
-                                 NormalCone, ZeroOperator, affine_op,
+                                 NormalCone, SingleOp, ZeroOperator, affine_op,
                                  check_forward_nonexpansive,
                                  check_inverse_strongly_monotone,
                                  check_resolvent_firmly_nonexpansive,
@@ -95,6 +95,25 @@ class TestOperatorHelpers:
     def test_zero_and_identity(self):
         assert zero_op()(vec(5.0))[0] == 0.0
         assert identity_op()(vec(5.0))[0] == 5.0
+
+
+MODULI = ("lipschitz", "strong_monotonicity", "inverse_strong_monotonicity")
+
+
+class TestDeclaredModuli:
+    @pytest.mark.parametrize("modulus", MODULI)
+    @pytest.mark.parametrize("value", [-3.0, np.nan, np.inf, True, "1",
+                                       np.float64(-1.0)])
+    def test_modulus_outside_its_range_rejected(self, modulus, value):
+        with pytest.raises(ValueError, match=f"^operator 'op': {modulus} "
+                           "must be None or a finite real number >= 0"):
+            SingleOp(lambda x: x, name="op", **{modulus: value})
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    @pytest.mark.parametrize("value", [None, 0, 0.0, 2, np.float64(1.5)])
+    def test_modulus_inside_its_range_kept(self, modulus, value):
+        op = SingleOp(lambda x: x, **{modulus: value})
+        assert getattr(op, modulus) is value
 
 
 class TestOperatorAudits:

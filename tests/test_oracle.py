@@ -1,6 +1,7 @@
 """Independent oracles for the four update rules and the per-iteration audits.
 
-The oracle applies the update lines of PAPER.md as written, using only the
+The oracle applies the update lines of the iteration as README.md and the
+``viscosplit.solvers`` module docstring state them, using only the
 instance's own data: the forward operator, the feasible projection, the
 map images, the contraction phi and the strong operator.  Every catalog
 image is a singleton, so the selection is its point, and every catalog

@@ -7,15 +7,16 @@ import pytest
 from viscosplit.hilbert import Ball, DimensionMismatch, NonFiniteError
 from viscosplit.monotone import SingleOp, affine_op, zero_op
 from viscosplit.problems import (catalog, default_schedule_for,
-                                 grid_points, load_instance, make_ball_instance,
-                                 make_box_instance, make_example1,
-                                 make_example3,
+                                 grid_points, identity_map, load_instance,
+                                 make_ball_instance, make_box_instance,
+                                 make_example1, make_example3,
                                  make_inclusion_instance,
                                  make_oscillation_instance,
                                  make_trivial_instance, scaling_map)
 from viscosplit.schedules import (InfeasibleScheduleError, ViscosityParams,
                                   validate)
-from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, MultiMap,
+from viscosplit.setvalued import (KIND_DEMICONTRACTIVE,
+                                  KIND_STRICTLY_PSEUDOCONTRACTIVE, MultiMap,
                                   SelectionRule, Singleton, distance_to_set)
 from viscosplit.solvers import (ProblemInstance, ScheduleValidationError,
                                  UncertifiedPointError, run)
@@ -169,8 +170,8 @@ class TestInstanceGeometry:
 
     def test_beta_demi(self):
         inst = make_box_instance(dim=1, beta=0.7)
-        assert inst.beta_demi == 0.7
-        assert make_trivial_instance().beta_demi == 0.0
+        assert inst.params.beta_demi == 0.7
+        assert make_trivial_instance().params.beta_demi == 0.0
 
 
 class TestSchedulesForInstances:
@@ -184,12 +185,19 @@ class TestSchedulesForInstances:
         assert mu_pushed < mu_plain
 
     def test_nan_ism_modulus_counts_as_undeclared(self):
+        # A nan modulus is refused where it is declared; an undeclared or
+        # zero one where the problem is built, naming the operator.
         inst = make_box_instance(dim=1)
-        nan_ism = dataclasses.replace(
-            inst, forward=dataclasses.replace(
-                inst.forward, inverse_strong_monotonicity=float("nan")))
-        assert nan_ism.alpha_ism == 1.0
-        assert default_schedule_for(nan_ism).lam(1) == 0.5
+        with pytest.raises(ValueError, match="inverse_strong_monotonicity "
+                           "must be None or a finite real number >= 0"):
+            dataclasses.replace(inst.forward,
+                                inverse_strong_monotonicity=float("nan"))
+        for ism in (None, 0.0):
+            with pytest.raises(ValueError, match="^forward operator "
+                               "'shifted_identity' has no positive "
+                               "inverse_strong_monotonicity$"):
+                dataclasses.replace(inst, forward=dataclasses.replace(
+                    inst.forward, inverse_strong_monotonicity=ism))
 
     def test_strict_paper_passthrough(self):
         inst = make_box_instance(dim=1)
@@ -231,7 +239,9 @@ class TestConstantsFromOperators:
         inst = load_instance(instance_id, **overrides)
         gamma, eta = overrides.get("gamma", 0.25), overrides.get("eta", 1.0)
         b = max(abs(overrides.get("phi_coef", 0.0)), 1e-6)
-        assert inst.params == ViscosityParams(gamma, eta, 1.0, 1.0, b)
+        beta_demi = 0.0 if instance_id == "trivial_collapse" else 0.5
+        assert inst.params == ViscosityParams(gamma, eta, 1.0, 1.0, b,
+                                              beta_demi, 1.0)
         assert (inst.gamma, inst.eta) == (gamma, eta)
 
     @pytest.mark.parametrize("instance_id, part, op, condition", [
@@ -265,6 +275,60 @@ class TestConstantsFromOperators:
         inst = make_box_instance(dim=1)
         with pytest.raises(ValueError, match=f"^{message}$"):
             dataclasses.replace(inst, **{part: op})
+
+
+def negating_map(k=0.6):
+    """T x = {-4x}: ||Tx - Ty||^2 = 16 d^2 <= d^2 + k * 25 d^2 exactly for
+    k >= 0.6, so it is 0.6-strictly pseudocontractive with Fix T = {0}."""
+    return MultiMap(kind=KIND_STRICTLY_PSEUDOCONTRACTIVE, constant=k,
+                    fixed_points=(np.zeros(1),), points=lambda x: -4.0 * x)
+
+
+class TestDeclaredConstantsAreJudged:
+    """beta_demi and alpha_ism come from the declarations of the mappings
+    and the forward operator, and each declaration is checked where it is
+    made."""
+
+    def test_strictly_pseudocontractive_constant_bounds_the_weights(self):
+        # A k-strictly pseudocontractive map with a fixed point is
+        # k-demicontractive, so theta_n = beta_n = (1 + 0.6)/2.
+        problem = make_box_instance(dim=1, maps=(negating_map(),) * 3)
+        assert problem.params.beta_demi == 0.6
+        schedule = default_schedule_for(problem)
+        assert schedule.theta(1) == schedule.beta(1) == 0.8
+        for algorithm in ("main", "sow", "fc"):
+            report = run(algorithm, problem, schedule, max_iter=2000)
+            assert report.terminated_by == "tolerance", algorithm
+            assert report.fejer_violations == 0, algorithm
+            assert report.bound_violations == 0, algorithm
+
+    def test_largest_constant_of_either_kind_is_taken(self):
+        maps = (scaling_map(0.5, 1, beta=0.7), negating_map(), identity_map(1))
+        assert make_box_instance(dim=1, maps=maps).params.beta_demi == 0.7
+        maps = (scaling_map(0.5, 1, beta=0.3), negating_map(), identity_map(1))
+        assert make_box_instance(dim=1, maps=maps).params.beta_demi == 0.6
+
+    def test_strictly_pseudocontractive_constant_one_is_refused(self):
+        with pytest.raises(InfeasibleScheduleError,
+                           match=re.escape("beta_demi = 1.0 must lie in "
+                                           "[0, 1)")):
+            make_box_instance(dim=1, maps=(negating_map(1.0),) * 3)
+
+    def test_forward_operator_without_ism_modulus_is_refused(self):
+        box = load_instance("inclusion_box")
+        anchor = np.zeros(1)
+        steep = SingleOp(lambda x: 5.0 * (x - anchor), lipschitz=5.0,
+                         name="steep", rowwise=True)
+        with pytest.raises(ValueError, match="^forward operator 'steep' has "
+                           "no positive inverse_strong_monotonicity$"):
+            dataclasses.replace(box, forward=steep)
+
+    def test_negative_lipschitz_constant_is_refused(self):
+        with pytest.raises(ValueError, match="^operator 'tripling': "
+                           "lipschitz must be None or a finite real number "
+                           ">= 0, got -3.0$"):
+            SingleOp(lambda x: 3.0 * x, lipschitz=-3.0, name="tripling",
+                     rowwise=True)
 
 
 class TestZeroContraction:

@@ -12,9 +12,10 @@ from viscosplit.schedules import (SEQUENCE_FAMILIES, VALIDATION_HORIZON,
 from viscosplit.solvers import ScheduleValidationError, run
 
 
-def reference_params(b=1.0, gamma=0.25):
+def reference_params(b=1.0, gamma=0.25, beta_demi=0.5, alpha_ism=1.0):
     # eta = k = L = 1 gives tau = 1/2.
-    return ViscosityParams(gamma=gamma, eta=1.0, k=1.0, L=1.0, b=b)
+    return ViscosityParams(gamma=gamma, eta=1.0, k=1.0, L=1.0, b=b,
+                           beta_demi=beta_demi, alpha_ism=alpha_ism)
 
 
 class TestParamSeq:
@@ -110,7 +111,7 @@ class TestExtremes:
         # A family built without its limit and sum is sampled, like the
         # custom sequence of the same values.
         params = reference_params()
-        base = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        base = default_schedule(params)
         bare = ParamSeq(family, 0.4)
         as_custom = ParamSeq.custom(bare)
         for label in ("alpha", "theta", "gamma", "mu", "lam"):
@@ -130,15 +131,14 @@ class TestViscosityParams:
     def test_named_violations(self):
         assert "0 < gamma*b < tau" in reference_params(b=3.0).violations()
         assert "0 < eta < 2k/L^2" in ViscosityParams(
-            0.25, 2.5, 1.0, 1.0, 1.0).violations()
+            0.25, 2.5, 1.0, 1.0, 1.0, 0.5, 1.0).violations()
         assert any("k <= L" in v for v in ViscosityParams(
-            0.25, 0.5, 2.0, 1.0, 0.1).violations())
+            0.25, 0.5, 2.0, 1.0, 0.1, 0.5, 1.0).violations())
 
 
 class TestDefaultSchedule:
     def test_reference_values(self):
-        sched = default_schedule(reference_params(), beta_demi=0.5,
-                                 alpha_ism=1.0)
+        sched = default_schedule(reference_params())
         assert sched.alpha(1) == 0.5          # 1/(n+1) at n = 1
         assert sched.theta(5) == 0.75         # (1 + beta_demi)/2
         assert sched.beta(5) == 0.75
@@ -151,15 +151,14 @@ class TestDefaultSchedule:
 
     def test_default_passes_validation(self):
         params = reference_params()
-        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        sched = default_schedule(params)
         report = validate(sched, params)
         assert report.ok, report.summary()
         assert not any(c.empirical for c in report.conditions)
 
     def test_strict_paper_flips_sum_condition(self):
         params = reference_params()
-        strict = default_schedule(params, beta_demi=0.5, alpha_ism=1.0,
-                                  strict_paper=True)
+        strict = default_schedule(params, strict_paper=True)
         assert strict.alpha.divergent_sum is False
         report = validate(strict, params)
         assert report.ok, report.summary()
@@ -170,24 +169,20 @@ class TestDefaultSchedule:
 
     def test_infeasible_constants_raise(self):
         with pytest.raises(InfeasibleScheduleError):
-            default_schedule(reference_params(b=3.0), beta_demi=0.5,
-                             alpha_ism=1.0)
+            default_schedule(reference_params(b=3.0))
         with pytest.raises(InfeasibleScheduleError):
-            default_schedule(reference_params(), beta_demi=1.0,
-                             alpha_ism=1.0)
+            default_schedule(reference_params(beta_demi=1.0))
         with pytest.raises(InfeasibleScheduleError):
-            default_schedule(reference_params(), beta_demi=0.5,
-                             alpha_ism=1.0, mu_bar=0.99)
+            default_schedule(reference_params(), mu_bar=0.99)
 
     def test_nonpositive_ism_modulus_raises(self):
         with pytest.raises(InfeasibleScheduleError, match="alpha_ism"):
-            default_schedule(reference_params(), beta_demi=0.5, alpha_ism=0)
+            default_schedule(reference_params(alpha_ism=0))
 
     def test_nan_ism_modulus_raises(self):
         # min(1, 2*nan) is 1, so only the modulus check itself catches it.
         with pytest.raises(InfeasibleScheduleError, match="alpha_ism"):
-            default_schedule(reference_params(), beta_demi=0.5,
-                             alpha_ism=float("nan"))
+            default_schedule(reference_params(alpha_ism=float("nan")))
 
 
 class TestConditionResult:
@@ -217,7 +212,7 @@ class TestConditionResult:
 class TestValidationNegatives:
     def test_sequence_leaving_unit_interval_rejected(self):
         params = reference_params()
-        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        sched = default_schedule(params)
         # theta_1 = 2/2 = 1 lies outside (0, 1).
         outside = dataclasses.replace(sched, theta=ParamSeq.inverse(2.0))
         failed = {c.name: c for c in validate(outside, params).failures()}
@@ -226,7 +221,7 @@ class TestValidationNegatives:
 
     def test_beta_at_demicontractivity_constant_rejected(self):
         params = reference_params()
-        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        sched = default_schedule(params)
         stuck = dataclasses.replace(sched, beta=ParamSeq.constant(0.5))
         failures = [c.name for c in validate(stuck, params).failures()]
         assert any("condition (ii): beta_n in (beta_demi, 1)" in n
@@ -234,7 +229,7 @@ class TestValidationNegatives:
 
     def test_gamma_drifting_to_one_rejected(self):
         params = reference_params()
-        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        sched = default_schedule(params)
         drifty = dataclasses.replace(sched, gamma=ParamSeq.approaching_one())
         failures = [c.name for c in validate(drifty, params).failures()]
         assert any("condition (iii): liminf (1 - gamma_n) gamma_n > 0" == n
@@ -242,21 +237,20 @@ class TestValidationNegatives:
 
     def test_gamma_b_coupling_rejected_by_name(self):
         params = reference_params(b=3.0)  # gamma*b = 0.75 >= tau = 0.5
-        sched = default_schedule(reference_params(), beta_demi=0.5,
-                                 alpha_ism=1.0)
+        sched = default_schedule(reference_params())
         failures = [c.name for c in validate(sched, params).failures()]
         assert "0 < gamma*b < tau" in failures
 
     def test_mu_cap_enforced(self):
         params = reference_params()
-        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        sched = default_schedule(params)
         greedy = dataclasses.replace(sched, mu=ParamSeq.constant(0.9))
         failures = [c.name for c in validate(greedy, params).failures()]
         assert any(n.startswith("mu_n <= mu_bar") for n in failures)
 
     def test_lambda_window(self):
         params = reference_params()
-        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        sched = default_schedule(params)
         wide = dataclasses.replace(sched, lam=ParamSeq.constant(0.9),
                                     interval=(0.9, 1.2))
         failures = [c.name for c in validate(wide, params).failures()]
@@ -264,7 +258,7 @@ class TestValidationNegatives:
 
     def test_custom_sequences_marked_empirical(self):
         params = reference_params()
-        sched = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        sched = default_schedule(params)
         custom = dataclasses.replace(sched, mu=ParamSeq.custom(lambda n: 0.4))
         report = validate(custom, params)
         assert report.ok
@@ -288,7 +282,7 @@ class TestSampledValidation:
         # both ~ln 2, so the later one is above 0.8 times the earlier.
         params = reference_params()
         sched = dataclasses.replace(
-            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            default_schedule(params),
             alpha=ParamSeq.custom(lambda n: 1.0 / (n + 1)))
         conds = _by_name(validate(sched, params))
         for name in ("condition (i): alpha_n -> 0",
@@ -304,7 +298,7 @@ class TestSampledValidation:
         # ~ 0.0020, under 0.8 times the chunk n = 126..250, ~ 0.0039.
         params = reference_params()
         sched = dataclasses.replace(
-            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            default_schedule(params),
             alpha=ParamSeq.custom(lambda n: 1.0 / (n + 1) ** 2))
         conds = _by_name(validate(sched, params))
         divergent = conds["condition (i): sum alpha_n = infinity"]
@@ -327,7 +321,7 @@ class TestSampledValidation:
         # 0.01 and ~0.9988 for 0.01 + 1/(n+1)^2, which level off.
         params = reference_params()
         sched = dataclasses.replace(
-            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            default_schedule(params),
             alpha=ParamSeq.custom(fn))
         cond = _by_name(validate(sched, params))["condition (i): alpha_n -> 0"]
         assert (cond.passed, cond.empirical) == (vanishes, True)
@@ -344,7 +338,7 @@ class TestSampledValidation:
         # Every sequence sampled, and numpy constants where a verdict
         # compares them.
         params = reference_params()
-        base = default_schedule(params, beta_demi=0.5, alpha_ism=1.0)
+        base = default_schedule(params)
         sampled = {label: ParamSeq.custom(getattr(base, label))
                    for label in ("theta", "beta", "gamma", "mu", "lam")}
         sched = dataclasses.replace(
@@ -363,7 +357,7 @@ class TestSampledValidation:
         # (1 - 3/4)(3/4 - 1/2) = 1/16 and the product (1 - 3/4)(3/4) = 3/16.
         params = reference_params()
         sched = dataclasses.replace(
-            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            default_schedule(params),
             theta=ParamSeq.custom(lambda n: 0.75))
         conds = _by_name(validate(sched, params))
         gap = conds["condition (ii): theta_n in (beta_demi, 1) with "
@@ -397,7 +391,7 @@ class TestSampledValidation:
         # empirical.
         params = reference_params()
         sched = dataclasses.replace(
-            default_schedule(params, beta_demi=0.5, alpha_ism=1.0),
+            default_schedule(params),
             gamma=ParamSeq.approaching_one(),
             mu=ParamSeq.custom(lambda n: 0.4))
         assert validate(sched, params).summary().splitlines() == [

@@ -219,6 +219,23 @@ class TestMultiMapValidation:
         with pytest.raises(ValueError):
             MultiMap(lambda x: Singleton(x), "demicontractive", 1.0)
 
+    @pytest.mark.parametrize("kind, constant", [
+        *(("strictly_pseudocontractive", c)
+          for c in (None, math.nan, True, -0.1, 1.5, "0.5")),
+        *(("demicontractive", c) for c in (False, math.nan, -0.1))])
+    def test_constant_outside_its_range_rejected(self, kind, constant):
+        with pytest.raises(ValueError, match=f"^{kind} maps need constant "
+                           f"in \\[0, 1[])], got "):
+            MultiMap(lambda x: Singleton(x), kind, constant)
+
+    @pytest.mark.parametrize("kind, constant", [
+        ("strictly_pseudocontractive", 0), ("strictly_pseudocontractive", 1.0),
+        ("strictly_pseudocontractive", np.float64(0.6)),
+        ("demicontractive", 0.0), ("quasi_nonexpansive", None)])
+    def test_constant_inside_its_range_kept(self, kind, constant):
+        assert MultiMap(lambda x: Singleton(x), kind,
+                        constant).constant is constant
+
 
 def halving_map():
     return MultiMap(lambda x: Singleton(0.5 * x), "demicontractive", 0.5,

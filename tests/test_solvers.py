@@ -42,8 +42,7 @@ def hand_setup():
                      gamma=ParamSeq.constant(0.5),
                      mu=ParamSeq.constant(0.4),
                      lam=ParamSeq.constant(0.5),
-                     beta_demi=0.5, alpha_ism=1.0, interval=(0.5, 0.5),
-                     mu_bar=0.4)
+                     interval=(0.5, 0.5), mu_bar=0.4)
     state0 = initial_state(prob, sched, np.array([1.0]))
     return prob, sched, state0
 
@@ -486,7 +485,7 @@ class TestScheduleGateJudgesTheProblem:
         assert schedule.lam(1) == 0.5
         # Forward 10 x is 0.1-inverse strongly monotone: window (0, 0.2).
         steep = dataclasses.replace(box, forward=affine_op(10.0))
-        assert steep.alpha_ism == pytest.approx(0.1)
+        assert steep.params.alpha_ism == pytest.approx(0.1)
         with pytest.raises(ScheduleValidationError) as exc:
             run("main", steep, schedule)
         names = [c.name for c in exc.value.report.failures()]
@@ -497,7 +496,7 @@ class TestScheduleGateJudgesTheProblem:
         schedule = default_schedule_for(load_instance("inclusion_box", dim=1))
         assert schedule.theta(1) == schedule.beta(1) == 0.75
         tight = make_inclusion_instance(dim=1, beta=0.9)
-        assert tight.beta_demi == 0.9
+        assert tight.params.beta_demi == 0.9
         with pytest.raises(ScheduleValidationError) as exc:
             require_admissible(schedule, tight)
         names = [c.name for c in exc.value.report.failures()]

@@ -9,7 +9,10 @@ the default one: admissible constants, with each sequence kept, moved to
 the edge of its band or replaced.  The rest are fully random.  Sequences
 come from the four families or are custom callables, with and without a
 declared ``limit`` and ``divergent_sum``; constants and ``strict_paper``
-are random.  Every condition of every report must agree in name, passed,
+are random.  The demicontractivity constant and the ism modulus go to
+``Schedule`` where its fields have them, as older revisions take them,
+and to ``ViscosityParams`` otherwise, so the same spec is judged on both
+sides of that change.  Every condition of every report must agree in name, passed,
 detail, value (with its type) and empirical, and in order.  The script
 prints one summary line and exits 1 on any difference.
 
@@ -26,6 +29,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -149,19 +153,25 @@ def dump(count: int, seed: int) -> list:
     from viscosplit.monotone import wang_tau
     from viscosplit.schedules import (ParamSeq, Schedule, ViscosityParams,
                                       validate)
+    # Older revisions carry beta_demi and alpha_ism on the schedule, newer
+    # ones on the problem's constants; each gets them where it takes them.
+    carried = "beta_demi" in {f.name for f in fields(Schedule)}
     rng = random.Random(seed)
     reports = []
     with np.errstate(all="ignore"):
         for _ in range(count):
             spec = (near_spec(rng, wang_tau) if rng.random() < 0.6
                     else random_spec(rng))
+            own = {"beta_demi": spec["beta_demi"],
+                   "alpha_ism": spec["alpha_ism"]}
             schedule = Schedule(
                 **{label: build_seq(spec["seqs"][label], ParamSeq)
                    for label in LABELS},
-                beta_demi=spec["beta_demi"], alpha_ism=spec["alpha_ism"],
+                **(own if carried else {}),
                 interval=tuple(spec["interval"]), mu_bar=spec["mu_bar"],
                 strict_paper=rng.random() < 0.5)
-            report = validate(schedule, ViscosityParams(**spec["params"]))
+            report = validate(schedule, ViscosityParams(
+                **spec["params"], **({} if carried else own)))
             reports.append([
                 [c.name, bool(c.passed), c.detail,
                  None if c.value is None
