@@ -28,8 +28,8 @@ from .setvalued import (AuditResult, BallImage, FiniteSet, MultiMap,
 from .solvers import (ALGORITHMS, DIVERGENCE_LIMIT, FejerAudit, IterState,
                       ProblemInstance, RunReport, ScheduleValidationError,
                       UncertifiedPointError, audit_fejer_chain,
-                      boundedness_radius, initial_state, run, step_fc,
-                      step_forward_backward, step_main, step_sow,
+                      audit_instance, boundedness_radius, initial_state, run,
+                      step_fc, step_forward_backward, step_main, step_sow,
                       vi_residual)
 
 __version__ = "0.1.0"

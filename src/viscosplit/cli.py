@@ -22,9 +22,13 @@ algorithm is one of the solver's rule names: "main", "sow" (pi carried
 into the anchor line, as printed), "sow_phi" (phi_p carried instead),
 "fc" or "forward_backward".  The run arguments (algorithm, tol,
 max_iter, record_stride) are checked by the solver's own rule, and the
-schedule is judged against the instance's own constants.  An instance's
+schedule is judged against the instance's own constants.
+
+``check`` builds the catalog instance with its default arguments and
+prints one line per result of :func:`~viscosplit.solvers.audit_instance`,
+which holds the audit sequence; the CLI only prints.  An instance's
 declared common points are certified when it is built, so ``check``
-reports each as certified.
+reports each as certified, and then the default schedule's verdict.
 
 A config file is read as UTF-8 whatever the locale, and a leading
 byte-order mark is skipped (RFC 8259 lets a parser ignore one); a file
@@ -47,19 +51,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import as_vector, norm
-from .monotone import (check_inverse_strongly_monotone, check_lipschitz,
-                       check_resolvent_firmly_nonexpansive,
-                       check_wang_contraction)
+from .hilbert import norm
 from .problems import catalog, default_schedule_for, load_instance
 from .schedules import (SEQUENCE_FAMILIES, InfeasibleScheduleError,
                         ParamSeq, validate)
-from .setvalued import (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE,
-                        Sample, check_demicontractive,
-                        check_quasi_nonexpansive,
-                        check_strictly_pseudocontractive)
-from .solvers import (ScheduleValidationError, check_run_arguments,
-                      require_admissible, run as run_solver)
+from .solvers import (ScheduleValidationError, audit_instance,
+                      check_run_arguments, require_admissible,
+                      run as run_solver)
 
 CSV_HEADER = ("n,psi_norm,dist_to_solution,delta_residual_T1,"
               "pi_residual_T2,phi_residual_T3,fb_residual,fejer_ok,"
@@ -298,13 +296,6 @@ def _cmd_run(args) -> int:
 # check
 # --------------------------------------------------------------------------
 
-def _sample_points(rng, dim: int, count: int) -> np.ndarray:
-    # Uniform on [-5, 5]^dim, one row per point.  One draw of count*dim
-    # numbers gives the same numbers, in the same order, as count draws of
-    # dim.
-    return 5.0 * (2.0 * rng.random((count, dim)) - 1.0)
-
-
 def _print_audit(name: str, result) -> bool:
     """Print one audit's line under ``name``; return whether it passed."""
     tag = "ok" if result.passed else "FAIL"
@@ -323,44 +314,9 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         print(f"config error: {exc.args[0]}", file=sys.stderr)
         return 2
-    # One draw, scanned once and shared by every audit: 200 points, then
-    # the x and the y of 200 pairs.
-    drawn = _sample_points(np.random.default_rng(args.seed), problem.dim, 600)
-    as_vector(drawn.ravel())
-    k = np.arange(200)
-    points = Sample(drawn, drawn, k, k)
-    pairs = Sample(drawn, drawn, k + 200, k + 400)
-    ok = True
-
-    # A mapping passed as more than one T_i is audited once.
-    audited = {}
-    for i, t in enumerate(problem.maps, start=1):
-        res = audited.get(id(t))
-        if res is None:
-            if t.kind == KIND_DEMICONTRACTIVE:
-                res = check_demicontractive(t, t.constant, points)
-            elif t.kind == KIND_STRICTLY_PSEUDOCONTRACTIVE:
-                res = check_strictly_pseudocontractive(t, t.constant, pairs)
-            else:
-                res = check_quasi_nonexpansive(t, points)
-            audited[id(t)] = res
-        ok = _print_audit(f"T{i} ({t.name or f'T{i}'}) {res.name}", res) and ok
-
-    ism = problem.params.alpha_ism
-    res = check_inverse_strongly_monotone(problem.forward, ism, pairs)
-    ok = _print_audit(f"forward {res.name} (alpha={ism:g})", res) and ok
-
-    lam = problem.certification_lambda()
-    res = check_resolvent_firmly_nonexpansive(problem.inclusion, lam, pairs)
-    ok = _print_audit(f"inclusion {res.name} (lambda={lam:g})", res) and ok
-
-    eta = problem.eta
-    res = check_wang_contraction(problem.strong, eta, t=0.5, pairs=pairs)
-    ok = _print_audit(f"strong {res.name} (eta={eta:g})", res) and ok
-
-    b = problem.params.b
-    res = check_lipschitz(problem.contraction, b, pairs)
-    ok = _print_audit(f"contraction {res.name} (b={b:g})", res) and ok
+    # A list, not a generator: all() would stop at the first failed line.
+    ok = all([_print_audit(label, res)
+              for label, res in audit_instance(problem, args.seed)])
 
     # Building the instance has certified each declared common point.
     for q in problem.known_common_points:

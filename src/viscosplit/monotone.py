@@ -112,7 +112,9 @@ def affine_op(coef: float, offset=None, dim: int | None = None,
     """x -> coef * x + offset with the moduli of a scaled shift.
 
     For coef > 0 this is coef-strongly monotone and (1/coef)-inverse
-    strongly monotone; for coef = 0 it is a constant map.  With an offset,
+    strongly monotone.  For coef = 0 it is a constant map, inverse strongly
+    monotone with every modulus, and declares 1, as :func:`zero_op` does,
+    so it can serve as a problem's forward operator.  With an offset,
     a point of another dimension raises
     :class:`~viscosplit.hilbert.DimensionMismatch`.
     """
@@ -132,7 +134,7 @@ def affine_op(coef: float, offset=None, dim: int | None = None,
         apply,
         lipschitz=abs(coef),
         strong_monotonicity=coef if coef > 0 else None,
-        inverse_strong_monotonicity=(1.0 / coef) if coef > 0 else None,
+        inverse_strong_monotonicity=(1.0 / coef) if coef > 0 else 1.0,
         name=name, rowwise=True,
     )
 

@@ -193,6 +193,13 @@ class ViscosityParams:
     def tau(self) -> float:
         return wang_tau(self.eta, self.k, self.L)
 
+    @property
+    def lam_mid(self) -> float:
+        """The midpoint of the splitting-step window: the default schedule's
+        constant step, and the step of certification and of the resolvent
+        audit."""
+        return step_window(self.alpha_ism) / 2.0
+
     def margin(self, mu_bar: float) -> float:
         """The anchor step's contraction margin tau*(1 - mu_bar) - gamma*b,
         positive for an admissible mixing cap ``mu_bar``."""
@@ -444,9 +451,10 @@ def default_schedule(params: ViscosityParams, mu_bar: float | None = None,
 
     Uses alpha_n = 1/(n+1) (or 1/(n+1)^2 under ``strict_paper``), constant
     theta_n = beta_n = (1 + beta_demi)/2, gamma_n = 1/2, a constant
-    splitting step lambda_n = min(1, 2*alpha_ism)/2, and a constant mixing
-    weight mu_n = mu_bar, defaulting to 0.8*(tau - gamma*b)/tau, with
-    every constant read from ``params``.  Raises
+    splitting step lambda_n = min(1, 2*alpha_ism)/2 (``params.lam_mid``),
+    and a constant mixing weight mu_n = mu_bar, defaulting to
+    0.8*(tau - gamma*b)/tau, with every constant read from ``params``.
+    Raises
     :class:`InfeasibleScheduleError` when the constants admit no schedule.
     """
     bad = params.violations()
@@ -463,7 +471,7 @@ def default_schedule(params: ViscosityParams, mu_bar: float | None = None,
             f"(tau = {tau:g}, gamma*b = {params.gamma * params.b:g})")
 
     mid = (1.0 + params.beta_demi) / 2.0
-    lam_value = step_window(params.alpha_ism) / 2.0
+    lam_value = params.lam_mid
     alpha = (ParamSeq.inverse_square() if strict_paper else ParamSeq.inverse())
     return Schedule(
         alpha=alpha,

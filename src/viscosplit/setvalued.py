@@ -5,14 +5,18 @@ of: a singleton, a finite point set, or a closed ball.  Distances between
 images use the Hausdorff metric.  The audit functions sample-check the
 defining inequality of a declared mapping class (demicontractive,
 quasi-nonexpansive, strictly pseudocontractive) and report the worst slack
-together with a witness pair, never just a bare boolean.
+together with a witness pair, never just a bare boolean.  This module
+alone decides by a mapping's kind: :func:`audit_mapping` runs the audit of
+the declared class, and :attr:`MultiMap.demi_constant` is the constant
+that bounds the averaging weights.
 
 An audit checks its whole sample once, in :func:`prepare`: the distinct
-values are stacked and the stack is scanned in one pass.  ``viscosplit
-check`` prepares one :class:`Sample` per command and hands it to every
-audit; a public audit given a list prepares its own.  A batch
-``sides(xs, ys)`` then evaluates the inequality over all cases at once, one
-row per case, and returns one lhs and one rhs array.  Operators and
+values are stacked and the stack is scanned in one pass.
+:func:`~viscosplit.solvers.audit_instance` prepares one :class:`Sample`
+per call and hands it to every audit; a public audit given a list
+prepares its own.  A batch ``sides(xs, ys)`` then evaluates the
+inequality over all cases at once, one row per case, and returns one lhs
+and one rhs array.  Operators and
 resolvents run on the whole stack too (see :mod:`viscosplit.monotone`), and
 so does a single-valued mapping that declares ``points`` (every mapping of
 :mod:`viscosplit.problems`): its function is called once per stack, its
@@ -263,6 +267,15 @@ class MultiMap:
     def __call__(self, x) -> SetImage:
         return self.image(as_vector(x))
 
+    @property
+    def demi_constant(self) -> float:
+        """The constant theta_n and beta_n must stay above: the declared
+        one for a demicontractive or a strictly pseudocontractive mapping
+        (a k-strictly pseudocontractive mapping with a fixed point is
+        k-demicontractive, Chidume & Maruster 2010), else 0."""
+        demi = (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE)
+        return self.constant if self.kind in demi else 0.0
+
 
 def _singletons(points: Callable[[np.ndarray], np.ndarray]):
     """The image x -> {points(x)}, marked with the ``points`` it is built
@@ -492,6 +505,21 @@ def check_strictly_pseudocontractive(T: MultiMap, k: float,
         return haus * haus, gap * gap + k * (disp * disp)
     return sampled_audit("strictly_pseudocontractive", pairs, sides,
                          note=note)
+
+
+def audit_mapping(T: MultiMap, points: Sequence | Sample,
+                  pairs: Sequence | Sample) -> AuditResult:
+    """Audit the class ``T`` declares, with its declared constant: a
+    demicontractive mapping on ``points``, a strictly pseudocontractive one
+    on ``pairs``, and any other (quasi-nonexpansive or nonexpansive) as
+    quasi-nonexpansive on ``points``.  The audit's own precondition errors
+    propagate, such as the ``ValueError`` of a mapping with no declared
+    fixed point."""
+    if T.kind == KIND_DEMICONTRACTIVE:
+        return check_demicontractive(T, T.constant, points)
+    if T.kind == KIND_STRICTLY_PSEUDOCONTRACTIVE:
+        return check_strictly_pseudocontractive(T, T.constant, pairs)
+    return check_quasi_nonexpansive(T, points)
 
 
 def _enumerable(S: SetImage) -> tuple:

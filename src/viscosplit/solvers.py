@@ -45,13 +45,13 @@ dimension:
   constants (``gamma`` and ``eta`` as given, k and L the strong operator's
   ``strong_monotonicity`` and ``lipschitz``, b the contraction's
   ``lipschitz`` floored at :data:`ZERO_CONTRACTION_LIPSCHITZ`, beta_demi
-  the largest constant of a demicontractive or strictly pseudocontractive
-  mapping and alpha_ism the forward operator's positive
-  ``inverse_strong_monotonicity``; a constant an operator does not
-  declare raises ``ValueError`` naming it, and each must be a real
-  number, not a bool, see :class:`ViscosityParams`; the operators and
-  mappings checked their declared moduli and constants when they were
-  made),
+  the largest ``demi_constant`` of the mappings (their constant when
+  demicontractive or strictly pseudocontractive, else 0) and alpha_ism
+  the forward operator's positive ``inverse_strong_monotonicity``; a
+  constant an operator does not declare raises ``ValueError`` naming it,
+  and each must be a real number, not a bool, see
+  :class:`ViscosityParams`; the operators and mappings checked their
+  declared moduli and constants when they were made),
   ``selection`` (coerced to a :class:`SelectionRule`), the known solution,
   common points and start; each declared common point is certified there
   (:meth:`ProblemInstance.common_point_defects`), so every run audits
@@ -116,6 +116,16 @@ the problem raises :class:`~viscosplit.hilbert.DimensionMismatch`
 naming it in the same way, and :func:`run` lets it propagate, since no
 iteration can go on from it.  Certifying a common point at construction
 checks its values the same way.
+
+Whether a problem's declarations hold is a separate question, which
+construction does not answer: :func:`audit_instance` audits each declared
+class on one random sample (the mappings by their kinds, the forward
+operator's ism modulus, the resolvent at the default step
+``params.lam_mid``, the strong operator's averaged contraction and the
+contraction's Lipschitz constant) and returns every result under the label
+``viscosplit check`` prints.  A declaration the gate trusts but the
+operator breaks, such as an ism modulus of 1 on x -> 5x, shows there as a
+failed line.
 """
 from __future__ import annotations
 
@@ -128,12 +138,14 @@ import numpy as np
 
 from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _is_real,
                       _is_vector, all_finite, as_vector, inner, norm, project)
-from .monotone import MaxMonotone, SingleOp, _check_lam, _value
-from .schedules import (Schedule, ValidationReport, ViscosityParams,
-                        step_window, validate)
-from .setvalued import (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE,
-                        MultiMap, SelectionRule, SetImage, Singleton,
-                        _distance, _farthest, _select, _sized)
+from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
+                       check_inverse_strongly_monotone, check_lipschitz,
+                       check_resolvent_firmly_nonexpansive,
+                       check_wang_contraction)
+from .schedules import Schedule, ValidationReport, ViscosityParams, validate
+from .setvalued import (AuditResult, MultiMap, Sample, SelectionRule,
+                        SetImage, Singleton, _distance, _farthest, _select,
+                        _sized, audit_mapping)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -153,11 +165,6 @@ CERTIFY_TOL = 1e-8
 ZERO_CONTRACTION_LIPSCHITZ = 1e-6
 
 ALGORITHMS = ("main", "sow", "sow_phi", "fc", "forward_backward")
-
-#: The mapping kinds whose constant bounds the averaging weights: a
-#: k-strictly pseudocontractive mapping with a fixed point is
-#: k-demicontractive (Chidume & Maruster 2010).
-_DEMI_KINDS = (KIND_DEMICONTRACTIVE, KIND_STRICTLY_PSEUDOCONTRACTIVE)
 
 
 class ScheduleValidationError(ValueError):
@@ -199,10 +206,10 @@ class ProblemInstance:
     the pieces that declare the others: k and L are ``strong``'s
     ``strong_monotonicity`` and ``lipschitz``; b is ``contraction``'s
     ``lipschitz``, floored at :data:`ZERO_CONTRACTION_LIPSCHITZ`;
-    ``beta_demi`` is the largest ``constant`` among the mappings of kind
-    demicontractive or strictly pseudocontractive (a k-strictly
-    pseudocontractive mapping with a fixed point is k-demicontractive),
-    and 0 when there is none; ``alpha_ism`` is ``forward``'s
+    ``beta_demi`` is the largest
+    :attr:`~viscosplit.setvalued.MultiMap.demi_constant` of the mappings,
+    the ``constant`` of a demicontractive or strictly pseudocontractive
+    one and 0 for any other; ``alpha_ism`` is ``forward``'s
     ``inverse_strong_monotonicity``.  So a copy made with
     ``dataclasses.replace`` and another operator or mapping judges with
     its constants.  An operator that leaves one of these constants
@@ -251,8 +258,7 @@ class ProblemInstance:
         object.__setattr__(self, "params", ViscosityParams(
             self.gamma, self.eta, strong.strong_monotonicity, strong.lipschitz,
             max(phi.lipschitz, ZERO_CONTRACTION_LIPSCHITZ),
-            max((t.constant for t in self.maps if t.kind in _DEMI_KINDS),
-                default=0.0), ism))
+            max(t.demi_constant for t in self.maps), ism))
         object.__setattr__(self, "selection", SelectionRule(self.selection))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution",
@@ -269,11 +275,6 @@ class ProblemInstance:
     def maps(self) -> tuple[MultiMap, MultiMap, MultiMap]:
         return (self.t1, self.t2, self.t3)
 
-    def certification_lambda(self) -> float:
-        """The midpoint of the splitting-step window, as the default
-        schedule uses."""
-        return step_window(self.params.alpha_ism) / 2.0
-
     def common_point_defects(self, q) -> list[str]:
         """Reasons q is not certifiable, within :data:`CERTIFY_TOL`, as a
         common solution; empty = good.  Each T_i(q) must be {q} itself,
@@ -285,7 +286,7 @@ class ProblemInstance:
         :class:`~viscosplit.hilbert.DimensionMismatch` naming it
         (``"forward operator"``, ``"delta"``, ``"T1 image"``, ...)."""
         qv = as_vector(q, self.dim)
-        lam = self.certification_lambda()
+        lam = self.params.lam_mid
         defects = []
         res = norm(qv - _fb_point(self, lam, qv, self.dim))
         if not res <= CERTIFY_TOL:
@@ -313,6 +314,54 @@ class ProblemInstance:
         if defects:
             raise UncertifiedPointError(
                 f"{what} {q.tolist()} does not certify: " + "; ".join(defects))
+
+
+def _sample_points(rng, dim: int, count: int) -> np.ndarray:
+    # Uniform on [-5, 5]^dim, one row per point.  One draw of count*dim
+    # numbers gives the same numbers, in the same order, as count draws of
+    # dim.
+    return 5.0 * (2.0 * rng.random((count, dim)) - 1.0)
+
+
+def audit_instance(problem: ProblemInstance,
+                   seed: int = 0) -> list[tuple[str, AuditResult]]:
+    """Audit every class ``problem`` declares on one random sample, each
+    result under its label; ``viscosplit check`` prints them in order.
+
+    Draws 600 points uniform on [-5, 5]^dim from ``seed`` and scans them
+    once: 200 points, then the x and the y of 200 pairs, shared by every
+    audit.  Audits each distinct mapping once, by its declared kind
+    (:func:`~viscosplit.setvalued.audit_mapping`), and lists it under each
+    T_i it is; then the forward operator's ism modulus
+    ``params.alpha_ism``, the inclusion's resolvent at the default step
+    ``params.lam_mid``, the strong operator's averaged contraction at
+    ``eta`` with t = 0.5, and the contraction's Lipschitz constant
+    ``params.b``.  An audit's own precondition error propagates, such as
+    the ``ValueError`` of an ``eta`` outside (0, 2k/L^2) or of a mapping
+    with no declared fixed point.
+    """
+    drawn = _sample_points(np.random.default_rng(seed), problem.dim, 600)
+    as_vector(drawn.ravel())
+    k = np.arange(200)
+    points = Sample(drawn, drawn, k, k)
+    pairs = Sample(drawn, drawn, k + 200, k + 400)
+    audited, out = {}, []
+    for i, t in enumerate(problem.maps, start=1):
+        if id(t) not in audited:
+            audited[id(t)] = audit_mapping(t, points, pairs)
+        res = audited[id(t)]
+        out.append((f"T{i} ({t.name or f'T{i}'}) {res.name}", res))
+    p = problem.params
+    res = check_inverse_strongly_monotone(problem.forward, p.alpha_ism, pairs)
+    out.append((f"forward {res.name} (alpha={p.alpha_ism:g})", res))
+    res = check_resolvent_firmly_nonexpansive(problem.inclusion, p.lam_mid,
+                                              pairs)
+    out.append((f"inclusion {res.name} (lambda={p.lam_mid:g})", res))
+    res = check_wang_contraction(problem.strong, p.eta, t=0.5, pairs=pairs)
+    out.append((f"strong {res.name} (eta={p.eta:g})", res))
+    res = check_lipschitz(problem.contraction, p.b, pairs)
+    out.append((f"contraction {res.name} (b={p.b:g})", res))
+    return out
 
 
 @dataclass(slots=True)

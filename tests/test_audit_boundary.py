@@ -14,7 +14,7 @@ import pytest
 
 import viscosplit.hilbert as hilbert
 import viscosplit.solvers as solvers
-from viscosplit.cli import _sample_points, main
+from viscosplit.cli import main
 from viscosplit.hilbert import DimensionMismatch, NonFiniteError
 from viscosplit.monotone import (MaxMonotone, SingleOp, affine_op,
                                  check_forward_nonexpansive,
@@ -26,6 +26,7 @@ from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, BallImage, FiniteSet,
                                   MultiMap, Singleton, check_demicontractive,
                                   check_quasi_nonexpansive,
                                   check_strictly_pseudocontractive)
+from viscosplit.solvers import _sample_points
 
 
 def vec(*xs):

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viscosplit.cli import (CSV_HEADER, _parser, _sample_points, main,
-                            parse_config)
+from viscosplit.cli import CSV_HEADER, _parser, main, parse_config
 from viscosplit.problems import catalog, make_inclusion_instance
-from viscosplit.solvers import ALGORITHMS, check_run_arguments
+from viscosplit.solvers import ALGORITHMS, _sample_points, check_run_arguments
 
 
 def write_config(tmp_path, payload, name="config.json"):
