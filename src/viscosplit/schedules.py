@@ -454,8 +454,8 @@ def default_schedule(params: ViscosityParams, mu_bar: float | None = None,
     splitting step lambda_n = min(1, 2*alpha_ism)/2 (``params.lam_mid``),
     and a constant mixing weight mu_n = mu_bar, defaulting to
     0.8*(tau - gamma*b)/tau, with every constant read from ``params``.
-    Raises
-    :class:`InfeasibleScheduleError` when the constants admit no schedule.
+    Raises :class:`InfeasibleScheduleError` when the constants admit no
+    schedule.
     """
     bad = params.violations()
     if bad:

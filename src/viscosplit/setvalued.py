@@ -16,11 +16,11 @@ values are stacked and the stack is scanned in one pass.
 per call and hands it to every audit; a public audit given a list
 prepares its own.  A batch ``sides(xs, ys)`` then evaluates the
 inequality over all cases at once, one row per case, and returns one lhs
-and one rhs array.  Operators and
-resolvents run on the whole stack too (see :mod:`viscosplit.monotone`), and
-so does a single-valued mapping that declares ``points`` (every mapping of
-:mod:`viscosplit.problems`): its function is called once per stack, its
-value is checked for shape and scanned once, unless it is the stack itself.
+and one rhs array.  Operators and resolvents run on the whole stack too
+(see :mod:`viscosplit.monotone`), and so does a single-valued mapping that
+declares ``points`` (every mapping of :mod:`viscosplit.problems`): its
+function is called once per stack, its value is checked for shape and
+scanned once, unless it is the stack itself.
 The function must take a (k, d) stack to the stack of its image points,
 each row equal bit for bit to the image point at that row alone, so the
 audits read the same numbers as case by case; the first row of each
