@@ -31,17 +31,21 @@ print(f"audits: {report.fejer_violations} chain violations, "
 
 print()
 print("-- what one recorded state carries --")
-state = report.trajectory[5]
+# run() keeps the start and the final state whole, and of every state in
+# between one row of scalars; stepping the start again gives each state
+# back with its vectors, bit for bit.
+states = [report.trajectory[0]]
+while states[-1].n < report.iterations:
+    states.append(step_main(problem, schedule, states[-1]))
+row, state = report.trajectory[5], states[5]
+assert (row.n, row.residual_t1) == (state.n, state.residual_t1)
 print(f"n={state.n}: psi={np.round(state.psi, 6).tolist()}, "
-      f"alpha={state.alpha:g}, mu={state.mu:g}, lambda={state.lam:g}")
-print(f"  stage residuals: T1 {state.residual_t1:.2e}, "
-      f"T2 {state.residual_t2:.2e}, T3 {state.residual_t3:.2e}, "
-      f"splitting {state.fb_residual:.2e}")
-# run() audited the state's stage points and then released them; stepping
-# the state recorded before it again gives them back, bit for bit.
+      f"alpha={row.alpha:g}, mu={row.mu:g}, lambda={row.lam:g}")
+print(f"  stage residuals: T1 {row.residual_t1:.2e}, "
+      f"T2 {row.residual_t2:.2e}, T3 {row.residual_t3:.2e}, "
+      f"splitting {row.fb_residual:.2e}")
 q = problem.known_common_points[0]
-audit = audit_fejer_chain(step_main(problem, schedule, report.trajectory[4]),
-                          q)
+audit = audit_fejer_chain(state, q)
 for name, lhs, rhs, ok in audit.links:
     print(f"  {name:12s} {lhs:.6f} <= {rhs:.6f}  {'ok' if ok else 'FAIL'}")
 
@@ -49,7 +53,7 @@ print()
 print("-- the boundedness estimate --")
 psi0 = report.trajectory[0].psi
 radius = boundedness_radius(problem, schedule.mu_bar, psi0, q)
-norms = max(float(np.linalg.norm(s.psi - q)) for s in report.trajectory)
+norms = max(float(np.linalg.norm(s.psi - q)) for s in states)
 print(f"predicted radius around q: {radius:g}; "
       f"largest observed distance: {norms:g}")
 

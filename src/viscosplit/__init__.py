@@ -27,7 +27,7 @@ from .setvalued import (AuditResult, BallImage, FiniteSet, MultiMap,
                         hausdorff, select_from)
 from .solvers import (ALGORITHMS, DIVERGENCE_LIMIT, FejerAudit, IterState,
                       ProblemInstance, RunReport, ScheduleValidationError,
-                      UncertifiedPointError, audit_fejer_chain,
+                      Trajectory, UncertifiedPointError, audit_fejer_chain,
                       audit_instance, boundedness_radius, initial_state, run,
                       step_fc, step_forward_backward, step_main, step_sow,
                       vi_residual)

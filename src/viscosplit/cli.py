@@ -51,7 +51,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import norm
 from .problems import catalog, default_schedule_for, load_instance
 from .schedules import (SEQUENCE_FAMILIES, InfeasibleScheduleError,
                         ParamSeq, validate)
@@ -180,7 +179,8 @@ def _build_cell(raw: dict, default_seed) -> Cell:
     except TypeError as exc:
         raise ConfigError(
             f"bad parameters for instance {raw['instance']!r}: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses an array of a huge dim with a MemoryError.
         raise ConfigError(
             f"invalid instance parameters: {exc}") from None
 
@@ -246,19 +246,10 @@ def parse_config(text: str, seed_override=None) -> list[Cell]:
 
 def _write_csv(path: Path, report) -> None:
     lines = [CSV_HEADER]
-    for st in report.trajectory:
-        fejer = "nan" if st.fejer_ok is None else str(int(st.fejer_ok))
+    for n, *values, alpha, _, _, fejer in report.trajectory.rows():
         lines.append(",".join([
-            str(st.n),
-            _fmt(norm(st.psi)),
-            _fmt(st.dist_to_solution),
-            _fmt(st.residual_t1),
-            _fmt(st.residual_t2),
-            _fmt(st.residual_t3),
-            _fmt(st.fb_residual),
-            fejer,
-            _fmt(st.alpha),
-        ]))
+            str(int(n)), *map(_fmt, values),
+            "nan" if fejer != fejer else str(int(fejer)), _fmt(alpha)]))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -33,9 +33,10 @@ them on the state it produces, together with the previous iterate, so
 the state carries its own monotonicity chain ||xi - q|| <= ||phi_p - q||
 <= ||pi - q|| <= ||delta - q|| <= ||psi_prev - q||, auditable against
 any certified common point q with :func:`audit_fejer_chain`.  :func:`run`
-audits that chain on every state and then releases what its outputs do
-not read (see :class:`IterState`); re-step a recorded state's
-predecessor to see the stage points again.
+audits that chain on every state and keeps one row of scalars per
+recorded state, with the start and final states whole (see
+:class:`Trajectory`); step the start state again to see the points of a
+state in between.
 
 Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
@@ -131,7 +132,8 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -336,9 +338,11 @@ def audit_instance(problem: ProblemInstance,
     ``params.alpha_ism``, the inclusion's resolvent at the default step
     ``params.lam_mid``, the strong operator's averaged contraction at
     ``eta`` with t = 0.5, and the contraction's Lipschitz constant
-    ``params.b``.  An audit's own precondition error propagates, such as
-    the ``ValueError`` of an ``eta`` outside (0, 2k/L^2) or of a mapping
-    with no declared fixed point.
+    ``params.b``.  A mapping that declares no fixed point is audited
+    against the problem's certified ``known_common_points``, each of which
+    it fixes.  An audit's own precondition error propagates, such as the
+    ``ValueError`` of an ``eta`` outside (0, 2k/L^2) or of a mapping with
+    neither declared fixed points nor common points to audit against.
     """
     drawn = _sample_points(np.random.default_rng(seed), problem.dim, 600)
     as_vector(drawn.ravel())
@@ -348,7 +352,9 @@ def audit_instance(problem: ProblemInstance,
     audited, out = {}, []
     for i, t in enumerate(problem.maps, start=1):
         if id(t) not in audited:
-            audited[id(t)] = audit_mapping(t, points, pairs)
+            # Each certified common point q has T q = {q}: a fixed point.
+            audited[id(t)] = audit_mapping(t if t.fixed_points else replace(
+                t, fixed_points=problem.known_common_points), points, pairs)
         res = audited[id(t)]
         out.append((f"T{i} ({t.name or f'T{i}'}) {res.name}", res))
     p = problem.params
@@ -375,16 +381,9 @@ class IterState:
     as (problem, point): the next step takes it as its delta when it steps
     the same problem with a lambda equal to ``lam``.  A copy made with
     ``dataclasses.replace`` drops it.  ``alpha``/``mu`` are nan when the
-    rule does not use them.
-
-    :func:`run` releases every state once its audit has run, and
-    ``fejer_ok`` keeps the audit's verdict.  The release points ``delta``,
-    ``pi``, ``phi`` and ``xi`` at :data:`RELEASED`, so
-    :func:`audit_fejer_chain` raises on the state, and ``psi_prev`` too
-    when n > 0 and the recording rule of :func:`run` skips state n - 1.
-    In ``RunReport.trajectory`` a state's ``psi_prev`` is therefore
-    ``psi`` at n = 0, the ``psi`` of the state recorded before it when
-    that state is n - 1, and :data:`RELEASED` otherwise.
+    rule does not use them.  ``fejer_ok`` is the verdict of the chain
+    audit :func:`run` made of the state, None before it or without common
+    points.
     """
 
     n: int
@@ -407,10 +406,55 @@ class IterState:
                                    compare=False)
 
 
+#: What the vector fields of an interior :class:`Trajectory` item read:
+#: one shared, read-only, empty array.
+RELEASED = np.empty(0)
+RELEASED.flags.writeable = False
+
+#: The columns of a :class:`Trajectory` table; ``fejer_ok`` is nan, 0 or 1.
+COLUMNS = ("n", "psi_norm", "dist_to_solution", "residual_t1", "residual_t2",
+           "residual_t3", "fb_residual", "alpha", "mu", "lam", "fejer_ok")
+
+
+class Trajectory:
+    """The states :func:`run` recorded, as one ``table`` of scalars and the
+    start and final :class:`IterState`, ``first`` and ``last``, whole.  It
+    has a length, and its items are read by index (negative too) or by
+    iterating.
+
+    ``table`` is an ``array('d')`` with one row of :data:`COLUMNS` per
+    recorded state; :meth:`rows` gives each as a tuple.  ``psi_norm`` is
+    the ``norm(psi)`` of the divergence guard.  Item 0 and item -1 are the
+    stored states, with their stage points.  Any other item is an
+    :class:`IterState` built from its row on access: its vector fields are
+    :data:`RELEASED`, so :func:`audit_fejer_chain` raises on it, and its
+    ``fejer_ok`` is a bool, or None where nothing was audited.
+    """
+
+    def __init__(self, table: array, first: IterState, last: IterState):
+        self.table, self.first, self.last = table, first, last
+
+    def __len__(self) -> int:
+        return len(self.table) // len(COLUMNS)
+
+    def __getitem__(self, k: int) -> IterState:
+        k, w = range(len(self))[k], len(COLUMNS)
+        if not 0 < k < len(self) - 1:
+            return self.last if k else self.first
+        n, _, dist, *scalars, ok = self.table[k * w:(k + 1) * w]
+        return IterState(int(n), *(RELEASED,) * 6, *scalars[:4], dist,
+                         *scalars[4:], None if ok != ok else bool(ok))
+
+    def rows(self):
+        """Each row of ``table``, a tuple of floats in :data:`COLUMNS`."""
+        return zip(*[iter(self.table)] * len(COLUMNS))
+
+
 @dataclass
 class RunReport:
     """The outcome of :func:`run`.
 
+    ``trajectory`` holds the recorded states (see :class:`Trajectory`).
     ``diverged_at`` names what ended a ``divergence_guard`` run: the stage
     whose value turned non-finite (see :class:`NonFiniteError`), or
     ``"norm limit"`` when an iterate left the ball of radius
@@ -419,7 +463,7 @@ class RunReport:
 
     algorithm: str
     instance: str
-    trajectory: list
+    trajectory: Trajectory
     iterations: int
     terminated_by: str
     final: np.ndarray
@@ -715,13 +759,6 @@ class FejerAudit:
     links: tuple
 
 
-#: What the stage points (and a released ``psi_prev``) of a state read
-#: once :func:`run` has audited and released them: one shared, read-only,
-#: empty array.
-RELEASED = np.empty(0)
-RELEASED.flags.writeable = False
-
-
 #: Chain link names; link k compares distance row k with row k + 1 of
 #: :func:`_audit` over (xi, phi_p, pi, delta, psi_prev).
 _LINKS = ("xi_le_phi", "phi_le_pi", "pi_le_delta", "delta_le_psi")
@@ -796,12 +833,12 @@ def audit_fejer_chain(state: IterState, q) -> FejerAudit:
     :func:`run` does.  The last link is the averaging-monotone inequality
     tying the forward-backward point back to the iterate the step started
     from.  A q of another dimension than the state raises
-    :class:`~viscosplit.hilbert.DimensionMismatch`, and a state whose
-    stage points :func:`run` has released raises ``ValueError``: its
-    chain can no longer be measured, only read from ``fejer_ok``.
+    :class:`~viscosplit.hilbert.DimensionMismatch`, and an interior item
+    of a :class:`Trajectory`, which holds no vector, raises ``ValueError``:
+    its chain can no longer be measured, only read from ``fejer_ok``.
     """
     if not state.xi.size:
-        raise ValueError(f"the stage points of state n={state.n} were "
+        raise ValueError(f"the vectors of state n={state.n} were "
                          f"released after run() audited the state")
     qv = as_vector(q, state.psi.size)
     d, failed, _ = _audit([state], qv[np.newaxis], np.inf)
@@ -905,11 +942,11 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     counts and each state's ``fejer_ok`` are exact, the same as one state
     at a time.  Recording keeps every state up to n = 10000 and then
     every hundredth, unless ``record_stride`` forces a fixed stride, and
-    always the last.  Each state is released by that rule (see
-    :class:`IterState`) once its audit has run, or at once without common
-    points, since nothing reads its stage points then.  The report's
-    ``vi_residual`` is nan without common points, or when an operator it
-    evaluates is non-finite at the last iterate.
+    always the last: a state's row of the report's :class:`Trajectory` is
+    written when its audit block runs, or at once without common points,
+    and no state in between outlives it.  The report's ``vi_residual`` is
+    nan without common points, or when an operator it evaluates is
+    non-finite at the last iterate.
     """
     check_run_arguments(tol, max_iter, record_stride, algorithm)
     if check_schedule:
@@ -932,56 +969,59 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             return n % record_stride == 0
         return n <= 10_000 or n % 100 == 0
 
-    state = initial_state(problem, schedule, psi0)
+    state = first = initial_state(problem, schedule, psi0)
+    psi_norm = norm(state.psi)
     q_rows = np.array(qs).reshape(len(qs), problem.dim)
     limits = np.array([boundedness_radius(problem, schedule.mu_bar,
                                           state.psi, q) for q in qs]
                       ) + CERTIFY_TOL
 
     fejer_violations = bound_violations = 0
-    # States wait here and are audited together: AUDIT_BLOCK of them, or
-    # fewer when their stacked difference would pass STACKED_AUDIT_BYTES.
-    # A state whose own difference passes it is audited at once, point by
-    # point.
+    # States wait here, each with its psi_norm, and are audited together:
+    # AUDIT_BLOCK of them, or fewer when their stacked difference would
+    # pass STACKED_AUDIT_BYTES.  A state whose own difference passes it is
+    # audited at once, point by point.
     pending = []
+    table = array("d")
 
-    def release(st: IterState) -> None:
-        """Drop the stage points of an audited ``st``, and its ``psi_prev``
-        when n > 0 and the recording rule skips state n - 1."""
-        st.delta = st.pi = st.phi = st.xi = RELEASED
-        if st.n and not should_record(st.n - 1):
-            st.psi_prev = RELEASED
+    def write(st: IterState, st_norm: float) -> None:
+        """Append the row of ``st`` to the table."""
+        table.extend((st.n, st_norm, st.dist_to_solution, st.residual_t1,
+                      st.residual_t2, st.residual_t3, st.fb_residual,
+                      st.alpha, st.mu, st.lam,
+                      np.nan if st.fejer_ok is None else st.fejer_ok))
 
     def audit() -> None:
         """Audit the chain and the radius of the pending states against all
-        common points at once, set ``fejer_ok`` on each and release it."""
+        common points at once, set ``fejer_ok`` on each, and write the rows
+        the recording rule keeps; without common points nothing is
+        audited."""
         nonlocal fejer_violations, bound_violations
-        _, failed, outside = _audit(pending, q_rows, limits)
-        fejer_violations += int(np.count_nonzero(failed))
-        bound_violations += int(np.count_nonzero(outside))
-        for st, bad in zip(pending, failed.any(axis=(1, 2)).tolist()):
-            st.fejer_ok = not bad
-            release(st)
+        if qs:
+            states = [st for st, _ in pending]
+            _, failed, outside = _audit(states, q_rows, limits)
+            fejer_violations += int(np.count_nonzero(failed))
+            bound_violations += int(np.count_nonzero(outside))
+            for st, bad in zip(states, failed.any(axis=(1, 2)).tolist()):
+                st.fejer_ok = not bad
+        for st, st_norm in pending:
+            if should_record(st.n):
+                write(st, st_norm)
         pending.clear()
 
-    def hold(st: IterState) -> None:
-        """Queue ``st`` for the audit, and audit the queue once it is full;
-        without common points nothing reads its stage points: release it."""
-        if not qs:
-            release(st)
-            return
-        pending.append(st)
+    def hold(st: IterState, st_norm: float) -> None:
+        """Queue ``st`` for the audit, and audit the queue once it is full."""
+        pending.append((st, st_norm))
         if len(pending) == block:
             audit()
 
-    block = max(1, min(AUDIT_BLOCK,
-                       STACKED_AUDIT_BYTES // (6 * q_rows.nbytes or 1)))
-    hold(state)
-    recorded = [state]
+    block = 1 if not qs else max(1, min(
+        AUDIT_BLOCK, STACKED_AUDIT_BYTES // (6 * q_rows.nbytes)))
+    hold(state, psi_norm)
     terminated, diverged_at = "max_iter", None
     steps = range(max_iter)
     # The start is checked here and every later iterate after its step.
-    if max_iter and norm(state.psi) > DIVERGENCE_LIMIT:
+    if max_iter and psi_norm > DIVERGENCE_LIMIT:
         terminated, diverged_at, steps = "divergence_guard", "norm limit", ()
 
     for _ in steps:
@@ -990,14 +1030,12 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         except NonFiniteError as err:
             terminated, diverged_at = "divergence_guard", err.stage
             break
-        # The step has taken the point; keep it out of the trajectory.
+        # The step has taken the point; keep it out of the held states.
         state.fb_carry = None
-        hold(new)
-        if should_record(new.n):
-            recorded.append(new)
         displacement = norm(new.psi - state.psi)
-        state = new
-        if norm(state.psi) > DIVERGENCE_LIMIT:
+        state, psi_norm = new, norm(new.psi)
+        hold(state, psi_norm)
+        if psi_norm > DIVERGENCE_LIMIT:
             terminated, diverged_at = "divergence_guard", "norm limit"
             break
         worst_residual = max(state.residual_t1, state.residual_t2,
@@ -1009,8 +1047,8 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     # Every exit path leaves the loop here.
     if pending:
         audit()
-    if recorded[-1] is not state:
-        recorded.append(state)
+    if table[-len(COLUMNS)] != state.n:
+        write(state, psi_norm)
     state.fb_carry = None
 
     final_vi = np.nan
@@ -1021,7 +1059,8 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             pass  # an operator is non-finite at the last iterate
 
     return RunReport(
-        algorithm=algorithm, instance=problem.name, trajectory=recorded,
+        algorithm=algorithm, instance=problem.name,
+        trajectory=Trajectory(table, first, state),
         iterations=state.n, terminated_by=terminated, final=state.psi,
         vi_residual=final_vi, fejer_violations=fejer_violations,
         bound_violations=bound_violations, audit_points=len(qs),

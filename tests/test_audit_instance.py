@@ -81,10 +81,27 @@ def test_precondition_errors_propagate():
     box = load_instance("inclusion_box")
     with pytest.raises(ValueError, match=r"^eta=5\.0 outside \(0, "):
         audit_instance(dataclasses.replace(box, eta=5.0))
-    # A mapping that declares no fixed point cannot be audited.
+    # A mapping that declares no fixed point, on a problem that declares
+    # no common point, cannot be audited.
     bare = MultiMap(kind=KIND_QUASI_NONEXPANSIVE, points=lambda x: 0.5 * x)
     with pytest.raises(ValueError, match="at least one known fixed point"):
-        audit_instance(dataclasses.replace(box, t1=bare))
+        audit_instance(dataclasses.replace(box, t1=bare,
+                                           known_common_points=()))
+
+
+def test_a_mapping_without_fixed_points_is_audited_at_the_common_points():
+    # Every certified common point q has T q = {q}, so it is a fixed point
+    # of each mapping: the audit of T1 pairs the sample with them.
+    box = load_instance("inclusion_box")
+    bare = MultiMap(kind=KIND_QUASI_NONEXPANSIVE, points=lambda x: 0.5 * x)
+    problem = dataclasses.replace(box, t1=bare)
+    results = audit_instance(problem)
+    assert len(results) == len(audit_instance(box)) == 7
+    label, res = results[0]
+    assert label == "T1 (T1) quasi_nonexpansive"
+    assert res.passed
+    assert res.checked == 200 * len(problem.known_common_points)
+    assert bare.fixed_points == ()
 
 
 @pytest.mark.parametrize("instance_id", sorted(catalog()))

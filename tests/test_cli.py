@@ -292,6 +292,16 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, extra):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("dim", [10**15, 2**63 - 1, 10**30])
+def test_a_dim_numpy_refuses_exits_two(tmp_path, capsys, dim):
+    # 10**15 float64 entries are 7.11 PiB, past any address space, so
+    # numpy raises MemoryError without allocating; larger dims overflow.
+    cfg = write_config(tmp_path, {"cells": [box_cell(**{"instance.dim": dim})]})
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: invalid instance parameters: ")
+
+
 @pytest.mark.parametrize("payload", [
     [box_cell()],
     {"cells": [box_cell()], "bogus": 1},
@@ -321,8 +331,10 @@ _DOCUMENTED_KEYS = (
                                      "alpha", "theta", "beta", "gamma",
                                      "mu", "lam")])
 
-# Small ints only, so that no instance.dim allocates a large array.
-_SCALARS = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats()
+# Small ints, so that no instance.dim allocates a large array, and ints
+# of at least 10**15, which numpy refuses as a dim without allocating.
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 6)
+            | st.integers(10**15, 10**18) | st.floats()
             | st.text(max_size=4)
             | st.sampled_from(["metric", "first_enumerated", "constant"]))
 _JSON = st.recursive(

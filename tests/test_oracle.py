@@ -14,12 +14,13 @@ and flags ``run()`` got from auditing all certified points at once, on
 small instances (one stacked pass over all six points) and on a wide one
 (one point at a time).
 
-``run()`` releases the stage points of every state it records, so both
-oracles read them from the recorded states stepped again
-(:func:`restage.restaged`).
+``run()`` keeps only the start and the final state whole, so both oracles
+read the vectors of the states between them from the start stepped again
+(:func:`restage.restaged`), which also checks each recorded row.
 """
 import dataclasses
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +112,12 @@ def rewrapped(problem, wrap):
 def bits(report):
     """What a run's T-stages feed: every recorded iterate, its residuals
     and chain verdict, bit for bit, and the violation counts."""
-    states = report.trajectory
+    states = restaged(report)
     return (np.array([st.psi for st in states]).tobytes(),
             np.array([(st.residual_t1, st.residual_t2, st.residual_t3,
                        st.fb_residual) for st in states]).tobytes(),
-            [st.fejer_ok for st in states], report.fejer_violations,
+            [st.fejer_ok for st in report.trajectory],
+            report.fejer_violations,
             report.bound_violations, report.iterations, report.terminated_by)
 
 
@@ -250,33 +252,87 @@ def held_bytes(trajectory) -> int:
     pytest.param(lambda: load_instance("trivial_collapse"), "main",
                  {"tol": 1e-12, "max_iter": 10_250}, "max_iter",
                  id="trivial_collapse-past_the_switch"),
-    # States 3, 6 and 9 release psi_prev; the final state 10 keeps it.
+    # States 3, 6 and 9 are rows; the final state 10 is kept whole.
     pytest.param(lambda: load_instance("inclusion_box"), "main",
                  {"record_stride": 3, "max_iter": 10}, "max_iter",
                  id="inclusion_box-stride_3"),
     pytest.param(lambda: make_inclusion_instance(dim=1, anchor=[5.0]),
                  "main", {"record_stride": 3, "max_iter": 10}, "max_iter",
                  id="no_common_points-stride_3")])
-def test_the_trajectory_holds_one_vector_per_state(build, rule, arguments,
-                                                   termination):
-    # Each psi_prev is the psi recorded before it, or released when the
-    # state before was not recorded, and the stage points, once released,
-    # hold no bytes.
+def test_the_trajectory_holds_two_states_of_vectors(build, rule, arguments,
+                                                    termination):
+    # The start and the final state are kept whole, each with at most six
+    # distinct vectors; every state between them is a row of scalars.
     problem = build()
     report = run(rule, problem, default_schedule_for(problem), **arguments)
     assert report.terminated_by == termination
-    limit = (len(report.trajectory) + 1) * 8 * problem.dim
+    limit = 12 * 8 * problem.dim
     assert held_bytes(report.trajectory) <= limit
-    # perfbench's tracer reads the stage fields as arrays.
+    # perfbench's tracer reads the vector fields as arrays on every item.
     assert _load_tracing().trajectory_bytes(report.trajectory) <= limit
-    for k, st in enumerate(report.trajectory):
-        assert st.delta is st.pi is st.phi is st.xi is RELEASED
-        if st.n == 0:
-            assert st.psi_prev is st.psi
-        elif report.trajectory[k - 1].n == st.n - 1:
-            assert st.psi_prev is report.trajectory[k - 1].psi
-        else:
-            assert st.psi_prev is RELEASED
+    trajectory = report.trajectory
+    assert trajectory[0] is trajectory.first
+    assert trajectory[0].psi_prev is trajectory[0].psi
+    assert trajectory[-1] is trajectory.last
+    assert trajectory[-1].n == report.iterations
+    assert np.array_equal(trajectory[-1].psi, report.final)
+    audited = bool(problem.known_common_points)
+    for st in list(trajectory)[1:-1]:
+        assert (st.psi is st.psi_prev is st.delta is st.pi is st.phi
+                is st.xi is RELEASED)
+        assert type(st.n) is int
+        assert type(st.fejer_ok) is (bool if audited else type(None))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_instance("inclusion_ball"),
+    lambda: make_inclusion_instance(dim=1, anchor=np.array([5.0]))],
+    ids=["audited", "no_common_points"])
+def test_trajectory_items_read_their_rows(build):
+    problem = build()
+    report = run("sow", problem, default_schedule_for(problem), max_iter=12,
+                 record_stride=5)
+    trajectory = report.trajectory
+    assert len(trajectory) == 4
+    items = list(trajectory)
+    assert [st.n for st in items] == [0, 5, 10, 12]
+    assert [trajectory[k].n for k in range(-4, 0)] == [0, 5, 10, 12]
+    assert trajectory[-4] is trajectory.first
+    with pytest.raises(IndexError):
+        trajectory[4]
+    with pytest.raises(IndexError):
+        trajectory[-5]
+    fields = ("n", "dist_to_solution", "residual_t1", "residual_t2",
+              "residual_t3", "fb_residual", "alpha", "mu", "lam")
+    for item, state in zip(items, restaged(report)):
+        assert all(type(getattr(item, f)) is type(getattr(state, f))
+                   is (int if f == "n" else float) for f in fields)
+        assert np.array([getattr(item, f) for f in fields]).tobytes() == \
+            np.array([getattr(state, f) for f in fields]).tobytes()
+    assert [st.fejer_ok for st in items] == (
+        [True] * 4 if problem.known_common_points else [None] * 4)
+
+
+@pytest.mark.parametrize("rule", ["main", "fc"])
+def test_retained_memory_grows_with_the_rows_not_the_dimension(rule):
+    # At WIDE_DIM an iterate is 32 kB; a row of the table is 88 bytes.
+    problem = load_instance("trivial_collapse", dim=WIDE_DIM)
+    schedule = default_schedule_for(problem)
+
+    def retained(max_iter):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run(rule, problem, schedule, max_iter=max_iter)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(report.trajectory) == max_iter + 1
+        return held
+
+    short, long = retained(100), retained(400)
+    assert long - short <= 300 * 200
+    assert long <= 12 * 8 * problem.dim + 400 * 200
 
 
 @pytest.mark.parametrize("build", [
@@ -284,13 +340,19 @@ def test_the_trajectory_holds_one_vector_per_state(build, rule, arguments,
     lambda: make_inclusion_instance(dim=1, anchor=np.array([5.0]))],
     ids=["audited", "no_common_points"])
 def test_a_recorded_state_cannot_be_audited_again(build):
+    # Only the start and the final state keep their stage points.
     problem = build()
     report = run("main", problem, default_schedule_for(problem),
                  max_iter=3)
     q = np.zeros(problem.dim)
-    for st in report.trajectory:
+    for st in list(report.trajectory)[1:-1]:
         with pytest.raises(ValueError, match="released after run"):
             audit_fejer_chain(st, q)
+    final = report.trajectory[-1]
+    links = audit_fejer_chain(final, q).links
+    assert [link[0] for link in links] == list(solvers._LINKS)
+    if problem.known_common_points:
+        assert final.fejer_ok is all(link[3] for link in links)
 
 
 def test_a_stepped_state_keeps_its_chain():
