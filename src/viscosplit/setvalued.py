@@ -25,10 +25,10 @@ The function must take a (k, d) stack to the stack of its image points,
 each row equal bit for bit to the image point at that row alone, so the
 audits read the same numbers as case by case; the first row of each
 stacked value is compared with the function at that row alone, and a
-mismatch raises ``ValueError``.  Any other mapping runs case by case: its
-images ``T.image`` and the private kernels behind :func:`distance_to_set`
-and :func:`hausdorff`, which check nothing again.
-Each image is checked by its constructor.  Norms of the stacked rows come
+mismatch raises ``ValueError``.  Any other mapping runs case by case: each
+of its images is checked to be one (see :meth:`MultiMap.__call__`), and
+then measures itself and checks nothing again.  Each image is checked by
+its constructor.  Norms of the stacked rows come
 from :func:`~viscosplit.hilbert.row_norms`, equal to
 :func:`~viscosplit.hilbert.norm` bit for bit.
 """
@@ -49,115 +49,7 @@ class UnsupportedPairing(TypeError):
 
 
 # --------------------------------------------------------------------------
-# Image types
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Singleton:
-    """The image {point}.  ``point`` is coerced and scanned as by
-    :func:`~viscosplit.hilbert.as_vector`, so a checked float64 vector is
-    its own point."""
-
-    point: np.ndarray
-
-    def __init__(self, point):
-        # Written to the instance dict: the generated frozen __init__
-        # would pay one object.__setattr__ per field.
-        self.__dict__["point"] = as_vector(point)
-
-
-@dataclass(frozen=True)
-class FiniteSet:
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(as_vector(p) for p in self.points)
-        if not pts:
-            raise ValueError("finite image must be nonempty")
-        if len({p.size for p in pts}) != 1:
-            raise DimensionMismatch("points in one image must share a dimension")
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
-class BallImage:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        # The radius is checked like a coordinate: NonFiniteError unless
-        # it is finite.
-        object.__setattr__(self, "radius", float(as_vector(self.radius, 1)[0]))
-        if self.radius < 0:
-            raise ValueError("image radius must be nonnegative")
-
-
-SetImage = Singleton | FiniteSet | BallImage
-
-
-def _sized(S: SetImage, dim: int, stage: str) -> SetImage:
-    """``S``; raises :class:`~viscosplit.hilbert.DimensionMismatch` naming
-    ``stage`` unless its points have dimension ``dim``."""
-    size = (S.center if isinstance(S, BallImage) else _enumerable(S)[0]).size
-    if size != dim:
-        raise DimensionMismatch(
-            f"{stage}: expected dimension {dim}, got {size}", stage)
-    return S
-
-
-def distance_to_set(x, S: SetImage) -> float:
-    """d(x, S) = min over s in S of ||x - s||."""
-    return _distance(as_vector(x), S)
-
-
-def _distance(xv: np.ndarray, S: SetImage) -> float:
-    """:func:`distance_to_set` at a vector ``xv`` already checked."""
-    if isinstance(S, Singleton):
-        return norm(xv - S.point)
-    if isinstance(S, FiniteSet):
-        return min(norm(xv - p) for p in S.points)
-    if isinstance(S, BallImage):
-        return max(norm(xv - S.center) - S.radius, 0.0)
-    raise TypeError(f"unknown image type {type(S).__name__}")
-
-
-def _farthest(S: SetImage, q: np.ndarray) -> float:
-    """H(S, {q}) for a checked point ``q``: the largest distance from q to
-    a point of S, so d + r for a ball whose center lies at distance d."""
-    if isinstance(S, Singleton):
-        return norm(S.point - q)
-    if isinstance(S, FiniteSet):
-        return max(norm(p - q) for p in S.points)
-    if isinstance(S, BallImage):
-        return norm(S.center - q) + S.radius
-    raise TypeError(f"unknown image type {type(S).__name__}")
-
-
-def hausdorff(A: SetImage, B: SetImage) -> float:
-    """Hausdorff distance between two images.
-
-    Against a singleton {q} it is the farthest point of the other image
-    from q.  Two balls use the closed form max(d + r1 - r2, d + r2 - r1, 0)
-    with d the distance of the centers, and two finite sets the max-min
-    formula.  A finite set with more than one point against a ball has no
-    closed form here and raises :class:`UnsupportedPairing`.
-    """
-    if isinstance(A, Singleton):
-        A, B = B, A
-    if isinstance(B, Singleton):
-        return _farthest(A, B.point)
-    if isinstance(A, BallImage) and isinstance(B, BallImage):
-        d = norm(A.center - B.center)
-        return max(d + A.radius - B.radius, d + B.radius - A.radius, 0.0)
-
-    pa, pb = _enumerable(A), _enumerable(B)
-    return max(max(_distance(a, B) for a in pa),
-               max(_distance(b, A) for b in pb))
-
-
-# --------------------------------------------------------------------------
-# Selection rules
+# Images
 # --------------------------------------------------------------------------
 
 class SelectionRule(Enum):
@@ -173,29 +65,151 @@ class SelectionRule(Enum):
     FIRST_ENUMERATED = "first_enumerated"
 
 
+# Each image kind measures itself, checking nothing again: its
+# constructor checked it.  ``measure(x, rule, dim)`` is one pass at a
+# checked point x that returns d(x, S) and the point of S that ``rule``
+# selects, None without a rule (a singleton gives its point under any
+# rule).  With ``dim`` it first compares the size of the image's points
+# with it, and another size raises DimensionMismatch.  ``farthest(q)`` is
+# H(S, {q}), the largest distance from a checked q to a point of S, and
+# ``members()`` the points of S; a ball has no members here and raises
+# UnsupportedPairing.
+
+@dataclass(frozen=True)
+class Singleton:
+    """The image {point}.  ``point`` is coerced and scanned as by
+    :func:`~viscosplit.hilbert.as_vector`, so a checked float64 vector is
+    its own point."""
+
+    point: np.ndarray
+
+    def __init__(self, point):
+        # Written to the instance dict: the generated frozen __init__
+        # would pay one object.__setattr__ per field.
+        self.__dict__["point"] = as_vector(point)
+
+    def measure(self, x, rule=None, dim=None):
+        # The residual is 0.0 with no subtraction when the point is x
+        # itself, as an identity mapping's is.
+        y = self.point
+        if dim is not None and y.size != dim:
+            raise DimensionMismatch(f"expected dimension {dim}, got {y.size}")
+        return (0.0 if y is x else norm(x - y)), y
+
+    def farthest(self, q) -> float:
+        return norm(self.point - q)
+
+    def members(self) -> tuple:
+        return (self.point,)
+
+
+@dataclass(frozen=True)
+class FiniteSet:
+    points: tuple
+
+    def __post_init__(self):
+        pts = tuple(as_vector(p) for p in self.points)
+        if not pts:
+            raise ValueError("finite image must be nonempty")
+        if len({p.size for p in pts}) != 1:
+            raise DimensionMismatch("points in one image must share a dimension")
+        object.__setattr__(self, "points", pts)
+
+    def measure(self, x, rule=None, dim=None):
+        pts = self.points
+        size = pts[0].size
+        if dim is not None and size != dim:
+            raise DimensionMismatch(f"expected dimension {dim}, got {size}")
+        # Each norm is taken once; index() finds the lowest-index minimum.
+        norms = [norm(x - p) for p in pts]
+        d = min(norms)
+        return d, (None if rule is None else pts[0]
+                   if rule is SelectionRule.FIRST_ENUMERATED
+                   else pts[norms.index(d)])
+
+    def farthest(self, q) -> float:
+        return max(norm(p - q) for p in self.points)
+
+    def members(self) -> tuple:
+        return self.points
+
+
+@dataclass(frozen=True)
+class BallImage:
+    center: np.ndarray
+    radius: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", as_vector(self.center))
+        # The radius is checked like a coordinate: NonFiniteError unless
+        # it is finite.
+        object.__setattr__(self, "radius", float(as_vector(self.radius, 1)[0]))
+        if self.radius < 0:
+            raise ValueError("image radius must be nonnegative")
+
+    def measure(self, x, rule=None, dim=None):
+        # The metric selection is x inside the ball, else the point where
+        # the segment from the center to x leaves it.
+        c, r = self.center, self.radius
+        if dim is not None and c.size != dim:
+            raise DimensionMismatch(f"expected dimension {dim}, got {c.size}")
+        gap = x - c
+        dist = norm(gap)
+        d = max(dist - r, 0.0)
+        if rule is None:
+            return d, None
+        if rule is SelectionRule.FIRST_ENUMERATED:
+            return d, c
+        return d, x if dist <= r else c + (r / dist) * gap
+
+    def farthest(self, q) -> float:
+        return norm(self.center - q) + self.radius
+
+    def members(self) -> tuple:
+        raise UnsupportedPairing("no closed form here for a BallImage: "
+                                 "the pairing needs enumerable images")
+
+
+SetImage = Singleton | FiniteSet | BallImage
+
+
+def _image(S) -> SetImage:
+    """``S``, unless it is not an image: then ``TypeError`` naming its
+    type."""
+    if not isinstance(S, SetImage):
+        raise TypeError(f"unknown image type {type(S).__name__}")
+    return S
+
+
+def distance_to_set(x, S: SetImage) -> float:
+    """d(x, S) = min over s in S of ||x - s||."""
+    return _image(S).measure(as_vector(x))[0]
+
+
 def select_from(S: SetImage, rule: SelectionRule, x) -> np.ndarray:
     """One point of the image ``S`` under ``rule``, for the query ``x``."""
-    return _select(S, rule, as_vector(x))
+    return _image(S).measure(as_vector(x), rule)[1]
 
 
-def _select(S: SetImage, rule: SelectionRule, xv: np.ndarray) -> np.ndarray:
-    """:func:`select_from` for a query ``xv`` already checked."""
-    if isinstance(S, Singleton):
-        return S.point
-    if isinstance(S, FiniteSet):
-        if rule is SelectionRule.FIRST_ENUMERATED:
-            return S.points[0]
-        dists = [norm(xv - p) for p in S.points]
-        return S.points[int(np.argmin(dists))]
-    if isinstance(S, BallImage):
-        if rule is SelectionRule.FIRST_ENUMERATED:
-            return S.center
-        gap = xv - S.center
-        d = norm(gap)
-        if d <= S.radius:
-            return xv
-        return S.center + (S.radius / d) * gap
-    raise TypeError(f"unknown image type {type(S).__name__}")
+def hausdorff(A: SetImage, B: SetImage) -> float:
+    """Hausdorff distance between two images.
+
+    Against a one-member image {q}, a singleton or a one-point finite set,
+    it is the farthest point of the other image from q.  Two balls use the
+    closed form max(d + r1 - r2, d + r2 - r1, 0) with d the distance of
+    the centers, and two finite sets the max-min formula.  A finite set
+    with more than one point against a ball has no closed form here and
+    raises :class:`UnsupportedPairing`.
+    """
+    A, B = _image(A), _image(B)
+    for P, Q in ((A, B), (B, A)):
+        if not isinstance(P, BallImage) and len(P.members()) == 1:
+            return Q.farthest(P.members()[0])
+    if isinstance(A, BallImage) and isinstance(B, BallImage):
+        d = norm(A.center - B.center)
+        return max(d + A.radius - B.radius, d + B.radius - A.radius, 0.0)
+    return max(max(B.measure(a)[0] for a in A.members()),
+               max(A.measure(b)[0] for b in B.members()))
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +279,9 @@ class MultiMap:
             self, "fixed_points", tuple(as_vector(p) for p in self.fixed_points))
 
     def __call__(self, x) -> SetImage:
-        return self.image(as_vector(x))
+        """The image at ``x``; a value that is not an image raises
+        ``TypeError`` naming its type."""
+        return _image(self.image(as_vector(x)))
 
     @property
     def demi_constant(self) -> float:
@@ -448,9 +464,9 @@ def check_demicontractive(T: MultiMap, beta: float,
         else:
             far, dist = [], []
             for x, q in zip(xs, qs):
-                img = T.image(x)
-                far.append(_farthest(img, q))
-                dist.append(_distance(x, img))
+                img = _image(T.image(x))
+                far.append(img.farthest(q))
+                dist.append(img.measure(x)[0])
             far, dist = np.array(far), np.array(dist)
         gap = row_norms(xs - qs)
         return far * far, gap * gap + beta * (dist * dist)
@@ -464,7 +480,8 @@ def check_quasi_nonexpansive(T: MultiMap, points: Sequence) -> AuditResult:
         if T.points is not None:
             far = row_norms(_stacked(T.points, xs) - qs)
         else:
-            far = np.array([_farthest(T.image(x), q) for x, q in zip(xs, qs)])
+            far = np.array([_image(T.image(x)).farthest(q)
+                            for x, q in zip(xs, qs)])
         return far, row_norms(xs - qs)
     return sampled_audit("quasi_nonexpansive", _fixed_point_pairs(T, points),
                          sides)
@@ -494,10 +511,10 @@ def check_strictly_pseudocontractive(T: MultiMap, k: float,
             # case j owns the rows from starts[j] to the next case's start.
             haus, disp, starts = [], [], []
             for x, y in zip(xs, ys):
-                img_x, img_y = T.image(x), T.image(y)
+                img_x, img_y = _image(T.image(x)), _image(T.image(y))
                 starts.append(len(disp))
-                disp += [(x - u) - (y - w) for u in _enumerable(img_x)
-                         for w in _enumerable(img_y)]
+                disp += [(x - u) - (y - w) for u in img_x.members()
+                         for w in img_y.members()]
                 haus.append(hausdorff(img_x, img_y))
             haus = np.array(haus)
             disp = np.minimum.reduceat(row_norms(np.array(disp)), starts)
@@ -521,14 +538,3 @@ def audit_mapping(T: MultiMap, points: Sequence | Sample,
         return check_strictly_pseudocontractive(T, T.constant, pairs)
     return check_quasi_nonexpansive(T, points)
 
-
-def _enumerable(S: SetImage) -> tuple:
-    """The points of a singleton or finite image; any other image raises
-    :class:`UnsupportedPairing`, since no closed form pairs it here."""
-    if isinstance(S, Singleton):
-        return (S.point,)
-    if isinstance(S, FiniteSet):
-        return S.points
-    raise UnsupportedPairing(
-        f"no closed form here for a {type(S).__name__}: "
-        "the pairing needs enumerable images")

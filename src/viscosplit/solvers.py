@@ -73,17 +73,18 @@ dimension:
   once: the forward operator's value (``op.apply`` at a checked point;
   only the value is coerced and checked, and a value that is the point
   itself is not scanned again), because it enters the resolvent; each
-  image a mapping returns (checked by its constructor: ``Singleton``,
-  ``FiniteSet``, ``BallImage``, and its dimension compared with the
-  problem's, since a 1-vector would broadcast); and the anchor target,
-  which the projection checks at its own boundary before it returns the
-  new iterate.  Each image is measured with one dispatch on its type: a
-  singleton's point is the selection, read directly, and its residual is
-  ``norm(x - point)``, or 0.0 with no subtraction when the point is the
-  argument x itself, as an identity mapping's is (a checked float64
-  vector is its own ``Singleton`` point, and the constructor scanned it).
-  A finite set or a ball goes through the kernels of
-  :mod:`viscosplit.setvalued`.
+  image a mapping returns (checked by its constructor, and its dimension
+  compared with the problem's, since a 1-vector would broadcast); and
+  the anchor target, which the projection checks at its own boundary
+  before it returns the new iterate.  Each image measures itself in one
+  call (see :mod:`viscosplit.setvalued`), which compares its dimension
+  and returns its residual with its selected point: a singleton's point
+  is the selection, and its residual is ``norm(x - point)``, or 0.0 with
+  no subtraction when the point is the argument x itself, as an
+  identity mapping's is (a checked float64 vector is its own
+  ``Singleton`` point, and the constructor scanned it).  The sizes of
+  the resolvent's, the contraction's and the strong operator's values
+  are compared with the problem's dimension too, with no scan.
 
 The other values a step makes are caught downstream, not scanned:
 delta, pi and phi_p, and the forward-backward point carried to the next
@@ -110,13 +111,16 @@ as that fully checked step does: a non-finite value raises
 :class:`NonFiniteError` naming it (``"forward operator"``, ``"delta"``,
 ``"T1 image"``, ``"pi"``, ``"contraction"``, ``"psi"``, ...), which
 :func:`run` turns into the ``divergence_guard`` termination and keeps as
-``RunReport.diverged_at``.  The replay also checks the dimension of the
-forward operator's and the resolvent's values, each image, and the
-contraction and strong operator values: one of another dimension than
-the problem raises :class:`~viscosplit.hilbert.DimensionMismatch`
-naming it in the same way, and :func:`run` lets it propagate, since no
-iteration can go on from it.  Certifying a common point at construction
-checks its values the same way.
+``RunReport.diverged_at``.  A value of another dimension than the
+problem (the forward operator's or the resolvent's value, an image, the
+contraction or strong operator value) fails the first pass, and the
+replay raises :class:`~viscosplit.hilbert.DimensionMismatch` naming it
+in the same way; a mapping's value that is not an image raises
+``TypeError`` naming its type.  :func:`run` lets both propagate, since
+no iteration can go on from them.  Certifying a common point at
+construction checks its values the same way, and
+:func:`boundedness_radius` and :func:`vi_residual` check the dimension
+of the contraction and strong operator values they take.
 
 Whether a problem's declarations hold is a separate question, which
 construction does not answer: :func:`audit_instance` audits each declared
@@ -146,8 +150,7 @@ from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
                        check_wang_contraction)
 from .schedules import Schedule, ValidationReport, ViscosityParams, validate
 from .setvalued import (AuditResult, MultiMap, Sample, SelectionRule,
-                        SetImage, Singleton, _distance, _farthest, _select,
-                        _sized, audit_mapping)
+                        audit_mapping)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -290,21 +293,20 @@ class ProblemInstance:
         qv = as_vector(q, self.dim)
         lam = self.params.lam_mid
         defects = []
-        res = norm(qv - _fb_point(self, lam, qv, self.dim))
+        res = norm(qv - _fb_point(self, lam, qv, True))
         if not res <= CERTIFY_TOL:
             defects.append(
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
         for i, (t, stage) in enumerate(zip(self.maps, _IMAGES), start=1):
             try:
-                img = t.image(qv)
+                img = t(qv)
+                d = img.measure(qv, None, self.dim)[0]
             except ValueError as err:
                 raise _named(err, stage) from None
-            d = _t_stage(img, qv, self.dim, stage)[0]
             if not d <= CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
                 continue
-            # H({p}, {q}) is the distance d just measured.
-            h = d if type(img) is Singleton else _farthest(img, qv)
+            h = img.farthest(qv)
             if not h <= CERTIFY_TOL:
                 defects.append(f"T{i} q is not the singleton {{q}}: H = {h:g}")
         return defects
@@ -524,11 +526,12 @@ _IMAGES = ("T1 image", "T2 image", "T3 image")
 _AVERAGED = ("pi", "phi_p", "xi")
 
 
-def _vector(v, dim: int | None) -> np.ndarray:
-    """``v`` coerced as by :func:`~viscosplit.hilbert.as_vector`; a float
-    vector is checked, for finiteness and dimension ``dim``, only when
-    ``dim`` is given (in a checked replay)."""
-    return as_vector(v, dim) if dim or not _is_vector(v) else v
+def _vector(v, dim: int, checked: bool) -> np.ndarray:
+    """``v`` coerced as by :func:`~viscosplit.hilbert.as_vector`, and of
+    dimension ``dim``; a float vector of that dimension is scanned for
+    finiteness only when ``checked`` (in a checked replay)."""
+    fresh = checked or not _is_vector(v) or v.size != dim
+    return as_vector(v, dim) if fresh else v
 
 
 def _named(err: Exception, stage: str | None) -> Exception:
@@ -542,46 +545,23 @@ def _named(err: Exception, stage: str | None) -> Exception:
 
 
 def _fb_point(problem: ProblemInstance, lam: float, x: np.ndarray,
-              dim: int | None) -> np.ndarray:
+              checked: bool) -> np.ndarray:
     """J(x - lam*Forward x) at the checked point ``x``; like
     :func:`~viscosplit.monotone.resolvent`, rejects a lam that is not > 0.
-    The forward operator's value is checked, and with ``dim`` (the
-    problem's, in a checked pass) the resolvent's value too, and both
-    dimensions; a :class:`NonFiniteError` or
+    The forward operator's value is checked, and so is the resolvent's
+    value when ``checked`` (a checked pass); the dimension of both is
+    compared with the problem's.  A :class:`NonFiniteError` or
     :class:`~viscosplit.hilbert.DimensionMismatch` names
     ``"forward operator"`` or ``"delta"``."""
     stage = "forward operator"
     try:
-        y = x - lam * _value(problem.forward, x, dim)
+        y = x - lam * _value(problem.forward, x, problem.dim)
         _check_lam(lam)
         stage = "delta"
-        return _vector(problem.inclusion.resolvent(lam, y), dim)
+        return _vector(problem.inclusion.resolvent(lam, y), problem.dim,
+                       checked)
     except ValueError as err:
         raise _named(err, stage) from None
-
-
-def _t_stage(img: SetImage, x: np.ndarray, dim: int, stage: str,
-             rule: SelectionRule | None = None
-             ) -> tuple[float, np.ndarray | None]:
-    """The residual d(x, img) of the image ``img`` a mapping returned at
-    the checked point ``x``, and its point selected under ``rule``: None
-    without a rule, unless the image is a singleton.
-
-    An image of another dimension than ``dim`` raises
-    :class:`~viscosplit.hilbert.DimensionMismatch` naming ``stage``.  A
-    :class:`~viscosplit.setvalued.Singleton` is read directly: its point is
-    the selection, and the residual is ``norm(x - point)``, or 0.0 with no
-    subtraction when the point is ``x`` itself (as an identity mapping's
-    is: its constructor scanned it, so no non-finite x gets here).  Any
-    other image goes through the kernels of :mod:`viscosplit.setvalued`.
-    """
-    if type(img) is Singleton:
-        y = img.point
-        if y.size != dim:
-            _sized(img, dim, stage)  # raises, naming the stage
-        return (0.0 if y is x else norm(x - y)), y
-    _sized(img, dim, stage)
-    return _distance(x, img), None if rule is None else _select(img, rule, x)
 
 
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
@@ -592,23 +572,23 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
     defined from index 1.  Every T_i residual is measured, at the stage
     point it would average, also when that averaging line does not run,
     and a point is selected only where the line runs.  Each image is
-    measured and selected with one dispatch on its type (:func:`_t_stage`):
-    a singleton's point is read directly, and a point that is the stage
+    measured and selected in one call of its own ``measure``: a
+    singleton's point is read directly, and a point that is the stage
     point itself, as an identity mapping's is, has residual 0.0 with no
     subtraction.
 
     The first pass scans only the values nothing downstream rejects (see
     the module docstring).  If it fails in any way, the step is replayed
-    with ``checked``, which scans every value where it is made and checks
-    its dimension, so the step fails as the fully checked step does: a
-    :class:`NonFiniteError` names the value that turned non-finite, and a
-    :class:`~viscosplit.hilbert.DimensionMismatch` the value of another
-    dimension than the problem.
+    with ``checked``, which scans every value where it is made and takes
+    each image through the mapping's call, so the step fails as the fully
+    checked step does: a :class:`NonFiniteError` names the value that
+    turned non-finite, a :class:`~viscosplit.hilbert.DimensionMismatch`
+    the value of another dimension than the problem, and a ``TypeError``
+    the type of a mapping's value that is not an image.
     """
     i = state.n + 1
     lam = schedule.lam(i)
     psi = state.psi
-    dim = problem.dim if checked else None
     stage = None
     try:
         # The residual of ``state`` evaluated J(psi - lam*Forward psi) with
@@ -618,18 +598,18 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         if carry is not None and carry[0] is problem and lam == state.lam:
             x = carry[1]
         else:
-            x = _fb_point(problem, lam, psi, dim)
+            x = _fb_point(problem, lam, psi, checked)
         # Each image is dropped when it is measured, and its point after
         # its averaging line, so no image point reaches the anchor line.
         points, residuals = [x], []
         weights = (schedule.theta, schedule.beta, schedule.gamma)
         for k, (t, weight) in enumerate(zip(problem.maps, weights)):
             stage = _IMAGES[k]
-            averages = k < anchor.stages
-            d, y = _t_stage(t.image(x), x, problem.dim, stage,
-                            problem.selection if averages else None)
+            rule = problem.selection if k < anchor.stages else None
+            d, y = (t(x) if checked else t.image(x)).measure(x, rule,
+                                                             problem.dim)
             residuals.append(d)
-            if averages:
+            if rule is not None:
                 w = weight(i)
                 stage = _AVERAGED[k]
                 x = w * x + (1.0 - w) * y
@@ -647,22 +627,23 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             # line, so that no operator value outlives its term.
             stage = "contraction"
             target = a * p.gamma * _vector(problem.contraction.apply(psi),
-                                           dim)
+                                           problem.dim, checked)
             stage = "strong operator"
             if anchor.mixes:
                 target += m * c
                 target += (1.0 - m) * (psi - p.eta * a * _vector(
-                    problem.strong.apply(psi), dim))
+                    problem.strong.apply(psi), problem.dim, checked))
             else:
                 target += c
-                target -= p.eta * a * _vector(problem.strong.apply(c), dim)
+                target -= p.eta * a * _vector(problem.strong.apply(c),
+                                              problem.dim, checked)
             stage = "psi"
             psi_new = project(problem.feasible, target)
         else:
             a = m = np.nan
             psi_new = points[0]
         return _build_state(problem, i, psi_new, psi, points, residuals, a,
-                            m, lam, dim)
+                            m, lam, checked)
     except Exception as err:
         # Unscanned values may reach a mapping, an operator or numpy
         # arithmetic that fails in its own way (a warning raised as an
@@ -675,16 +656,16 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
 
 def _build_state(problem: ProblemInstance, n: int, psi: np.ndarray,
                  psi_prev: np.ndarray, points, residuals, alpha: float,
-                 mu: float, lam: float, dim: int | None) -> IterState:
+                 mu: float, lam: float, checked: bool) -> IterState:
     """The state at the checked iterate ``psi``, with the stage ``points``
     (delta, pi, phi_p, xi) and their ``residuals`` that led to it.
 
     Adds the forward-backward point of ``psi`` at ``lam``, carried for the
     next step, with its residual, and the distance to the known solution.
-    Unless ``dim`` is given (a checked pass), the point is not scanned: its
+    Unless ``checked`` (a checked pass), the point is not scanned: its
     residual ``norm`` rejects a non-finite one.
     """
-    fb_point = _fb_point(problem, lam, psi, dim)
+    fb_point = _fb_point(problem, lam, psi, checked)
     dist = (np.nan if problem.known_solution is None
             else norm(psi - problem.known_solution))
     state = IterState(n, psi, psi_prev, *points, *residuals,
@@ -740,12 +721,11 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
         psi = project(problem.feasible, as_vector(psi0, problem.dim))
         residuals = []
         for stage, t in zip(_IMAGES, problem.maps):
-            residuals.append(_t_stage(t.image(psi), psi, problem.dim,
-                                      stage)[0])
-    except NonFiniteError:
-        raise NonFiniteError(f"non-finite {stage}", stage) from None
+            residuals.append(t(psi).measure(psi, None, problem.dim)[0])
+    except ValueError as err:
+        raise _named(err, stage) from None
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
-                        np.nan, schedule.lam(1), problem.dim)
+                        np.nan, schedule.lam(1), True)
 
 
 # --------------------------------------------------------------------------
@@ -847,16 +827,34 @@ def audit_fejer_chain(state: IterState, q) -> FejerAudit:
                             for k, name in enumerate(_LINKS)))
 
 
+def _anchor_values(problem: ProblemInstance,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The contraction's and the strong operator's values at the checked
+    point ``x``, each checked; a :class:`NonFiniteError` or
+    :class:`~viscosplit.hilbert.DimensionMismatch` names
+    ``"contraction"`` or ``"strong operator"``."""
+    stage = "contraction"
+    try:
+        phi = _value(problem.contraction, x, problem.dim)
+        stage = "strong operator"
+        return phi, _value(problem.strong, x, problem.dim)
+    except ValueError as err:
+        raise _named(err, stage) from None
+
+
 def boundedness_radius(problem: ProblemInstance, mu_bar: float, psi0,
                        q) -> float:
     """The a priori radius max(||psi0 - q||, ||g*phi(q) - eta*Strong q|| / m)
-    with m = tau*(1 - mu_bar) - gamma*b, valid for every iterate."""
+    with m = tau*(1 - mu_bar) - gamma*b, valid for every iterate.  An
+    operator value of another dimension than the problem raises
+    :class:`~viscosplit.hilbert.DimensionMismatch` naming it."""
     p = problem.params
     margin = p.margin(mu_bar)
     if not margin > 0:
         raise ValueError("no contraction margin: tau*(1-mu_bar) <= gamma*b")
     qv = as_vector(q, problem.dim)
-    drift = norm(p.gamma * problem.contraction(qv) - p.eta * problem.strong(qv))
+    phi, strong = _anchor_values(problem, qv)
+    drift = norm(p.gamma * phi - p.eta * strong)
     return max(norm(as_vector(psi0, problem.dim) - qv), drift / margin)
 
 
@@ -868,7 +866,9 @@ def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
     largest positive left side over the probes (0 when all hold).  Probes
     default to the instance's known common points, certified when it was
     built; a probe passed in must certify, otherwise the metric would be
-    meaningless.  Returns nan with no probes.
+    meaningless.  Returns nan with no probes.  An operator value of
+    another dimension than the problem raises
+    :class:`~viscosplit.hilbert.DimensionMismatch` naming it.
     """
     psiv = as_vector(psi, problem.dim)
     if probes is None:
@@ -885,7 +885,8 @@ def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
 def _vi_worst(problem: ProblemInstance, psi: np.ndarray, qs) -> float:
     """:func:`vi_residual` at a checked ``psi`` over certified points ``qs``."""
     p = problem.params
-    direction = p.eta * problem.strong(psi) - p.gamma * problem.contraction(psi)
+    phi, strong = _anchor_values(problem, psi)
+    direction = p.eta * strong - p.gamma * phi
     worst = 0.0
     for q in qs:
         worst = max(worst, inner(direction, psi - q))

@@ -4,11 +4,13 @@
 reference here is the loop it replaced: it checks each distinct case value
 with ``as_vector``, calls ``sides(x, y)`` once per case on scalars, and keeps
 the worst slack, its witness and the violations as it goes.  The eight
-reference audits form their sides case by case with ``norm``, ``@`` and the
-per-image kernels.  Squares are written as products: Python's ``x ** 2`` on
-a float goes through libm ``pow``, which is not always the correctly
-rounded ``x * x`` that numpy's ``arr ** 2`` and ``arr * arr`` give, so with
-products the two paths agree bit for bit.
+reference audits form their sides case by case with ``norm``, ``@`` and,
+for the images, formulas of their own per image kind, written with
+``np.linalg.norm`` (equal to ``norm`` bit for bit), so they share no code
+with the image methods they check.  Squares are written as products:
+Python's ``x ** 2`` on a float goes through libm ``pow``, which is not
+always the correctly rounded ``x * x`` that numpy's ``arr ** 2`` and
+``arr * arr`` give, so with products the two paths agree bit for bit.
 
 On seeded random samples both paths must agree on ``passed``, ``checked``,
 ``note``, the witness (by identity), the violation list and
@@ -30,11 +32,9 @@ from viscosplit.monotone import (L1Subdifferential, SingleOp, _check_lam,
 from viscosplit.problems import make_example1
 from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, AuditResult,
                                   BallImage, FiniteSet, MultiMap, Singleton,
-                                  UnsupportedPairing, _distance, _enumerable,
-                                  _farthest, check_demicontractive,
+                                  UnsupportedPairing, check_demicontractive,
                                   check_quasi_nonexpansive,
-                                  check_strictly_pseudocontractive,
-                                  hausdorff)
+                                  check_strictly_pseudocontractive)
 
 
 # --------------------------------------------------------------------------
@@ -61,6 +61,41 @@ def reference_audit(name, cases, sides, tol=DEFAULT_TOL, note=""):
                        note, violations)
 
 
+def ref_members(img):
+    """The points of a singleton or a finite set; a ball pairs with
+    nothing here."""
+    if isinstance(img, Singleton):
+        return (img.point,)
+    if isinstance(img, FiniteSet):
+        return img.points
+    raise UnsupportedPairing("a ball has no members")
+
+
+def ref_norm(v):
+    """``np.linalg.norm`` as a Python float, as ``norm`` returns it."""
+    return float(np.linalg.norm(v))
+
+
+def ref_distance(x, img):
+    """d(x, img)."""
+    if isinstance(img, BallImage):
+        return max(ref_norm(x - img.center) - img.radius, 0.0)
+    return min(ref_norm(x - p) for p in ref_members(img))
+
+
+def ref_farthest(img, q):
+    """The largest distance from q to a point of img."""
+    if isinstance(img, BallImage):
+        return ref_norm(img.center - q) + img.radius
+    return max(ref_norm(p - q) for p in ref_members(img))
+
+
+def ref_hausdorff(a, b):
+    """The max-min formula for two enumerable images."""
+    return max(max(ref_distance(p, b) for p in ref_members(a)),
+               max(ref_distance(p, a) for p in ref_members(b)))
+
+
 def fixed_point_pairs(T, points):
     return [(x, q) for x in points for q in T.fixed_points]
 
@@ -68,7 +103,8 @@ def fixed_point_pairs(T, points):
 def ref_demicontractive(T, beta, points):
     def sides(x, q):
         img = T.image(x)
-        far, gap, dist = _farthest(img, q), norm(x - q), _distance(x, img)
+        far, dist = ref_farthest(img, q), ref_distance(x, img)
+        gap = norm(x - q)
         return far * far, gap * gap + beta * (dist * dist)
     return reference_audit("demicontractive", fixed_point_pairs(T, points),
                            sides)
@@ -77,7 +113,7 @@ def ref_demicontractive(T, beta, points):
 def ref_quasi_nonexpansive(T, points):
     return reference_audit(
         "quasi_nonexpansive", fixed_point_pairs(T, points),
-        lambda x, q: (_farthest(T.image(x), q), norm(x - q)))
+        lambda x, q: (ref_farthest(T.image(x), q), norm(x - q)))
 
 
 def ref_strictly_pseudocontractive(T, k, pairs):
@@ -85,9 +121,9 @@ def ref_strictly_pseudocontractive(T, k, pairs):
 
     def sides(x, y):
         img_x, img_y = T.image(x), T.image(y)
-        disp = min(norm((x - u) - (y - w)) for u in _enumerable(img_x)
-                   for w in _enumerable(img_y))
-        haus, gap = hausdorff(img_x, img_y), norm(x - y)
+        disp = min(norm((x - u) - (y - w)) for u in ref_members(img_x)
+                   for w in ref_members(img_y))
+        haus, gap = ref_hausdorff(img_x, img_y), norm(x - y)
         return haus * haus, gap * gap + k * (disp * disp)
     return reference_audit("strictly_pseudocontractive", pairs, sides,
                            note=note)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from viscosplit.hilbert import NonFiniteError
 from viscosplit.monotone import affine_op, check_inverse_strongly_monotone
@@ -131,6 +131,14 @@ class TestHausdorff:
         b = BallImage(vec(0, 0), 1.0)
         assert hausdorff(s, b) == 5.0
 
+    def test_one_point_finite_set_against_ball(self):
+        # A one-member image is measured by its farthest distance from
+        # the other image, whatever its type: d + r = 1 + 0.5.
+        p, ball = vec(1, 0), BallImage(vec(0, 0), 0.5)
+        for one in (Singleton(p), FiniteSet((p,))):
+            assert hausdorff(one, ball) == 1.5
+            assert hausdorff(ball, one) == 1.5
+
     def test_multipoint_finite_against_ball_refused(self):
         f = FiniteSet((vec(0, 0), vec(1, 0)))
         b = BallImage(vec(0, 0), 1.0)
@@ -173,6 +181,75 @@ class TestHausdorff:
         a, b = BallImage(c1, r1), BallImage(c2, r2)
         assert hausdorff(a, b) == hausdorff(b, a)
         assert hausdorff(a, a) == 0.0
+
+
+def oracle_norm(v):
+    return float(np.linalg.norm(v))
+
+
+def oracle_distance_and_selections(kind, parts, x):
+    """d(x, S) and the metric and first-enumerated selections of the image
+    ``kind`` built from ``parts``, by the formulas of each kind."""
+    if kind == "ball":
+        center, radius = parts
+        dist = oracle_norm(x - center)
+        nearest = (x if dist <= radius
+                   else center + (radius / dist) * (x - center))
+        return max(dist - radius, 0.0), nearest, center
+    norms = [oracle_norm(x - p) for p in parts]
+    best = 0
+    for k in range(1, len(norms)):
+        if norms[k] < norms[best]:
+            best = k
+    return norms[best], parts[best], parts[0]
+
+
+def oracle_farthest(kind, parts, q):
+    if kind == "ball":
+        return oracle_norm(parts[0] - q) + parts[1]
+    return max(oracle_norm(p - q) for p in parts)
+
+
+@st.composite
+def images_and_queries(draw):
+    """An image of each kind at dimension 1 to 5 with a query x and a point
+    q: finite sets repeat points so that ties occur, and a ball of radius
+    0 or more has x inside or outside it."""
+    dim = draw(st.integers(1, 5))
+    coords = st.floats(-10, 10, allow_nan=False)
+    point = st.lists(coords, min_size=dim, max_size=dim).map(np.array)
+    kind = draw(st.sampled_from(["singleton", "finite_set", "ball"]))
+    x, q = draw(point), draw(point)
+    if kind == "singleton":
+        parts = (draw(st.sampled_from([x, q])) if draw(st.booleans())
+                 else draw(point),)
+        return kind, Singleton(parts[0]), parts, x, q
+    if kind == "finite_set":
+        pool = draw(st.lists(point, min_size=1, max_size=3))
+        idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                            max_size=5))
+        parts = tuple(pool[k] for k in idx)
+        return kind, FiniteSet(parts), parts, x, q
+    center = draw(point)
+    radius = draw(st.sampled_from([0.0, oracle_norm(x - center),
+                                   oracle_norm(x - center) + 1.0])
+                  if draw(st.booleans()) else st.floats(0, 20))
+    return kind, BallImage(center, radius), (center, radius), x, q
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(images_and_queries())
+def test_image_operations_match_an_oracle(case):
+    # Bit for bit against the formulas of each kind, written with
+    # np.linalg.norm and a lowest-index argmin loop of their own.
+    kind, image, parts, x, q = case
+    dist, nearest, first = oracle_distance_and_selections(kind, parts, x)
+    assert distance_to_set(x, image) == dist
+    assert (select_from(image, SelectionRule.METRIC, x).tobytes()
+            == nearest.tobytes())
+    assert (select_from(image, SelectionRule.FIRST_ENUMERATED, x).tobytes()
+            == first.tobytes())
+    assert hausdorff(image, Singleton(q)) == oracle_farthest(kind, parts, q)
 
 
 class TestSelection:

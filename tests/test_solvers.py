@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -8,13 +9,14 @@ import viscosplit.hilbert as hilbert
 import viscosplit.solvers as solvers
 from viscosplit.hilbert import (Box, DimensionMismatch, NonFiniteError,
                                 WholeSpace, norm)
-from viscosplit.monotone import MaxMonotone, ZeroOperator, affine_op, zero_op
+from viscosplit.monotone import (MaxMonotone, SingleOp, ZeroOperator,
+                                 affine_op, zero_op)
 from viscosplit.problems import (catalog, load_instance, make_box_instance,
                                  make_inclusion_instance,
                                  make_trivial_instance, default_schedule_for)
 from viscosplit.schedules import ParamSeq, Schedule, validate
 from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, BallImage, MultiMap,
-                                  Singleton)
+                                  Singleton, check_quasi_nonexpansive)
 from viscosplit.solvers import ALGORITHMS
 from viscosplit.solvers import (CERTIFY_TOL, IterState,
                                 ScheduleValidationError, audit_fejer_chain,
@@ -652,3 +654,95 @@ class TestValueOfAnotherDimension:
                            ) as info:
             run(algorithm, prob, default_schedule_for(prob), max_iter=200)
         assert info.value.stage == "T1 image"
+
+    #: The step of every rule that runs the anchor line.
+    ANCHOR_STEPS = {"main": step_main, "sow": step_sow,
+                    "sow_phi": functools.partial(step_sow, use_phi=True),
+                    "fc": step_fc}
+
+    def attempts(self, prob, algorithm):
+        """A step from the start, a run, and the two functions that
+        evaluate the anchor operators at a common point."""
+        schedule = default_schedule_for(prob)
+        start = initial_state(prob, schedule, prob.default_start)
+        q = prob.known_common_points[0]
+        return (lambda: self.ANCHOR_STEPS[algorithm](prob, schedule, start),
+                lambda: run(algorithm, prob, schedule, max_iter=5),
+                lambda: boundedness_radius(prob, schedule.mu_bar, q, q),
+                lambda: vi_residual(prob, q))
+
+    @pytest.mark.parametrize("algorithm", sorted(ANCHOR_STEPS))
+    def test_strong_operator_value_of_another_dimension(self, algorithm):
+        # A 1-vector broadcasts in psi - eta*alpha*Strong psi and in the
+        # target, so the first pass compares its size with the problem's.
+        mean = SingleOp(lambda x: np.array([x.sum() / 3]), lipschitz=1.0,
+                        strong_monotonicity=1.0,
+                        inverse_strong_monotonicity=1.0)
+        prob = dataclasses.replace(load_instance("inclusion_box", dim=3),
+                                   strong=mean)
+        for attempt in self.attempts(prob, algorithm):
+            with pytest.raises(
+                    DimensionMismatch,
+                    match="^strong operator: expected dimension 3, got 1$"
+                    ) as info:
+                attempt()
+            assert info.value.stage == "strong operator"
+
+    @pytest.mark.parametrize("algorithm", sorted(ANCHOR_STEPS))
+    def test_contraction_value_of_another_dimension(self, algorithm):
+        # The whole space projects nothing, so without the size compare a
+        # 2-vector target would become the next iterate.
+        doubled = SingleOp(lambda x: np.concatenate([x, x]), lipschitz=0.5)
+        prob = dataclasses.replace(load_instance("trivial_collapse"),
+                                   contraction=doubled)
+        for attempt in self.attempts(prob, algorithm):
+            with pytest.raises(
+                    DimensionMismatch,
+                    match="^contraction: expected dimension 1, got 2$"
+                    ) as info:
+                attempt()
+            assert info.value.stage == "contraction"
+
+
+class TestImageThatIsNotAnImage:
+    """A mapping whose image is an array, not an image, raises one
+    TypeError naming the type on every path that takes an image."""
+
+    halving = MultiMap(lambda x: 0.5 * x, "quasi_nonexpansive",
+                       fixed_points=(np.zeros(2),))
+
+    def assert_named(self, attempt):
+        with pytest.raises(TypeError,
+                           match="^unknown image type ndarray$") as info:
+            attempt()
+        assert type(info.value) is TypeError
+
+    def test_at_construction(self):
+        self.assert_named(
+            lambda: make_box_instance(dim=2, maps=(self.halving,) * 3))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_in_run(self, algorithm):
+        prob = dataclasses.replace(make_box_instance(dim=2),
+                                   t1=self.halving, known_common_points=())
+        self.assert_named(lambda: run(algorithm, prob,
+                                      default_schedule_for(prob), max_iter=5))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_mid_run(self, algorithm):
+        # An array on 0 < |x_0| < 0.1: not at the common point 0 nor at
+        # the start, but on the way.
+        def image(x):
+            return 0.5 * x if 0 < abs(x[0]) < 0.1 else Singleton(0.5 * x)
+
+        t1 = MultiMap(image, KIND_DEMICONTRACTIVE, 0.5,
+                      fixed_points=(np.zeros(2),))
+        halving = make_box_instance(dim=2).t2
+        prob = make_box_instance(dim=2, maps=(t1, halving, halving))
+        self.assert_named(lambda: run(algorithm, prob,
+                                      default_schedule_for(prob),
+                                      max_iter=1000))
+
+    def test_in_its_audit(self):
+        self.assert_named(
+            lambda: check_quasi_nonexpansive(self.halving, [np.ones(2)]))

@@ -1,4 +1,6 @@
-"""The repository tools that gates and reports cite."""
+"""The repository tools that gates and reports cite, and the structural
+checks that read the sources."""
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SOURCES = TOOLS.parent / "src" / "viscosplit"
 
 
 def load_tool(name):
@@ -164,3 +167,48 @@ def test_bench_pairs_prints_a_verdict_per_metric(monkeypatch, capsys):
         "gain rule holds; median within its bound of 0.25".split())
     assert lines[at["peak_rss_mb"] + 1].split() == (
         "gain rule fails; median BEYOND its bound of 0.1".split())
+
+
+IMAGE_CLASSES = {"Singleton", "FiniteSet", "BallImage"}
+
+
+def image_kind_tests(tree):
+    """Line numbers of each ``isinstance(...)`` call that names an image
+    class, and of each ``type(...) is`` comparison with one."""
+    def names_image(node):
+        return any(isinstance(n, (ast.Name, ast.Attribute))
+                   and (getattr(n, "id", None) or getattr(n, "attr", None))
+                   in IMAGE_CLASSES for n in ast.walk(node))
+
+    def is_call_of(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
+    lines = []
+    for node in ast.walk(tree):
+        if is_call_of(node, "isinstance") and names_image(node):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Compare)
+              and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                      for op in node.ops)
+              and any(is_call_of(side, "type")
+                      for side in (node.left, *node.comparators))
+              and names_image(node)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_image_kind_tests_catch_both_forms():
+    tree = ast.parse("if isinstance(S, (FiniteSet, BallImage)): pass\n"
+                     "h = d if type(img) is setvalued.Singleton else 0\n"
+                     "ok = isinstance(x, float) and type(x) is int\n")
+    assert image_kind_tests(tree) == [1, 2]
+
+
+def test_only_setvalued_asks_which_kind_an_image_is():
+    # Each image kind measures itself; only setvalued, which defines the
+    # kinds, tests for one.
+    found = {path.name: image_kind_tests(ast.parse(path.read_text()))
+             for path in sorted(SOURCES.glob("*.py"))
+             if path.name != "setvalued.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
