@@ -186,9 +186,10 @@ def distance_to_set(x, S: SetImage) -> float:
     return _image(S).measure(as_vector(x))[0]
 
 
-def select_from(S: SetImage, rule: SelectionRule, x) -> np.ndarray:
-    """One point of the image ``S`` under ``rule``, for the query ``x``."""
-    return _image(S).measure(as_vector(x), rule)[1]
+def select_from(S: SetImage, rule: SelectionRule | str, x) -> np.ndarray:
+    """One point of the image ``S`` under ``rule``, a
+    :class:`SelectionRule` or its value, for the query ``x``."""
+    return _image(S).measure(as_vector(x), SelectionRule(rule))[1]
 
 
 def hausdorff(A: SetImage, B: SetImage) -> float:

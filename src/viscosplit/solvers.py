@@ -712,9 +712,10 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
     naming its stage: ``"psi"`` for ``psi0`` and its projection,
     ``"T1 image"``, ``"T2 image"`` or ``"T3 image"`` for the images of the
     start, and ``"forward operator"`` or ``"delta"`` for its
-    forward-backward point.  An image of another dimension than the
-    problem raises :class:`~viscosplit.hilbert.DimensionMismatch` naming
-    it.
+    forward-backward point.  A ``psi0`` or an image of another dimension
+    than the problem raises :class:`~viscosplit.hilbert.DimensionMismatch`
+    naming it in the same way, and a mapping's value that is not an image
+    ``TypeError`` naming its type.
     """
     stage = "psi"
     try:

@@ -278,6 +278,15 @@ class TestSelection:
             select_from(img, SelectionRule.FIRST_ENUMERATED, vec(9, 9)),
             vec(2, 2))
 
+    def test_rule_by_value(self):
+        # The value names the rule, as a config does; anything else is
+        # no rule.
+        img = FiniteSet((vec(5.0), vec(0.0)))
+        assert select_from(img, "first_enumerated", vec(0.1))[0] == 5.0
+        assert select_from(img, "metric", vec(0.1))[0] == 0.0
+        with pytest.raises(ValueError):
+            select_from(img, None, vec(0.1))
+
     def test_select_through_multimap(self):
         half = MultiMap(lambda x: Singleton(0.5 * x), "demicontractive", 0.5,
                         fixed_points=(vec(0.0),))

@@ -655,6 +655,14 @@ class TestValueOfAnotherDimension:
             run(algorithm, prob, default_schedule_for(prob), max_iter=200)
         assert info.value.stage == "T1 image"
 
+    def test_start_of_another_dimension(self):
+        prob = load_instance("inclusion_box", dim=2)
+        with pytest.raises(DimensionMismatch,
+                           match="^psi: expected dimension 2, got 3$"
+                           ) as info:
+            run("main", prob, default_schedule_for(prob), psi0=np.ones(3))
+        assert info.value.stage == "psi"
+
     #: The step of every rule that runs the anchor line.
     ANCHOR_STEPS = {"main": step_main, "sow": step_sow,
                     "sow_phi": functools.partial(step_sow, use_phi=True),
