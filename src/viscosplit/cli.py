@@ -17,7 +17,8 @@ A config is a JSON object {"seed": int?, "cells": [...]}, each cell
 
 Keys prefixed "instance." go to the instance builder; keys prefixed
 "schedule." adjust the default schedule (mu_bar, strict_paper, interval,
-or any of the six sequences as {"kind": ..., "scale": ...}).  The
+or any of the six sequences as {"kind": ..., "scale": ...}, and no
+other key in that object).  The
 algorithm is one of the solver's rule names: "main", "sow" (pi carried
 into the anchor line, as printed), "sow_phi" (phi_p carried instead),
 "fc" or "forward_backward".  The run arguments (algorithm, tol,
@@ -44,6 +45,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -54,7 +56,7 @@ import numpy as np
 from .problems import catalog, default_schedule_for, load_instance
 from .schedules import (SEQUENCE_FAMILIES, InfeasibleScheduleError,
                         ParamSeq, validate)
-from .solvers import (ScheduleValidationError, audit_instance,
+from .solvers import (COLUMNS, ScheduleValidationError, audit_instance,
                       check_run_arguments, require_admissible,
                       run as run_solver)
 
@@ -129,6 +131,9 @@ def _build_schedule(problem, overrides: dict):
             raise ConfigError(
                 f"schedule.{key} must be an object with kind in "
                 f"{sorted(SEQUENCE_FAMILIES)}")
+        unknown = sorted(set(spec) - {"kind", "scale"})
+        if unknown:
+            raise ConfigError(f"unknown schedule.{key} keys: {unknown}")
         seq_updates[key] = getattr(ParamSeq, spec["kind"])(
             _read(spec.get("scale", 1.0), float, f"schedule.{key}.scale"))
     if seq_updates or interval is not None:
@@ -245,8 +250,13 @@ def parse_config(text: str, seed_override=None) -> list[Cell]:
 # --------------------------------------------------------------------------
 
 def _write_csv(path: Path, report) -> None:
+    # The CSV's columns, picked from each row by name.
+    pick = operator.itemgetter(*map(COLUMNS.index, (
+        "n", "psi_norm", "dist_to_solution", "residual_t1", "residual_t2",
+        "residual_t3", "fb_residual", "fejer_ok", "alpha")))
     lines = [CSV_HEADER]
-    for n, *values, alpha, _, _, fejer in report.trajectory.rows():
+    for row in report.trajectory.rows():
+        n, *values, fejer, alpha = pick(row)
         lines.append(",".join([
             str(int(n)), *map(_fmt, values),
             "nan" if fejer != fejer else str(int(fejer)), _fmt(alpha)]))

@@ -9,8 +9,8 @@ every catalog instance has a known solution and certifiable audit points.
 """
 from __future__ import annotations
 
+import functools
 import inspect
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -117,8 +117,8 @@ def _inclusion_instance(start: float, dim, feasible, anchor, scale, beta,
                    if phi_coef == 0.0 and phi_offset is None else
                    affine_op(phi_coef, phi_offset, dim, "affine_contraction"))
     solution = feasible.project(anchor)
-    instance = ProblemInstance(
-        name=name, dim=dim, feasible=feasible,
+    build = functools.partial(
+        ProblemInstance, name=name, dim=dim, feasible=feasible,
         forward=affine_op(1.0, -anchor, dim, name="shifted_identity"),
         inclusion=NormalCone(feasible),
         t1=maps[0], t2=maps[1], t3=maps[2],
@@ -126,12 +126,13 @@ def _inclusion_instance(start: float, dim, feasible, anchor, scale, beta,
         gamma=gamma, eta=eta, selection=selection,
         known_solution=solution,
         default_start=start * np.ones(dim))
-    # Only a failed certification drops the point; an error of a mapping's
-    # own (a value of another dimension, a non-finite one) propagates.
+    # Built once with the common point; only a failed certification builds
+    # it again without.  An error of a mapping's own (a value of another
+    # dimension, a non-finite one) propagates.
     try:
-        return replace(instance, known_common_points=(solution,))
+        return build(known_common_points=(solution,))
     except UncertifiedPointError:
-        return instance
+        return build()
 
 
 def make_box_instance(dim: int = 1, scale: float = 0.5,

@@ -72,8 +72,15 @@ class SelectionRule(Enum):
 # rule).  With ``dim`` it first compares the size of the image's points
 # with it, and another size raises DimensionMismatch.  ``farthest(q)`` is
 # H(S, {q}), the largest distance from a checked q to a point of S, and
-# ``members()`` the points of S; a ball has no members here and raises
-# UnsupportedPairing.
+# compares the two sizes first in the same way.  ``members()`` gives the
+# points of S; a ball has no members here and raises UnsupportedPairing.
+
+def _same_size(size: int, dim: int | None) -> None:
+    """Raise DimensionMismatch, naming both sizes, unless ``dim`` is None
+    or ``size``."""
+    if dim is not None and size != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {size}")
+
 
 @dataclass(frozen=True)
 class Singleton:
@@ -92,11 +99,11 @@ class Singleton:
         # The residual is 0.0 with no subtraction when the point is x
         # itself, as an identity mapping's is.
         y = self.point
-        if dim is not None and y.size != dim:
-            raise DimensionMismatch(f"expected dimension {dim}, got {y.size}")
+        _same_size(y.size, dim)
         return (0.0 if y is x else norm(x - y)), y
 
     def farthest(self, q) -> float:
+        _same_size(self.point.size, q.size)
         return norm(self.point - q)
 
     def members(self) -> tuple:
@@ -117,9 +124,7 @@ class FiniteSet:
 
     def measure(self, x, rule=None, dim=None):
         pts = self.points
-        size = pts[0].size
-        if dim is not None and size != dim:
-            raise DimensionMismatch(f"expected dimension {dim}, got {size}")
+        _same_size(pts[0].size, dim)
         # Each norm is taken once; index() finds the lowest-index minimum.
         norms = [norm(x - p) for p in pts]
         d = min(norms)
@@ -128,6 +133,7 @@ class FiniteSet:
                    else pts[norms.index(d)])
 
     def farthest(self, q) -> float:
+        _same_size(self.points[0].size, q.size)
         return max(norm(p - q) for p in self.points)
 
     def members(self) -> tuple:
@@ -151,8 +157,7 @@ class BallImage:
         # The metric selection is x inside the ball, else the point where
         # the segment from the center to x leaves it.
         c, r = self.center, self.radius
-        if dim is not None and c.size != dim:
-            raise DimensionMismatch(f"expected dimension {dim}, got {c.size}")
+        _same_size(c.size, dim)
         gap = x - c
         dist = norm(gap)
         d = max(dist - r, 0.0)
@@ -163,6 +168,7 @@ class BallImage:
         return d, x if dist <= r else c + (r / dist) * gap
 
     def farthest(self, q) -> float:
+        _same_size(self.center.size, q.size)
         return norm(self.center - q) + self.radius
 
     def members(self) -> tuple:
@@ -182,14 +188,20 @@ def _image(S) -> SetImage:
 
 
 def distance_to_set(x, S: SetImage) -> float:
-    """d(x, S) = min over s in S of ||x - s||."""
-    return _image(S).measure(as_vector(x))[0]
+    """d(x, S) = min over s in S of ||x - s||; an image of another
+    dimension than ``x`` raises
+    :class:`~viscosplit.hilbert.DimensionMismatch`."""
+    x = as_vector(x)
+    return _image(S).measure(x, None, x.size)[0]
 
 
 def select_from(S: SetImage, rule: SelectionRule | str, x) -> np.ndarray:
     """One point of the image ``S`` under ``rule``, a
-    :class:`SelectionRule` or its value, for the query ``x``."""
-    return _image(S).measure(as_vector(x), SelectionRule(rule))[1]
+    :class:`SelectionRule` or its value, for the query ``x``; an image of
+    another dimension than ``x`` raises
+    :class:`~viscosplit.hilbert.DimensionMismatch`."""
+    x = as_vector(x)
+    return _image(S).measure(x, SelectionRule(rule), x.size)[1]
 
 
 def hausdorff(A: SetImage, B: SetImage) -> float:
@@ -200,16 +212,18 @@ def hausdorff(A: SetImage, B: SetImage) -> float:
     closed form max(d + r1 - r2, d + r2 - r1, 0) with d the distance of
     the centers, and two finite sets the max-min formula.  A finite set
     with more than one point against a ball has no closed form here and
-    raises :class:`UnsupportedPairing`.
+    raises :class:`UnsupportedPairing`.  Images of different dimensions
+    raise :class:`~viscosplit.hilbert.DimensionMismatch` naming both.
     """
     A, B = _image(A), _image(B)
     for P, Q in ((A, B), (B, A)):
         if not isinstance(P, BallImage) and len(P.members()) == 1:
             return Q.farthest(P.members()[0])
     if isinstance(A, BallImage) and isinstance(B, BallImage):
+        _same_size(A.center.size, B.center.size)
         d = norm(A.center - B.center)
         return max(d + A.radius - B.radius, d + B.radius - A.radius, 0.0)
-    return max(max(B.measure(a)[0] for a in A.members()),
+    return max(max(B.measure(a, None, a.size)[0] for a in A.members()),
                max(A.measure(b)[0] for b in B.members()))
 
 

@@ -136,6 +136,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -150,7 +151,7 @@ from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
                        check_wang_contraction)
 from .schedules import Schedule, ValidationReport, ViscosityParams, validate
 from .setvalued import (AuditResult, MultiMap, Sample, SelectionRule,
-                        audit_mapping)
+                        _image, audit_mapping)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -299,7 +300,7 @@ class ProblemInstance:
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
         for i, (t, stage) in enumerate(zip(self.maps, _IMAGES), start=1):
             try:
-                img = t(qv)
+                img = _image(t.image(qv))
                 d = img.measure(qv, None, self.dim)[0]
             except ValueError as err:
                 raise _named(err, stage) from None
@@ -377,15 +378,17 @@ class IterState:
     """One iterate with the stage points of the step that produced it.
 
     ``psi_prev`` is the iterate the step started from (equal to ``psi`` at
-    n = 0, where the stage points are mirrors of the start).  Residuals are
-    d(stage, T_i(stage)); ``fb_residual`` is measured at ``psi`` itself,
-    through the point J(psi - lam*Forward psi), which ``fb_carry`` keeps
-    as (problem, point): the next step takes it as its delta when it steps
-    the same problem with a lambda equal to ``lam``.  A copy made with
-    ``dataclasses.replace`` drops it.  ``alpha``/``mu`` are nan when the
-    rule does not use them.  ``fejer_ok`` is the verdict of the chain
-    audit :func:`run` made of the state, None before it or without common
-    points.
+    n = 0, where the stage points are mirrors of the start).  ``psi_norm``
+    is ``norm(psi)``, which :func:`run`'s divergence guard reads.
+    Residuals are d(stage, T_i(stage)); ``fb_residual`` is measured at
+    ``psi`` itself, through the point J(psi - lam*Forward psi), which
+    ``fb_carry`` keeps as (problem, point): the next step takes it as its
+    delta when it steps the same problem with a lambda equal to ``lam``.
+    A copy made with ``dataclasses.replace`` drops it.  ``alpha``/``mu``
+    are nan when the rule does not use them.  ``fejer_ok`` is the verdict
+    of the chain audit :func:`run` made of the state, None before it or
+    without common points.  Each name in :data:`COLUMNS` is a field, so a
+    state's row of a :class:`Trajectory` is read off it by name.
     """
 
     n: int
@@ -403,6 +406,7 @@ class IterState:
     alpha: float
     mu: float
     lam: float
+    psi_norm: float
     fejer_ok: bool | None = None
     fb_carry: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -413,7 +417,8 @@ class IterState:
 RELEASED = np.empty(0)
 RELEASED.flags.writeable = False
 
-#: The columns of a :class:`Trajectory` table; ``fejer_ok`` is nan, 0 or 1.
+#: The columns of a :class:`Trajectory` table, each a field of
+#: :class:`IterState`; ``fejer_ok`` is nan, 0 or 1.
 COLUMNS = ("n", "psi_norm", "dist_to_solution", "residual_t1", "residual_t2",
            "residual_t3", "fb_residual", "alpha", "mu", "lam", "fejer_ok")
 
@@ -425,12 +430,14 @@ class Trajectory:
     iterating.
 
     ``table`` is an ``array('d')`` with one row of :data:`COLUMNS` per
-    recorded state; :meth:`rows` gives each as a tuple.  ``psi_norm`` is
-    the ``norm(psi)`` of the divergence guard.  Item 0 and item -1 are the
-    stored states, with their stage points.  Any other item is an
-    :class:`IterState` built from its row on access: its vector fields are
-    :data:`RELEASED`, so :func:`audit_fejer_chain` raises on it, and its
-    ``fejer_ok`` is a bool, or None where nothing was audited.
+    recorded state; :meth:`rows` gives each as a tuple, which a reader
+    takes apart by column name (``dict(zip(COLUMNS, row))``).  Item 0 and
+    item -1 are the stored states, with their stage points.  Any other
+    item is an :class:`IterState` built from its row on access, field by
+    column name, so its ``psi_norm`` and every other scalar equal its row
+    bit for bit: its vector fields are :data:`RELEASED`, so
+    :func:`audit_fejer_chain` raises on it, and its ``fejer_ok`` is a
+    bool, or None where nothing was audited.
     """
 
     def __init__(self, table: array, first: IterState, last: IterState):
@@ -443,9 +450,11 @@ class Trajectory:
         k, w = range(len(self))[k], len(COLUMNS)
         if not 0 < k < len(self) - 1:
             return self.last if k else self.first
-        n, _, dist, *scalars, ok = self.table[k * w:(k + 1) * w]
-        return IterState(int(n), *(RELEASED,) * 6, *scalars[:4], dist,
-                         *scalars[4:], None if ok != ok else bool(ok))
+        row = dict(zip(COLUMNS, self.table[k * w:(k + 1) * w]))
+        ok = row["fejer_ok"]
+        row.update(n=int(row["n"]), fejer_ok=None if ok != ok else bool(ok))
+        return IterState(**row, **dict.fromkeys(
+            ("psi", "psi_prev", "delta", "pi", "phi", "xi"), RELEASED))
 
     def rows(self):
         """Each row of ``table``, a tuple of floats in :data:`COLUMNS`."""
@@ -579,10 +588,11 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
 
     The first pass scans only the values nothing downstream rejects (see
     the module docstring).  If it fails in any way, the step is replayed
-    with ``checked``, which scans every value where it is made and takes
-    each image through the mapping's call, so the step fails as the fully
-    checked step does: a :class:`NonFiniteError` names the value that
-    turned non-finite, a :class:`~viscosplit.hilbert.DimensionMismatch`
+    with ``checked``, which scans every value where it is made and checks
+    that each mapping's value is an image (the stage point it is taken at
+    is checked already), so the step fails as the fully checked step
+    does: a :class:`NonFiniteError` names the value that turned
+    non-finite, a :class:`~viscosplit.hilbert.DimensionMismatch`
     the value of another dimension than the problem, and a ``TypeError``
     the type of a mapping's value that is not an image.
     """
@@ -606,8 +616,8 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         for k, (t, weight) in enumerate(zip(problem.maps, weights)):
             stage = _IMAGES[k]
             rule = problem.selection if k < anchor.stages else None
-            d, y = (t(x) if checked else t.image(x)).measure(x, rule,
-                                                             problem.dim)
+            d, y = (_image(t.image(x)) if checked
+                    else t.image(x)).measure(x, rule, problem.dim)
             residuals.append(d)
             if rule is not None:
                 w = weight(i)
@@ -660,17 +670,17 @@ def _build_state(problem: ProblemInstance, n: int, psi: np.ndarray,
     """The state at the checked iterate ``psi``, with the stage ``points``
     (delta, pi, phi_p, xi) and their ``residuals`` that led to it.
 
-    Adds the forward-backward point of ``psi`` at ``lam``, carried for the
-    next step, with its residual, and the distance to the known solution.
-    Unless ``checked`` (a checked pass), the point is not scanned: its
-    residual ``norm`` rejects a non-finite one.
+    Adds ``norm(psi)``, the forward-backward point of ``psi`` at ``lam``,
+    carried for the next step, with its residual, and the distance to the
+    known solution.  Unless ``checked`` (a checked pass), the point is not
+    scanned: its residual ``norm`` rejects a non-finite one.
     """
     fb_point = _fb_point(problem, lam, psi, checked)
     dist = (np.nan if problem.known_solution is None
             else norm(psi - problem.known_solution))
     state = IterState(n, psi, psi_prev, *points, *residuals,
                       fb_residual=norm(psi - fb_point), dist_to_solution=dist,
-                      alpha=alpha, mu=mu, lam=lam)
+                      alpha=alpha, mu=mu, lam=lam, psi_norm=norm(psi))
     state.fb_carry = (problem, fb_point)
     return state
 
@@ -722,7 +732,8 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
         psi = project(problem.feasible, as_vector(psi0, problem.dim))
         residuals = []
         for stage, t in zip(_IMAGES, problem.maps):
-            residuals.append(t(psi).measure(psi, None, problem.dim)[0])
+            residuals.append(
+                _image(t.image(psi)).measure(psi, None, problem.dim)[0])
     except ValueError as err:
         raise _named(err, stage) from None
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
@@ -932,21 +943,23 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     Terminates by "tolerance" when both the displacement and all four
     residuals fall below ``tol``, by "max_iter" otherwise, or by
     "divergence_guard" when an iterate leaves the norm ball of radius
-    1e12 or a step meets a non-finite value; the report's ``diverged_at``
-    then says which.  A start state that cannot be built raises
+    1e12 (the guard reads each state's ``psi_norm``) or a step meets a
+    non-finite value; the report's ``diverged_at`` then says which.  A start state that cannot be built raises
     :class:`NonFiniteError` naming its stage (see :func:`initial_state`).
     Every iteration (recorded or not) is audited against each known common
     point: the stage chain with absolute tolerance 1e-10 and the a priori
-    boundedness radius with 1e-8.  States are audited in blocks of up to
-    :data:`AUDIT_BLOCK`, in one stacked pass over a difference of at most
-    :data:`STACKED_AUDIT_BYTES` (a state wider than that alone, point by
-    point), and every exit audits the block it leaves; the violation
-    counts and each state's ``fejer_ok`` are exact, the same as one state
-    at a time.  Recording keeps every state up to n = 10000 and then
-    every hundredth, unless ``record_stride`` forces a fixed stride, and
-    always the last: a state's row of the report's :class:`Trajectory` is
-    written when its audit block runs, or at once without common points,
-    and no state in between outlives it.  The report's ``vi_residual`` is
+    boundedness radius with 1e-8.  States queue for the audit and are
+    audited in blocks of up to :data:`AUDIT_BLOCK`, in one stacked pass
+    over a difference of at most :data:`STACKED_AUDIT_BYTES` (a state
+    wider than that alone, point by point, before the next step), and
+    every exit audits the block it leaves; the violation counts and each
+    state's ``fejer_ok`` are exact, the same as one state at a time.
+    Recording keeps every state up to n = 10000 and then every hundredth,
+    unless ``record_stride`` forces a fixed stride, and always the last: a
+    state's row of the report's :class:`Trajectory`, its fields read by
+    the names in :data:`COLUMNS`, is written when its audit block runs, or
+    before the next step without common points, and no state in between
+    outlives it.  The report's ``vi_residual`` is
     nan without common points, or when an operator it evaluates is
     non-finite at the last iterate.
     """
@@ -972,26 +985,26 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         return n <= 10_000 or n % 100 == 0
 
     state = first = initial_state(problem, schedule, psi0)
-    psi_norm = norm(state.psi)
     q_rows = np.array(qs).reshape(len(qs), problem.dim)
     limits = np.array([boundedness_radius(problem, schedule.mu_bar,
                                           state.psi, q) for q in qs]
                       ) + CERTIFY_TOL
 
     fejer_violations = bound_violations = 0
-    # States wait here, each with its psi_norm, and are audited together:
+    # States wait here and are audited together, before the next step:
     # AUDIT_BLOCK of them, or fewer when their stacked difference would
     # pass STACKED_AUDIT_BYTES.  A state whose own difference passes it is
-    # audited at once, point by point.
-    pending = []
+    # audited alone, point by point.
+    pending = [state]
+    block = 1 if not qs else max(1, min(
+        AUDIT_BLOCK, STACKED_AUDIT_BYTES // (6 * q_rows.nbytes)))
     table = array("d")
+    row = operator.attrgetter(*COLUMNS)
 
-    def write(st: IterState, st_norm: float) -> None:
-        """Append the row of ``st`` to the table."""
-        table.extend((st.n, st_norm, st.dist_to_solution, st.residual_t1,
-                      st.residual_t2, st.residual_t3, st.fb_residual,
-                      st.alpha, st.mu, st.lam,
-                      np.nan if st.fejer_ok is None else st.fejer_ok))
+    def write(st: IterState) -> None:
+        """Append the row of ``st`` to the table; a None reads nan."""
+        table.extend(row(st) if st.fejer_ok is not None else
+                     [np.nan if v is None else v for v in row(st)])
 
     def audit() -> None:
         """Audit the chain and the radius of the pending states against all
@@ -1000,33 +1013,25 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         audited."""
         nonlocal fejer_violations, bound_violations
         if qs:
-            states = [st for st, _ in pending]
-            _, failed, outside = _audit(states, q_rows, limits)
+            _, failed, outside = _audit(pending, q_rows, limits)
             fejer_violations += int(np.count_nonzero(failed))
             bound_violations += int(np.count_nonzero(outside))
-            for st, bad in zip(states, failed.any(axis=(1, 2)).tolist()):
+            for st, bad in zip(pending, failed.any(axis=(1, 2)).tolist()):
                 st.fejer_ok = not bad
-        for st, st_norm in pending:
+        for st in pending:
             if should_record(st.n):
-                write(st, st_norm)
+                write(st)
         pending.clear()
 
-    def hold(st: IterState, st_norm: float) -> None:
-        """Queue ``st`` for the audit, and audit the queue once it is full."""
-        pending.append((st, st_norm))
-        if len(pending) == block:
-            audit()
-
-    block = 1 if not qs else max(1, min(
-        AUDIT_BLOCK, STACKED_AUDIT_BYTES // (6 * q_rows.nbytes)))
-    hold(state, psi_norm)
     terminated, diverged_at = "max_iter", None
     steps = range(max_iter)
     # The start is checked here and every later iterate after its step.
-    if max_iter and psi_norm > DIVERGENCE_LIMIT:
+    if max_iter and state.psi_norm > DIVERGENCE_LIMIT:
         terminated, diverged_at, steps = "divergence_guard", "norm limit", ()
 
     for _ in steps:
+        if len(pending) == block:
+            audit()
         try:
             new = stepper(problem, schedule, state)
         except NonFiniteError as err:
@@ -1035,9 +1040,9 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         # The step has taken the point; keep it out of the held states.
         state.fb_carry = None
         displacement = norm(new.psi - state.psi)
-        state, psi_norm = new, norm(new.psi)
-        hold(state, psi_norm)
-        if psi_norm > DIVERGENCE_LIMIT:
+        state = new
+        pending.append(state)
+        if state.psi_norm > DIVERGENCE_LIMIT:
             terminated, diverged_at = "divergence_guard", "norm limit"
             break
         worst_residual = max(state.residual_t1, state.residual_t2,
@@ -1046,11 +1051,11 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             terminated = "tolerance"
             break
 
-    # Every exit path leaves the loop here.
+    # Every exit path leaves the loop here, and the last state is recorded.
     if pending:
         audit()
-    if table[-len(COLUMNS)] != state.n:
-        write(state, psi_norm)
+    if not should_record(state.n):
+        write(state)
     state.fb_carry = None
 
     final_vi = np.nan

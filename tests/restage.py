@@ -15,8 +15,8 @@ import functools
 import numpy as np
 
 from viscosplit.hilbert import norm
-from viscosplit.solvers import (step_fc, step_forward_backward, step_main,
-                                step_sow)
+from viscosplit.solvers import (COLUMNS, step_fc, step_forward_backward,
+                                step_main, step_sow)
 
 _STEPS = {"main": step_main, "sow": step_sow, "fc": step_fc,
           "forward_backward": step_forward_backward,
@@ -32,23 +32,25 @@ def restaged(report) -> list:
     """Every recorded state of ``report.trajectory``, with its vectors.
 
     Steps ``trajectory[0]`` through every n up to the last recorded one.
-    Each recorded row must equal its stepped state bit for bit: its
-    ``psi_norm`` is ``norm(psi)``, and its residuals, distance to the
-    solution, alpha, mu and lam are the state's.  The last stepped state's
-    vectors must equal those of ``trajectory[-1]``.
+    Each recorded row must equal its stepped state bit for bit, column by
+    column name: its ``psi_norm`` is the state's and ``norm(psi)``, and
+    its residuals, distance to the solution, alpha, mu and lam are the
+    state's.  ``fejer_ok`` is the audit's, which a stepped state has not
+    had.  The last stepped state's vectors must equal those of
+    ``trajectory[-1]``.
     """
     problem, schedule = report.problem, report.schedule
     step = _STEPS[report.algorithm]
     trajectory = report.trajectory
     state, states = trajectory[0], []
-    for n, psi_norm, *scalars, _ in trajectory.rows():
-        while state.n < n:
+    for values in trajectory.rows():
+        row = dict(zip(COLUMNS, values))
+        while state.n < row["n"]:
             state = step(problem, schedule, state)
-        assert state.n == n
-        want = (norm(state.psi), state.dist_to_solution, state.residual_t1,
-                state.residual_t2, state.residual_t3, state.fb_residual,
-                state.alpha, state.mu, state.lam)
-        assert all(map(_same, (psi_norm, *scalars), want)), (n, want)
+        assert state.n == row["n"]
+        assert _same(row["psi_norm"], norm(state.psi)), row
+        assert all(_same(row[name], getattr(state, name))
+                   for name in COLUMNS if name != "fejer_ok"), row
         states.append(state)
     last = trajectory[-1]
     for name in ("psi", "psi_prev", "delta", "pi", "phi", "xi"):

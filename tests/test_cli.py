@@ -253,6 +253,17 @@ def test_a_config_with_a_byte_order_mark_is_read(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_misspelt_sequence_key_exits_two(tmp_path, capsys, command):
+    # Read as the default scale 1.0, a misspelt "scale" would pass.
+    cfg = write_config(tmp_path, {"cells": [box_cell(**{
+        "schedule.alpha": {"kind": "inverse", "scael": 7.0}})]})
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, cfg, *out]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown schedule.alpha keys: ['scael']\n")
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         cfg = write_config(tmp_path, {"cells": [box_cell()]})
@@ -269,6 +280,7 @@ class TestConsoleScript:
     {"schedule.alpha": {"kind": "inverse", "scale": "q"}},
     {"schedule.interval": ["a", 1]},
     {"schedule.interval": [0.5, 0.1]},
+    {"schedule.interval": [0.5]},
     {"psi0": [float("inf")]},
     {"schedule.strict_paper": "false"},
     {"max_iter": True},

@@ -136,6 +136,10 @@ class TestProjections:
         with pytest.raises(ValueError):
             AffineSet(vec(0, 0), np.array([[1.0, 1.0]]))
 
+    def test_affine_basis_rows_must_match_the_anchor(self):
+        with pytest.raises(DimensionMismatch, match="anchor dimension"):
+            AffineSet(vec(0, 0), np.array([[0.0, 0.0, 1.0]]))
+
     @given(vectors_3d)
     def test_box_projection_idempotent(self, x):
         K = Box(-np.ones(3), np.ones(3))

@@ -7,6 +7,7 @@ from viscosplit.monotone import (L1Subdifferential, LinearMonotone,
                                  NormalCone, SingleOp, ZeroOperator, affine_op,
                                  check_forward_nonexpansive,
                                  check_inverse_strongly_monotone,
+                                 check_lipschitz,
                                  check_resolvent_firmly_nonexpansive,
                                  check_wang_contraction, fixed_point_residual,
                                  forward_backward_step, identity_op,
@@ -159,6 +160,10 @@ class TestOperatorAudits:
         res = check_forward_nonexpansive(identity_op(), 1.0, 3.0, [])
         assert res.passed and res.checked == 0
         assert "outside" in res.note and "empty sample" in res.note
+
+    def test_lipschitz_audit_rejects_a_negative_constant(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            check_lipschitz(identity_op(), -1.0, [])
 
     def test_wang_preconditions_enforced(self):
         from viscosplit.monotone import SingleOp

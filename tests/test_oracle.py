@@ -36,9 +36,10 @@ from viscosplit.schedules import ParamSeq
 from viscosplit.setvalued import (KIND_DEMICONTRACTIVE, FiniteSet, MultiMap,
                                   Singleton)
 from viscosplit.solvers import (ALGORITHMS, AUDIT_BLOCK, AUDIT_TOL,
-                                CERTIFY_TOL, RELEASED, STACKED_AUDIT_BYTES,
-                                audit_fejer_chain, boundedness_radius,
-                                initial_state, run, step_main)
+                                CERTIFY_TOL, COLUMNS, RELEASED,
+                                STACKED_AUDIT_BYTES, audit_fejer_chain,
+                                boundedness_radius, initial_state, run,
+                                step_main)
 
 from restage import restaged
 
@@ -127,9 +128,10 @@ def bits(report):
 @pytest.mark.parametrize("instance_id", sorted(catalog()))
 def test_singleton_dispatch_matches_the_general_path(instance_id, rule,
                                                      selection, wrap):
-    # A one-point FiniteSet takes the kernels of setvalued; a Singleton of
-    # a copy is measured by a subtraction even where the mapping (the
-    # identity) returns its argument, which the step reads as 0.0.
+    # A one-point FiniteSet is measured by FiniteSet.measure, a min over
+    # its norms, not by Singleton.measure; a Singleton of a copy is
+    # measured by a subtraction even where the mapping (the identity)
+    # returns its argument, which the step reads as 0.0.
     problem = dataclasses.replace(load_instance(instance_id),
                                   selection=selection)
     wrapper = {"finite_set": lambda img: FiniteSet((img.point,)),
@@ -302,8 +304,9 @@ def test_trajectory_items_read_their_rows(build):
         trajectory[4]
     with pytest.raises(IndexError):
         trajectory[-5]
-    fields = ("n", "dist_to_solution", "residual_t1", "residual_t2",
-              "residual_t3", "fb_residual", "alpha", "mu", "lam")
+    fields = ("n", "psi_norm", "dist_to_solution", "residual_t1",
+              "residual_t2", "residual_t3", "fb_residual", "alpha", "mu",
+              "lam")
     for item, state in zip(items, restaged(report)):
         assert all(type(getattr(item, f)) is type(getattr(state, f))
                    is (int if f == "n" else float) for f in fields)
@@ -311,6 +314,10 @@ def test_trajectory_items_read_their_rows(build):
             np.array([getattr(state, f) for f in fields]).tobytes()
     assert [st.fejer_ok for st in items] == (
         [True] * 4 if problem.known_common_points else [None] * 4)
+    for item, values in zip(items, trajectory.rows()):
+        row = dict(zip(COLUMNS, values))
+        assert np.array([getattr(item, f) for f in fields]).tobytes() == \
+            np.array([row[f] for f in fields]).tobytes()
 
 
 @pytest.mark.parametrize("rule", ["main", "fc"])

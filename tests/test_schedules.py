@@ -27,6 +27,10 @@ class TestParamSeq:
         assert ParamSeq.approaching_one()(1) == 0.5
         assert ParamSeq.approaching_one()(99) == 0.99
 
+    def test_an_unknown_kind_has_no_values(self):
+        with pytest.raises(ValueError, match="unknown sequence kind 'bogus'"):
+            ParamSeq("bogus")(1)
+
     def test_indexing_starts_at_one(self):
         with pytest.raises(ValueError):
             ParamSeq.inverse()(0)

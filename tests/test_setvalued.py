@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viscosplit.hilbert import NonFiniteError
+from viscosplit.hilbert import DimensionMismatch, NonFiniteError
 from viscosplit.monotone import affine_op, check_inverse_strongly_monotone
 from viscosplit.problems import make_example1
 from viscosplit.setvalued import (BallImage, FiniteSet, MultiMap,
@@ -39,6 +39,14 @@ class TestImages:
         assert BallImage(vec(0, 0), 0.0).radius == 0.0
         with pytest.raises(ValueError):
             BallImage(vec(0, 0), -1.0)
+
+    @pytest.mark.parametrize("image", [
+        Singleton(vec(0.0)), FiniteSet((vec(0.0), vec(1.0))),
+        BallImage(vec(0.0), 1.0)], ids=["singleton", "finite", "ball"])
+    def test_measure_compares_the_dimension(self, image):
+        with pytest.raises(DimensionMismatch,
+                           match="expected dimension 3, got 1"):
+            image.measure(vec(1, 1, 1), None, 3)
 
     def test_distances(self):
         assert distance_to_set(vec(3, 0), Singleton(vec(0, 0))) == 3.0
@@ -252,6 +260,31 @@ def test_image_operations_match_an_oracle(case):
     assert hausdorff(image, Singleton(q)) == oracle_farthest(kind, parts, q)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: distance_to_set(np.ones(3), Singleton([0.0])),
+    lambda: hausdorff(Singleton(np.ones(3)), Singleton([0.0])),
+    lambda: select_from(Singleton([0.0]), "metric", np.ones(3)),
+    lambda: hausdorff(FiniteSet([np.ones(3), np.zeros(3)]),
+                      FiniteSet([[0.0]]))],
+    ids=["distance_to_set", "hausdorff_singletons", "select_from",
+         "hausdorff_finite_sets"])
+def test_image_helpers_refuse_another_dimension(call):
+    # Each would broadcast the 1-vector against the 3-vector.
+    with pytest.raises(DimensionMismatch, match=r"dimension [13], got [13]"):
+        call()
+
+
+@pytest.mark.parametrize("a, b", [
+    (BallImage(np.ones(3), 1.0), BallImage([0.0], 1.0)),
+    (FiniteSet([np.ones(3), np.zeros(3)]), FiniteSet([[0.0], [1.0]]))],
+    ids=["balls", "finite_sets"])
+def test_hausdorff_refuses_images_of_two_dimensions(a, b):
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(DimensionMismatch,
+                           match=r"dimension [13], got [13]"):
+            hausdorff(*pair)
+
+
 class TestSelection:
     def test_metric_picks_nearest_with_lowest_index_ties(self):
         img = FiniteSet((vec(1.0), vec(-1.0)))
@@ -380,6 +413,11 @@ class TestClassAudits:
     def test_strictly_pseudocontractive_constant_range(self):
         with pytest.raises(ValueError):
             check_strictly_pseudocontractive(halving_map(), 1.5, [])
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0])
+    def test_demicontractive_constant_range(self, beta):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+            check_demicontractive(halving_map(), beta, [])
 
 
 class TestNanSlack:

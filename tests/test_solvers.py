@@ -368,6 +368,31 @@ def test_main_step_scans_few_values(monkeypatch):
     assert 0 < scans[0] <= 5
 
 
+def test_a_start_and_a_build_scan_each_value_once(monkeypatch):
+    # The start scans psi0 and its projection, the three images and the
+    # forward-backward point, but not again the point each image is taken
+    # at; the build scans each input and certifies the common point once,
+    # with the instance built once.  Both made more scans (12 and 20)
+    # when images went through MultiMap.__call__ and the instance was
+    # built twice.
+    prob = load_instance("inclusion_box", dim=4)
+    sched = default_schedule_for(prob)
+    scans = [0]
+    real = hilbert.all_finite
+
+    def counting(v):
+        scans[0] += 1
+        return real(v)
+
+    monkeypatch.setattr(hilbert, "all_finite", counting)
+    monkeypatch.setattr(solvers, "all_finite", counting)
+    initial_state(prob, sched, np.ones(4))
+    assert 0 < scans[0] <= 9
+    scans[0] = 0
+    load_instance("inclusion_box", dim=4)
+    assert 0 < scans[0] <= 15
+
+
 class TestAudits:
     def test_boundedness_radius_formula(self):
         prob = make_trivial_instance()
@@ -426,7 +451,8 @@ class TestAudits:
         state = IterState(n=1, psi=xi, psi_prev=psi_prev, delta=delta, pi=pi,
                           phi=phi, xi=xi, residual_t1=0.0, residual_t2=0.0,
                           residual_t3=0.0, fb_residual=0.0,
-                          dist_to_solution=0.0, alpha=0.5, mu=0.5, lam=0.5)
+                          dist_to_solution=0.0, alpha=0.5, mu=0.5, lam=0.5,
+                          psi_norm=float(np.linalg.norm(xi)))
         links = audit_fejer_chain(state, q).links
         dists = [np.linalg.norm(p - q) for p in (xi, phi, pi, delta, psi_prev)]
         assert [(lhs, rhs) for _, lhs, rhs, _ in links] == list(
