@@ -368,7 +368,7 @@ def test_main_step_scans_few_values(monkeypatch):
     assert 0 < scans[0] <= 5
 
 
-def test_a_start_and_a_build_scan_each_value_once(monkeypatch):
+def test_a_start_and_a_build_scan_few_values(monkeypatch):
     # The start scans psi0 and its projection, the three images and the
     # forward-backward point, but not again the point each image is taken
     # at; the build scans each input and certifies the common point once,
