@@ -46,6 +46,15 @@ class NonFiniteError(ValueError):
         self.stage = stage
 
 
+def _named(err: Exception, stage: str | None) -> Exception:
+    """``err`` naming ``stage`` when it is a :class:`NonFiniteError` or a
+    :class:`DimensionMismatch` that names no stage yet, else ``err``."""
+    if getattr(err, "stage", "") is not None:
+        return err
+    return type(err)(f"non-finite {stage}" if isinstance(err, NonFiniteError)
+                     else f"{stage}: {err}", stage)
+
+
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number, and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -138,10 +147,10 @@ def norm(x) -> float:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """The norm of each row of the 2-D float array ``rows``, equal to
-    :func:`norm` of that row bit for bit: ``np.vecdot`` reduces each row
-    with the dot kernel of ``v.dot(v)``.  Nothing is scanned, so an
-    overflowing row reads inf."""
+    """The norm of each row (along the last axis) of the float array
+    ``rows``, equal to :func:`norm` of that row bit for bit: ``np.vecdot``
+    reduces each row with the dot kernel of ``v.dot(v)``.  Nothing is
+    scanned, so an overflowing row reads inf."""
     return np.sqrt(np.vecdot(rows, rows))
 
 

@@ -9,7 +9,17 @@ identity.  The resolvent with parameter lam > 0 is J(x) = (I + lam*A)^{-1} x.
 
 :func:`resolvent` is the public boundary: it checks lam and coerces and
 checks x, once.  A :meth:`MaxMonotone.resolvent` method takes a vector
-already checked and does not check it again.  The class audits hand
+already checked and does not check it again.  So do
+:func:`forward_backward_step` and :func:`fixed_point_residual`: they hand
+the checked x to the one kernel of the forward-backward point
+J(x - lam*Fx), which the solver's step, its start state and the
+certification of a common point call too.  It checks the forward
+operator's value and the resolvent's against the size of x, and a
+:class:`~viscosplit.hilbert.NonFiniteError` or
+:class:`~viscosplit.hilbert.DimensionMismatch` names ``"forward
+operator"`` or ``"delta"``.  Every value checked here is compared with
+the size of the point it was made at, so an operator's 1-vector does not
+broadcast against a point of R^3.  The class audits hand
 their pairs to :func:`~viscosplit.setvalued.sampled_audit`, which checks
 the whole sample in one scan, and form each inequality over the stacked
 rows at once.  The operators and resolvents run on the whole stack too:
@@ -35,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import (DEFAULT_TOL, ConvexSet, DimensionMismatch, _is_real,
-                      as_vector, norm, row_norms)
+                      _is_vector, _named, as_vector, norm, row_norms)
 from .setvalued import AuditResult, _stacked, sampled_audit
 
 
@@ -75,11 +85,20 @@ class SingleOp:
         return _value(self, as_vector(x))
 
 
-def _value(op: SingleOp, xv: np.ndarray, dim=None) -> np.ndarray:
-    """``op`` at the checked point ``xv``.  The value is coerced and checked,
-    with its dimension when ``dim`` is given, unless it is ``xv`` itself."""
-    v = op.apply(xv)
-    return v if v is xv else as_vector(v, dim)
+def _value(op: SingleOp, x: np.ndarray, checked: bool = True) -> np.ndarray:
+    """``op`` at the checked point ``x``, made a vector by :func:`_vector`."""
+    return _vector(op.apply(x), x, checked)
+
+
+def _vector(v, x: np.ndarray, checked: bool) -> np.ndarray:
+    """``v``, a value made at the checked point ``x``, coerced as by
+    :func:`~viscosplit.hilbert.as_vector` and compared with the size of
+    ``x``.  ``x`` itself is not scanned again, and a float vector of that
+    size is scanned for finiteness only when ``checked``."""
+    if v is x:
+        return v
+    fresh = checked or not _is_vector(v) or v.size != x.size
+    return as_vector(v, x.size) if fresh else v
 
 
 def _values(op: SingleOp, xs: np.ndarray) -> np.ndarray:
@@ -88,7 +107,8 @@ def _values(op: SingleOp, xs: np.ndarray) -> np.ndarray:
     A ``rowwise`` operator is called once, and its value is scanned once
     unless it is ``xs`` itself; a value of another shape than ``xs``
     raises :class:`~viscosplit.hilbert.DimensionMismatch`.  Any other
-    operator is called row by row through :func:`_value`.
+    operator is called row by row through :func:`_value`, which compares
+    each value with its row's size.
     """
     if not op.rowwise:
         return np.array([_value(op, x) for x in xs])
@@ -227,18 +247,37 @@ def resolvent(op: MaxMonotone, lam: float, x) -> np.ndarray:
     return op.resolvent(lam, as_vector(x))
 
 
+def _forward_backward(inclusion: MaxMonotone, forward: SingleOp, lam: float,
+                      x: np.ndarray, checked: bool = True) -> np.ndarray:
+    """J(x - lam*forward(x)) at the checked point ``x``; like
+    :func:`resolvent`, rejects a lam that is not > 0.  The forward
+    operator's value is checked, and so is the resolvent's value when
+    ``checked``; the size of both is compared with that of ``x``.  A
+    :class:`~viscosplit.hilbert.NonFiniteError` or
+    :class:`~viscosplit.hilbert.DimensionMismatch` names ``"forward
+    operator"`` or ``"delta"``."""
+    stage = "forward operator"
+    try:
+        y = x - lam * _value(forward, x)
+        _check_lam(lam)
+        stage = "delta"
+        return _vector(inclusion.resolvent(lam, y), x, checked)
+    except ValueError as err:
+        raise _named(err, stage) from None
+
+
 def forward_backward_step(inclusion: MaxMonotone, forward: SingleOp,
                           lam: float, x) -> np.ndarray:
-    """One forward-backward application J(x - lam * forward(x))."""
-    xv = as_vector(x)
-    return resolvent(inclusion, lam, xv - lam * _value(forward, xv))
+    """One forward-backward application J(x - lam * forward(x)), each value
+    checked (see the module docstring)."""
+    return _forward_backward(inclusion, forward, lam, as_vector(x))
 
 
 def fixed_point_residual(inclusion: MaxMonotone, forward: SingleOp,
                          lam: float, x) -> float:
     """||x - J(x - lam*forward(x))||; zero exactly on the solution set."""
     xv = as_vector(x)
-    return norm(xv - forward_backward_step(inclusion, forward, lam, xv))
+    return norm(xv - _forward_backward(inclusion, forward, lam, xv))
 
 
 # --------------------------------------------------------------------------

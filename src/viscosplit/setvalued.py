@@ -66,19 +66,19 @@ class SelectionRule(Enum):
 
 
 # Each image kind measures itself, checking nothing again: its
-# constructor checked it.  ``measure(x, rule, dim)`` is one pass at a
-# checked point x that returns d(x, S) and the point of S that ``rule``
-# selects, None without a rule (a singleton gives its point under any
-# rule).  With ``dim`` it first compares the size of the image's points
-# with it, and another size raises DimensionMismatch.  ``farthest(q)`` is
-# H(S, {q}), the largest distance from a checked q to a point of S, and
-# compares the two sizes first in the same way.  ``members()`` gives the
-# points of S; a ball has no members here and raises UnsupportedPairing.
+# constructor checked it.  ``measure(x, rule)`` is one pass at a checked
+# point x that returns d(x, S) and the point of S that ``rule`` selects,
+# None without a rule (a singleton gives its point under any rule).  It
+# first compares the size of the image's points with the size of x, and
+# another size raises DimensionMismatch.  ``farthest(q)`` is H(S, {q}),
+# the largest distance from a checked q to a point of S, and compares the
+# two sizes first in the same way.  ``members()`` gives the points of S;
+# a ball has no members here and raises UnsupportedPairing.
 
-def _same_size(size: int, dim: int | None) -> None:
-    """Raise DimensionMismatch, naming both sizes, unless ``dim`` is None
-    or ``size``."""
-    if dim is not None and size != dim:
+def _same_size(size: int, dim: int) -> None:
+    """Raise DimensionMismatch, naming both sizes, unless ``size`` is
+    ``dim``."""
+    if size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {size}")
 
 
@@ -95,11 +95,11 @@ class Singleton:
         # would pay one object.__setattr__ per field.
         self.__dict__["point"] = as_vector(point)
 
-    def measure(self, x, rule=None, dim=None):
+    def measure(self, x, rule=None):
         # The residual is 0.0 with no subtraction when the point is x
         # itself, as an identity mapping's is.
         y = self.point
-        _same_size(y.size, dim)
+        _same_size(y.size, x.size)
         return (0.0 if y is x else norm(x - y)), y
 
     def farthest(self, q) -> float:
@@ -122,9 +122,9 @@ class FiniteSet:
             raise DimensionMismatch("points in one image must share a dimension")
         object.__setattr__(self, "points", pts)
 
-    def measure(self, x, rule=None, dim=None):
+    def measure(self, x, rule=None):
         pts = self.points
-        _same_size(pts[0].size, dim)
+        _same_size(pts[0].size, x.size)
         # Each norm is taken once; index() finds the lowest-index minimum.
         norms = [norm(x - p) for p in pts]
         d = min(norms)
@@ -153,11 +153,11 @@ class BallImage:
         if self.radius < 0:
             raise ValueError("image radius must be nonnegative")
 
-    def measure(self, x, rule=None, dim=None):
+    def measure(self, x, rule=None):
         # The metric selection is x inside the ball, else the point where
         # the segment from the center to x leaves it.
         c, r = self.center, self.radius
-        _same_size(c.size, dim)
+        _same_size(c.size, x.size)
         gap = x - c
         dist = norm(gap)
         d = max(dist - r, 0.0)
@@ -192,7 +192,7 @@ def distance_to_set(x, S: SetImage) -> float:
     dimension than ``x`` raises
     :class:`~viscosplit.hilbert.DimensionMismatch`."""
     x = as_vector(x)
-    return _image(S).measure(x, None, x.size)[0]
+    return _image(S).measure(x)[0]
 
 
 def select_from(S: SetImage, rule: SelectionRule | str, x) -> np.ndarray:
@@ -201,7 +201,7 @@ def select_from(S: SetImage, rule: SelectionRule | str, x) -> np.ndarray:
     another dimension than ``x`` raises
     :class:`~viscosplit.hilbert.DimensionMismatch`."""
     x = as_vector(x)
-    return _image(S).measure(x, SelectionRule(rule), x.size)[1]
+    return _image(S).measure(x, SelectionRule(rule))[1]
 
 
 def hausdorff(A: SetImage, B: SetImage) -> float:
@@ -223,7 +223,7 @@ def hausdorff(A: SetImage, B: SetImage) -> float:
         _same_size(A.center.size, B.center.size)
         d = norm(A.center - B.center)
         return max(d + A.radius - B.radius, d + B.radius - A.radius, 0.0)
-    return max(max(B.measure(a, None, a.size)[0] for a in A.members()),
+    return max(max(B.measure(a)[0] for a in A.members()),
                max(A.measure(b)[0] for b in B.members()))
 
 

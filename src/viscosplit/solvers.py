@@ -74,8 +74,8 @@ dimension:
   only the value is coerced and checked, and a value that is the point
   itself is not scanned again), because it enters the resolvent; each
   image a mapping returns (checked by its constructor, and its dimension
-  compared with the problem's, since a 1-vector would broadcast); and
-  the anchor target, which the projection checks at its own boundary
+  compared with the stage point's, since a 1-vector would broadcast);
+  and the anchor target, which the projection checks at its own boundary
   before it returns the new iterate.  Each image measures itself in one
   call (see :mod:`viscosplit.setvalued`), which compares its dimension
   and returns its residual with its selected point: a singleton's point
@@ -84,7 +84,15 @@ dimension:
   identity mapping's is (a checked float64 vector is its own
   ``Singleton`` point, and the constructor scanned it).  The sizes of
   the resolvent's, the contraction's and the strong operator's values
-  are compared with the problem's dimension too, with no scan.
+  are compared too, with no scan.
+
+Only the boundary compares a vector with the problem's ``dim``.  Below
+it every value is compared with the size of the point it was made at,
+which is ``dim`` because every point of a run is made from the checked
+start.  The forward-backward point J(psi - lam*Forward psi) of a step,
+of the start state and of a common point's certification comes from the
+one kernel behind :func:`~viscosplit.monotone.forward_backward_step`,
+with its replay's ``checked`` flag.
 
 The other values a step makes are caught downstream, not scanned:
 delta, pi and phi_p, and the forward-backward point carried to the next
@@ -143,9 +151,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _is_real,
-                      _is_vector, all_finite, as_vector, inner, norm, project)
-from .monotone import (MaxMonotone, SingleOp, _check_lam, _value,
+from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _coerce,
+                      _is_real, _named, all_finite, as_vector, inner, norm,
+                      project, row_norms)
+from .monotone import (MaxMonotone, SingleOp, _forward_backward, _value,
                        check_inverse_strongly_monotone, check_lipschitz,
                        check_resolvent_firmly_nonexpansive,
                        check_wang_contraction)
@@ -272,10 +281,9 @@ class ProblemInstance:
         if self.default_start is not None:
             object.__setattr__(self, "default_start",
                                as_vector(self.default_start, self.dim))
-        qs = tuple(as_vector(q, self.dim) for q in self.known_common_points)
-        object.__setattr__(self, "known_common_points", qs)
-        for q in qs:
+        object.__setattr__(self, "known_common_points", tuple(
             self._require_common_point(q, "declared common point")
+            for q in self.known_common_points))
 
     @property
     def maps(self) -> tuple[MultiMap, MultiMap, MultiMap]:
@@ -291,34 +299,37 @@ class ProblemInstance:
         :class:`NonFiniteError` or
         :class:`~viscosplit.hilbert.DimensionMismatch` naming it
         (``"forward operator"``, ``"delta"``, ``"T1 image"``, ...)."""
-        qv = as_vector(q, self.dim)
-        lam = self.params.lam_mid
+        q = as_vector(q, self.dim)
         defects = []
-        res = norm(qv - _fb_point(self, lam, qv, True))
+        res = norm(q - _forward_backward(self.inclusion, self.forward,
+                                         self.params.lam_mid, q))
         if not res <= CERTIFY_TOL:
             defects.append(
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
         for i, (t, stage) in enumerate(zip(self.maps, _IMAGES), start=1):
             try:
-                img = _image(t.image(qv))
-                d = img.measure(qv, None, self.dim)[0]
+                img = _image(t.image(q))
+                d = img.measure(q)[0]
             except ValueError as err:
                 raise _named(err, stage) from None
             if not d <= CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
                 continue
-            h = img.farthest(qv)
+            h = img.farthest(q)
             if not h <= CERTIFY_TOL:
                 defects.append(f"T{i} q is not the singleton {{q}}: H = {h:g}")
         return defects
 
-    def _require_common_point(self, q: np.ndarray, what: str) -> None:
-        """Raise :class:`UncertifiedPointError` naming ``what``, the vector
-        ``q`` and its defects unless ``q`` certifies."""
+    def _require_common_point(self, q, what: str) -> np.ndarray:
+        """``q`` as a vector, coerced and checked once, by
+        :meth:`common_point_defects`; raise :class:`UncertifiedPointError`
+        naming ``what``, the vector and its defects unless it certifies."""
+        q = _coerce(q)
         defects = self.common_point_defects(q)
         if defects:
             raise UncertifiedPointError(
                 f"{what} {q.tolist()} does not certify: " + "; ".join(defects))
+        return q
 
 
 def _sample_points(rng, dim: int, count: int) -> np.ndarray:
@@ -535,44 +546,6 @@ _IMAGES = ("T1 image", "T2 image", "T3 image")
 _AVERAGED = ("pi", "phi_p", "xi")
 
 
-def _vector(v, dim: int, checked: bool) -> np.ndarray:
-    """``v`` coerced as by :func:`~viscosplit.hilbert.as_vector`, and of
-    dimension ``dim``; a float vector of that dimension is scanned for
-    finiteness only when ``checked`` (in a checked replay)."""
-    fresh = checked or not _is_vector(v) or v.size != dim
-    return as_vector(v, dim) if fresh else v
-
-
-def _named(err: Exception, stage: str | None) -> Exception:
-    """``err`` naming ``stage`` when it is a :class:`NonFiniteError` or a
-    :class:`~viscosplit.hilbert.DimensionMismatch` that names no stage yet,
-    else ``err``."""
-    if getattr(err, "stage", "") is not None:
-        return err
-    return type(err)(f"non-finite {stage}" if isinstance(err, NonFiniteError)
-                     else f"{stage}: {err}", stage)
-
-
-def _fb_point(problem: ProblemInstance, lam: float, x: np.ndarray,
-              checked: bool) -> np.ndarray:
-    """J(x - lam*Forward x) at the checked point ``x``; like
-    :func:`~viscosplit.monotone.resolvent`, rejects a lam that is not > 0.
-    The forward operator's value is checked, and so is the resolvent's
-    value when ``checked`` (a checked pass); the dimension of both is
-    compared with the problem's.  A :class:`NonFiniteError` or
-    :class:`~viscosplit.hilbert.DimensionMismatch` names
-    ``"forward operator"`` or ``"delta"``."""
-    stage = "forward operator"
-    try:
-        y = x - lam * _value(problem.forward, x, problem.dim)
-        _check_lam(lam)
-        stage = "delta"
-        return _vector(problem.inclusion.resolvent(lam, y), problem.dim,
-                       checked)
-    except ValueError as err:
-        raise _named(err, stage) from None
-
-
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
           anchor: Anchor, checked: bool = False) -> IterState:
     """One step of the rule ``anchor`` describes.
@@ -608,7 +581,8 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         if carry is not None and carry[0] is problem and lam == state.lam:
             x = carry[1]
         else:
-            x = _fb_point(problem, lam, psi, checked)
+            x = _forward_backward(problem.inclusion, problem.forward, lam,
+                                  psi, checked)
         # Each image is dropped when it is measured, and its point after
         # its averaging line, so no image point reaches the anchor line.
         points, residuals = [x], []
@@ -617,7 +591,7 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             stage = _IMAGES[k]
             rule = problem.selection if k < anchor.stages else None
             d, y = (_image(t.image(x)) if checked
-                    else t.image(x)).measure(x, rule, problem.dim)
+                    else t.image(x)).measure(x, rule)
             residuals.append(d)
             if rule is not None:
                 w = weight(i)
@@ -636,17 +610,15 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             # The target is summed in place, in the order of the rule's
             # line, so that no operator value outlives its term.
             stage = "contraction"
-            target = a * p.gamma * _vector(problem.contraction.apply(psi),
-                                           problem.dim, checked)
+            target = a * p.gamma * _value(problem.contraction, psi, checked)
             stage = "strong operator"
             if anchor.mixes:
                 target += m * c
-                target += (1.0 - m) * (psi - p.eta * a * _vector(
-                    problem.strong.apply(psi), problem.dim, checked))
+                target += (1.0 - m) * (
+                    psi - p.eta * a * _value(problem.strong, psi, checked))
             else:
                 target += c
-                target -= p.eta * a * _vector(problem.strong.apply(c),
-                                              problem.dim, checked)
+                target -= p.eta * a * _value(problem.strong, c, checked)
             stage = "psi"
             psi_new = project(problem.feasible, target)
         else:
@@ -675,7 +647,8 @@ def _build_state(problem: ProblemInstance, n: int, psi: np.ndarray,
     known solution.  Unless ``checked`` (a checked pass), the point is not
     scanned: its residual ``norm`` rejects a non-finite one.
     """
-    fb_point = _fb_point(problem, lam, psi, checked)
+    fb_point = _forward_backward(problem.inclusion, problem.forward, lam, psi,
+                                 checked)
     dist = (np.nan if problem.known_solution is None
             else norm(psi - problem.known_solution))
     state = IterState(n, psi, psi_prev, *points, *residuals,
@@ -732,8 +705,7 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
         psi = project(problem.feasible, as_vector(psi0, problem.dim))
         residuals = []
         for stage, t in zip(_IMAGES, problem.maps):
-            residuals.append(
-                _image(t.image(psi)).measure(psi, None, problem.dim)[0])
+            residuals.append(_image(t.image(psi)).measure(psi)[0])
     except ValueError as err:
         raise _named(err, stage) from None
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
@@ -786,9 +758,8 @@ def _distances(points, q_rows: np.ndarray) -> np.ndarray:
     if len(points) * q_rows.nbytes <= STACKED_AUDIT_BYTES:
         # One concatenation of the 1-D points costs less than np.array's
         # inspection of a list of arrays.
-        diff = (np.concatenate(points).reshape(len(points), 1, q_rows.shape[1])
-                - q_rows)
-        return np.sqrt(np.vecdot(diff, diff))
+        return row_norms(np.concatenate(points).reshape(
+            len(points), 1, q_rows.shape[1]) - q_rows)
     out = np.empty((len(points), len(q_rows)))
     first = {}
     for k, p in enumerate(points):
@@ -796,8 +767,7 @@ def _distances(points, q_rows: np.ndarray) -> np.ndarray:
         if j < k:
             out[k] = out[j]
         else:
-            diff = q_rows - p
-            out[k] = np.sqrt(np.vecdot(diff, diff))
+            out[k] = row_norms(q_rows - p)
     return out
 
 
@@ -847,9 +817,9 @@ def _anchor_values(problem: ProblemInstance,
     ``"contraction"`` or ``"strong operator"``."""
     stage = "contraction"
     try:
-        phi = _value(problem.contraction, x, problem.dim)
+        phi = _value(problem.contraction, x)
         stage = "strong operator"
-        return phi, _value(problem.strong, x, problem.dim)
+        return phi, _value(problem.strong, x)
     except ValueError as err:
         raise _named(err, stage) from None
 
@@ -886,9 +856,7 @@ def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
     if probes is None:
         probes = problem.known_common_points
     else:
-        probes = [as_vector(q, problem.dim) for q in probes]
-        for q in probes:
-            problem._require_common_point(q, "probe")
+        probes = [problem._require_common_point(q, "probe") for q in probes]
     if not probes:
         return np.nan
     return _vi_worst(problem, psiv, probes)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from viscosplit.hilbert import Ball, Box, HalfSpace
+from viscosplit.hilbert import (Ball, Box, DimensionMismatch, HalfSpace,
+                                NonFiniteError)
 from viscosplit.monotone import (L1Subdifferential, LinearMonotone,
-                                 NormalCone, SingleOp, ZeroOperator, affine_op,
+                                 MaxMonotone, NormalCone, SingleOp,
+                                 ZeroOperator, affine_op,
                                  check_forward_nonexpansive,
                                  check_inverse_strongly_monotone,
                                  check_lipschitz,
@@ -81,6 +83,51 @@ class TestForwardBackward:
         K = Box(vec(-1.0), vec(1.0))
         r = fixed_point_residual(NormalCone(K), identity_op(), 0.5, vec(0.5))
         assert r > 0
+
+
+class Shrink(MaxMonotone):
+    """A resolvent whose value is a point of R^1 wherever it is taken."""
+
+    def resolvent(self, lam, x):
+        return np.zeros(1)
+
+
+class Bad(MaxMonotone):
+    """A resolvent whose value is nan in every coordinate."""
+
+    def resolvent(self, lam, x):
+        return x * np.nan
+
+
+#: An operator that is not row-wise, with a value in R^1 at a point of R^n.
+one = SingleOp(lambda x: np.array([x.sum()]), lipschitz=1.0,
+               inverse_strong_monotonicity=1.0)
+
+
+class TestForwardBackwardChecksEachValue:
+    """The public helpers check the forward operator's and the resolvent's
+    values against the size of the point, as the solver's step does; a
+    1-vector would broadcast against x, and a nan would be returned."""
+
+    @pytest.mark.parametrize("helper, inclusion, forward, error, stage", [
+        (forward_backward_step, Shrink(), identity_op(), DimensionMismatch,
+         "delta"),
+        (fixed_point_residual, Shrink(), identity_op(), DimensionMismatch,
+         "delta"),
+        (forward_backward_step, Bad(), identity_op(), NonFiniteError,
+         "delta"),
+        (forward_backward_step, ZeroOperator(), one, DimensionMismatch,
+         "forward operator"),
+    ], ids=["step-shrink", "residual-shrink", "step-nan", "step-forward"])
+    def test_value_is_checked(self, helper, inclusion, forward, error, stage):
+        with pytest.raises(error, match=stage) as info:
+            helper(inclusion, forward, 0.5, np.ones(3))
+        assert info.value.stage == stage
+
+    def test_operator_call_compares_the_size(self):
+        with pytest.raises(DimensionMismatch,
+                           match="^expected dimension 3, got 1$"):
+            one(np.ones(3))
 
 
 class TestOperatorHelpers:

@@ -46,7 +46,7 @@ class TestImages:
     def test_measure_compares_the_dimension(self, image):
         with pytest.raises(DimensionMismatch,
                            match="expected dimension 3, got 1"):
-            image.measure(vec(1, 1, 1), None, 3)
+            image.measure(vec(1, 1, 1))
 
     def test_distances(self):
         assert distance_to_set(vec(3, 0), Singleton(vec(0, 0))) == 3.0

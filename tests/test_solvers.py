@@ -393,6 +393,31 @@ def test_a_start_and_a_build_scan_few_values(monkeypatch):
     assert 0 < scans[0] <= 15
 
 
+def test_a_common_point_is_scanned_once_where_it_enters(monkeypatch):
+    # Each declared common point is coerced and scanned once, when it is
+    # certified, and so is each probe of vi_residual; coercing first and
+    # certifying after scanned each twice (15 and 24 scans per build, 11
+    # for the probe).
+    scans = [0]
+    real = hilbert.all_finite
+
+    def counting(v):
+        scans[0] += 1
+        return real(v)
+
+    monkeypatch.setattr(hilbert, "all_finite", counting)
+    monkeypatch.setattr(solvers, "all_finite", counting)
+    for instance_id, kwargs, most in (("inclusion_box", {"dim": 4}, 14),
+                                      ("trivial_collapse", {}, 21)):
+        scans[0] = 0
+        load_instance(instance_id, **kwargs)
+        assert 0 < scans[0] <= most
+    prob = load_instance("trivial_collapse")
+    scans[0] = 0
+    vi_residual(prob, np.ones(1), probes=[np.zeros(1)])
+    assert 0 < scans[0] <= 10
+
+
 class TestAudits:
     def test_boundedness_radius_formula(self):
         prob = make_trivial_instance()

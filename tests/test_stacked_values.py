@@ -188,6 +188,17 @@ def test_rowwise_value_of_another_shape_raises(name):
         PAIR_AUDITS[name](op, pairs_of(np.ones((2, 2))))
 
 
+@pytest.mark.parametrize("name", sorted(PAIR_AUDITS))
+def test_per_row_value_of_another_size_raises(name):
+    # Called row by row, a value in R^1 at a point of R^3 would broadcast
+    # in the audit's arithmetic; it is compared with its row's size.
+    op = SingleOp(lambda x: np.array([x.sum()]), lipschitz=1.0,
+                  strong_monotonicity=1.0, inverse_strong_monotonicity=1.0)
+    with pytest.raises(DimensionMismatch,
+                       match="^expected dimension 3, got 1$"):
+        PAIR_AUDITS[name](op, [(np.ones(3), np.zeros(3))])
+
+
 def test_resolvent_rows_default_runs_row_by_row():
     calls = []
 
