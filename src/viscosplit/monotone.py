@@ -7,9 +7,10 @@ resolvents: the zero operator, a normal cone of a projectable convex set,
 a weighted l1 subdifferential, and a nonnegative scalar multiple of the
 identity.  The resolvent with parameter lam > 0 is J(x) = (I + lam*A)^{-1} x.
 
-:func:`resolvent` is the public boundary: it checks lam and coerces and
-checks x, once.  A :meth:`MaxMonotone.resolvent` method takes a vector
-already checked and does not check it again.  So do
+:func:`resolvent` is the public boundary: it checks lam, coerces and
+checks x once, and checks the value against the size of x.  A
+:meth:`MaxMonotone.resolvent` method takes a vector already checked and
+does not check it again.  So do
 :func:`forward_backward_step` and :func:`fixed_point_residual`: they hand
 the checked x to the one kernel of the forward-backward point
 J(x - lam*Fx), which the solver's step, its start state and the
@@ -242,9 +243,13 @@ def _check_lam(lam: float) -> None:
 
 
 def resolvent(op: MaxMonotone, lam: float, x) -> np.ndarray:
-    """J(x) = (I + lam*op)^{-1} x, requiring lam > 0."""
+    """J(x) = (I + lam*op)^{-1} x, requiring lam > 0.  The value is checked
+    against the size of x: one of another size raises
+    :class:`~viscosplit.hilbert.DimensionMismatch`, a non-finite one
+    :class:`~viscosplit.hilbert.NonFiniteError`."""
     _check_lam(lam)
-    return op.resolvent(lam, as_vector(x))
+    xv = as_vector(x)
+    return _vector(op.resolvent(lam, xv), xv, True)
 
 
 def _forward_backward(inclusion: MaxMonotone, forward: SingleOp, lam: float,
@@ -365,13 +370,22 @@ def check_resolvent_firmly_nonexpansive(op: MaxMonotone, lam: float,
     """Audit  ||Jx - Jy||^2 <= <Jx - Jy, x - y>  for J the lam-resolvent.
 
     lam > 0 is enforced before any sampling.  The resolvent values are not
-    checked one by one: the stacked gap Jx - Jy is scanned once, and a
-    non-finite value raises :class:`~viscosplit.hilbert.NonFiniteError`.
+    checked one by one: a stack of values of another shape than its stack
+    of points raises :class:`~viscosplit.hilbert.DimensionMismatch` naming
+    both shapes, the stacked gap Jx - Jy is scanned once, and a non-finite
+    value raises :class:`~viscosplit.hilbert.NonFiniteError`.
     """
     _check_lam(lam)
 
+    def rows(xs):
+        vs = np.asarray(op.resolvent_rows(lam, xs), dtype=float)
+        if vs.shape != xs.shape:
+            raise DimensionMismatch(
+                f"resolvent value shape {vs.shape}, not {xs.shape}")
+        return vs
+
     def sides(xs, ys):
-        gap = op.resolvent_rows(lam, xs) - op.resolvent_rows(lam, ys)
+        gap = rows(xs) - rows(ys)
         as_vector(gap.ravel())  # one scan rejects a non-finite value
         size = row_norms(gap)
         return size * size, np.vecdot(gap, xs - ys)

@@ -621,6 +621,7 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
                 target -= p.eta * a * _value(problem.strong, c, checked)
             stage = "psi"
             psi_new = project(problem.feasible, target)
+            del target
         else:
             a = m = np.nan
             psi_new = points[0]
@@ -1000,10 +1001,20 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     for _ in steps:
         if len(pending) == block:
             audit()
+        if not pending and state is not first:
+            # Audited and written: a step reads none of the stage points.
+            state.delta = state.pi = state.phi = state.xi = RELEASED
         try:
             new = stepper(problem, schedule, state)
         except NonFiniteError as err:
             terminated, diverged_at = "divergence_guard", err.stage
+            if state.xi is RELEASED:
+                # The final state is kept whole: step it again from its
+                # start, which gives it back bit for bit.
+                ok = state.fejer_ok
+                state = stepper(problem, schedule, replace(
+                    state, n=state.n - 1, psi=state.psi_prev))
+                state.fejer_ok = ok
             break
         # The step has taken the point; keep it out of the held states.
         state.fb_carry = None
