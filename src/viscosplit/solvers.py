@@ -36,7 +36,12 @@ any certified common point q with :func:`audit_fejer_chain`.  :func:`run`
 audits that chain on every state and keeps one row of scalars per
 recorded state, with the start and final states whole (see
 :class:`Trajectory`); step the start state again to see the points of a
-state in between.
+state in between.  While it steps, a run holds the state it steps from
+and the one the step builds.  A step reads only a state's psi, n, lam
+and carried forward-backward point, so an audited state whose row is
+written has its stage points released before its next step; if that
+step fails, the state is stepped again from its start and so ends the
+run whole.
 
 Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
@@ -928,9 +933,17 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     state's row of the report's :class:`Trajectory`, its fields read by
     the names in :data:`COLUMNS`, is written when its audit block runs, or
     before the next step without common points, and no state in between
-    outlives it.  The report's ``vi_residual`` is
-    nan without common points, or when an operator it evaluates is
-    non-finite at the last iterate.
+    outlives it.  While it steps, a run holds the state it steps from,
+    the one the step builds and the start.  A state that has been audited
+    and written (no state waits for the audit) has its ``delta``, ``pi``,
+    ``phi`` and ``xi`` set to :data:`RELEASED` before its next step, which
+    reads only its ``psi``, ``n``, ``lam`` and carried forward-backward
+    point; the start keeps its own.  If that step raises
+    :class:`NonFiniteError`, the state is stepped again from its start
+    (``psi_prev`` at n - 1), which gives it back bit for bit, and keeps
+    its audited ``fejer_ok``, so the final state is whole on every exit.
+    The report's ``vi_residual`` is nan without common points, or when an
+    operator it evaluates is non-finite at the last iterate.
     """
     check_run_arguments(tol, max_iter, record_stride, algorithm)
     if check_schedule:

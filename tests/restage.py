@@ -18,9 +18,10 @@ from viscosplit.hilbert import norm
 from viscosplit.solvers import (COLUMNS, step_fc, step_forward_backward,
                                 step_main, step_sow)
 
-_STEPS = {"main": step_main, "sow": step_sow, "fc": step_fc,
-          "forward_backward": step_forward_backward,
-          "sow_phi": functools.partial(step_sow, use_phi=True)}
+#: The public step of each rule.
+STEP = {"main": step_main, "sow": step_sow, "fc": step_fc,
+        "forward_backward": step_forward_backward,
+        "sow_phi": functools.partial(step_sow, use_phi=True)}
 
 
 def _same(got: float, want: float) -> bool:
@@ -40,7 +41,7 @@ def restaged(report) -> list:
     ``trajectory[-1]``.
     """
     problem, schedule = report.problem, report.schedule
-    step = _STEPS[report.algorithm]
+    step = STEP[report.algorithm]
     trajectory = report.trajectory
     state, states = trajectory[0], []
     for values in trajectory.rows():

@@ -124,6 +124,22 @@ class TestForwardBackwardChecksEachValue:
             helper(inclusion, forward, 0.5, np.ones(3))
         assert info.value.stage == stage
 
+    @pytest.mark.parametrize("inclusion, error, match", [
+        (Shrink(), DimensionMismatch, "^expected dimension 3, got 1$"),
+        (Bad(), NonFiniteError, "non-finite")], ids=["shrink", "nan"])
+    def test_public_resolvent_checks_its_value(self, inclusion, error,
+                                               match):
+        # Unchecked, these read [0.] and [nan nan nan].
+        with pytest.raises(error, match=match):
+            resolvent(inclusion, 0.5, np.ones(3))
+
+    def test_resolvent_audit_names_both_shapes(self):
+        # Unchecked, numpy's vecdot raised on its core dimensions.
+        with pytest.raises(DimensionMismatch, match=r"^resolvent value "
+                           r"shape \(1, 1\), not \(1, 3\)$"):
+            check_resolvent_firmly_nonexpansive(
+                Shrink(), 0.5, [(np.ones(3), np.zeros(3))])
+
     def test_operator_call_compares_the_size(self):
         with pytest.raises(DimensionMismatch,
                            match="^expected dimension 3, got 1$"):

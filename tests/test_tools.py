@@ -137,6 +137,15 @@ def test_bench_pairs_verdict_applies_the_gain_and_bound_rules():
         "gain rule fails; median within its bound of 0.25")
     assert verdict(base, [b + 3.1 for b in base], bound=0.25) == (
         "gain rule fails; median BEYOND its bound of 0.25")
+    # A base spread (2) wider than the bound (0.1 * 12) leaves the median
+    # unresolved either way, unless every change run reads better than
+    # every base run.
+    assert verdict(base, [b + 0.5 for b in base], bound=0.1) == (
+        "gain rule fails; median unresolved against its bound of 0.1")
+    assert verdict(base, [b - 0.5 for b in base], bound=0.1) == (
+        "gain rule fails; median unresolved against its bound of 0.1")
+    assert verdict(base, [9.0] * 10, bound=0.1) == (
+        "gain rule holds; median within its bound of 0.1")
 
 
 def test_bench_pairs_prints_a_verdict_per_metric(monkeypatch, capsys):

@@ -16,7 +16,8 @@ many pairs the change read lower.  Under it, two verdicts per metric:
   better than the base's by more than the base's quartile spread;
 - for an end-to-end metric of ``BENCHMARK.json``, whether the change's
   median is worse than the base's by no more than the metric's relative
-  bound.
+  bound; "unresolved" when the base's own quartile spread is wider than
+  that bound, unless every change run reads better than every base run.
 
 ``BENCHMARK.json`` is only read.  A run that reports ``"correct": false``
 or fails stops the script.
@@ -106,9 +107,13 @@ def verdict(base: list, change: list, better: str = "lower",
     gain = 10 * wins >= 9 * len(base) and gap > q3 - q1
     text = f"gain rule {'holds' if gain else 'fails'}"
     if bound is not None:
-        within = -gap <= bound * abs(base_median)
-        text += (f"; median {'within' if within else 'BEYOND'} "
-                 f"its bound of {bound:g}")
+        limit = bound * abs(base_median)
+        apart = max(sign * c for c in change) < min(sign * b for b in base)
+        if q3 - q1 > limit and not apart:
+            word = "unresolved against"
+        else:
+            word = "within" if -gap <= limit else "BEYOND"
+        text += f"; median {word} its bound of {bound:g}"
     return text
 
 
