@@ -282,15 +282,22 @@ class AffineSet(ConvexSet):
         return self.anchor + self.basis.T @ (self.basis @ (xv - self.anchor))
 
 
+#: Sets whose projection of a checked point is checked already: the whole
+#: space returns the point it checked, and a box clips it between finite
+#: bounds.  A subclass may project otherwise, so the type must match.
+_CHECKED_PROJECTIONS = (WholeSpace, Box)
+
+
 def project(K: ConvexSet, x) -> np.ndarray:
     """Nearest-point projection of ``x`` onto ``K``.
 
     The returned point p satisfies the variational characterization
     <x - p, y - p> <= 0 for every y in K.  ``K.project`` checks ``x``, so
-    p is checked here only when it is a new point.
+    p is checked here only when it is a new point that ``K``'s own type
+    does not make finite: a box's clip is not scanned again.
     """
     p = K.project(x)
-    return p if p is x else as_vector(p)
+    return p if p is x or type(K) in _CHECKED_PROJECTIONS else as_vector(p)
 
 
 # --------------------------------------------------------------------------

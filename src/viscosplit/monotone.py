@@ -135,7 +135,8 @@ def affine_op(coef: float, offset=None, dim: int | None = None,
     For coef > 0 this is coef-strongly monotone and (1/coef)-inverse
     strongly monotone.  For coef = 0 it is a constant map, inverse strongly
     monotone with every modulus, and declares 1, as :func:`zero_op` does,
-    so it can serve as a problem's forward operator.  With an offset,
+    so it can serve as a problem's forward operator.  For coef = 1 the
+    value is x + offset, and x itself without an offset.  With an offset,
     a point of another dimension raises
     :class:`~viscosplit.hilbert.DimensionMismatch`.
     """
@@ -148,7 +149,8 @@ def affine_op(coef: float, offset=None, dim: int | None = None,
         if off is not None and x.shape[-1] != off.size:
             raise DimensionMismatch(f"an operator of dimension {off.size} "
                                     f"at a point of dimension {x.shape[-1]}")
-        y = coef * x
+        # 1.0 * x is x bit for bit, so that pass is not made.
+        y = x if coef == 1.0 else coef * x
         return y if off is None else y + off
 
     return SingleOp(

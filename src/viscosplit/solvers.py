@@ -43,6 +43,17 @@ written has its stage points released before its next step; if that
 step fails, the state is stepped again from its start and so ends the
 run whole.
 
+Each iteration takes each distance and each image at most once.  The
+audit measures a state's distinct stage points against every certified
+point.  Its psi_prev is the psi of the state before, whose distances the
+run carries; its psi is measured unless every certified point is the
+known solution, and then its distances are its ``dist_to_solution``.  A
+stage that measures a mapping only for its residual reads the residual
+of the stage before when that took the same mapping at the same point,
+so the forward-backward rule takes one image per step when T1 is T2 is
+T3.  The start state and a common point's certification take such a
+mapping's image once too.
+
 Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
 dimension:
@@ -109,7 +120,7 @@ coerced to a float vector, and scanned, when it is not one already.
 
 A projection checks the point it is given at its own public boundary, so
 a point it returns unchanged (the whole space, or a point already inside
-a ball or half-space) is not scanned again.  The resolvent is handed
+a ball or half-space) is not scanned again, nor is a box's clip.  The resolvent is handed
 psi - lam*Forward psi unchecked: the built-in resolvents take a checked
 vector and do not check it again, but a projection (the normal cone)
 checks the point at its own boundary and the others carry a non-finite
@@ -156,9 +167,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _coerce,
-                      _is_real, _named, all_finite, as_vector, inner, norm,
-                      project, row_norms)
+from .hilbert import (DEFAULT_TOL, ConvexSet, DimensionMismatch,
+                      NonFiniteError, _coerce, _is_real, _is_vector, _named,
+                      all_finite, as_vector, inner, norm, project, row_norms)
 from .monotone import (MaxMonotone, SingleOp, _forward_backward, _value,
                        check_inverse_strongly_monotone, check_lipschitz,
                        check_resolvent_firmly_nonexpansive,
@@ -280,9 +291,13 @@ class ProblemInstance:
             max(phi.lipschitz, ZERO_CONTRACTION_LIPSCHITZ),
             max(t.demi_constant for t in self.maps), ism))
         object.__setattr__(self, "selection", SelectionRule(self.selection))
-        if self.known_solution is not None:
+        known = self.known_solution
+        # A known solution that is a declared common point, the same float
+        # vector, is checked once, when that point is certified.
+        if known is not None and not (_is_vector(known) and any(
+                q is known for q in self.known_common_points)):
             object.__setattr__(self, "known_solution",
-                               as_vector(self.known_solution, self.dim))
+                               as_vector(known, self.dim))
         if self.default_start is not None:
             object.__setattr__(self, "default_start",
                                as_vector(self.default_start, self.dim))
@@ -303,7 +318,9 @@ class ProblemInstance:
         value or one of another dimension than the instance raises
         :class:`NonFiniteError` or
         :class:`~viscosplit.hilbert.DimensionMismatch` naming it
-        (``"forward operator"``, ``"delta"``, ``"T1 image"``, ...)."""
+        (``"forward operator"``, ``"delta"``, ``"T1 image"``, ...).  A
+        mapping that is the one before it is not taken again: its
+        distances are the ones just measured."""
         q = as_vector(q, self.dim)
         defects = []
         res = norm(q - _forward_backward(self.inclusion, self.forward,
@@ -311,17 +328,19 @@ class ProblemInstance:
         if not res <= CERTIFY_TOL:
             defects.append(
                 f"forward-backward residual {res:g} > {CERTIFY_TOL:g}")
+        prev = None
         for i, (t, stage) in enumerate(zip(self.maps, _IMAGES), start=1):
-            try:
-                img = _image(t.image(q))
-                d = img.measure(q)[0]
-            except ValueError as err:
-                raise _named(err, stage) from None
+            if t is not prev:
+                try:
+                    img = _image(t.image(q))
+                    d = img.measure(q)[0]
+                except ValueError as err:
+                    raise _named(err, stage) from None
+                h = img.farthest(q) if d <= CERTIFY_TOL else np.nan
+                prev = t
             if not d <= CERTIFY_TOL:
                 defects.append(f"d(q, T{i} q) = {d:g} > {CERTIFY_TOL:g}")
-                continue
-            h = img.farthest(q)
-            if not h <= CERTIFY_TOL:
+            elif not h <= CERTIFY_TOL:
                 defects.append(f"T{i} q is not the singleton {{q}}: H = {h:g}")
         return defects
 
@@ -558,7 +577,10 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
     Uses sequence index n + 1 for the step leaving iterate n; sequences are
     defined from index 1.  Every T_i residual is measured, at the stage
     point it would average, also when that averaging line does not run,
-    and a point is selected only where the line runs.  Each image is
+    and a point is selected only where the line runs.  Such a stage that
+    takes the mapping of the stage before it at the same point, as every
+    stage of the plain forward-backward step does when T1 is T2 is T3,
+    reads that stage's residual and takes no image.  Each image is
     measured and selected in one call of its own ``measure``: a
     singleton's point is read directly, and a point that is the stage
     point itself, as an identity mapping's is, has residual 0.0 with no
@@ -595,6 +617,12 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
         for k, (t, weight) in enumerate(zip(problem.maps, weights)):
             stage = _IMAGES[k]
             rule = problem.selection if k < anchor.stages else None
+            if k and t is problem.maps[k - 1] and x is points[k - 1]:
+                # The mapping before, at the same point, so no averaging
+                # line has run: its residual.
+                residuals.append(residuals[-1])
+                points.append(x)
+                continue
             d, y = (_image(t.image(x)) if checked
                     else t.image(x)).measure(x, rule)
             residuals.append(d)
@@ -704,14 +732,21 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
     forward-backward point.  A ``psi0`` or an image of another dimension
     than the problem raises :class:`~viscosplit.hilbert.DimensionMismatch`
     naming it in the same way, and a mapping's value that is not an image
-    ``TypeError`` naming its type.
+    ``TypeError`` naming its type.  ``psi0`` is scanned once, where the
+    feasible set's projection checks it, and a mapping that is the one
+    before it is not taken again.
     """
     stage = "psi"
     try:
-        psi = project(problem.feasible, as_vector(psi0, problem.dim))
+        psi = project(problem.feasible, _coerce(psi0))
+        if psi.size != problem.dim:
+            raise DimensionMismatch(
+                f"expected dimension {problem.dim}, got {psi.size}")
         residuals = []
-        for stage, t in zip(_IMAGES, problem.maps):
-            residuals.append(_image(t.image(psi)).measure(psi)[0])
+        for k, (stage, t) in enumerate(zip(_IMAGES, problem.maps)):
+            residuals.append(
+                residuals[-1] if k and t is problem.maps[k - 1]
+                else _image(t.image(psi)).measure(psi)[0])
     except ValueError as err:
         raise _named(err, stage) from None
     return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
@@ -777,19 +812,35 @@ def _distances(points, q_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _audit(states, q_rows: np.ndarray, limits) -> tuple:
-    """Both per-iteration inequalities of ``states`` against each row of
-    the (Q, d) ``q_rows``.
+def _audit(states, q_rows: np.ndarray, limits, prev=None,
+           known: bool = False) -> tuple:
+    """Both per-iteration inequalities of the consecutive ``states``
+    against each row of the (Q, d) ``q_rows``.
 
-    Measures (xi, phi_p, pi, delta, psi_prev, psi) of every state with
-    :func:`_distances` and returns ``(d, failed_links, outside)``: the
-    (B, 6, Q) distances, the (B, 4, Q) chain links that fail with the
-    absolute tolerance :data:`AUDIT_TOL`, and the (B, Q) iterates beyond
-    ``limits`` (the radii with their tolerance).  A nan distance fails.
+    Returns ``(d, failed_links, outside)``: the (B, 6, Q) distances of
+    (xi, phi_p, pi, delta, psi_prev, psi) of every state, the (B, 4, Q)
+    chain links that fail with the absolute tolerance :data:`AUDIT_TOL`,
+    and the (B, Q) iterates beyond ``limits`` (the radii with their
+    tolerance).  A nan distance fails.
+
+    Each distance is taken once, by :func:`_distances`.  It measures the
+    stage points, and psi unless ``known`` says that every row is the
+    known solution: psi's distances are then its ``dist_to_solution``.  A
+    state's psi_prev is the psi of the state before it, so its distances
+    are that state's.  The first state's are ``prev``, the (Q,) distances
+    of the psi it stepped from, or its own psi's when ``prev`` is None, as
+    at the start, whose psi_prev is its psi.
     """
-    d = _distances([p for st in states for p in (
-        st.xi, st.phi, st.pi, st.delta, st.psi_prev, st.psi)],
-        q_rows).reshape(len(states), 6, len(q_rows))
+    b, q = len(states), len(q_rows)
+    points = [p for st in states for p in (st.xi, st.phi, st.pi, st.delta)]
+    if not known:
+        points += [st.psi for st in states]
+    m = _distances(points, q_rows)
+    d = np.empty((b, 6, q))
+    d[:, :4] = m[:4 * b].reshape(b, 4, q)
+    d[:, 5] = [[st.dist_to_solution] for st in states] if known else m[4 * b:]
+    d[1:, 4] = d[:-1, 5]
+    d[0, 4] = d[0, 5] if prev is None else prev
     return d, ~(d[:, :4] <= d[:, 1:5] + AUDIT_TOL), ~(d[:, 5] <= limits)
 
 
@@ -808,8 +859,9 @@ def audit_fejer_chain(state: IterState, q) -> FejerAudit:
     if not state.xi.size:
         raise ValueError(f"the vectors of state n={state.n} were "
                          f"released after run() audited the state")
-    qv = as_vector(q, state.psi.size)
-    d, failed, _ = _audit([state], qv[np.newaxis], np.inf)
+    q_rows = as_vector(q, state.psi.size)[np.newaxis]
+    d, failed, _ = _audit([state], q_rows, np.inf,
+                          _distances([state.psi_prev], q_rows)[0])
     d, failed = d[0, :, 0].tolist(), failed[0, :, 0].tolist()
     return FejerAudit(tuple((name, d[k], d[k + 1], not failed[k])
                             for k, name in enumerate(_LINKS)))
@@ -927,7 +979,11 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     over a difference of at most :data:`STACKED_AUDIT_BYTES` (a state
     wider than that alone, point by point, before the next step), and
     every exit audits the block it leaves; the violation counts and each
-    state's ``fejer_ok`` are exact, the same as one state at a time.
+    state's ``fejer_ok`` are exact, the same as one state at a time.  The
+    audit measures each state's distinct stage points; the distances of
+    its ``psi_prev`` are those of the state before, carried from block
+    to block, and those of its ``psi`` are its ``dist_to_solution`` where
+    every common point equals the known solution, else measured.
     Recording keeps every state up to n = 10000 and then every hundredth,
     unless ``record_stride`` forces a fixed stride, and always the last: a
     state's row of the report's :class:`Trajectory`, its fields read by
@@ -973,6 +1029,14 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
                       ) + CERTIFY_TOL
 
     fejer_violations = bound_violations = 0
+    # Where every certified point equals the known solution (None equals
+    # none), each state's distance to it is its dist_to_solution, bit for
+    # bit (a signed zero squares to +0.0 either way), which the audit
+    # reads.
+    known = all(np.array_equal(q, problem.known_solution) for q in qs)
+    # The psi distances of the last audited state: the psi_prev distances
+    # of the first state of the next block.
+    prev = None
     # States wait here and are audited together, before the next step:
     # AUDIT_BLOCK of them, or fewer when their stacked difference would
     # pass STACKED_AUDIT_BYTES.  A state whose own difference passes it is
@@ -993,9 +1057,10 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
         common points at once, set ``fejer_ok`` on each, and write the rows
         the recording rule keeps; without common points nothing is
         audited."""
-        nonlocal fejer_violations, bound_violations
+        nonlocal fejer_violations, bound_violations, prev
         if qs:
-            _, failed, outside = _audit(pending, q_rows, limits)
+            d, failed, outside = _audit(pending, q_rows, limits, prev, known)
+            prev = d[-1, 5]
             fejer_violations += int(np.count_nonzero(failed))
             bound_violations += int(np.count_nonzero(outside))
             for st, bad in zip(pending, failed.any(axis=(1, 2)).tolist()):

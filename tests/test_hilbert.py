@@ -188,3 +188,29 @@ class TestIdentityAudit:
         audit = hilbert_identity_check(x, y, lam)
         assert audit.id1_corrected_holds
         assert audit.id2_equal
+
+
+def test_project_scans_a_new_point_unless_a_box_clipped_it(monkeypatch):
+    # A box's clip of a checked point between finite bounds is finite, so
+    # only the box's own boundary scans; a point another set makes, a
+    # box subclass's too, is scanned after it.
+    import viscosplit.hilbert as hilbert
+
+    class Overflowing(Box):
+        def project(self, x):
+            return 1e308 * super().project(x) * 10.0
+
+    scans, real = [0], hilbert.all_finite
+
+    def counting(v):
+        scans[0] += 1
+        return real(v)
+
+    box = Box(vec(-1.0, -1.0), vec(1.0, 1.0))
+    overflowing = Overflowing(box.lower, box.upper)
+    monkeypatch.setattr(hilbert, "all_finite", counting)
+    assert project(box, vec(2.0, -3.0)).tolist() == [1.0, -1.0]
+    assert scans[0] == 1
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+        project(overflowing, vec(2.0, -3.0))
+    assert scans[0] == 3

@@ -156,6 +156,14 @@ class TestOperatorHelpers:
         with pytest.raises(ValueError):
             affine_op(-1.0)
 
+    def test_affine_with_unit_coefficient_makes_no_scaled_copy(self):
+        # 1.0 * x is x bit for bit, so x itself is the value, and x plus
+        # the offset with one.
+        x = np.array([-0.0, 1.5, -2.25])
+        assert affine_op(1.0).apply(x) is x
+        shifted = affine_op(1.0, vec(0.5, 0.0, -1.0), 3).apply(x)
+        assert shifted.tobytes() == (1.0 * x + vec(0.5, 0.0, -1.0)).tobytes()
+
     def test_zero_and_identity(self):
         assert zero_op()(vec(5.0))[0] == 0.0
         assert identity_op()(vec(5.0))[0] == 5.0

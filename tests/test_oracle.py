@@ -224,6 +224,78 @@ def test_stacked_audit_matches_the_per_point_loop(instance_id, rule):
         assert fejer > 0 and bound > 0
 
 
+#: A dimension at which one point's difference alone exceeds
+#: STACKED_AUDIT_BYTES, so every audit measures point by point.
+ONE_POINT_WIDE = STACKED_AUDIT_BYTES // 8 + 1
+
+#: Wide instances.  The box's one certified point is its known solution,
+#: so the audit reads psi's distance from ``dist_to_solution``.  It may
+#: not where the known solution is another point, far enough that reading
+#: it would break the bound, nor on the trivial instance's two certified
+#: points, one of them the known solution.
+WIDE_AUDITS = {
+    "off_solution": lambda: dataclasses.replace(
+        load_instance("inclusion_box", dim=ONE_POINT_WIDE),
+        known_solution=np.full(ONE_POINT_WIDE, 5.0)),
+    "two_points": lambda: dataclasses.replace(
+        load_instance("trivial_collapse", dim=ONE_POINT_WIDE),
+        known_common_points=(np.zeros(ONE_POINT_WIDE),
+                             np.ones(ONE_POINT_WIDE))),
+    "box": lambda: load_instance("inclusion_box", dim=ONE_POINT_WIDE),
+}
+
+
+@pytest.mark.parametrize("rule", ["main", "sow", "forward_backward"])
+@pytest.mark.parametrize("name", sorted(WIDE_AUDITS))
+def test_every_audited_distance_is_the_points_own(name, rule, monkeypatch):
+    # Each distance the run's audit reads, measured, carried from the
+    # state before or read from dist_to_solution, equals the norm of its
+    # own point's difference; the flags and counts match the oracle.
+    problem = WIDE_AUDITS[name]()
+    real, audited = solvers._audit, []
+
+    def checking(states, q_rows, limits, *args):
+        d, failed, outside = real(states, q_rows, limits, *args)
+        for st, ds in zip(states, d):
+            assert ds.T.tolist() == [
+                [np.linalg.norm(p - q) for p in (st.xi, st.phi, st.pi,
+                                                 st.delta, st.psi_prev,
+                                                 st.psi)]
+                for q in q_rows]
+            audited.append(st.n)
+        return d, failed, outside
+
+    monkeypatch.setattr(solvers, "_audit", checking)
+    report = run(rule, problem, default_schedule_for(problem), max_iter=12)
+    assert audited == list(range(report.iterations + 1))
+    flags, fejer, bound = reference_audit(report)
+    assert [st.fejer_ok for st in report.trajectory] == flags
+    assert (report.fejer_violations, report.bound_violations) == (fejer,
+                                                                  bound)
+
+
+@pytest.mark.parametrize("rule, rows", [
+    ("main", 4), ("sow", 3), ("sow_phi", 3), ("fc", 4),
+    ("forward_backward", 1)])
+def test_a_wide_audit_measures_each_distance_once(rule, rows, monkeypatch):
+    # Only the distinct stage points are measured: psi's distance to the
+    # one certified point, the known solution, is its dist_to_solution,
+    # and psi_prev's is the state before's.  The start's mirrored points
+    # are one.  Each state measured 6, 5, 5, 6 and 2 rows when psi and
+    # psi_prev were measured too.
+    problem = load_instance("inclusion_box", dim=ONE_POINT_WIDE)
+    measured, real = [0], solvers.row_norms
+
+    def counting(differences):
+        measured[0] += differences.size // differences.shape[-1]
+        return real(differences)
+
+    monkeypatch.setattr(solvers, "row_norms", counting)
+    report = run(rule, problem, default_schedule_for(problem), max_iter=5)
+    assert report.iterations == 5
+    assert measured[0] == 1 + rows * 5
+
+
 def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

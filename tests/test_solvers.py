@@ -369,12 +369,15 @@ def test_main_step_scans_few_values(monkeypatch):
 
 
 def test_a_start_and_a_build_scan_few_values(monkeypatch):
-    # The start scans psi0 and its projection, the three images and the
-    # forward-backward point, but not again the point each image is taken
-    # at; the build scans each input and certifies the common point once,
-    # with the instance built once.  Both made more scans (12 and 20)
-    # when images went through MultiMap.__call__ and the instance was
-    # built twice.
+    # The start scans psi0 where the box projects it, the one image of
+    # T1 = T2 = T3 and the forward-backward point, but not the box's clip
+    # or the point the image is taken at; the build scans each input and
+    # certifies the common point, which is the known solution, once, with
+    # the instance built once.  Both made more scans: 12 and 20 when
+    # images went through MultiMap.__call__ and the instance was built
+    # twice, 9 and 14 when the start scanned psi0 three times and took
+    # one image per mapping, and the build scanned the known solution
+    # apart from the common point.
     prob = load_instance("inclusion_box", dim=4)
     sched = default_schedule_for(prob)
     scans = [0]
@@ -387,17 +390,43 @@ def test_a_start_and_a_build_scan_few_values(monkeypatch):
     monkeypatch.setattr(hilbert, "all_finite", counting)
     monkeypatch.setattr(solvers, "all_finite", counting)
     initial_state(prob, sched, np.ones(4))
-    assert 0 < scans[0] <= 9
+    assert 0 < scans[0] <= 5
     scans[0] = 0
     load_instance("inclusion_box", dim=4)
-    assert 0 < scans[0] <= 15
+    assert 0 < scans[0] <= 11
+
+
+@pytest.mark.parametrize("shared, images", [(True, 1), (False, 3)])
+def test_a_forward_backward_step_takes_each_image_once(shared, images):
+    # Its three stages measure T1, T2 and T3 at delta for their residuals
+    # alone; when they are one mapping, its image is taken once.
+    prob = load_instance("inclusion_box", dim=3)
+    calls, t = [0], prob.t1
+
+    def image(x):
+        calls[0] += 1
+        return t.image(x)
+
+    maps = [dataclasses.replace(t, image=image) for _ in range(3)]
+    if shared:
+        maps = [maps[0]] * 3
+    prob = dataclasses.replace(prob, t1=maps[0], t2=maps[1], t3=maps[2])
+    sched = default_schedule_for(prob)
+    state = initial_state(prob, sched, prob.default_start)
+    calls[0] = 0
+    new = step_forward_backward(prob, sched, state)
+    assert calls[0] == images
+    assert new.residual_t1 == new.residual_t2 == new.residual_t3 > 0
+    assert new.residual_t1 == norm(new.delta - 0.5 * new.delta)
 
 
 def test_a_common_point_is_scanned_once_where_it_enters(monkeypatch):
     # Each declared common point is coerced and scanned once, when it is
     # certified, and so is each probe of vi_residual; coercing first and
     # certifying after scanned each twice (15 and 24 scans per build, 11
-    # for the probe).
+    # for the probe).  A mapping that is the one before it is not taken
+    # again at the point, and a known solution that is a common point is
+    # not scanned apart from it (14 and 21 scans per build).
     scans = [0]
     real = hilbert.all_finite
 
@@ -407,8 +436,8 @@ def test_a_common_point_is_scanned_once_where_it_enters(monkeypatch):
 
     monkeypatch.setattr(hilbert, "all_finite", counting)
     monkeypatch.setattr(solvers, "all_finite", counting)
-    for instance_id, kwargs, most in (("inclusion_box", {"dim": 4}, 14),
-                                      ("trivial_collapse", {}, 21)):
+    for instance_id, kwargs, most in (("inclusion_box", {"dim": 4}, 11),
+                                      ("trivial_collapse", {}, 15)):
         scans[0] = 0
         load_instance(instance_id, **kwargs)
         assert 0 < scans[0] <= most
