@@ -108,7 +108,8 @@ which is ``dim`` because every point of a run is made from the checked
 start.  The forward-backward point J(psi - lam*Forward psi) of a step,
 of the start state and of a common point's certification comes from the
 one kernel behind :func:`~viscosplit.monotone.forward_backward_step`,
-with its replay's ``checked`` flag.
+which scans the resolvent's value for certification but not for a step
+or the start, whose residual rejects it.
 
 The other values a step makes are caught downstream, not scanned:
 delta, pi and phi_p, and the forward-backward point carried to the next
@@ -127,24 +128,33 @@ checks the point at its own boundary and the others carry a non-finite
 coordinate into their value.  The residuals, selections and norms run on
 the arrays as they are.
 
-So a non-finite value may reach a mapping or an operator before it is
-caught.  A step that fails in any way is therefore replayed with every
-value scanned where it is made (delta, each image, pi, phi_p, xi, the
-contraction and strong operator values and the new iterate), and fails
-as that fully checked step does: a non-finite value raises
-:class:`NonFiniteError` naming it (``"forward operator"``, ``"delta"``,
-``"T1 image"``, ``"pi"``, ``"contraction"``, ``"psi"``, ...), which
-:func:`run` turns into the ``divergence_guard`` termination and keeps as
+So a non-finite value may reach a mapping, an operator or numpy
+arithmetic that fails in its own way before anything rejects it.  A step
+is one pass, and a step that fails in any way names the culprit from the
+values it holds, calling no mapping again:
+
+1. the first of delta, pi, phi_p and xi that it made and that is not
+   finite raises :class:`NonFiniteError` naming it;
+2. else, when the anchor line was running, the contraction's value at
+   psi and the strong operator's, at psi under ``main`` and at the
+   carried stage point under the other rules, are taken again and
+   checked: a non-finite value, or one of another dimension than the
+   problem, raises naming ``"contraction"`` or ``"strong operator"``;
+3. else the error names the stage that was running (``"forward
+   operator"``, ``"delta"``, ``"T1 image"``, ``"psi"``, ...).
+
+:func:`run` turns a :class:`NonFiniteError` into the
+``divergence_guard`` termination and keeps its stage as
 ``RunReport.diverged_at``.  A value of another dimension than the
 problem (the forward operator's or the resolvent's value, an image, the
-contraction or strong operator value) fails the first pass, and the
-replay raises :class:`~viscosplit.hilbert.DimensionMismatch` naming it
-in the same way; a mapping's value that is not an image raises
-``TypeError`` naming its type.  :func:`run` lets both propagate, since
-no iteration can go on from them.  Certifying a common point at
-construction checks its values the same way, and
-:func:`boundedness_radius` and :func:`vi_residual` check the dimension
-of the contraction and strong operator values they take.
+contraction or strong operator value) raises
+:class:`~viscosplit.hilbert.DimensionMismatch` naming it in the same
+way, and a mapping's value that is not an image raises ``TypeError``
+naming its type.  :func:`run` lets both propagate, since no iteration
+can go on from them.  Certifying a common point at construction checks
+its values where they are made, and :func:`boundedness_radius` and
+:func:`vi_residual` check the dimension of the contraction and strong
+operator values they take.
 
 Whether a problem's declarations hold is a separate question, which
 construction does not answer: :func:`audit_instance` audits each declared
@@ -167,16 +177,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, ConvexSet, DimensionMismatch,
-                      NonFiniteError, _coerce, _is_real, _is_vector, _named,
-                      all_finite, as_vector, inner, norm, project, row_norms)
+from .hilbert import (DEFAULT_TOL, ConvexSet, NonFiniteError, _coerce,
+                      _is_real, _is_vector, _named, all_finite, as_vector,
+                      inner, norm, project, row_norms)
 from .monotone import (MaxMonotone, SingleOp, _forward_backward, _value,
                        check_inverse_strongly_monotone, check_lipschitz,
                        check_resolvent_firmly_nonexpansive,
                        check_wang_contraction)
 from .schedules import Schedule, ValidationReport, ViscosityParams, validate
 from .setvalued import (AuditResult, MultiMap, Sample, SelectionRule,
-                        _image, audit_mapping)
+                        _image, _same_size, audit_mapping)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -314,8 +324,8 @@ class ProblemInstance:
         common solution; empty = good.  Each T_i(q) must be {q} itself,
         not merely contain q, which the monotonicity chain requires.
 
-        Each value is checked as in a step's checked replay: a non-finite
-        value or one of another dimension than the instance raises
+        Each value is checked where it is made: a non-finite value or one
+        of another dimension than the instance raises
         :class:`NonFiniteError` or
         :class:`~viscosplit.hilbert.DimensionMismatch` naming it
         (``"forward operator"``, ``"delta"``, ``"T1 image"``, ...).  A
@@ -571,7 +581,7 @@ _AVERAGED = ("pi", "phi_p", "xi")
 
 
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
-          anchor: Anchor, checked: bool = False) -> IterState:
+          anchor: Anchor) -> IterState:
     """One step of the rule ``anchor`` describes.
 
     Uses sequence index n + 1 for the step leaving iterate n; sequences are
@@ -586,19 +596,25 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
     point itself, as an identity mapping's is, has residual 0.0 with no
     subtraction.
 
-    The first pass scans only the values nothing downstream rejects (see
-    the module docstring).  If it fails in any way, the step is replayed
-    with ``checked``, which scans every value where it is made and checks
-    that each mapping's value is an image (the stage point it is taken at
-    is checked already), so the step fails as the fully checked step
-    does: a :class:`NonFiniteError` names the value that turned
-    non-finite, a :class:`~viscosplit.hilbert.DimensionMismatch`
+    The step is one pass, which scans only the values nothing downstream
+    rejects (see the module docstring).  If it fails in any way, it names
+    the culprit from the values it holds, calling no mapping again: the
+    first stage point it made that is not finite raises
+    :class:`NonFiniteError` naming it; else, when the anchor line failed,
+    the contraction's and the strong operator's values are taken again,
+    checked, at the points the line took them; else the error names the
+    stage that was running.  So a :class:`NonFiniteError` names the value
+    that turned non-finite, a :class:`~viscosplit.hilbert.DimensionMismatch`
     the value of another dimension than the problem, and a ``TypeError``
     the type of a mapping's value that is not an image.
     """
     i = state.n + 1
     lam = schedule.lam(i)
     psi = state.psi
+    # Each image is dropped when it is measured, and its point after its
+    # averaging line, so no image point reaches the anchor line.  A failure
+    # reads the points made so far, which may be none.
+    points, residuals = [], []
     stage = None
     try:
         # The residual of ``state`` evaluated J(psi - lam*Forward psi) with
@@ -609,10 +625,8 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             x = carry[1]
         else:
             x = _forward_backward(problem.inclusion, problem.forward, lam,
-                                  psi, checked)
-        # Each image is dropped when it is measured, and its point after
-        # its averaging line, so no image point reaches the anchor line.
-        points, residuals = [x], []
+                                  psi, False)
+        points.append(x)
         weights = (schedule.theta, schedule.beta, schedule.gamma)
         for k, (t, weight) in enumerate(zip(problem.maps, weights)):
             stage = _IMAGES[k]
@@ -623,15 +637,12 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
                 residuals.append(residuals[-1])
                 points.append(x)
                 continue
-            d, y = (_image(t.image(x)) if checked
-                    else t.image(x)).measure(x, rule)
+            d, y = _image(t.image(x)).measure(x, rule)
             residuals.append(d)
             if rule is not None:
                 w = weight(i)
                 stage = _AVERAGED[k]
                 x = w * x + (1.0 - w) * y
-                if checked and not all_finite(x):
-                    raise NonFiniteError()
             points.append(x)
             del y
 
@@ -642,47 +653,48 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             c = points[anchor.carry]
             # The target is summed in place, in the order of the rule's
             # line, so that no operator value outlives its term.
-            stage = "contraction"
-            target = a * p.gamma * _value(problem.contraction, psi, checked)
-            stage = "strong operator"
+            stage = "psi"
+            target = a * p.gamma * _value(problem.contraction, psi, False)
             if anchor.mixes:
                 target += m * c
                 target += (1.0 - m) * (
-                    psi - p.eta * a * _value(problem.strong, psi, checked))
+                    psi - p.eta * a * _value(problem.strong, psi, False))
             else:
                 target += c
-                target -= p.eta * a * _value(problem.strong, c, checked)
-            stage = "psi"
+                target -= p.eta * a * _value(problem.strong, c, False)
             psi_new = project(problem.feasible, target)
             del target
         else:
             a = m = np.nan
             psi_new = points[0]
+        stage = "delta"
         return _build_state(problem, i, psi_new, psi, points, residuals, a,
-                            m, lam, checked)
+                            m, lam)
     except Exception as err:
         # Unscanned values may reach a mapping, an operator or numpy
         # arithmetic that fails in its own way (a warning raised as an
-        # error, say); the replay fails where the checked step fails.
-        if checked:
-            raise _named(err, stage) from None
-    # Outside the handler, so that what the replay raises stands alone.
-    return _step(problem, schedule, state, anchor, checked=True)
+        # error, say) before anything rejects them.
+        for name, v in zip(("delta",) + _AVERAGED, points):
+            if not all_finite(v):
+                raise NonFiniteError(f"non-finite {name}", name) from None
+        if stage == "psi":
+            _anchor_values(problem, psi, psi if anchor.mixes else c)
+        raise _named(err, stage) from None
 
 
 def _build_state(problem: ProblemInstance, n: int, psi: np.ndarray,
                  psi_prev: np.ndarray, points, residuals, alpha: float,
-                 mu: float, lam: float, checked: bool) -> IterState:
+                 mu: float, lam: float) -> IterState:
     """The state at the checked iterate ``psi``, with the stage ``points``
     (delta, pi, phi_p, xi) and their ``residuals`` that led to it.
 
     Adds ``norm(psi)``, the forward-backward point of ``psi`` at ``lam``,
     carried for the next step, with its residual, and the distance to the
-    known solution.  Unless ``checked`` (a checked pass), the point is not
-    scanned: its residual ``norm`` rejects a non-finite one.
+    known solution.  The point is not scanned: its residual ``norm``
+    rejects a non-finite one, which its caller names ``"delta"``.
     """
     fb_point = _forward_backward(problem.inclusion, problem.forward, lam, psi,
-                                 checked)
+                                 False)
     dist = (np.nan if problem.known_solution is None
             else norm(psi - problem.known_solution))
     state = IterState(n, psi, psi_prev, *points, *residuals,
@@ -739,18 +751,17 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
     stage = "psi"
     try:
         psi = project(problem.feasible, _coerce(psi0))
-        if psi.size != problem.dim:
-            raise DimensionMismatch(
-                f"expected dimension {problem.dim}, got {psi.size}")
+        _same_size(psi.size, problem.dim)
         residuals = []
         for k, (stage, t) in enumerate(zip(_IMAGES, problem.maps)):
             residuals.append(
                 residuals[-1] if k and t is problem.maps[k - 1]
                 else _image(t.image(psi)).measure(psi)[0])
+        stage = "delta"
+        return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals,
+                            np.nan, np.nan, schedule.lam(1))
     except ValueError as err:
         raise _named(err, stage) from None
-    return _build_state(problem, 0, psi, psi, (psi,) * 4, residuals, np.nan,
-                        np.nan, schedule.lam(1), True)
 
 
 # --------------------------------------------------------------------------
@@ -867,17 +878,18 @@ def audit_fejer_chain(state: IterState, q) -> FejerAudit:
                             for k, name in enumerate(_LINKS)))
 
 
-def _anchor_values(problem: ProblemInstance,
-                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The contraction's and the strong operator's values at the checked
-    point ``x``, each checked; a :class:`NonFiniteError` or
+def _anchor_values(problem: ProblemInstance, x: np.ndarray,
+                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The contraction's value at the checked point ``x`` and the strong
+    operator's at the checked point ``y``, each checked; a
+    :class:`NonFiniteError` or
     :class:`~viscosplit.hilbert.DimensionMismatch` names
     ``"contraction"`` or ``"strong operator"``."""
     stage = "contraction"
     try:
         phi = _value(problem.contraction, x)
         stage = "strong operator"
-        return phi, _value(problem.strong, x)
+        return phi, _value(problem.strong, y)
     except ValueError as err:
         raise _named(err, stage) from None
 
@@ -893,7 +905,7 @@ def boundedness_radius(problem: ProblemInstance, mu_bar: float, psi0,
     if not margin > 0:
         raise ValueError("no contraction margin: tau*(1-mu_bar) <= gamma*b")
     qv = as_vector(q, problem.dim)
-    phi, strong = _anchor_values(problem, qv)
+    phi, strong = _anchor_values(problem, qv, qv)
     drift = norm(p.gamma * phi - p.eta * strong)
     return max(norm(as_vector(psi0, problem.dim) - qv), drift / margin)
 
@@ -923,7 +935,7 @@ def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
 def _vi_worst(problem: ProblemInstance, psi: np.ndarray, qs) -> float:
     """:func:`vi_residual` at a checked ``psi`` over certified points ``qs``."""
     p = problem.params
-    phi, strong = _anchor_values(problem, psi)
+    phi, strong = _anchor_values(problem, psi, psi)
     direction = p.eta * strong - p.gamma * phi
     worst = 0.0
     for q in qs:

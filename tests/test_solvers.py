@@ -297,7 +297,7 @@ class TestRun:
     def test_warning_raised_as_error_still_names_the_stage(self):
         # Contraction and strong operator both turn to +inf, so the
         # unscanned anchor target meets inf - inf and warns; as an error,
-        # that warning fails the step, and the replay names the first.
+        # that warning fails the step, which names the first.
         def turning(inside):
             return lambda x: (np.full_like(x, np.inf)
                               if 0 < abs(x[0]) < 0.1 else inside(x))
@@ -327,6 +327,78 @@ class TestRun:
         assert report.terminated_by == "divergence_guard"
         assert report.diverged_at == stage
 
+    def test_a_value_non_finite_once_ends_the_run(self):
+        # T1's fifth image, counting the one that certifies the common
+        # point, is inf: the image of the step to n = 3.  Taken again,
+        # T1 would be finite there.
+        prob = make_box_instance(dim=1)
+        t1, calls = prob.t1, [0]
+
+        def fifth(x):
+            calls[0] += 1
+            return Singleton([np.inf]) if calls[0] == 5 else t1.image(x)
+
+        prob = dataclasses.replace(prob,
+                                   t1=dataclasses.replace(t1, image=fifth))
+        report = run("main", prob, default_schedule_for(prob))
+        assert report.terminated_by == "divergence_guard"
+        assert report.diverged_at == "T1 image"
+        assert report.iterations == 2
+
+    def test_a_failing_step_takes_its_image_once(self):
+        # T1 is inf on 0 < |x| < 0.1, so the one point it meets there is
+        # the failing step's, and the step is named from that one image.
+        prob = make_box_instance(dim=1)
+        t1, met = prob.t1, []
+
+        def band(x):
+            if 0 < abs(x[0]) < 0.1:
+                met.append(x.copy())
+                return Singleton(np.inf * x)
+            return t1.image(x)
+
+        prob = dataclasses.replace(prob,
+                                   t1=dataclasses.replace(t1, image=band))
+        report = run("main", prob, default_schedule_for(prob))
+        assert report.diverged_at == "T1 image"
+        assert len(met) == 1
+
+    @pytest.mark.parametrize("part, stage", [
+        ("forward", "forward operator"), ("inclusion", "delta")])
+    def test_failure_at_a_steps_own_delta_names_its_stage(self, part,
+                                                          stage):
+        # With a varying step a step forms its own delta: the state carries
+        # the forward-backward point made at its own step.  The forward
+        # operator turns inf at its third call of the run, step 2's own
+        # (step 1 takes the start's point), before any stage point exists;
+        # the resolvent turns inf at a step below 0.411, which step 4's own
+        # delta takes first.
+        prob = make_box_instance(dim=1)
+        sched = dataclasses.replace(
+            default_schedule_for(prob), interval=(0.4, 0.45),
+            lam=ParamSeq.custom(lambda n: 0.4 + 0.05 / (n + 1), limit=0.4))
+        if part == "forward":
+            forward, calls = prob.forward, [0]
+
+            def apply(x):
+                calls[0] += 1
+                return np.inf * x if calls[0] >= 3 else forward.apply(x)
+
+            prob = dataclasses.replace(prob, forward=dataclasses.replace(
+                forward, apply=apply))
+            calls[0] = 0  # the certification's calls
+        else:
+            box = prob.inclusion
+
+            class Turning(MaxMonotone):
+                def resolvent(self, lam, x):
+                    out = box.resolvent(lam, x)
+                    return np.inf * out if lam < 0.411 else out
+            prob = dataclasses.replace(prob, inclusion=Turning())
+        report = run("main", prob, sched, max_iter=100)
+        assert report.terminated_by == "divergence_guard"
+        assert report.diverged_at == stage
+
     def test_record_stride_override(self):
         prob = make_trivial_instance()
         report = run("main", prob, default_schedule_for(prob), max_iter=10,
@@ -351,7 +423,7 @@ class TestRun:
 
 def test_main_step_scans_few_values(monkeypatch):
     # One scan each for the forward operator's value, the three images and
-    # the anchor target; the fully checked step makes 10.
+    # the anchor target; a step that scanned every value made 10.
     prob = make_trivial_instance()
     sched = default_schedule_for(prob)
     state = step_main(prob, sched, initial_state(prob, sched, np.ones(1)))
@@ -739,6 +811,16 @@ class TestValueOfAnotherDimension:
         prob = load_instance("inclusion_box", dim=2)
         with pytest.raises(DimensionMismatch,
                            match="^psi: expected dimension 2, got 3$"
+                           ) as info:
+            run("main", prob, default_schedule_for(prob), psi0=np.ones(3))
+        assert info.value.stage == "psi"
+
+    def test_start_of_another_dimension_on_the_whole_space(self):
+        # Nothing projects the start, so the start state's own size check
+        # rejects it.
+        prob = load_instance("trivial_collapse")
+        with pytest.raises(DimensionMismatch,
+                           match="^psi: expected dimension 1, got 3$"
                            ) as info:
             run("main", prob, default_schedule_for(prob), psi0=np.ones(3))
         assert info.value.stage == "psi"
