@@ -189,8 +189,36 @@ class WholeSpace(ConvexSet):
         return xs
 
 
+def _clip_bound(b: np.ndarray) -> np.ndarray:
+    """The bound ``b`` to clip against: a 0-d array of its one value when
+    every coordinate has the same bits and that value is not zero, else
+    ``b`` itself.
+
+    numpy clips against 0-d bounds in a loop of its own, about three times
+    faster on a long vector, which gives the same bytes as the
+    per-coordinate clip except where a coordinate equals a bound in value
+    but not in bits.  A nonzero value has one bit pattern, but a zero bound
+    and a zero coordinate of the other sign compare equal, and then the
+    per-coordinate clip returns the bound and the 0-d clip the coordinate.
+    So a zero bound, and a bound that mixes 0.0 and -0.0 (compared as
+    int64 bits), stay per coordinate.
+    """
+    bits = b.view(np.int64)
+    if b.size and b[0] != 0.0 and (bits == bits[0]).all():
+        return b[:1].reshape(())
+    return b
+
+
 @dataclass(frozen=True)
 class Box(ConvexSet):
+    """{x : lower <= x <= upper} componentwise.
+
+    The clip bounds are derived once, when the box is made: a bound whose
+    coordinates all share one nonzero value is clipped against as a 0-d
+    array (see :func:`_clip_bound`), with the same bytes as clipping
+    against every coordinate.
+    """
+
     lower: np.ndarray
     upper: np.ndarray
 
@@ -200,14 +228,15 @@ class Box(ConvexSet):
             raise ValueError("box is empty: lower > upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "_bounds", (_clip_bound(lo), _clip_bound(hi)))
 
     # ``ndarray.clip`` is what ``np.clip`` dispatches to, without its
     # wrapper: the same values, signed zeros and nan included.
     def project(self, x) -> np.ndarray:
-        return as_vector(x, self.lower.size).clip(self.lower, self.upper)
+        return as_vector(x, self.lower.size).clip(*self._bounds)
 
     def project_rows(self, xs: np.ndarray) -> np.ndarray:
-        return _width(xs, self.lower.size).clip(self.lower, self.upper)
+        return _width(xs, self.lower.size).clip(*self._bounds)
 
 
 @dataclass(frozen=True)
@@ -256,7 +285,7 @@ class HalfSpace(ConvexSet):
         excess = float(self.normal @ xv) - self.offset
         if excess <= 0:
             return xv
-        return xv - (excess / float(self.normal @ self.normal)) * self.normal
+        return -(excess / float(self.normal @ self.normal)) * self.normal + xv
 
 
 @dataclass(frozen=True)

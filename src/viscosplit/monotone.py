@@ -262,10 +262,17 @@ def _forward_backward(inclusion: MaxMonotone, forward: SingleOp, lam: float,
     ``checked``; the size of both is compared with that of ``x``.  A
     :class:`~viscosplit.hilbert.NonFiniteError` or
     :class:`~viscosplit.hilbert.DimensionMismatch` names ``"forward
-    operator"`` or ``"delta"``."""
+    operator"`` or ``"delta"``.
+
+    The forward point x - lam*forward(x) is computed as
+    ``-lam * forward(x) + x``, which has the same bits (see the
+    :mod:`~viscosplit.solvers` module docstring) and lets numpy write the
+    sum into the fresh product instead of a third vector.  A box's clip in
+    the resolvent reads bounds derived once (see
+    :class:`~viscosplit.hilbert.Box`)."""
     stage = "forward operator"
     try:
-        y = x - lam * _value(forward, x)
+        y = -lam * _value(forward, x) + x
         _check_lam(lam)
         stage = "delta"
         return _vector(inclusion.resolvent(lam, y), x, checked)

@@ -54,6 +54,20 @@ so the forward-backward rule takes one image per step when T1 is T2 is
 T3.  The start state and a common point's certification take such a
 mapping's image once too.
 
+Two rules make a wide step's passes over its vectors cheaper without
+changing a bit of any value:
+
+- a line a - c*v whose product c*v is a fresh array is written
+  ``-c * v + a``.  In IEEE arithmetic a - b is exactly -b + a, only a
+  NaN's sign bit may differ, and a NaN ends the run either way.  numpy
+  reuses a fresh temporary for a sum only when it is the left operand,
+  so the line makes one new vector, not two.  The forward point
+  x - lam*Forward x, main's psi - eta*alpha*Strong psi and a half-space
+  projection are written so;
+- a box clips against a 0-d bound where every coordinate of the bound
+  has the same nonzero value, which numpy does in a faster loop with the
+  same bytes (see :class:`~viscosplit.hilbert.Box`).
+
 Values are validated where they enter, and the loop then works on the
 plain arrays.  Vectors must be float, 1-D, finite and of the right
 dimension:
@@ -658,7 +672,7 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             if anchor.mixes:
                 target += m * c
                 target += (1.0 - m) * (
-                    psi - p.eta * a * _value(problem.strong, psi, False))
+                    -p.eta * a * _value(problem.strong, psi, False) + psi)
             else:
                 target += c
                 target -= p.eta * a * _value(problem.strong, c, False)
@@ -1009,7 +1023,11 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     point; the start keeps its own.  If that step raises
     :class:`NonFiniteError`, the state is stepped again from its start
     (``psi_prev`` at n - 1), which gives it back bit for bit, and keeps
-    its audited ``fejer_ok``, so the final state is whole on every exit.
+    its audited ``fejer_ok``, so the final state is whole on every exit
+    but one: when that repeated step raises :class:`NonFiniteError` too
+    (a mapping non-finite on both calls), the run still ends in
+    "divergence_guard" with the first error's stage, and the final state
+    is kept as it was, its stage points released.
     The report's ``vi_residual`` is nan without common points, or when an
     operator it evaluates is non-finite at the last iterate.
     """
@@ -1100,11 +1118,15 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             terminated, diverged_at = "divergence_guard", err.stage
             if state.xi is RELEASED:
                 # The final state is kept whole: step it again from its
-                # start, which gives it back bit for bit.
-                ok = state.fejer_ok
-                state = stepper(problem, schedule, replace(
-                    state, n=state.n - 1, psi=state.psi_prev))
-                state.fejer_ok = ok
+                # start, which gives it back bit for bit, unless a mapping
+                # fails there too; then it stays as it is, released.
+                try:
+                    again = stepper(problem, schedule, replace(
+                        state, n=state.n - 1, psi=state.psi_prev))
+                except NonFiniteError:
+                    break
+                again.fejer_ok = state.fejer_ok
+                state = again
             break
         # The step has taken the point; keep it out of the held states.
         state.fb_carry = None
