@@ -12,7 +12,7 @@ from .monotone import (L1Subdifferential, LinearMonotone, MaxMonotone,
                        check_wang_contraction, fixed_point_residual,
                        forward_backward_step, identity_op, resolvent,
                        wang_tau, zero_op)
-from .problems import (catalog, default_schedule_for, grid_points,
+from .problems import (catalog, default_schedule_for, flip_map, grid_points,
                        load_instance, make_ball_instance, make_box_instance,
                        make_example1, make_example3,
                        make_inclusion_instance, make_oscillation_instance,

@@ -194,14 +194,13 @@ def _clip_bound(b: np.ndarray) -> np.ndarray:
     every coordinate has the same bits and that value is not zero, else
     ``b`` itself.
 
-    numpy clips against 0-d bounds in a loop of its own, about three times
-    faster on a long vector, which gives the same bytes as the
-    per-coordinate clip except where a coordinate equals a bound in value
-    but not in bits.  A nonzero value has one bit pattern, but a zero bound
-    and a zero coordinate of the other sign compare equal, and then the
-    per-coordinate clip returns the bound and the 0-d clip the coordinate.
-    So a zero bound, and a bound that mixes 0.0 and -0.0 (compared as
-    int64 bits), stay per coordinate.
+    numpy clips against 0-d bounds in a faster loop of its own.  It gives
+    the same bytes as the per-coordinate clip except where a coordinate
+    equals a bound in value but not in bits, which only a zero can: against
+    a zero bound, a zero of the other sign is kept by the 0-d loop and
+    replaced by the bound in the per-coordinate one.  So a zero bound, and
+    a bound that mixes 0.0 and -0.0 (compared as int64 bits), stay per
+    coordinate.
     """
     bits = b.view(np.int64)
     if b.size and b[0] != 0.0 and (bits == bits[0]).all():

@@ -1,9 +1,10 @@
 """Ready-made mappings and problem instances.
 
 The worked mappings are small enough to verify by hand: scaling maps in any
-dimension (``scaling_map``; ``make_example1`` is the scalar halving map)
-and a scalar oscillation map that keeps changing the side it sends points
-to.  The instance builders combine them with projectable
+dimension (``scaling_map``; ``make_example1`` is the scalar halving map),
+flip maps that are demicontractive and not quasi-nonexpansive
+(``flip_map``), and a scalar oscillation map that keeps changing the side
+it sends points to.  The instance builders combine them with projectable
 feasible sets, an affine forward operator, and a normal-cone inclusion, so
 every catalog instance has a known solution and certifiable audit points.
 """
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import Ball, Box, ConvexSet, WholeSpace, as_vector
+from .hilbert import Ball, Box, ConvexSet, WholeSpace, _is_real, as_vector
 from .monotone import NormalCone, ZeroOperator, affine_op, identity_op, zero_op
 from .schedules import Schedule, default_schedule
 from .setvalued import (KIND_DEMICONTRACTIVE, KIND_NONEXPANSIVE, MultiMap,
@@ -35,6 +36,23 @@ def scaling_map(scale: float, dim: int, beta: float = 0.5,
     return MultiMap(kind=KIND_DEMICONTRACTIVE, constant=beta,
                     fixed_points=(np.zeros(dim),),
                     name=name or f"scale({scale})", points=lambda x: scale * x)
+
+
+def flip_map(k: float, dim: int, name: str = "") -> MultiMap:
+    """T(x) = {-k * x} for k >= 1, declared demicontractive with
+    beta = (k - 1)/(k + 1), the smallest constant it has; 0 is its only
+    fixed point.
+
+    For k > 1 it is not quasi-nonexpansive, and its averaged map
+    theta*I + (1 - theta)*T is quasi-nonexpansive exactly when
+    theta >= beta.  Declares ``points``, elementwise as for
+    :func:`scaling_map`.
+    """
+    if not (_is_real(k) and k >= 1.0):
+        raise ValueError(f"flip_map needs a real k >= 1, got {k!r}")
+    return MultiMap(kind=KIND_DEMICONTRACTIVE, constant=(k - 1) / (k + 1),
+                    fixed_points=(np.zeros(dim),),
+                    name=name or f"flip({k})", points=lambda x: -k * x)
 
 
 def identity_map(dim: int) -> MultiMap:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -161,6 +162,63 @@ class TestProjections:
         p = K.project(x)
         for corner in (np.ones(3), -np.ones(3), vec(1, -1, 1)):
             assert inner(x - p, corner - p) <= 1e-9
+
+
+TINY = np.nextafter(0.0, 1.0)
+
+#: Coordinates a clip may meet: signed zeros, infinities, nans of both
+#: signs, subnormals, the bounds themselves and points outside the box.
+CLIP_INPUTS = vec(0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, TINY, -TINY,
+                  1.0, -1.0, 2.0, -2.0, 0.5, 1e308, -1e308, 2.5e-310)
+
+#: (lower, upper, whether each is clipped against as a 0-d array).  A
+#: bound equal to zero stays per coordinate: there numpy's 0-d clip keeps
+#: a zero of the other sign, which the per-coordinate clip replaces by the
+#: bound.  A bound mixing 0.0 and -0.0 is not uniform in its bits.
+CLIP_BOUNDS = {
+    "unit": (-1.0, 1.0, (True, True)),
+    "subnormal": (-TINY, TINY, (True, True)),
+    "offset": (-0.5, 2.0, (True, True)),
+    "zero_lower": (0.0, 1.0, (False, True)),
+    "negative_zero_upper": (-1.0, -0.0, (True, False)),
+    "mixed_zero": (vec(0.0, -0.0), 1.0, (False, True)),
+    "non_uniform": (vec(-1.0, -2.0), 1.0, (False, True)),
+}
+
+
+def clip_box(lower, upper, dim):
+    return Box(np.resize(np.broadcast_to(lower, (2,)), dim),
+               np.resize(np.broadcast_to(upper, (2,)), dim))
+
+
+class TestUniformBoxBounds:
+    @pytest.mark.parametrize("dim", [1, 16, 1000])
+    @pytest.mark.parametrize("name", sorted(CLIP_BOUNDS))
+    def test_the_clip_equals_the_per_coordinate_clip(self, name, dim):
+        lower, upper, zero_d = CLIP_BOUNDS[name]
+        box = clip_box(lower, upper, dim)
+        if dim > 1:
+            assert tuple(b.ndim == 0 for b in box._bounds) == zero_d
+        # Each row is the inputs shifted by one place, so every input meets
+        # every coordinate's bounds.
+        rows = np.array([np.resize(np.roll(CLIP_INPUTS, k), dim)
+                         for k in range(CLIP_INPUTS.size)])
+        want = np.clip(rows, box.lower, box.upper)
+        assert box.project_rows(rows).tobytes() == want.tobytes()
+        for row in rows[np.isfinite(rows).all(axis=1)]:
+            assert box.project(row).tobytes() == np.clip(
+                row, box.lower, box.upper).tobytes()
+
+    def test_replace_derives_the_bounds_again(self):
+        box = clip_box(-1.0, 1.0, 4)
+        mixed = dataclasses.replace(box, lower=vec(0.0, -0.0, 0.0, -0.0))
+        assert mixed._bounds[0].ndim == 1
+        # Each zero coordinate meets a bound of the other sign, which wins.
+        assert mixed.project(vec(-0.0, 0.0, -3.0, 3.0)).tobytes() == vec(
+            0.0, -0.0, 0.0, 1.0).tobytes()
+        moved = dataclasses.replace(box, lower=np.full(4, -0.5))
+        assert moved._bounds[0].ndim == 0 and moved._bounds[0] == -0.5
+        assert moved.project(np.full(4, -3.0)).tolist() == [-0.5] * 4
 
 
 class TestIdentityAudit:

@@ -46,10 +46,23 @@ from restage import STEP, restaged
 STEPS = 50
 
 
+def projector(K):
+    """The projection onto ``K``: a box's is ``np.clip`` against its bound
+    arrays, not :meth:`Box.project`, which clips against bounds of its
+    own deriving."""
+    if type(K) is Box:
+        return lambda x: np.clip(x, K.lower, K.upper)
+    return K.project
+
+
 def oracle_step(problem, schedule, psi, i, rule):
-    """psi_i and the stage points (delta, pi, phi_p, xi) from psi_{i-1}."""
+    """psi_i and the stage points (delta, pi, phi_p, xi) from psi_{i-1}.
+
+    Each line is written as stated, ``psi - lam * F(psi)`` included, where
+    the step sums the fresh product first."""
     inclusion_set = getattr(problem.inclusion, "set", None)
-    J = inclusion_set.project if inclusion_set is not None else (lambda x: x)
+    J = projector(inclusion_set) if inclusion_set is not None else (
+        lambda x: x)
     T = lambda t, x: t.image(x).point
     lam = schedule.lam(i)
     delta = J(psi - lam * problem.forward(psi))
@@ -71,7 +84,7 @@ def oracle_step(problem, schedule, psi, i, rule):
     else:
         carried = {"sow": pi, "sow_phi": phi_p, "fc": xi}[rule]
         target = viscosity + carried - p.eta * a * problem.strong(carried)
-    return problem.feasible.project(target), (delta, pi, phi_p, xi)
+    return projector(problem.feasible)(target), (delta, pi, phi_p, xi)
 
 
 def varying_step(schedule):
@@ -98,6 +111,32 @@ def test_run_matches_the_oracle(instance_id, rule, steps):
                               state.xi), (psi, *stages)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert report.trajectory[-1].n == report.iterations
+
+
+#: A dimension at which one state's audit difference passes
+#: STACKED_AUDIT_BYTES, so a run audits each state alone and releases it
+#: before its step.
+ORACLE_WIDE_DIM = 20_000
+
+
+@pytest.mark.parametrize("rule", ["main", "sow", "sow_phi", "fc",
+                                  "forward_backward"])
+def test_the_wide_path_matches_the_oracle_bit_for_bit(rule):
+    # At this dimension a box clips against 0-d bounds, and every vector a
+    # step makes is wide; the oracle clips against the bound arrays and
+    # keeps the written order of each line.
+    problem = load_instance("inclusion_box", dim=ORACLE_WIDE_DIM)
+    assert 6 * 8 * problem.dim > STACKED_AUDIT_BYTES
+    schedule = default_schedule_for(problem)
+    report = run(rule, problem, schedule, tol=1e-300, max_iter=25)
+    assert report.iterations == 25
+    psi = projector(problem.feasible)(problem.default_start)
+    assert report.trajectory[0].psi.tobytes() == psi.tobytes()
+    for state in restaged(report)[1:]:
+        psi, stages = oracle_step(problem, schedule, psi, state.n, rule)
+        for got, want in zip((state.psi, state.delta, state.pi, state.phi,
+                              state.xi), (psi, *stages)):
+            assert got.tobytes() == want.tobytes()
 
 
 def rewrapped(problem, wrap):

@@ -6,20 +6,20 @@ import pytest
 
 from viscosplit.hilbert import Ball, DimensionMismatch, NonFiniteError
 from viscosplit.monotone import SingleOp, affine_op, zero_op
-from viscosplit.problems import (catalog, default_schedule_for,
+from viscosplit.problems import (catalog, default_schedule_for, flip_map,
                                  grid_points, identity_map, load_instance,
                                  make_ball_instance, make_box_instance,
                                  make_example1, make_example3,
                                  make_inclusion_instance,
                                  make_oscillation_instance,
                                  make_trivial_instance, scaling_map)
-from viscosplit.schedules import (InfeasibleScheduleError, ViscosityParams,
-                                  validate)
+from viscosplit.schedules import (InfeasibleScheduleError, ParamSeq,
+                                  ViscosityParams, validate)
 from viscosplit.setvalued import (KIND_DEMICONTRACTIVE,
                                   KIND_STRICTLY_PSEUDOCONTRACTIVE, MultiMap,
                                   SelectionRule, Singleton, distance_to_set)
 from viscosplit.solvers import (ProblemInstance, ScheduleValidationError,
-                                 UncertifiedPointError, run)
+                                 UncertifiedPointError, audit_instance, run)
 
 
 class TestExampleMaps:
@@ -53,6 +53,62 @@ class TestExampleMaps:
     def test_scaling_map_requires_contraction(self):
         with pytest.raises(ValueError):
             scaling_map(1.0, 1)
+
+    def test_flip_map(self):
+        T = flip_map(3, 2)
+        assert T.constant == 0.5
+        assert np.array_equal(T(np.array([1.0, -2.0])).point,
+                              np.array([-3.0, 6.0]))
+        assert flip_map(1.0, 1).constant == 0.0
+        for k in (0.5, True, np.nan):
+            with pytest.raises(ValueError, match="k >= 1"):
+                flip_map(k, 1)
+
+
+def flipped(beta=None):
+    """``make_inclusion_instance`` at dim 2 with T x = {-3x} as T1, T2 and
+    T3, declared with its own constant 0.5 or with ``beta``."""
+    T = flip_map(3, 2)
+    if beta is not None:
+        T = dataclasses.replace(T, constant=beta)
+    return make_inclusion_instance(dim=2, maps=(T, T, T))
+
+
+class TestFlipBandEdge:
+    """T x = {-3x} is 0.5-demicontractive and not quasi-nonexpansive, so
+    the averaging weights theta_n = beta_n must stay at or above 0.5.  The
+    gate's condition (ii) asks them to lie strictly above it, and the run's
+    chain audit first fails just below it."""
+
+    @pytest.mark.parametrize("beta, passed", [(0.5, True), (0.4, False)])
+    def test_the_declared_constant_is_audited(self, beta, passed):
+        lines = [(label, res.passed) for label, res in
+                 audit_instance(flipped(beta)) if label.startswith("T")]
+        assert lines == [(f"T{i} (flip(3)) demicontractive", passed)
+                         for i in (1, 2, 3)]
+
+    @pytest.mark.parametrize("theta, admitted, violations", [
+        (0.52, True, {"main": 0, "fc": 0}),
+        (0.50, False, {"main": 0, "fc": 0}),
+        (0.49, False, {"main": 30, "fc": 54})])
+    def test_the_chain_fails_where_the_gate_refuses(self, theta, admitted,
+                                                    violations):
+        problem = flipped()
+        schedule = dataclasses.replace(
+            default_schedule_for(problem), theta=ParamSeq.constant(theta),
+            beta=ParamSeq.constant(theta))
+        refused = [c.name for c in validate(schedule, problem.params)
+                   .failures()]
+        assert refused == ([] if admitted else [
+            f"condition (ii): {label}_n in (beta_demi, 1) with liminf "
+            f"(1 - {label}_n)({label}_n - beta_demi) > 0"
+            for label in ("theta", "beta")])
+        for rule, count in violations.items():
+            report = run(rule, problem, schedule, tol=1e-8, max_iter=3000,
+                         check_schedule=False)
+            assert report.terminated_by == "tolerance"
+            assert report.fejer_violations == count
+            assert report.bound_violations == 0
 
 
 class TestCatalog:

@@ -345,6 +345,37 @@ class TestRun:
         assert report.diverged_at == "T1 image"
         assert report.iterations == 2
 
+    @pytest.mark.parametrize("bad, n", [((65, 66), 62), ((66, 67), 63),
+                                        ((67, 68), 64)])
+    def test_a_failure_on_two_calls_in_a_row_ends_the_run(self, bad, n):
+        # T1's images number ``bad`` are inf.  With (66, 67) the first fails
+        # the step from n = 63, right after the first audit block released
+        # that state, and the second fails the repeated step that would
+        # make it whole again: the run ends all the same, with the state as
+        # it was.  Either neighbour fails no repeated step.
+        prob = load_instance("sine_oscillation")
+        t1, calls = prob.t1, [0]
+
+        def twice(x):
+            calls[0] += 1
+            return Singleton([np.inf]) if calls[0] in bad else t1.image(x)
+
+        failing = dataclasses.replace(
+            prob, t1=dataclasses.replace(t1, image=twice))
+        schedule = default_schedule_for(prob)
+        report = run("forward_backward", failing, schedule)
+        assert (report.terminated_by, report.diverged_at) == (
+            "divergence_guard", "T1 image")
+        assert report.iterations == n
+        final = report.trajectory[-1]
+        assert (final.xi is solvers.RELEASED) == (bad == (66, 67))
+        assert final.fejer_ok is True
+        state = initial_state(prob, schedule, prob.default_start)
+        while state.n < n:
+            state = step_forward_backward(prob, schedule, state)
+        assert final.psi.tobytes() == state.psi.tobytes()
+        assert final.psi_prev.tobytes() == state.psi_prev.tobytes()
+
     def test_a_failing_step_takes_its_image_once(self):
         # T1 is inf on 0 < |x| < 0.1, so the one point it meets there is
         # the failing step's, and the step is named from that one image.
