@@ -1,6 +1,5 @@
-"""Command line front end.
-
-Three subcommands:
+"""Command line front end; README's "Command line" section has the config
+format.
 
   run <config.json> [--out DIR] [--seed N]   execute every cell in a config
   check <instance-id> [--seed N]             audit an instance's declared classes
@@ -8,36 +7,6 @@ Three subcommands:
 
 Exit codes: 0 success, 1 non-convergence / divergence / audit failure,
 2 invalid configuration, 3 I/O failure.
-
-A config is a JSON object {"seed": int?, "cells": [...]}, each cell
-
-  {"id": "box-main", "algorithm": "main", "instance": "inclusion_box",
-   "instance.dim": 2, "schedule.mu_bar": 0.5, "psi0": [0.9, 0.9],
-   "tol": 1e-8, "max_iter": 100000}
-
-Keys prefixed "instance." go to the instance builder; keys prefixed
-"schedule." adjust the default schedule (mu_bar, strict_paper, interval,
-or any of the six sequences as {"kind": ..., "scale": ...}, and no
-other key in that object).  The
-algorithm is one of the solver's rule names: "main", "sow" (pi carried
-into the anchor line, as printed), "sow_phi" (phi_p carried instead),
-"fc" or "forward_backward".  The run arguments (algorithm, tol,
-max_iter, record_stride) are checked by the solver's own rule, and the
-schedule is judged against the instance's own constants.
-
-``check`` builds the catalog instance with its default arguments and
-prints one line per result of :func:`~viscosplit.solvers.audit_instance`,
-which holds the audit sequence; the CLI only prints.  An instance's
-declared common points are certified when it is built, so ``check``
-reports each as certified, and then the default schedule's verdict.
-
-A config file is read as UTF-8 whatever the locale, and a leading
-byte-order mark is skipped (RFC 8259 lets a parser ignore one); a file
-that does not decode is an invalid configuration.
-
-Per cell the run writes <id>.csv with one row per recorded iteration and
-<id>.json with the run summary.  Output is byte-deterministic for a fixed
-config: floats are written via repr and JSON keys are sorted.
 """
 from __future__ import annotations
 

@@ -20,11 +20,8 @@ DEFAULT_TOL = 1e-10
 
 
 class DimensionMismatch(ValueError):
-    """Two vectors (or a vector and a set) live in different dimensions.
-
-    ``stage`` names the value that failed (``"forward operator"``,
-    ``"T1 image"``, ...) when a solver step or the certification of a
-    common point raised the error, and is None otherwise.
+    """Two vectors (or a vector and a set) live in different dimensions;
+    ``stage`` names the value that failed, as for :class:`NonFiniteError`.
     """
 
     def __init__(self, message: str = "", stage: str | None = None):
@@ -33,11 +30,9 @@ class DimensionMismatch(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A vector has a non-finite coordinate.
-
-    ``stage`` names the value that failed (``"delta"``, ``"T2 image"``,
-    ``"strong operator"``, ...) when a solver step raised the error, and
-    is None otherwise.
+    """A vector has a non-finite coordinate.  ``stage`` names the value
+    that failed (``"delta"``, ``"T2 image"``, ...) when the solver raised
+    the error, and is None otherwise.
     """
 
     def __init__(self, message: str = "vector has non-finite coordinates",
@@ -72,12 +67,10 @@ SMALL_VECTOR = 32
 def all_finite(v: np.ndarray) -> bool:
     """Whether every coordinate of the 1-D float64 array ``v`` is finite.
 
-    Any inf or nan coordinate makes the sum of the coordinates, and the
-    sum of their squares, non-finite, so the full coordinate scan runs
-    only when that sum is not finite (a non-finite coordinate, or finite
-    ones whose sum overflows).  A vector of at most :data:`SMALL_VECTOR`
-    coordinates is summed as Python floats, a longer one by ``np.vdot``
-    as its sum of squares; neither warns on overflow.
+    Any inf or nan coordinate makes the sum of the coordinates, and of
+    their squares, non-finite, so the full scan runs only when that sum is
+    not finite.  Up to :data:`SMALL_VECTOR` coordinates are summed as
+    Python floats, more by ``np.vdot``; neither warns on overflow.
     """
     s = sum(v.tolist()) if v.size <= SMALL_VECTOR else np.vdot(v, v)
     return math.isfinite(s) or bool(np.isfinite(v).all())
@@ -210,13 +203,8 @@ def _clip_bound(b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box(ConvexSet):
-    """{x : lower <= x <= upper} componentwise.
-
-    The clip bounds are derived once, when the box is made: a bound whose
-    coordinates all share one nonzero value is clipped against as a 0-d
-    array (see :func:`_clip_bound`), with the same bytes as clipping
-    against every coordinate.
-    """
+    """{x : lower <= x <= upper} componentwise; its clip bounds are
+    derived once, by :func:`_clip_bound`."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -284,6 +272,7 @@ class HalfSpace(ConvexSet):
         excess = float(self.normal @ xv) - self.offset
         if excess <= 0:
             return xv
+        # -c*v + a, see monotone._forward_backward.
         return -(excess / float(self.normal @ self.normal)) * self.normal + xv
 
 
@@ -317,12 +306,10 @@ _CHECKED_PROJECTIONS = (WholeSpace, Box)
 
 
 def project(K: ConvexSet, x) -> np.ndarray:
-    """Nearest-point projection of ``x`` onto ``K``.
-
-    The returned point p satisfies the variational characterization
-    <x - p, y - p> <= 0 for every y in K.  ``K.project`` checks ``x``, so
-    p is checked here only when it is a new point that ``K``'s own type
-    does not make finite: a box's clip is not scanned again.
+    """Nearest-point projection p of ``x`` onto ``K``, with <x - p, y - p>
+    <= 0 for every y in K.  ``K.project`` checks ``x``, so p is scanned
+    here only when it is a new point that ``K``'s own type does not make
+    finite (see :data:`_CHECKED_PROJECTIONS`).
     """
     p = K.project(x)
     return p if p is x or type(K) in _CHECKED_PROJECTIONS else as_vector(p)

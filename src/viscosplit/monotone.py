@@ -1,42 +1,13 @@
 """Single-valued operators, maximal monotone operators, and their resolvents.
 
 Single-valued operators carry declared moduli (Lipschitz constant, strong
-monotonicity, inverse strong monotonicity) which the solver conditions
-consume.  Maximal monotone operators come from a small catalog with exact
-resolvents: the zero operator, a normal cone of a projectable convex set,
-a weighted l1 subdifferential, and a nonnegative scalar multiple of the
-identity.  The resolvent with parameter lam > 0 is J(x) = (I + lam*A)^{-1} x.
-
-:func:`resolvent` is the public boundary: it checks lam, coerces and
-checks x once, and checks the value against the size of x.  A
-:meth:`MaxMonotone.resolvent` method takes a vector already checked and
-does not check it again.  So do
-:func:`forward_backward_step` and :func:`fixed_point_residual`: they hand
-the checked x to the one kernel of the forward-backward point
-J(x - lam*Fx), which the solver's step, its start state and the
-certification of a common point call too.  It checks the forward
-operator's value and the resolvent's against the size of x, and a
-:class:`~viscosplit.hilbert.NonFiniteError` or
-:class:`~viscosplit.hilbert.DimensionMismatch` names ``"forward
-operator"`` or ``"delta"``.  Every value checked here is compared with
-the size of the point it was made at, so an operator's 1-vector does not
-broadcast against a point of R^3.  The class audits hand
-their pairs to :func:`~viscosplit.setvalued.sampled_audit`, which checks
-the whole sample in one scan, and form each inequality over the stacked
-rows at once.  The operators and resolvents run on the whole stack too:
-
-- an operator that declares ``rowwise`` (``affine_op``, ``zero_op`` and
-  ``identity_op``, so every operator of the catalog) is called once per
-  stack, and its value is scanned once; any other operator is called
-  case by case, and each value is checked as it is made;
-- :meth:`MaxMonotone.resolvent_rows` of the zero operator, a multiple of
-  the identity and the l1 subdifferential acts elementwise on the stack,
-  and that of a normal cone projects it with
-  :meth:`~viscosplit.hilbert.ConvexSet.project_rows`; any other resolvent
-  runs row by row.  The stacked gap Jx - Jy is scanned once.
-
-Each stacked value equals its rows' values bit for bit, so the audits
-read the same numbers either way.
+monotonicity, inverse strong monotonicity), which the solver's conditions
+consume and the ``check_*`` audits test on a sample.  Maximal monotone
+operators come from a small catalog with exact resolvents: the zero
+operator, a normal cone of a projectable convex set, a weighted l1
+subdifferential, and a nonnegative scalar multiple of the identity.  The
+resolvent with parameter lam > 0 is J(x) = (I + lam*A)^{-1} x, and
+:func:`resolvent` is its public boundary.
 """
 from __future__ import annotations
 
@@ -62,7 +33,7 @@ class SingleOp:
     ``rowwise`` declares that ``apply`` also takes a (k, d) stack and
     returns the stack of its values at the rows, each equal bit for bit to
     the value at that row alone; the class audits then call it once per
-    stack, and once more at the stack's first row to compare the two.
+    stack (see :func:`_values`).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -103,14 +74,9 @@ def _vector(v, x: np.ndarray, checked: bool) -> np.ndarray:
 
 
 def _values(op: SingleOp, xs: np.ndarray) -> np.ndarray:
-    """``op`` at every row of the checked (k, d) stack ``xs``, stacked.
-
-    A ``rowwise`` operator is called once, and its value is scanned once
-    unless it is ``xs`` itself; a value of another shape than ``xs``
-    raises :class:`~viscosplit.hilbert.DimensionMismatch`.  Any other
-    operator is called row by row through :func:`_value`, which compares
-    each value with its row's size.
-    """
+    """``op`` at every row of the checked (k, d) stack ``xs``, stacked: a
+    ``rowwise`` operator once, through :func:`~viscosplit.setvalued._stacked`,
+    and any other row by row through :func:`_value`."""
     if not op.rowwise:
         return np.array([_value(op, x) for x in xs])
     return _stacked(op.apply, xs)
@@ -256,20 +222,19 @@ def resolvent(op: MaxMonotone, lam: float, x) -> np.ndarray:
 
 def _forward_backward(inclusion: MaxMonotone, forward: SingleOp, lam: float,
                       x: np.ndarray, checked: bool = True) -> np.ndarray:
-    """J(x - lam*forward(x)) at the checked point ``x``; like
-    :func:`resolvent`, rejects a lam that is not > 0.  The forward
-    operator's value is checked, and so is the resolvent's value when
-    ``checked``; the size of both is compared with that of ``x``.  A
-    :class:`~viscosplit.hilbert.NonFiniteError` or
-    :class:`~viscosplit.hilbert.DimensionMismatch` names ``"forward
+    """J(x - lam*forward(x)) at the checked point ``x``: the one kernel of
+    the forward-backward point, behind the solver's step, its start state,
+    the certification of a common point and the two public functions
+    below.  Like :func:`resolvent`, it rejects a lam that is not > 0.  The
+    forward operator's value is checked, and the resolvent's when
+    ``checked``, both against the size of ``x``; an error names ``"forward
     operator"`` or ``"delta"``.
 
-    The forward point x - lam*forward(x) is computed as
-    ``-lam * forward(x) + x``, which has the same bits (see the
-    :mod:`~viscosplit.solvers` module docstring) and lets numpy write the
-    sum into the fresh product instead of a third vector.  A box's clip in
-    the resolvent reads bounds derived once (see
-    :class:`~viscosplit.hilbert.Box`)."""
+    A line a - c*v whose product c*v is fresh is written ``-c * v + a``,
+    here and in the solver and :class:`~viscosplit.hilbert.HalfSpace`: in
+    IEEE arithmetic the two have the same bits but for a NaN's sign, and
+    numpy writes a sum into a fresh left operand, so the line makes one
+    new vector, not two."""
     stage = "forward operator"
     try:
         y = -lam * _value(forward, x) + x
@@ -283,7 +248,7 @@ def _forward_backward(inclusion: MaxMonotone, forward: SingleOp, lam: float,
 def forward_backward_step(inclusion: MaxMonotone, forward: SingleOp,
                           lam: float, x) -> np.ndarray:
     """One forward-backward application J(x - lam * forward(x)), each value
-    checked (see the module docstring)."""
+    checked (see :func:`_forward_backward`)."""
     return _forward_backward(inclusion, forward, lam, as_vector(x))
 
 
@@ -380,9 +345,8 @@ def check_resolvent_firmly_nonexpansive(op: MaxMonotone, lam: float,
 
     lam > 0 is enforced before any sampling.  The resolvent values are not
     checked one by one: a stack of values of another shape than its stack
-    of points raises :class:`~viscosplit.hilbert.DimensionMismatch` naming
-    both shapes, the stacked gap Jx - Jy is scanned once, and a non-finite
-    value raises :class:`~viscosplit.hilbert.NonFiniteError`.
+    of points raises :class:`~viscosplit.hilbert.DimensionMismatch`, and
+    the stacked gap Jx - Jy is scanned once.
     """
     _check_lam(lam)
 

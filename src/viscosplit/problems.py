@@ -112,8 +112,8 @@ def make_inclusion_instance(dim: int = 1, feasible: ConvexSet | None = None,
     must be three mappings; they default to one scaling map passed as T1,
     T2 and T3.  When P(anchor) is also their common fixed point it becomes a
     certified audit point of the instance; an error a mapping raises while
-    it is certified (an image of another dimension or a non-finite one
-    among them) propagates.  The default start is 0.9 in every coordinate.
+    it is certified propagates.  The default start is 0.9 in every
+    coordinate.
     """
     return _inclusion_instance(0.9, **locals())
 
@@ -145,8 +145,7 @@ def _inclusion_instance(start: float, dim, feasible, anchor, scale, beta,
         known_solution=solution,
         default_start=start * np.ones(dim))
     # Built once with the common point; only a failed certification builds
-    # it again without.  An error of a mapping's own (a value of another
-    # dimension, a non-finite one) propagates.
+    # it again without.
     try:
         return build(known_common_points=(solution,))
     except UncertifiedPointError:

@@ -1,18 +1,13 @@
 """Parameter sequences and the named admissibility conditions.
 
 The iteration consumes six scalar sequences indexed from n = 1: the anchor
-weights alpha_n, the three averaging weights theta_n, beta_n, gamma_n, the
-mixing weights mu_n, and the splitting steps lambda_n.  A schedule bundles
+weights alpha_n, the averaging weights theta_n, beta_n, gamma_n, the mixing
+weights mu_n and the splitting steps lambda_n.  A :class:`Schedule` bundles
 them with the step window and the mixing cap; the problem's constants they
-must respect are a :class:`ViscosityParams`.  ``validate`` evaluates every
-admissibility condition of a schedule against those constants by name and
-returns a report instead of raising, so a caller can surface exactly which
-condition failed.
-
-Sequences built from the known families (constant, 1/(n+1), 1/(n+1)^2,
-1 - c/(n+1)) carry their limits in closed form, which makes every liminf
-condition exact.  Custom callables fall back to a horizon scan and the
-affected conditions are flagged as empirical.
+must respect are a :class:`ViscosityParams`.  :func:`validate` judges every
+admissibility condition by name and returns a report instead of raising.
+The built-in families carry their limits in closed form, so their liminf
+conditions are exact; a custom sequence is sampled, and flagged empirical.
 """
 from __future__ import annotations
 
@@ -146,9 +141,7 @@ def _liminf_of(f: Callable[[np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class ViscosityParams:
-    """The problem's constants: those of the anchor step, psi+ includes
-    alpha*gamma*phi(psi) and (1 - mu)*(psi - eta*alpha*Strong(psi)), and
-    the two that bound the averaging weights and the splitting step.
+    """The problem's constants.
 
     ``gamma`` scales the contraction phi (Lipschitz constant ``b``); ``eta``
     scales the strongly monotone operator with modulus ``k`` and Lipschitz
@@ -156,16 +149,11 @@ class ViscosityParams:
     ``beta_demi`` is the largest demicontractivity constant among the
     mappings, which theta_n and beta_n must stay above, and ``alpha_ism``
     the forward operator's ism modulus, which sets the splitting-step
-    window (0, min(1, 2*alpha_ism)).  Each constant must be a real number
+    window (see :func:`step_window`).  Each constant must be a real number
     (not a bool), and construction raises
     :class:`InfeasibleScheduleError` unless ``beta_demi`` lies in [0, 1)
     and ``alpha_ism`` > 0; the other ranges are named conditions, see
-    :data:`STATIC_CONDITIONS`.
-
-    This is the standalone input of :func:`validate` and
-    :func:`default_schedule`.  A problem instance builds its own from its
-    ``gamma`` and ``eta``, its mappings and the constants its operators
-    declare, so each constant has one home there (see
+    :data:`STATIC_CONDITIONS`.  A problem instance builds its own (see
     :class:`~viscosplit.solvers.ProblemInstance`).
     """
 
@@ -234,13 +222,12 @@ def step_window(alpha_ism: float) -> float:
 class Schedule:
     """Six sequences plus the window and cap their conditions refer to.
 
-    ``interval`` is the compact window [a, b] that lambda_n must stay in,
-    itself required to sit inside (0, min(1, 2*alpha_ism)).  ``mu_bar`` caps
-    mu_n.  ``strict_paper`` switches the anchor-weight sum condition from
-    divergent to summable.  The problem's constants, beta_demi and
-    alpha_ism among them, are not part of a schedule: :func:`validate`
-    takes them as its :class:`ViscosityParams`.  Construction raises
-    ``ValueError`` unless a <= b.
+    ``interval`` is the compact window [a, b] that lambda_n must stay in.
+    ``mu_bar`` caps mu_n.  ``strict_paper`` switches the anchor-weight sum
+    condition from divergent to summable.  The problem's constants are not
+    part of a schedule: :func:`validate` takes them as its
+    :class:`ViscosityParams`.  Construction raises ``ValueError`` unless
+    a <= b.
     """
 
     alpha: ParamSeq

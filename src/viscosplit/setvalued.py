@@ -1,36 +1,14 @@
 """Multivalued mappings with closed images and their class audits.
 
-A mapping T assigns to each point a nonempty closed bounded image, here one
-of: a singleton, a finite point set, or a closed ball.  Distances between
-images use the Hausdorff metric.  The audit functions sample-check the
-defining inequality of a declared mapping class (demicontractive,
-quasi-nonexpansive, strictly pseudocontractive) and report the worst slack
-together with a witness pair, never just a bare boolean.  This module
+A mapping T assigns to each point a nonempty closed bounded image: a
+singleton, a finite point set or a closed ball.  Distances between images
+use the Hausdorff metric.  The audits sample-check the defining inequality
+of a declared mapping class (demicontractive, quasi-nonexpansive, strictly
+pseudocontractive) on a sample :func:`prepare` checks once, and report the
+worst slack with a witness pair, never just a bare boolean.  This module
 alone decides by a mapping's kind: :func:`audit_mapping` runs the audit of
-the declared class, and :attr:`MultiMap.demi_constant` is the constant
-that bounds the averaging weights.
-
-An audit checks its whole sample once, in :func:`prepare`: the distinct
-values are stacked and the stack is scanned in one pass.
-:func:`~viscosplit.solvers.audit_instance` prepares one :class:`Sample`
-per call and hands it to every audit; a public audit given a list
-prepares its own.  A batch ``sides(xs, ys)`` then evaluates the
-inequality over all cases at once, one row per case, and returns one lhs
-and one rhs array.  Operators and resolvents run on the whole stack too
-(see :mod:`viscosplit.monotone`), and so does a single-valued mapping that
-declares ``points`` (every mapping of :mod:`viscosplit.problems`): its
-function is called once per stack, its value is checked for shape and
-scanned once, unless it is the stack itself.
-The function must take a (k, d) stack to the stack of its image points,
-each row equal bit for bit to the image point at that row alone, so the
-audits read the same numbers as case by case; the first row of each
-stacked value is compared with the function at that row alone, and a
-mismatch raises ``ValueError``.  Any other mapping runs case by case: each
-of its images is checked to be one (see :meth:`MultiMap.__call__`), and
-then measures itself and checks nothing again.  Each image is checked by
-its constructor.  Norms of the stacked rows come
-from :func:`~viscosplit.hilbert.row_norms`, equal to
-:func:`~viscosplit.hilbert.norm` bit for bit.
+the declared class, and :attr:`MultiMap.demi_constant` is the constant that
+bounds the averaging weights.
 """
 from __future__ import annotations
 
@@ -212,8 +190,7 @@ def hausdorff(A: SetImage, B: SetImage) -> float:
     closed form max(d + r1 - r2, d + r2 - r1, 0) with d the distance of
     the centers, and two finite sets the max-min formula.  A finite set
     with more than one point against a ball has no closed form here and
-    raises :class:`UnsupportedPairing`.  Images of different dimensions
-    raise :class:`~viscosplit.hilbert.DimensionMismatch` naming both.
+    raises :class:`UnsupportedPairing`.
     """
     A, B = _image(A), _image(B)
     for P, Q in ((A, B), (B, A)):
@@ -245,17 +222,14 @@ class MultiMap:
     modulus: beta in [0, 1) for demicontractive maps, k in [0, 1] for
     strictly pseudocontractive ones, unused otherwise; construction raises
     ``ValueError`` unless it is a real number (not a bool) in that range.
-    ``fixed_points`` lists known members of Fix(T) for audits; it need not
-    be exhaustive.
+    ``fixed_points`` lists known members of Fix(T) for audits.
 
-    A single-valued mapping may declare ``points`` instead of ``image``: a
-    function that takes a point to its image point and a (k, d) stack to
-    the stack of image points, each row equal bit for bit to the image
-    point at that row alone.  ``image`` is then built from it, as
-    x -> {points(x)}, and the class audits call it once per stack.  An
-    ``image`` given beside ``points``, as ``dataclasses.replace(T,
-    image=...)`` gives it, is the mapping from then on, and ``points`` is
-    dropped.
+    A single-valued mapping may declare ``points`` instead: a function that
+    takes a point to its image point and a (k, d) stack to the stack of
+    image points, row by row (see :func:`_stacked`).  ``image`` is then
+    x -> {points(x)}, and the class audits call ``points`` once per stack.
+    An ``image`` given beside ``points``, as ``dataclasses.replace(T,
+    image=...)`` gives it, is the mapping from then on.
     """
 
     image: Callable[[np.ndarray], SetImage] | None = None
@@ -320,14 +294,14 @@ def _singletons(points: Callable[[np.ndarray], np.ndarray]):
 def _stacked(f: Callable[[np.ndarray], np.ndarray],
              xs: np.ndarray) -> np.ndarray:
     """``f`` at the checked (k, d) stack ``xs``, for an ``f`` that takes
-    a stack row by row.
+    a stack row by row: each row equal bit for bit to ``f`` at that row
+    alone.
 
     A value of another shape than ``xs`` raises
     :class:`~viscosplit.hilbert.DimensionMismatch`; any other value is
-    scanned once, unless it is ``xs`` itself, and a non-finite one raises
-    :class:`~viscosplit.hilbert.NonFiniteError`.  Its first row is then
+    scanned once, unless it is ``xs`` itself.  Its first row is then
     compared bit for bit with ``f`` at that row alone, and a row that
-    differs raises ``ValueError``: ``f`` does not take a stack row by row.
+    differs raises ``ValueError``.
     """
     vs = np.asarray(f(xs), dtype=float)
     if vs.shape != xs.shape:
@@ -348,14 +322,9 @@ def _stacked(f: Callable[[np.ndarray], np.ndarray],
 
 @dataclass
 class AuditResult:
-    """Outcome of a sampled inequality audit.
-
-    ``worst_slack`` is max(lhs - rhs) over all tested combinations, so any
-    positive value beyond the tolerance is a violation.  A nan slack (a
-    side that cannot be evaluated, such as inf - inf) is a violation too,
-    and the first one is the worst slack.  ``witness`` holds the arguments
-    achieving it.  ``note`` flags degenerate situations such as an empty
-    sample or a vacuously true check.
+    """Outcome of a sampled inequality audit (see :func:`sampled_audit`):
+    the ``worst_slack`` lhs - rhs with its ``witness`` arguments, and a
+    ``note`` that flags a degenerate case, such as an empty sample.
     """
 
     name: str
@@ -380,12 +349,10 @@ def prepare(cases: Sequence) -> Sample:
     """The pairs ``cases`` as a :class:`Sample`, checked once.
 
     The distinct values are coerced as by
-    :func:`~viscosplit.hilbert.as_vector` (a 1-D float64 array is its own)
-    and stacked, and the stack is scanned for finiteness once, so a value
-    in many cases, such as a fixed point paired with every sample point,
-    is checked once.  Values of different dimensions raise
-    :class:`~viscosplit.hilbert.DimensionMismatch` naming both sizes, and
-    a non-finite coordinate :class:`~viscosplit.hilbert.NonFiniteError`.
+    :func:`~viscosplit.hilbert.as_vector` and stacked, and the stack is
+    scanned once, so a value in many cases, such as a fixed point paired
+    with every sample point, is checked once.  Values of different
+    dimensions raise :class:`~viscosplit.hilbert.DimensionMismatch`.
     """
     # The tuples keep every value alive, so its id names it for the audit.
     cases = [tuple(case) for case in cases]
@@ -421,9 +388,7 @@ def sampled_audit(name: str, cases: Sequence | Sample,
     Keeps the worst slack lhs - rhs with its witness (x, y), and records
     every case whose slack is not <= ``tol`` as (x, y, lhs, rhs): a nan
     slack is a violation, and the first one is the worst.  A sample whose
-    every slack is -inf keeps no witness.  ``tol`` defaults to the one
-    audit tolerance, :data:`~viscosplit.hilbert.DEFAULT_TOL`; only the
-    resolvent audit passes its caller's.  An empty sample passes
+    every slack is -inf keeps no witness.  An empty sample passes
     vacuously, with a note that says so.
     """
     vals, rows, xi, yi = cases if isinstance(cases, Sample) else prepare(cases)
@@ -444,13 +409,9 @@ def sampled_audit(name: str, cases: Sequence | Sample,
 
 
 def _fixed_point_pairs(T: MultiMap, points: Sequence | Sample):
-    """Every point paired with every declared fixed point of T.
-
-    ``points`` is a sequence, or a :class:`Sample` whose cases' x are the
-    points.  From a sample, the pairs are a sample over its rows and the
-    fixed points, which T checked when it was built; its witnesses are
-    rows of that stack.
-    """
+    """Every point paired with every declared fixed point of T, which T
+    checked when it was built; from a :class:`Sample`, a sample over its
+    rows and the fixed points."""
     if not T.fixed_points:
         raise ValueError("audit needs at least one known fixed point")
     if not isinstance(points, Sample):

@@ -1,13 +1,9 @@
-"""Iterative solvers for the coupled inclusion / common-fixed-point problem.
+"""The viscosity forward-backward iteration, its audits and its driver.
 
 The problem: find psi in the solution set of the monotone inclusion
 0 in (Forward + Inclusion)(psi) that is also a fixed point of three
-multivalued mappings T1, T2, T3.  Each iteration first takes one
-forward-backward step, then averages through the mappings, and finally
-applies a viscosity anchor step that combines a contraction phi and a
-strongly monotone operator.
-
-One step function serves all five update rules:
+multivalued mappings T1, T2, T3.  One step function serves all five
+update rules:
 
   delta = J(psi - lam*Forward psi)
   pi    = theta*delta + (1-theta)*v,   v in T1 delta
@@ -28,157 +24,23 @@ stage point the anchor line carries and whether mu mixes it with psi:
   fc                 3       xi       no
   forward_backward   0       -        -      psi+ = delta, no anchor line
 
-Stage points past the last averaging line mirror it.  A step returns
-them on the state it produces, together with the previous iterate, so
-the state carries its own monotonicity chain ||xi - q|| <= ||phi_p - q||
-<= ||pi - q|| <= ||delta - q|| <= ||psi_prev - q||, auditable against
-any certified common point q with :func:`audit_fejer_chain`.  :func:`run`
-audits that chain on every state and keeps one row of scalars per
-recorded state, with the start and final states whole (see
-:class:`Trajectory`); step the start state again to see the points of a
-state in between.  While it steps, a run holds the state it steps from
-and the one the step builds.  A step reads only a state's psi, n, lam
-and carried forward-backward point, so an audited state whose row is
-written has its stage points released before its next step; if that
-step fails, the state is stepped again from its start and so ends the
-run whole.
+Stage points past the last averaging line mirror it, so every state
+carries its own chain ||xi - q|| <= ||phi_p - q|| <= ||pi - q|| <=
+||delta - q|| <= ||psi_prev - q||, which :func:`run` audits against each
+certified common point q.
 
-Each iteration takes each distance and each image at most once.  The
-audit measures a state's distinct stage points against every certified
-point.  Its psi_prev is the psi of the state before, whose distances the
-run carries; its psi is measured unless every certified point is the
-known solution, and then its distances are its ``dist_to_solution``.  A
-stage that measures a mapping only for its residual reads the residual
-of the stage before when that took the same mapping at the same point,
-so the forward-backward rule takes one image per step when T1 is T2 is
-T3.  The start state and a common point's certification take such a
-mapping's image once too.
+Inputs are validated once, where they enter, and the loop then works on
+plain arrays:
 
-Two rules make a wide step's passes over its vectors cheaper without
-changing a bit of any value:
+- :class:`ProblemInstance`: ``dim``, the constants, ``selection``, the
+  known solution, the start and each common point, which it certifies;
+- :func:`check_run_arguments`: the algorithm, ``tol``, ``max_iter`` and
+  ``record_stride``;
+- :func:`require_admissible`: the schedule, against ``problem.params``;
+- :func:`initial_state`: ``psi0``;
+- :func:`_step`: the values a step makes that nothing after it rejects.
 
-- a line a - c*v whose product c*v is a fresh array is written
-  ``-c * v + a``.  In IEEE arithmetic a - b is exactly -b + a, only a
-  NaN's sign bit may differ, and a NaN ends the run either way.  numpy
-  reuses a fresh temporary for a sum only when it is the left operand,
-  so the line makes one new vector, not two.  The forward point
-  x - lam*Forward x, main's psi - eta*alpha*Strong psi and a half-space
-  projection are written so;
-- a box clips against a 0-d bound where every coordinate of the bound
-  has the same nonzero value, which numpy does in a faster loop with the
-  same bytes (see :class:`~viscosplit.hilbert.Box`).
-
-Values are validated where they enter, and the loop then works on the
-plain arrays.  Vectors must be float, 1-D, finite and of the right
-dimension:
-
-- instance construction: ``dim`` (an integer >= 1), the problem's
-  constants (``gamma`` and ``eta`` as given, k and L the strong operator's
-  ``strong_monotonicity`` and ``lipschitz``, b the contraction's
-  ``lipschitz`` floored at :data:`ZERO_CONTRACTION_LIPSCHITZ`, beta_demi
-  the largest ``demi_constant`` of the mappings (their constant when
-  demicontractive or strictly pseudocontractive, else 0) and alpha_ism
-  the forward operator's positive ``inverse_strong_monotonicity``; a
-  constant an operator does not declare raises ``ValueError`` naming it,
-  and each must be a real number, not a bool, see
-  :class:`ViscosityParams`; the operators and mappings checked their
-  declared moduli and constants when they were made),
-  ``selection`` (coerced to a :class:`SelectionRule`), the known solution,
-  common points and start; each declared common point is certified there
-  (:meth:`ProblemInstance.common_point_defects`), so every run audits
-  against all of them;
-- the run arguments, in :func:`check_run_arguments`, which :func:`run`
-  calls first and the CLI calls for each config cell: the algorithm name
-  (one of :data:`ALGORITHMS`), ``tol`` a real number (not a bool), finite
-  and > 0, ``max_iter`` an integer >= 0 and ``record_stride`` an integer
-  >= 1 or None; then the schedule, in :func:`require_admissible`, which
-  judges it against the problem's own constants, ``problem.params``, and
-  raises
-  :class:`ScheduleValidationError` naming every failing condition;
-- ``psi0``, in :func:`initial_state`, which builds the start state on the
-  step's own kernels and through the same state builder as a step: the
-  projected start is checked once like a new iterate, and its images,
-  residuals and forward-backward point are formed as in a step;
-- in a step, the values nothing later in it would reject, each scanned
-  once: the forward operator's value (``op.apply`` at a checked point;
-  only the value is coerced and checked, and a value that is the point
-  itself is not scanned again), because it enters the resolvent; each
-  image a mapping returns (checked by its constructor, and its dimension
-  compared with the stage point's, since a 1-vector would broadcast);
-  and the anchor target, which the projection checks at its own boundary
-  before it returns the new iterate.  Each image measures itself in one
-  call (see :mod:`viscosplit.setvalued`), which compares its dimension
-  and returns its residual with its selected point: a singleton's point
-  is the selection, and its residual is ``norm(x - point)``, or 0.0 with
-  no subtraction when the point is the argument x itself, as an
-  identity mapping's is (a checked float64 vector is its own
-  ``Singleton`` point, and the constructor scanned it).  The sizes of
-  the resolvent's, the contraction's and the strong operator's values
-  are compared too, with no scan.
-
-Only the boundary compares a vector with the problem's ``dim``.  Below
-it every value is compared with the size of the point it was made at,
-which is ``dim`` because every point of a run is made from the checked
-start.  The forward-backward point J(psi - lam*Forward psi) of a step,
-of the start state and of a common point's certification comes from the
-one kernel behind :func:`~viscosplit.monotone.forward_backward_step`,
-which scans the resolvent's value for certification but not for a step
-or the start, whose residual rejects it.
-
-The other values a step makes are caught downstream, not scanned:
-delta, pi and phi_p, and the forward-backward point carried to the next
-step, each enter a residual :func:`~viscosplit.hilbert.norm`, which
-raises on a non-finite argument; xi, the contraction value and the
-strong operator value enter the anchor target (0*inf is nan).  A value
-the solver did not make itself (a resolvent's or an operator's) is still
-coerced to a float vector, and scanned, when it is not one already.
-
-A projection checks the point it is given at its own public boundary, so
-a point it returns unchanged (the whole space, or a point already inside
-a ball or half-space) is not scanned again, nor is a box's clip.  The resolvent is handed
-psi - lam*Forward psi unchecked: the built-in resolvents take a checked
-vector and do not check it again, but a projection (the normal cone)
-checks the point at its own boundary and the others carry a non-finite
-coordinate into their value.  The residuals, selections and norms run on
-the arrays as they are.
-
-So a non-finite value may reach a mapping, an operator or numpy
-arithmetic that fails in its own way before anything rejects it.  A step
-is one pass, and a step that fails in any way names the culprit from the
-values it holds, calling no mapping again:
-
-1. the first of delta, pi, phi_p and xi that it made and that is not
-   finite raises :class:`NonFiniteError` naming it;
-2. else, when the anchor line was running, the contraction's value at
-   psi and the strong operator's, at psi under ``main`` and at the
-   carried stage point under the other rules, are taken again and
-   checked: a non-finite value, or one of another dimension than the
-   problem, raises naming ``"contraction"`` or ``"strong operator"``;
-3. else the error names the stage that was running (``"forward
-   operator"``, ``"delta"``, ``"T1 image"``, ``"psi"``, ...).
-
-:func:`run` turns a :class:`NonFiniteError` into the
-``divergence_guard`` termination and keeps its stage as
-``RunReport.diverged_at``.  A value of another dimension than the
-problem (the forward operator's or the resolvent's value, an image, the
-contraction or strong operator value) raises
-:class:`~viscosplit.hilbert.DimensionMismatch` naming it in the same
-way, and a mapping's value that is not an image raises ``TypeError``
-naming its type.  :func:`run` lets both propagate, since no iteration
-can go on from them.  Certifying a common point at construction checks
-its values where they are made, and :func:`boundedness_radius` and
-:func:`vi_residual` check the dimension of the contraction and strong
-operator values they take.
-
-Whether a problem's declarations hold is a separate question, which
-construction does not answer: :func:`audit_instance` audits each declared
-class on one random sample (the mappings by their kinds, the forward
-operator's ism modulus, the resolvent at the default step
-``params.lam_mid``, the strong operator's averaged contraction and the
-contraction's Lipschitz constant) and returns every result under the label
-``viscosplit check`` prints.  A declaration the gate trusts but the
-operator breaks, such as an ism modulus of 1 on x -> 5x, shows there as a
-failed line.
+Whether the declared classes hold is :func:`audit_instance`'s question.
 """
 from __future__ import annotations
 
@@ -256,26 +118,19 @@ class ProblemInstance:
 
     ``dim`` must be an integer >= 1, and ``selection`` a
     :class:`SelectionRule` or its value (``"metric"``, ...).  ``gamma`` and
-    ``eta`` are the anchor step's own constants; ``params``, the one record
-    of the problem's constants, is not given but built from them and from
-    the pieces that declare the others: k and L are ``strong``'s
-    ``strong_monotonicity`` and ``lipschitz``; b is ``contraction``'s
-    ``lipschitz``, floored at :data:`ZERO_CONTRACTION_LIPSCHITZ`;
-    ``beta_demi`` is the largest
-    :attr:`~viscosplit.setvalued.MultiMap.demi_constant` of the mappings,
-    the ``constant`` of a demicontractive or strictly pseudocontractive
-    one and 0 for any other; ``alpha_ism`` is ``forward``'s
-    ``inverse_strong_monotonicity``.  So a copy made with
-    ``dataclasses.replace`` and another operator or mapping judges with
-    its constants.  An operator that leaves one of these constants
-    undeclared (None), or a forward operator whose ism modulus is 0,
-    raises ``ValueError`` naming the operator and the constant; a
-    beta_demi of 1 raises
-    :class:`~viscosplit.schedules.InfeasibleScheduleError`.
-    ``known_common_points`` lists members of the full solution set, which
-    every run audits against; construction certifies each one and raises
-    :class:`UncertifiedPointError` (a ``ValueError``), naming the point
-    and its defects, for one that fails (see :meth:`common_point_defects`).
+    ``eta`` are the anchor step's own constants; ``params`` is built from
+    them and from the pieces that declare the others: k and L are
+    ``strong``'s ``strong_monotonicity`` and ``lipschitz``; b is
+    ``contraction``'s ``lipschitz``, floored at
+    :data:`ZERO_CONTRACTION_LIPSCHITZ`; ``beta_demi`` is the largest
+    :attr:`~viscosplit.setvalued.MultiMap.demi_constant` of the mappings;
+    ``alpha_ism`` is ``forward``'s ``inverse_strong_monotonicity``.  So a
+    copy made with ``dataclasses.replace`` judges with its own pieces.  An
+    operator that leaves one of these constants undeclared (None), or a
+    forward operator whose ism modulus is 0, raises ``ValueError`` naming
+    the operator and the constant.  Each of ``known_common_points`` is
+    certified here, and every run audits against all of them; one that
+    fails raises :class:`UncertifiedPointError` naming it and its defects.
     """
 
     name: str
@@ -336,15 +191,10 @@ class ProblemInstance:
     def common_point_defects(self, q) -> list[str]:
         """Reasons q is not certifiable, within :data:`CERTIFY_TOL`, as a
         common solution; empty = good.  Each T_i(q) must be {q} itself,
-        not merely contain q, which the monotonicity chain requires.
-
-        Each value is checked where it is made: a non-finite value or one
-        of another dimension than the instance raises
-        :class:`NonFiniteError` or
-        :class:`~viscosplit.hilbert.DimensionMismatch` naming it
-        (``"forward operator"``, ``"delta"``, ``"T1 image"``, ...).  A
-        mapping that is the one before it is not taken again: its
-        distances are the ones just measured."""
+        not merely contain q, which the monotonicity chain requires.  Each
+        value is checked where it is made, and an error names it
+        (``"forward operator"``, ``"delta"``, ``"T1 image"``, ...); a
+        mapping that is the one before it is not taken again."""
         q = as_vector(q, self.dim)
         defects = []
         res = norm(q - _forward_backward(self.inclusion, self.forward,
@@ -436,18 +286,15 @@ def audit_instance(problem: ProblemInstance,
 class IterState:
     """One iterate with the stage points of the step that produced it.
 
-    ``psi_prev`` is the iterate the step started from (equal to ``psi`` at
-    n = 0, where the stage points are mirrors of the start).  ``psi_norm``
-    is ``norm(psi)``, which :func:`run`'s divergence guard reads.
-    Residuals are d(stage, T_i(stage)); ``fb_residual`` is measured at
-    ``psi`` itself, through the point J(psi - lam*Forward psi), which
-    ``fb_carry`` keeps as (problem, point): the next step takes it as its
-    delta when it steps the same problem with a lambda equal to ``lam``.
-    A copy made with ``dataclasses.replace`` drops it.  ``alpha``/``mu``
-    are nan when the rule does not use them.  ``fejer_ok`` is the verdict
-    of the chain audit :func:`run` made of the state, None before it or
-    without common points.  Each name in :data:`COLUMNS` is a field, so a
-    state's row of a :class:`Trajectory` is read off it by name.
+    ``psi_prev`` is the iterate the step started from (``psi`` itself at
+    n = 0, where the stage points mirror the start).  ``psi_norm`` is
+    ``norm(psi)``, which :func:`run`'s divergence guard reads.  Residuals
+    are d(stage, T_i(stage)); ``fb_residual`` is measured at ``psi``
+    through the point J(psi - lam*Forward psi), which ``fb_carry`` keeps
+    as (problem, point) for the next step's delta on the same problem and
+    an equal lambda; ``dataclasses.replace`` drops it.  ``alpha`` and
+    ``mu`` are nan where the rule does not use them.  ``fejer_ok`` is
+    :func:`run`'s chain verdict, None before it or without common points.
     """
 
     n: int
@@ -489,14 +336,12 @@ class Trajectory:
     iterating.
 
     ``table`` is an ``array('d')`` with one row of :data:`COLUMNS` per
-    recorded state; :meth:`rows` gives each as a tuple, which a reader
-    takes apart by column name (``dict(zip(COLUMNS, row))``).  Item 0 and
-    item -1 are the stored states, with their stage points.  Any other
-    item is an :class:`IterState` built from its row on access, field by
-    column name, so its ``psi_norm`` and every other scalar equal its row
-    bit for bit: its vector fields are :data:`RELEASED`, so
-    :func:`audit_fejer_chain` raises on it, and its ``fejer_ok`` is a
-    bool, or None where nothing was audited.
+    recorded state, the only statement of the row's layout: :meth:`rows`
+    gives each as a tuple, read by name with ``dict(zip(COLUMNS, row))``.
+    Item 0 and item -1 are the stored states.  Any other item is an
+    :class:`IterState` built from its row on access, its scalars equal to
+    the row bit for bit and its vectors :data:`RELEASED`; step
+    ``first`` again with the rule's ``step_*`` function to see them.
     """
 
     def __init__(self, table: array, first: IterState, last: IterState):
@@ -596,31 +441,27 @@ _AVERAGED = ("pi", "phi_p", "xi")
 
 def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
           anchor: Anchor) -> IterState:
-    """One step of the rule ``anchor`` describes.
+    """One step of the rule ``anchor`` describes, at sequence index n + 1.
 
-    Uses sequence index n + 1 for the step leaving iterate n; sequences are
-    defined from index 1.  Every T_i residual is measured, at the stage
-    point it would average, also when that averaging line does not run,
-    and a point is selected only where the line runs.  Such a stage that
-    takes the mapping of the stage before it at the same point, as every
-    stage of the plain forward-backward step does when T1 is T2 is T3,
-    reads that stage's residual and takes no image.  Each image is
-    measured and selected in one call of its own ``measure``: a
-    singleton's point is read directly, and a point that is the stage
-    point itself, as an identity mapping's is, has residual 0.0 with no
-    subtraction.
+    Every T_i residual is measured at the stage point it would average,
+    also where that averaging line does not run, and a point is selected
+    only where it runs.  A stage that takes the mapping of the stage before
+    at the same point, as every stage of the forward-backward rule does when
+    T1 is T2 is T3, reads that residual and takes no image.
 
-    The step is one pass, which scans only the values nothing downstream
-    rejects (see the module docstring).  If it fails in any way, it names
-    the culprit from the values it holds, calling no mapping again: the
-    first stage point it made that is not finite raises
+    The step is one pass.  It scans only what nothing after it rejects: the
+    forward operator's value, each image (by its constructor) and the anchor
+    target (by the projection).  delta, pi, phi_p and the carried point
+    enter a residual :func:`~viscosplit.hilbert.norm`, and xi and the
+    operator values enter the anchor target.  A failed pass names its
+    culprit from the values it holds, calling no mapping again: the first
+    of delta, pi, phi_p and xi that is not finite raises
     :class:`NonFiniteError` naming it; else, when the anchor line failed,
-    the contraction's and the strong operator's values are taken again,
-    checked, at the points the line took them; else the error names the
-    stage that was running.  So a :class:`NonFiniteError` names the value
-    that turned non-finite, a :class:`~viscosplit.hilbert.DimensionMismatch`
-    the value of another dimension than the problem, and a ``TypeError``
-    the type of a mapping's value that is not an image.
+    :func:`_anchor_values` takes the operator values again, checked; else
+    the error names the stage that was running.  So a
+    :class:`~viscosplit.hilbert.DimensionMismatch` names the value of
+    another dimension, and a ``TypeError`` the type of a mapping's value
+    that is not an image.
     """
     i = state.n + 1
     lam = schedule.lam(i)
@@ -666,7 +507,9 @@ def _step(problem: ProblemInstance, schedule: Schedule, state: IterState,
             p = problem.params
             c = points[anchor.carry]
             # The target is summed in place, in the order of the rule's
-            # line, so that no operator value outlives its term.
+            # line, so that no operator value outlives its term; main's
+            # psi - eta*alpha*Strong psi is -c*v + a (see
+            # monotone._forward_backward).
             stage = "psi"
             target = a * p.gamma * _value(problem.contraction, psi, False)
             if anchor.mixes:
@@ -700,12 +543,10 @@ def _build_state(problem: ProblemInstance, n: int, psi: np.ndarray,
                  psi_prev: np.ndarray, points, residuals, alpha: float,
                  mu: float, lam: float) -> IterState:
     """The state at the checked iterate ``psi``, with the stage ``points``
-    (delta, pi, phi_p, xi) and their ``residuals`` that led to it.
-
-    Adds ``norm(psi)``, the forward-backward point of ``psi`` at ``lam``,
-    carried for the next step, with its residual, and the distance to the
-    known solution.  The point is not scanned: its residual ``norm``
-    rejects a non-finite one, which its caller names ``"delta"``.
+    (delta, pi, phi_p, xi) and their ``residuals`` that led to it, and the
+    forward-backward point of ``psi`` at ``lam`` carried for the next
+    step.  That point is not scanned: its residual ``norm`` rejects a
+    non-finite one, which the caller names ``"delta"``.
     """
     fb_point = _forward_backward(problem.inclusion, problem.forward, lam, psi,
                                  False)
@@ -751,16 +592,13 @@ def initial_state(problem: ProblemInstance, schedule: Schedule,
                   psi0) -> IterState:
     """State n = 0: the start projected onto the feasible set, mirrored.
 
-    A start state that cannot be built raises :class:`NonFiniteError`
-    naming its stage: ``"psi"`` for ``psi0`` and its projection,
-    ``"T1 image"``, ``"T2 image"`` or ``"T3 image"`` for the images of the
-    start, and ``"forward operator"`` or ``"delta"`` for its
-    forward-backward point.  A ``psi0`` or an image of another dimension
-    than the problem raises :class:`~viscosplit.hilbert.DimensionMismatch`
-    naming it in the same way, and a mapping's value that is not an image
-    ``TypeError`` naming its type.  ``psi0`` is scanned once, where the
-    feasible set's projection checks it, and a mapping that is the one
-    before it is not taken again.
+    ``psi0`` is scanned once, by the feasible set's projection, and the
+    state is built as a step builds one.  A start that cannot be built
+    raises :class:`NonFiniteError` or
+    :class:`~viscosplit.hilbert.DimensionMismatch` naming its stage:
+    ``"psi"`` for ``psi0`` and its projection, ``"T1 image"`` ... for the
+    images of the start, ``"forward operator"`` or ``"delta"`` for its
+    forward-backward point.
     """
     stage = "psi"
     try:
@@ -795,18 +633,12 @@ _LINKS = ("xi_le_phi", "phi_le_pi", "pi_le_delta", "delta_le_psi")
 
 
 #: Largest difference, in bytes, that :func:`_distances` builds in one
-#: stacked pass: glibc's default mmap threshold.  Below it the array comes
-#: from the heap, and one pass over six 1-D points and three common points
-#: took ~4 us against ~21 us point by point.  Above it each audit would map
-#: and fault fresh pages: stacking at dimension 1e5 took 9 MB more peak
-#: memory and 1.4-1.8x the time per iteration.
+#: stacked pass: glibc's default mmap threshold, above which each audit
+#: would map and fault fresh pages.
 STACKED_AUDIT_BYTES = 128 * 1024
 
-#: Most states :func:`run` audits in one stacked pass.  The byte cap alone
-#: lets ~910 one-dimensional states wait against three common points, and
-#: keeping them alive, unrecorded ones too, read 1.1-1.2 MB more peak
-#: memory on the ``long_haul`` benchmark; with 64 it read within 0.1 MB of
-#: auditing each state at once.
+#: Most states :func:`run` audits in one stacked pass, so that the states
+#: waiting for the audit hold little memory.
 AUDIT_BLOCK = 64
 
 
@@ -815,11 +647,9 @@ def _distances(points, q_rows: np.ndarray) -> np.ndarray:
 
     Returns a (len(points), Q) array.  When the (len(points), Q, d)
     difference fits in :data:`STACKED_AUDIT_BYTES` it is built at once;
-    otherwise the points are taken one at a time, so one (Q, d) difference
-    is alive at once, and a point passed more than once (a mirrored stage)
-    is measured once.  ``np.vecdot`` reduces each row with the dot kernel
-    of ``v.dot(v)``, so every entry equals ``norm(p - q)`` bit for bit on
-    either path.
+    otherwise the points are taken one at a time, and a point passed more
+    than once (a mirrored stage) is measured once.  Every entry equals
+    ``norm(p - q)`` bit for bit (see :func:`~viscosplit.hilbert.row_norms`).
     """
     if len(points) * q_rows.nbytes <= STACKED_AUDIT_BYTES:
         # One concatenation of the 1-D points costs less than np.array's
@@ -848,13 +678,11 @@ def _audit(states, q_rows: np.ndarray, limits, prev=None,
     and the (B, Q) iterates beyond ``limits`` (the radii with their
     tolerance).  A nan distance fails.
 
-    Each distance is taken once, by :func:`_distances`.  It measures the
-    stage points, and psi unless ``known`` says that every row is the
-    known solution: psi's distances are then its ``dist_to_solution``.  A
-    state's psi_prev is the psi of the state before it, so its distances
-    are that state's.  The first state's are ``prev``, the (Q,) distances
-    of the psi it stepped from, or its own psi's when ``prev`` is None, as
-    at the start, whose psi_prev is its psi.
+    Each distance is taken once, by :func:`_distances`: the stage points,
+    and psi unless ``known`` says that every row is the known solution,
+    whose distances are then its ``dist_to_solution``.  A state's psi_prev
+    distances are those of the state before; the first state's are
+    ``prev``, or its own psi's when ``prev`` is None, as at the start.
     """
     b, q = len(states), len(q_rows)
     points = [p for st in states for p in (st.xi, st.phi, st.pi, st.delta)]
@@ -870,16 +698,10 @@ def _audit(states, q_rows: np.ndarray, limits, prev=None,
 
 
 def audit_fejer_chain(state: IterState, q) -> FejerAudit:
-    """Audit the stage monotonicity chain of one state against a point q.
-
-    Checks ||xi - q|| <= ||phi_p - q|| <= ||pi - q|| <= ||delta - q|| <=
-    ||psi_prev - q|| with the absolute tolerance :data:`AUDIT_TOL`, as
-    :func:`run` does.  The last link is the averaging-monotone inequality
-    tying the forward-backward point back to the iterate the step started
-    from.  A q of another dimension than the state raises
-    :class:`~viscosplit.hilbert.DimensionMismatch`, and an interior item
-    of a :class:`Trajectory`, which holds no vector, raises ``ValueError``:
-    its chain can no longer be measured, only read from ``fejer_ok``.
+    """Audit the stage monotonicity chain of one state against a point q,
+    as :func:`run` does (:func:`_audit`), measuring all six points.  An
+    interior item of a :class:`Trajectory`, which holds no vector, raises
+    ``ValueError``: its chain can only be read from ``fejer_ok``.
     """
     if not state.xi.size:
         raise ValueError(f"the vectors of state n={state.n} were "
@@ -895,10 +717,9 @@ def audit_fejer_chain(state: IterState, q) -> FejerAudit:
 def _anchor_values(problem: ProblemInstance, x: np.ndarray,
                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The contraction's value at the checked point ``x`` and the strong
-    operator's at the checked point ``y``, each checked; a
-    :class:`NonFiniteError` or
-    :class:`~viscosplit.hilbert.DimensionMismatch` names
-    ``"contraction"`` or ``"strong operator"``."""
+    operator's at the checked point ``y``, each checked against the size
+    of its point; an error names ``"contraction"`` or ``"strong
+    operator"``."""
     stage = "contraction"
     try:
         phi = _value(problem.contraction, x)
@@ -911,9 +732,7 @@ def _anchor_values(problem: ProblemInstance, x: np.ndarray,
 def boundedness_radius(problem: ProblemInstance, mu_bar: float, psi0,
                        q) -> float:
     """The a priori radius max(||psi0 - q||, ||g*phi(q) - eta*Strong q|| / m)
-    with m = tau*(1 - mu_bar) - gamma*b, valid for every iterate.  An
-    operator value of another dimension than the problem raises
-    :class:`~viscosplit.hilbert.DimensionMismatch` naming it."""
+    with m = tau*(1 - mu_bar) - gamma*b, valid for every iterate."""
     p = problem.params
     margin = p.margin(mu_bar)
     if not margin > 0:
@@ -930,11 +749,9 @@ def vi_residual(problem: ProblemInstance, psi, probes=None) -> float:
     For each certified common point q the solution must satisfy
     <eta*Strong(psi) - g*phi(psi), psi - q> <= 0; the residual is the
     largest positive left side over the probes (0 when all hold).  Probes
-    default to the instance's known common points, certified when it was
-    built; a probe passed in must certify, otherwise the metric would be
-    meaningless.  Returns nan with no probes.  An operator value of
-    another dimension than the problem raises
-    :class:`~viscosplit.hilbert.DimensionMismatch` naming it.
+    default to the instance's known common points; a probe passed in must
+    certify, otherwise the metric would be meaningless.  Returns nan with
+    no probes.
     """
     psiv = as_vector(psi, problem.dim)
     if probes is None:
@@ -995,40 +812,22 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
     Terminates by "tolerance" when both the displacement and all four
     residuals fall below ``tol``, by "max_iter" otherwise, or by
     "divergence_guard" when an iterate leaves the norm ball of radius
-    1e12 (the guard reads each state's ``psi_norm``) or a step meets a
-    non-finite value; the report's ``diverged_at`` then says which.  A start state that cannot be built raises
-    :class:`NonFiniteError` naming its stage (see :func:`initial_state`).
-    Every iteration (recorded or not) is audited against each known common
-    point: the stage chain with absolute tolerance 1e-10 and the a priori
-    boundedness radius with 1e-8.  States queue for the audit and are
-    audited in blocks of up to :data:`AUDIT_BLOCK`, in one stacked pass
-    over a difference of at most :data:`STACKED_AUDIT_BYTES` (a state
-    wider than that alone, point by point, before the next step), and
-    every exit audits the block it leaves; the violation counts and each
-    state's ``fejer_ok`` are exact, the same as one state at a time.  The
-    audit measures each state's distinct stage points; the distances of
-    its ``psi_prev`` are those of the state before, carried from block
-    to block, and those of its ``psi`` are its ``dist_to_solution`` where
-    every common point equals the known solution, else measured.
+    :data:`DIVERGENCE_LIMIT` or a step raises :class:`NonFiniteError`; the
+    report's ``diverged_at`` then says which.  A start state that cannot
+    be built raises (see :func:`initial_state`), and so does a step's
+    :class:`~viscosplit.hilbert.DimensionMismatch` or ``TypeError``, from
+    which no iteration can go on.
+
+    Every iteration, recorded or not, is audited against each certified
+    common point (:func:`_audit`): the stage chain within :data:`AUDIT_TOL`
+    and the a priori :func:`boundedness_radius` within :data:`CERTIFY_TOL`.
     Recording keeps every state up to n = 10000 and then every hundredth,
-    unless ``record_stride`` forces a fixed stride, and always the last: a
-    state's row of the report's :class:`Trajectory`, its fields read by
-    the names in :data:`COLUMNS`, is written when its audit block runs, or
-    before the next step without common points, and no state in between
-    outlives it.  While it steps, a run holds the state it steps from,
-    the one the step builds and the start.  A state that has been audited
-    and written (no state waits for the audit) has its ``delta``, ``pi``,
-    ``phi`` and ``xi`` set to :data:`RELEASED` before its next step, which
-    reads only its ``psi``, ``n``, ``lam`` and carried forward-backward
-    point; the start keeps its own.  If that step raises
-    :class:`NonFiniteError`, the state is stepped again from its start
-    (``psi_prev`` at n - 1), which gives it back bit for bit, and keeps
-    its audited ``fejer_ok``, so the final state is whole on every exit
-    but one: when that repeated step raises :class:`NonFiniteError` too
-    (a mapping non-finite on both calls), the run still ends in
-    "divergence_guard" with the first error's stage, and the final state
-    is kept as it was, its stage points released.
-    The report's ``vi_residual`` is nan without common points, or when an
+    unless ``record_stride`` forces a fixed stride, and always the last,
+    as rows of the report's :class:`Trajectory`.  When the step from the
+    final state fails after its stage points were released, the state is
+    stepped again from its start, which gives it back whole, bit for bit;
+    if that repeated step fails too, it stays as it is, released.  The
+    report's ``vi_residual`` is nan without common points, or when an
     operator it evaluates is non-finite at the last iterate.
     """
     check_run_arguments(tol, max_iter, record_stride, algorithm)
@@ -1142,7 +941,9 @@ def run(algorithm: str, problem: ProblemInstance, schedule: Schedule,
             terminated = "tolerance"
             break
 
-    # Every exit path leaves the loop here, and the last state is recorded.
+    # Every exit path leaves the loop here: the block it leaves is audited,
+    # so the counts and each fejer_ok are exact, and the last state is
+    # recorded.
     if pending:
         audit()
     if not should_record(state.n):
