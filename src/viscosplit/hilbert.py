@@ -223,7 +223,14 @@ class Box(ConvexSet):
         return as_vector(x, self.lower.size).clip(*self._bounds)
 
     def project_rows(self, xs: np.ndarray) -> np.ndarray:
-        return _width(xs, self.lower.size).clip(*self._bounds)
+        xs = _width(xs, self.lower.size)
+        if xs.shape[1] == 1 and any(b.ndim for b in self._bounds):
+            # A zero bound of a dim-1 box broadcasts over a (k, 1) stack
+            # with stride 0, and numpy's 0-d clip loop would then keep a
+            # zero of the other sign that ``project`` replaces by the bound.
+            return np.array([x.clip(*self._bounds) for x in xs]).reshape(
+                xs.shape)
+        return xs.clip(*self._bounds)
 
 
 @dataclass(frozen=True)
