@@ -18,7 +18,7 @@ import numpy as np
 
 from .hilbert import (DEFAULT_TOL, ConvexSet, DimensionMismatch, _is_real,
                       _is_vector, _named, as_vector, norm, row_norms)
-from .setvalued import AuditResult, _stacked, sampled_audit
+from .setvalued import AuditResult, _stacked, _Unmet, sampled_audit
 
 
 @dataclass(frozen=True)
@@ -320,13 +320,16 @@ def check_wang_contraction(op: SingleOp, eta: float, t: float,
     ``op`` must declare strong monotonicity k and Lipschitz constant L.
     Preconditions 0 < eta < 2k/L^2 and 0 < t < min(1, 1/tau) are enforced
     before any sampling; violating them is a usage error, not an audit fail.
+    An eta outside its range, the declarations' own fault, raises
+    :class:`~viscosplit.setvalued._Unmet`.
     """
     k, L = op.strong_monotonicity, op.lipschitz
     if k is None or L is None:
         raise ValueError("operator must declare strong monotonicity and "
                          "Lipschitz moduli for the contraction audit")
     if not 0.0 < eta < 2.0 * k / L ** 2:
-        raise ValueError(f"eta={eta} outside (0, {2.0 * k / L ** 2})")
+        raise _Unmet("averaged_contraction",
+                     f"eta={eta} outside (0, {2.0 * k / L ** 2})")
     tau = wang_tau(eta, k, L)
     if not 0.0 < t < min(1.0, 1.0 / tau):
         raise ValueError(f"t={t} outside (0, {min(1.0, 1.0 / tau)})")

@@ -1,12 +1,10 @@
 """Ready-made mappings and problem instances.
 
-The worked mappings are small enough to verify by hand: scaling maps in any
-dimension (``scaling_map``; ``make_example1`` is the scalar halving map),
-flip maps that are demicontractive and not quasi-nonexpansive
-(``flip_map``), and a scalar oscillation map that keeps changing the side
-it sends points to.  The instance builders combine them with projectable
-feasible sets, an affine forward operator, and a normal-cone inclusion, so
-every catalog instance has a known solution and certifiable audit points.
+The mappings are small enough to verify by hand: scaling maps, flip maps
+that are demicontractive and not quasi-nonexpansive, and a scalar
+oscillation map.  The instance builders combine them with projectable
+feasible sets, an affine forward operator and a normal-cone inclusion, so
+every catalog instance has a known solution and certified audit points.
 """
 from __future__ import annotations
 

@@ -123,12 +123,10 @@ def _extremes(vals: np.ndarray) -> tuple[float, float]:
 
 def _liminf_of(f: Callable[[np.ndarray], np.ndarray],
                tail: float | np.ndarray) -> float:
-    """liminf of f(s_n), as the least f over ``tail``: a declared limit (a
-    number), or the second half of the horizon values (an array).
-
-    For a declared limit f(limit) is the true liminf because f is
-    continuous and the sequence is convergent.  A nan anywhere in the tail
-    makes the liminf nan, so no condition on it holds.
+    """liminf of f(s_n), as the least f over ``tail``: a declared limit,
+    exact since f is continuous and the sequence converges, or the second
+    half of the horizon values.  A nan in the tail makes it nan, so no
+    condition on it holds.
     """
     if isinstance(tail, np.ndarray):
         return float(np.min(f(tail)))

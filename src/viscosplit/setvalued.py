@@ -26,6 +26,16 @@ class UnsupportedPairing(TypeError):
     """Hausdorff distance requested for an image pair with no closed form."""
 
 
+class _Unmet(ValueError):
+    """A precondition of the audit named ``audit`` that the audited
+    declarations do not meet, which
+    :func:`~viscosplit.solvers.audit_instance` reports as a failed line."""
+
+    def __init__(self, audit: str, message: str):
+        super().__init__(message)
+        self.audit = audit
+
+
 # --------------------------------------------------------------------------
 # Images
 # --------------------------------------------------------------------------
@@ -55,7 +65,8 @@ class SelectionRule(Enum):
 
 def _same_size(size: int, dim: int) -> None:
     """Raise DimensionMismatch, naming both sizes, unless ``size`` is
-    ``dim``."""
+    ``dim``: an image is compared with the point it was taken at, so a
+    1-vector does not broadcast."""
     if size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {size}")
 
@@ -166,18 +177,14 @@ def _image(S) -> SetImage:
 
 
 def distance_to_set(x, S: SetImage) -> float:
-    """d(x, S) = min over s in S of ||x - s||; an image of another
-    dimension than ``x`` raises
-    :class:`~viscosplit.hilbert.DimensionMismatch`."""
+    """d(x, S) = min over s in S of ||x - s||."""
     x = as_vector(x)
     return _image(S).measure(x)[0]
 
 
 def select_from(S: SetImage, rule: SelectionRule | str, x) -> np.ndarray:
     """One point of the image ``S`` under ``rule``, a
-    :class:`SelectionRule` or its value, for the query ``x``; an image of
-    another dimension than ``x`` raises
-    :class:`~viscosplit.hilbert.DimensionMismatch`."""
+    :class:`SelectionRule` or its value, for the query ``x``."""
     x = as_vector(x)
     return _image(S).measure(x, SelectionRule(rule))[1]
 
@@ -408,12 +415,13 @@ def sampled_audit(name: str, cases: Sequence | Sample,
                        note, violations)
 
 
-def _fixed_point_pairs(T: MultiMap, points: Sequence | Sample):
+def _fixed_point_pairs(T: MultiMap, points: Sequence | Sample, audit: str):
     """Every point paired with every declared fixed point of T, which T
     checked when it was built; from a :class:`Sample`, a sample over its
-    rows and the fixed points."""
+    rows and the fixed points.  Without a fixed point the ``audit`` is
+    :class:`_Unmet`."""
     if not T.fixed_points:
-        raise ValueError("audit needs at least one known fixed point")
+        raise _Unmet(audit, "audit needs at least one known fixed point")
     if not isinstance(points, Sample):
         return [(x, q) for x in points for q in T.fixed_points]
     n, m = len(points.rows), len(T.fixed_points)
@@ -446,7 +454,8 @@ def check_demicontractive(T: MultiMap, beta: float,
             far, dist = np.array(far), np.array(dist)
         gap = row_norms(xs - qs)
         return far * far, gap * gap + beta * (dist * dist)
-    return sampled_audit("demicontractive", _fixed_point_pairs(T, points),
+    return sampled_audit("demicontractive",
+                         _fixed_point_pairs(T, points, "demicontractive"),
                          sides)
 
 
@@ -459,7 +468,8 @@ def check_quasi_nonexpansive(T: MultiMap, points: Sequence) -> AuditResult:
             far = np.array([_image(T.image(x)).farthest(q)
                             for x, q in zip(xs, qs)])
         return far, row_norms(xs - qs)
-    return sampled_audit("quasi_nonexpansive", _fixed_point_pairs(T, points),
+    return sampled_audit("quasi_nonexpansive",
+                         _fixed_point_pairs(T, points, "quasi_nonexpansive"),
                          sides)
 
 

@@ -62,7 +62,7 @@ from .monotone import (MaxMonotone, SingleOp, _forward_backward, _value,
                        check_wang_contraction)
 from .schedules import Schedule, ValidationReport, ViscosityParams, validate
 from .setvalued import (AuditResult, MultiMap, Sample, SelectionRule,
-                        _image, _same_size, audit_mapping)
+                        _image, _same_size, _Unmet, audit_mapping)
 
 #: Iterates beyond this norm terminate the run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -252,9 +252,10 @@ def audit_instance(problem: ProblemInstance,
     ``eta`` with t = 0.5, and the contraction's Lipschitz constant
     ``params.b``.  A mapping that declares no fixed point is audited
     against the problem's certified ``known_common_points``, each of which
-    it fixes.  An audit's own precondition error propagates, such as the
-    ``ValueError`` of an ``eta`` outside (0, 2k/L^2) or of a mapping with
-    neither declared fixed points nor common points to audit against.
+    it fixes.  An audit whose precondition the declarations do not meet,
+    an ``eta`` outside (0, 2k/L^2) or a mapping with neither declared fixed
+    points nor common points, is a failed result with the reason in its
+    ``note`` (see :func:`_unless_unmet`); any other error propagates.
     """
     drawn = _sample_points(np.random.default_rng(seed), problem.dim, 600)
     as_vector(drawn.ravel())
@@ -265,8 +266,10 @@ def audit_instance(problem: ProblemInstance,
     for i, t in enumerate(problem.maps, start=1):
         if id(t) not in audited:
             # Each certified common point q has T q = {q}: a fixed point.
-            audited[id(t)] = audit_mapping(t if t.fixed_points else replace(
-                t, fixed_points=problem.known_common_points), points, pairs)
+            audited[id(t)] = _unless_unmet(
+                audit_mapping, t if t.fixed_points else replace(
+                    t, fixed_points=problem.known_common_points),
+                points, pairs)
         res = audited[id(t)]
         out.append((f"T{i} ({t.name or f'T{i}'}) {res.name}", res))
     p = problem.params
@@ -275,11 +278,21 @@ def audit_instance(problem: ProblemInstance,
     res = check_resolvent_firmly_nonexpansive(problem.inclusion, p.lam_mid,
                                               pairs)
     out.append((f"inclusion {res.name} (lambda={p.lam_mid:g})", res))
-    res = check_wang_contraction(problem.strong, p.eta, t=0.5, pairs=pairs)
+    res = _unless_unmet(check_wang_contraction, problem.strong, p.eta, t=0.5,
+                        pairs=pairs)
     out.append((f"strong {res.name} (eta={p.eta:g})", res))
     res = check_lipschitz(problem.contraction, p.b, pairs)
     out.append((f"contraction {res.name} (b={p.b:g})", res))
     return out
+
+
+def _unless_unmet(audit, *args, **kwargs) -> AuditResult:
+    """``audit(*args, **kwargs)``, or a failed result with the reason as
+    its note where it is :class:`~viscosplit.setvalued._Unmet`."""
+    try:
+        return audit(*args, **kwargs)
+    except _Unmet as err:
+        return AuditResult(err.audit, False, np.nan, note=str(err))
 
 
 @dataclass(slots=True)
@@ -367,13 +380,9 @@ class Trajectory:
 
 @dataclass
 class RunReport:
-    """The outcome of :func:`run`.
-
-    ``trajectory`` holds the recorded states (see :class:`Trajectory`).
-    ``diverged_at`` names what ended a ``divergence_guard`` run: the stage
-    whose value turned non-finite (see :class:`NonFiniteError`), or
-    ``"norm limit"`` when an iterate left the ball of radius
-    :data:`DIVERGENCE_LIMIT`.  It is None for every other termination.
+    """The outcome of :func:`run`.  ``diverged_at`` names what ended a
+    ``divergence_guard`` run, the stage whose value turned non-finite or
+    ``"norm limit"``, and is None for every other termination.
     """
 
     algorithm: str

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from viscosplit import (MultiMap, SingleOp, ViscosityParams, affine_op,
-                        audit_instance, default_schedule,
-                        default_schedule_for, load_instance, validate)
+                        audit_instance, check_quasi_nonexpansive,
+                        check_wang_contraction, default_schedule,
+                        default_schedule_for, load_instance,
+                        make_inclusion_instance, validate)
 from viscosplit.cli import main, parse_config
 from viscosplit.problems import catalog, identity_map, scaling_map
 from viscosplit.schedules import step_window
@@ -77,16 +79,44 @@ def test_steep_forward_operator_fails_only_its_ism_line():
     assert forward.worst_slack == pytest.approx(1684.0, abs=0.1)
 
 
-def test_precondition_errors_propagate():
+def test_unmet_preconditions_are_failed_lines():
+    # A mapping that declares no fixed point, on a problem whose common
+    # point does not certify, cannot be audited; nor can a strong operator
+    # at an eta outside (0, 2k/L^2).  Each is a failed line with its reason.
+    bare = MultiMap(kind=KIND_QUASI_NONEXPANSIVE, points=lambda x: 0.5 * x)
+    cases = [
+        (make_inclusion_instance(dim=2, anchor=[5, 5], maps=(bare,) * 3),
+         ["T1 (T1) quasi_nonexpansive", "T2 (T2) quasi_nonexpansive",
+          "T3 (T3) quasi_nonexpansive"],
+         "audit needs at least one known fixed point"),
+        (make_inclusion_instance(dim=2, eta=5.0),
+         ["strong averaged_contraction (eta=5)"], "eta=5.0 outside (0, 2.0)"),
+    ]
+    for problem, failed, note in cases:
+        results = audit_instance(problem)
+        assert len(results) == 7
+        assert [label for label, res in results if not res.passed] == failed
+        for label, res in results:
+            if label in failed:
+                assert np.isnan(res.worst_slack) and res.checked == 0
+                assert res.note == note and res.witness is None
+    # The audits themselves still raise.
     box = load_instance("inclusion_box")
     with pytest.raises(ValueError, match=r"^eta=5\.0 outside \(0, "):
-        audit_instance(dataclasses.replace(box, eta=5.0))
-    # A mapping that declares no fixed point, on a problem that declares
-    # no common point, cannot be audited.
-    bare = MultiMap(kind=KIND_QUASI_NONEXPANSIVE, points=lambda x: 0.5 * x)
+        check_wang_contraction(box.strong, 5.0, 0.5, [])
     with pytest.raises(ValueError, match="at least one known fixed point"):
-        audit_instance(dataclasses.replace(box, t1=bare,
-                                           known_common_points=()))
+        check_quasi_nonexpansive(bare, [np.zeros(1)])
+
+
+def test_other_audit_errors_propagate():
+    # A mapping that mixes the rows of a stack fails the row-wise contract
+    # of its declared points: an error, not a failed line.
+    box = load_instance("inclusion_box")
+    mixing = MultiMap(kind=KIND_QUASI_NONEXPANSIVE,
+                      fixed_points=(np.zeros(1),),
+                      points=lambda x: 0.5 * np.roll(x, 1, axis=0))
+    with pytest.raises(ValueError, match="first row differs"):
+        audit_instance(dataclasses.replace(box, t1=mixing))
 
 
 def test_a_mapping_without_fixed_points_is_audited_at_the_common_points():
