@@ -47,16 +47,21 @@ def area(r):
 def test_code_lines_counts_a_synthetic_module(tmp_path):
     path = tmp_path / "synthetic.py"
     path.write_text(SYNTHETIC)
+    code_lines = load_tool("code_lines")
     # import, class, x, def norm, return, def area, text, return.
-    assert load_tool("code_lines").code_lines(path) == 8
+    assert code_lines.code_lines(path) == 8
+    # Two module lines, one class line, three method lines.
+    assert code_lines.doc_lines(path) == 6
 
 
 def test_code_lines_main_prints_a_total(capsys):
     assert load_tool("code_lines").main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    count, name = lines[-1].split()
-    assert name == "total" and int(count) > 0
-    assert int(count) == sum(int(line.split()[0]) for line in lines[:-1])
+    header, *lines, last = capsys.readouterr().out.splitlines()
+    assert header.split() == ["code", "doc", "module"]
+    code, doc, name = last.split()
+    assert name == "total" and int(code) > 0 and int(doc) > 0
+    assert int(code) == sum(int(line.split()[0]) for line in lines)
+    assert int(doc) == sum(int(line.split()[1]) for line in lines)
 
 
 @pytest.mark.parametrize("pairs", ["1", "0", "-3"])

@@ -1,9 +1,10 @@
-"""Count code lines in ``src/viscosplit/*.py``.
+"""Count code lines and docstring lines in ``src/viscosplit/*.py``.
 
 A code line is a non-blank line that is neither a whole-line comment nor
 part of a docstring (the first statement of a module, class or function
-when it is a string literal, found with ``ast``).  Prints one count per
-module and the total.
+when it is a string literal, found with ``ast``).  A docstring line is any
+line of a docstring, blank ones included.  Prints both counts per module
+and their totals, under a header line.
 
 Usage:
 
@@ -41,13 +42,19 @@ def code_lines(path: Path) -> int:
                and not line.lstrip().startswith("#"))
 
 
+def doc_lines(path: Path) -> int:
+    return len(docstring_lines(ast.parse(path.read_text())))
+
+
 def main() -> int:
-    total = 0
+    code_total = doc_total = 0
+    print("  code    doc  module")
     for path in sorted(SOURCES.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        code, doc = code_lines(path), doc_lines(path)
+        code_total += code
+        doc_total += doc
+        print(f"{code:6d} {doc:6d}  {path.name}")
+    print(f"{code_total:6d} {doc_total:6d}  total")
     return 0
 
 
