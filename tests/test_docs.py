@@ -7,6 +7,7 @@ keeps its pointers.
 """
 import ast
 import contextlib
+import functools
 import importlib
 import io
 import re
@@ -38,20 +39,6 @@ def test_readme_python_blocks_run():
     assert "FAIL forward inverse_strongly_monotone (alpha=1)" in printed[1]
 
 
-def lookup(obj, dotted):
-    """``obj`` followed along the attribute path ``dotted``; a dataclass
-    field without a default is found by its annotation."""
-    for name in dotted.split("."):
-        if hasattr(obj, name):
-            obj = getattr(obj, name)
-        elif any(name in vars(k).get("__annotations__", {})
-                 for k in getattr(obj, "__mro__", ())):
-            obj = None
-        else:
-            raise AttributeError(name)
-    return obj
-
-
 def resolves(module, classes, role, target):
     """Whether the role's ``target`` names an object: under ``viscosplit.``
     when qualified, else in ``module``, and for a method or an attribute
@@ -72,7 +59,7 @@ def resolves(module, classes, role, target):
             scopes = [getattr(module, c) for c in classes] + scopes
     for scope in scopes:
         try:
-            lookup(scope, target) if target else scope
+            functools.reduce(getattr, filter(None, target.split(".")), scope)
         except AttributeError:
             continue
         return True
