@@ -1,4 +1,4 @@
-"""The viscosity forward-backward iteration, its audits and its driver.
+"""The viscosity forward-backward iteration, its audits and its run loop.
 
 The problem: find psi in the solution set of the monotone inclusion
 0 in (Forward + Inclusion)(psi) that is also a fixed point of three
